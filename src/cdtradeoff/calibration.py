@@ -32,6 +32,7 @@ from .errors import (
     NotAnEllipseError,
     RankDeficientError,
 )
+from .shot_sampler import _stream
 
 DEFAULT_BOOTSTRAP = 200
 
@@ -111,10 +112,6 @@ class DetectorEstimate:
     noise: DetectorNoise
     eta_err: float
     nu_err: float
-
-
-def _stream(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _resample_indices(rng: np.random.Generator, n: int) -> np.ndarray:

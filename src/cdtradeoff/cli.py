@@ -88,6 +88,12 @@ def _require(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def _is_int(value) -> bool:
+    """JSON integer: ``true``/``false`` load as ``bool``, a subclass of
+    ``int``, and are rejected."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -109,7 +115,7 @@ def _grid(spec: dict, what: str) -> np.ndarray:
     _require(isinstance(spec, dict) and set(spec) <= {"start", "stop", "points"},
              f"{what} must carry start/stop/points")
     points = spec.get("points")
-    _require(isinstance(points, int) and points >= 1, f"{what}.points must be >= 1")
+    _require(_is_int(points) and points >= 1, f"{what}.points must be >= 1")
     start = float(spec.get("start", 0.0))
     stop = float(spec.get("stop", 2 * math.pi))
     return np.linspace(start, stop, points, endpoint=False) if points > 1 else np.array([start])
@@ -141,7 +147,7 @@ def _shots(config: dict) -> int | None:
     shots = config.get("shots", "exact")
     if shots == "exact":
         return None
-    _require(isinstance(shots, int) and shots > 0, "shots must be a positive integer or \"exact\"")
+    _require(_is_int(shots) and shots > 0, "shots must be a positive integer or \"exact\"")
     return shots
 
 
@@ -200,7 +206,7 @@ def _scan_rows(config: dict, seed: int):
 
 def _highdim_rows(config: dict, seed: int):
     dim = config.get("dim", 2)
-    _require(isinstance(dim, int) and dim >= 2, "dim must be an integer >= 2")
+    _require(_is_int(dim) and dim >= 2, "dim must be an integer >= 2")
     gamma = float(config.get("gamma", 1.0))
     if "c2_grid" in config:
         grid = _grid(config["c2_grid"], "c2_grid")
@@ -292,7 +298,7 @@ def _cmd_calibrate(config: dict, seed: int, out_path: str) -> None:
              "fit must be circle, ellipse-known-theta, or ellipse-unknown-theta")
     scan = read_scan_csv(config["scan_file"])
     n_boot = config.get("bootstrap", 200)
-    _require(isinstance(n_boot, int) and n_boot >= 0, "bootstrap must be a nonnegative integer")
+    _require(_is_int(n_boot) and n_boot >= 0, "bootstrap must be a nonnegative integer")
     report = {
         "schema": SCHEMA_VERSION,
         "library_version": __version__,
@@ -423,7 +429,7 @@ def main(argv=None) -> int:
         if args.exact:
             config["shots"] = "exact"
         seed = config.get("seed", 0)
-        _require(isinstance(seed, int) and seed >= 0, "seed must be a nonnegative integer")
+        _require(_is_int(seed) and seed >= 0, "seed must be a nonnegative integer")
         run(config, args.out, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

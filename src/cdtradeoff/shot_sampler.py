@@ -5,11 +5,14 @@ three post-measurement-state policies of the probe.
 Reproducibility contract: all randomness comes from the counter-based
 Philox 4x64 bit generator (``numpy.random.Philox``) keyed by the 64-bit
 seed, consumed as uniform doubles through the generator's native 53-bit
-conversion.  Categorical draws use inverse-CDF lookup (searchsorted)
-against the cumulative distribution; the joint arm is drawn before the
-alone arm from the same stream.  Identical (scenario, seed) pairs yield
-bit-identical records on any platform.  This algorithm is part of the
-package contract and must not change silently.
+conversion.  Categorical draws are inverse-CDF lookups against the
+cumulative distribution ``edge``: outcome ``i`` is drawn when
+``edge[i-1] <= u < edge[i]`` (with ``edge[-1] = 0``; the last outcome takes
+every ``u`` at or above its lower edge).  Uniforms are used in stream
+order, in fixed blocks; the joint arm is drawn before the alone arm from
+the same stream.  Identical (scenario, seed) pairs yield bit-identical
+records on any platform, and the bits are unchanged from 0.1.0.  This
+algorithm is part of the package contract and must not change silently.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import (
     InvalidShotsError,
     LabelMismatchError,
     NonQubitError,
+    NotNormalizedError,
 )
 from .quantum_core import (
     DensityMatrix,
@@ -84,18 +88,34 @@ class CdEstimate:
     d_err: float
 
 
+# Uniforms are drawn this many at a time, so a draw's memory is bounded by
+# the block and not by the shot count.
+_BLOCK = 1 << 16
+
+
 def _stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _categorical(rng: np.random.Generator, probs, shots: int) -> np.ndarray:
-    """Multinomial counts via inverse-CDF on uniform doubles."""
-    p = np.clip(np.asarray(probs, dtype=float).ravel(), 0.0, None)
-    p = p / p.sum()
-    edges = np.cumsum(p)
-    draws = np.searchsorted(edges, rng.random(shots), side="right")
-    draws = np.minimum(draws, p.size - 1)
-    return np.bincount(draws, minlength=p.size).astype(np.int64)
+    """Multinomial counts via inverse-CDF on uniform doubles.
+
+    Negative entries are clipped to zero and the rest normalized.  Each
+    block of uniforms is counted against every cumulative edge but the
+    last; the counts are the differences of those tallies.
+    """
+    raw = np.asarray(probs, dtype=float).ravel()
+    p = np.clip(raw, 0.0, None)
+    total = p.sum()
+    if not (np.isfinite(raw).all() and 0.0 < total < np.inf):
+        raise NotNormalizedError("probabilities must be finite with a positive sum")
+    edges = np.cumsum(p / total)[:-1]
+    below = [0] * edges.size  # draws with u < edges[i]
+    for start in range(0, shots, _BLOCK):
+        u = rng.random(min(_BLOCK, shots - start))
+        for i, edge in enumerate(edges):
+            below[i] += np.count_nonzero(u < edge)
+    return np.diff(np.array([0, *below, shots], dtype=np.int64))
 
 
 def policy_update(

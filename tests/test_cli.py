@@ -442,3 +442,46 @@ class TestErrorsAndOverrides:
         out = tmp_path / "m.csv"
         assert run_cli("--config", config, "--out", out, "--mode", "search-optimal") == 0
         assert read_rows(out).shape == (8, 6)
+
+
+class TestBoolIsNotAnInteger:
+    """JSON ``true`` loads as ``bool``, a subclass of ``int``; every field
+    that needs an integer rejects it as a config error."""
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"shots": True},
+            {"shots": 100, "seed": True},
+            {"target": {"gamma": 1.0, "theta_grid": {"points": True}}},
+        ],
+        ids=["shots", "seed", "theta_grid.points"],
+    )
+    def test_scan(self, tmp_path, entries):
+        config = scan_config(tmp_path, **entries)
+        assert run_cli("--config", config, "--out", tmp_path / "o.csv") == 2
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"mode": "search-optimal", "phi_grid": {"points": True}},
+            {"mode": "highdim", "dim": True},
+            {"mode": "highdim", "dim": 3, "c2_grid": {"points": True}},
+        ],
+        ids=["phi_grid.points", "dim", "c2_grid.points"],
+    )
+    def test_other_modes(self, tmp_path, entries):
+        config = write_config(tmp_path / "b.json", **entries)
+        assert run_cli("--config", config, "--out", tmp_path / "o.csv") == 2
+
+    def test_bootstrap(self, tmp_path):
+        scan_path = tmp_path / "gen.csv"
+        assert run_cli("--config", scan_config(tmp_path), "--out", scan_path) == 0
+        config = write_config(
+            tmp_path / "cal.json",
+            mode="calibrate",
+            scan_file=str(scan_path),
+            fit="circle",
+            bootstrap=True,
+        )
+        assert run_cli("--config", config, "--out", tmp_path / "r.json") == 2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +10,7 @@ from cdtradeoff.errors import (
     InvalidShotsError,
     LabelMismatchError,
     NonQubitError,
+    NotNormalizedError,
 )
 from cdtradeoff.quantum_core import DensityMatrix, LuedersInstrument
 from cdtradeoff.qubit_model import (
@@ -18,8 +21,11 @@ from cdtradeoff.qubit_model import (
     state_from_bloch,
 )
 from cdtradeoff.shot_sampler import (
+    _BLOCK,
     InstrumentPolicy,
     ShotRecord,
+    _categorical,
+    _stream,
     estimate_cd,
     policy_cd,
     policy_update,
@@ -27,7 +33,7 @@ from cdtradeoff.shot_sampler import (
     sample_distributions,
 )
 
-from util import scenario
+from util import categorical_oracle, scenario
 
 
 def sharp(theta):
@@ -202,3 +208,71 @@ class TestPolicies:
         rec1 = sample(*args, 2000, 2000, seed=9, policy=InstrumentPolicy.MIXED)
         rec2 = sample(*args, 2000, 2000, seed=9, policy=InstrumentPolicy.MIXED)
         assert np.array_equal(rec1.joint_counts, rec2.joint_counts)
+
+
+ORACLE_TABLES = {
+    "uniform": [0.25, 0.25, 0.25, 0.25],
+    "certain": [0.0, 0.0, 1.0, 0.0],
+    "zero_cells": [0.0, 0.3, 0.0, 0.0, 0.7, 0.0],
+    "clipped_negative": [0.5, -1e-17, 0.25, 0.25],
+    "cumsum_below_one": [0.1] * 10,  # normalized cumsum ends at 1 - 2**-53
+    "random_2x2": [0.8006520409183475, 0.19934795908165262, 0.0, 0.0],
+    "random_3x3": list(np.random.default_rng(5).dirichlet(np.ones(9))),
+}
+ORACLE_SHOTS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5)
+
+
+class TestCategoricalOracle:
+    """The blocked edge-counting sampler reproduces the full-array
+    searchsorted sampler bit for bit and leaves the stream at the same
+    position."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_TABLES))
+    def test_counts_equal_searchsorted(self, name):
+        probs = ORACLE_TABLES[name]
+        for shots in ORACLE_SHOTS:
+            for seed in range(50):
+                rng, rng_oracle = _stream(seed), _stream(seed)
+                counts = _categorical(rng, probs, shots)
+                expected = categorical_oracle(rng_oracle, probs, shots)
+                assert np.array_equal(counts, expected), (shots, seed)
+                assert counts.dtype == np.int64
+                assert rng.random() == rng_oracle.random()
+
+    def test_sample_distributions_draws_joint_then_alone(self):
+        joint = np.array([[0.4, 0.1], [0.15, 0.35]])
+        alone = np.array([0.55, 0.45])
+        for seed in range(5):
+            rec = sample_distributions(joint, alone, _BLOCK + 1, 3 * _BLOCK + 5, seed)
+            rng = _stream(seed)
+            jc = categorical_oracle(rng, joint, _BLOCK + 1).reshape(2, 2)
+            ac = categorical_oracle(rng, alone, 3 * _BLOCK + 5)
+            assert np.array_equal(rec.joint_counts, jc)
+            assert np.array_equal(rec.alone_counts, ac)
+
+    @pytest.mark.parametrize(
+        "joint, alone",
+        [
+            ([[np.nan, 0.5], [0.25, 0.25]], [0.5, 0.5]),
+            ([[np.inf, 0.0], [0.0, 0.0]], [0.5, 0.5]),
+            ([[-np.inf, 0.5], [0.25, 0.25]], [0.5, 0.5]),
+            ([[0.0, 0.0], [0.0, 0.0]], [0.5, 0.5]),
+            ([[0.5, 0.0], [0.0, 0.5]], [-0.5, 0.0]),
+        ],
+        ids=["nan", "inf", "minus_inf", "all_zero", "alone_not_positive"],
+    )
+    def test_bad_probabilities_raise(self, joint, alone):
+        with pytest.raises(NotNormalizedError):
+            sample_distributions(joint, alone, 100, 100, seed=1)
+
+    def test_memory_bounded_by_block(self):
+        joint = np.full((2, 2), 0.25)
+        alone = np.array([0.5, 0.5])
+        tracemalloc.start()
+        try:
+            rec = sample_distributions(joint, alone, 10**7, 10**7, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rec.alone_counts.sum() == 10**7
+        assert peak <= 4 * _BLOCK * np.dtype(float).itemsize

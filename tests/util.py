@@ -121,3 +121,15 @@ def forward_scan(
                 CdPoint(float(theta), est.c_hat, est.d_hat, est.c_err, est.d_err)
             )
     return CdScan(tuple(points))
+
+
+def categorical_oracle(rng, probs, shots):
+    """Multinomial counts by inverse-CDF lookup of one full-length array of
+    uniforms (``searchsorted`` + ``bincount``), independent of the blocked
+    edge counting in the library sampler."""
+    p = np.clip(np.asarray(probs, dtype=float).ravel(), 0.0, None)
+    p = p / p.sum()
+    edges = np.cumsum(p)
+    draws = np.searchsorted(edges, rng.random(shots), side="right")
+    draws = np.minimum(draws, p.size - 1)
+    return np.bincount(draws, minlength=p.size).astype(np.int64)
