@@ -14,7 +14,8 @@ but unregistered,
 
 For dichotomic measurements these reduce to C = 2 p(a=b) - 1 and
 D = 2 |p(+) - p~(+)|, and C^2 + D^2 <= 1 for every state and every
-minimal-back-action measurement pair.
+minimal-back-action measurement pair.  The kernels take stacks of tables
+with leading batch axes, so a scan is evaluated in one call.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     LabelMismatchError,
     NotDichotomicError,
     NotNormalizedError,
+    TradeoffViolationError,
 )
 from .quantum_core import (
     ATOL,
@@ -35,8 +37,11 @@ from .quantum_core import (
     Povm,
     _as_square,
     _check_dims,
+    at_index,
     dual_channel,
+    first_bad,
     joint_probabilities,
+    outcome_probabilities,
 )
 
 
@@ -48,8 +53,10 @@ INEQ_TOL = 1e-9
 class CdValue:
     """One exact correlation/disturbance pair.
 
-    Exact values always satisfy the tradeoff C^2 + D^2 <= 1 (finite-shot
-    estimates, which may fall outside the disc, live in CdEstimate).
+    The tradeoff C^2 + D^2 <= 1 is a theorem for square-root instruments
+    only and is checked on that path (``check_tradeoff``); measure-and-
+    prepare updates can leave the disc.  Finite-shot estimates live in
+    CdEstimate.
     """
 
     correlation: float
@@ -58,11 +65,30 @@ class CdValue:
     def __post_init__(self):
         if self.disturbance < 0:
             raise ValueError(f"disturbance {self.disturbance!r} is negative")
-        if self.correlation**2 + self.disturbance**2 > 1.0 + INEQ_TOL:
-            raise ValueError(
-                f"({self.correlation!r}, {self.disturbance!r}) violates the "
-                "correlation-disturbance tradeoff"
-            )
+
+
+def check_tradeoff(corr, dist) -> None:
+    """Require C^2 + D^2 <= 1 (within INEQ_TOL) for every value of a
+    square-root-instrument scan; raises TradeoffViolationError naming the
+    first point outside the disc."""
+    c, d = np.asarray(corr), np.asarray(dist)
+    index = first_bad(c * c + d * d > 1.0 + INEQ_TOL)
+    if index is not None:
+        raise TradeoffViolationError(
+            f"({c[index]!r}, {d[index]!r}){at_index(index)} violates the "
+            "correlation-disturbance tradeoff"
+        )
+
+
+def _check_distributions(probs: np.ndarray, what: str) -> None:
+    """Each distribution (..., k) lies in [0, 1] and sums to one."""
+    index = first_bad(((probs < -ATOL) | (probs > 1.0 + ATOL)).any(axis=-1))
+    if index is not None:
+        raise NotNormalizedError(f"{what}{at_index(index)} has a probability outside [0, 1]")
+    total = probs.sum(axis=-1)
+    index = first_bad(np.abs(total - 1.0) > ATOL)
+    if index is not None:
+        raise NotNormalizedError(f"{what}{at_index(index)} sums to {total[index]!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -77,10 +103,7 @@ class OutcomeDistribution:
         labels = tuple(float(x) for x in self.labels)
         if len(probs) != len(labels):
             raise LabelMismatchError("one label per probability is required")
-        if any(p < -ATOL or p > 1.0 + ATOL for p in probs):
-            raise NotNormalizedError("probability outside [0, 1]")
-        if abs(sum(probs) - 1.0) > ATOL:
-            raise NotNormalizedError(f"probabilities sum to {sum(probs)!r}, not 1")
+        _check_distributions(np.array(probs), "distribution")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "labels", labels)
 
@@ -97,29 +120,35 @@ def _matched_label_sets(labels_a, labels_b) -> None:
         raise LabelMismatchError(f"label sets differ: {sorted(la)} vs {sorted(lb)}")
 
 
-def correlation(joint, labels_a, labels_b) -> float:
+def correlation(joint, labels_a, labels_b):
     """Rescaled coincidence probability of a joint outcome table.
 
     ``joint[i, j]`` is the probability of probe outcome ``labels_a[i]``
     followed by target outcome ``labels_b[j]``; outcomes match when their
-    labels are equal.
+    labels are equal.  A stack of tables (..., i, j) gives an array of
+    correlations; one table gives a float.
     """
     table = np.asarray(joint, dtype=float)
     la = tuple(float(x) for x in labels_a)
     lb = tuple(float(x) for x in labels_b)
-    if table.shape != (len(la), len(lb)):
+    if table.shape[-2:] != (len(la), len(lb)):
         raise LabelMismatchError(
             f"table shape {table.shape} does not match label counts"
         )
     _matched_label_sets(la, lb)
-    total = table.sum()
-    if abs(total - 1.0) > ATOL:
-        raise NotNormalizedError(f"joint table sums to {total!r}, not 1")
+    total = table.sum(axis=(-2, -1))
+    index = first_bad(np.abs(total - 1.0) > ATOL)
+    if index is not None:
+        raise NotNormalizedError(f"joint table{at_index(index)} sums to {total[index]!r}, not 1")
     n = len(la)
-    p_match = sum(
-        table[i, j] for i in range(n) for j in range(n) if la[i] == lb[j]
-    )
-    return n / (n - 1) * (p_match - 1.0 / n)
+    p_match = (table * np.equal.outer(la, lb)).sum(axis=(-2, -1))
+    corr = n / (n - 1) * (p_match - 1.0 / n)
+    return float(corr) if corr.ndim == 0 else corr
+
+
+def _distance(p_alone: np.ndarray, p_tilde: np.ndarray) -> np.ndarray:
+    n = p_alone.shape[-1]
+    return np.sqrt(n / (n - 1)) * np.linalg.norm(p_alone - p_tilde, axis=-1)
 
 
 def disturbance(p_alone: OutcomeDistribution, p_tilde: OutcomeDistribution) -> float:
@@ -127,9 +156,23 @@ def disturbance(p_alone: OutcomeDistribution, p_tilde: OutcomeDistribution) -> f
     (unregistered) target distributions."""
     if p_alone.labels != p_tilde.labels:
         raise LabelMismatchError("distributions carry different labels")
-    n = p_alone.n_outcomes
-    diff = np.asarray(p_alone.probs) - np.asarray(p_tilde.probs)
-    return float(np.sqrt(n / (n - 1)) * np.linalg.norm(diff))
+    return float(_distance(np.asarray(p_alone.probs), np.asarray(p_tilde.probs)))
+
+
+def cd_tables(joint, alone, labels_a, labels_b) -> tuple[np.ndarray, np.ndarray]:
+    """Correlations and disturbances of stacked joint tables (..., ka, kb)
+    and probe-off target distributions (..., kb).
+
+    Every table must sum to one, and the probe-off and probe-on target
+    distributions must be probability vectors; the first bad point is named.
+    """
+    table = np.asarray(joint, dtype=float)
+    alone = np.asarray(alone, dtype=float)
+    corr = np.asarray(correlation(table, labels_a, labels_b))
+    tilde = table.sum(axis=-2)
+    _check_distributions(alone, "probe-off distribution")
+    _check_distributions(tilde, "probe-on distribution")
+    return corr, _distance(alone, tilde)
 
 
 def cd_from_scenario(
@@ -137,16 +180,10 @@ def cd_from_scenario(
 ) -> CdValue:
     """Exact correlation and disturbance of a state/probe/target scenario."""
     joint = joint_probabilities(inst_a, povm_b, rho)
-    corr = correlation(joint, inst_a.povm.labels, povm_b.labels)
-    alone = tuple(
-        float(np.trace(rho.matrix @ e.matrix).real) for e in povm_b.effects
-    )
-    tilde = tuple(float(x) for x in joint.sum(axis=0))
-    dist = disturbance(
-        OutcomeDistribution(alone, povm_b.labels),
-        OutcomeDistribution(tilde, povm_b.labels),
-    )
-    return CdValue(corr, dist)
+    alone = outcome_probabilities(rho.matrix, povm_b.matrices)
+    corr, dist = cd_tables(joint, alone, inst_a.povm.labels, povm_b.labels)
+    check_tradeoff(corr, dist)
+    return CdValue(float(corr), float(dist))
 
 
 def disturbance_operator(inst_a: LuedersInstrument, observable_b) -> np.ndarray:

@@ -12,8 +12,11 @@ highdim         overlap scan of the d-dimensional circle law
 All angles are radians.  CSV columns are theta,c,d,c_err,d_err,c2d2 with 9
 significant digits; every scan CSV gets a JSON sidecar carrying the full
 config, its SHA-256 hash, and the library version, so outputs are
-byte-reproducible from config + seed alone.  Shot-mode scan point ``i``
-draws from a Philox stream keyed by ``seed XOR i``.
+byte-reproducible from config + seed alone.  A scan is evaluated as one
+batch: its operators are built, validated and turned into outcome tables
+with array kernels over the grid.  Shot-mode scan point ``i`` then draws
+from a Philox stream keyed by ``seed XOR i``, where the seed lies in
+[0, 2**64).
 
 Exit codes: 0 success, 2 config error, 3 physics/feasibility error,
 4 fit failure.
@@ -25,6 +28,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -45,10 +49,22 @@ from .errors import (
     OutOfDomainError,
     SchemaError,
 )
-from .highdim_model import RandomizedDichotomic, cd_highdim, overlap
-from .qubit_model import QubitMeasurement, optimal_state, plane_axis, state_from_bloch
-from .quantum_core import DensityMatrix, LuedersInstrument
-from .shot_sampler import InstrumentPolicy, estimate_cd, sample, sample_distributions
+from .highdim_model import (
+    circle_law,
+    optimal_kets,
+    overlaps,
+    projectors,
+    randomized_povms,
+)
+from .quantum_core import check_states
+from .qubit_model import optimal_bloch, plane_axis, qubit_povms, qubit_states, unit_axes
+from .shot_sampler import (
+    InstrumentPolicy,
+    estimate_cd,
+    policy_tables,
+    policy_values,
+    sample_distributions,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,6 +73,12 @@ EXIT_FIT = 4
 
 CSV_HEADER = "theta,c,d,c_err,d_err,c2d2"
 SCHEMA_VERSION = 1
+LABELS = (1.0, -1.0)  # outcome labels of every scan measurement, in effect order
+SEED_LIMIT = 2**64
+# Shot-mode highdim scans build (points, dim, dim) operator stacks; they are
+# evaluated in batches of at most this many matrix entries (and at least one
+# point), so memory does not grow with the grid.
+_BATCH_ENTRIES = 1 << 16
 
 MODES = ("scan", "search-optimal", "calibrate", "detector", "highdim")
 
@@ -94,10 +116,23 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _reject_constant(name: str):
+    raise SchemaError(f"config holds the non-finite number {name}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):  # a literal such as 1e400 overflows to inf
+        raise SchemaError(f"config number {text} is not finite in double precision")
+    return value
+
+
 def load_config(path: str) -> dict:
+    """Parse a config file; NaN, Infinity and numbers that overflow a
+    double are rejected, so every float in the config is finite."""
     try:
         with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -121,7 +156,9 @@ def _grid(spec: dict, what: str) -> np.ndarray:
     return np.linspace(start, stop, points, endpoint=False) if points > 1 else np.array([start])
 
 
-def _measurement(spec: dict, what: str) -> QubitMeasurement:
+def _measurement(spec: dict, what: str, theta=None) -> tuple[float, np.ndarray]:
+    """(bias, Bloch vector) of a measurement spec.  An angle grid ``theta``
+    replaces the spec's own angle and gives one Bloch vector per point."""
     _require(isinstance(spec, dict), f"{what} must be an object")
     _require(set(spec) <= {"bias", "gamma", "theta", "bloch"},
              f"{what} keys must be bias/gamma/theta or bias/bloch")
@@ -129,18 +166,22 @@ def _measurement(spec: dict, what: str) -> QubitMeasurement:
     if "bloch" in spec:
         bloch = np.asarray(spec["bloch"], dtype=float)
         _require(bloch.shape == (3,), f"{what}.bloch must have 3 components")
-        return QubitMeasurement(bias, bloch)
-    gamma = float(spec.get("gamma", 1.0))
-    theta = float(spec.get("theta", 0.0))
-    return QubitMeasurement(bias, gamma * plane_axis(theta))
+    else:
+        gamma = float(spec.get("gamma", 1.0))
+        bloch = gamma * plane_axis(float(spec.get("theta", 0.0)) if theta is None else theta)
+    if theta is not None:
+        bloch = np.broadcast_to(bloch, (len(theta), 3))
+    return bias, bloch
 
 
-def _state(spec, probe: QubitMeasurement, target: QubitMeasurement) -> DensityMatrix:
+def _states(spec, probe_bloch: np.ndarray, target_bloch: np.ndarray) -> np.ndarray:
     if spec == "optimal" or spec is None:
-        return optimal_state(probe, target)
+        return qubit_states(optimal_bloch(unit_axes(probe_bloch), unit_axes(target_bloch)))
     _require(isinstance(spec, dict) and set(spec) == {"bloch"},
              "state must be \"optimal\" or {\"bloch\": [x,y,z]}")
-    return state_from_bloch(np.asarray(spec["bloch"], dtype=float))
+    bloch = np.asarray(spec["bloch"], dtype=float)
+    _require(bloch.shape == (3,), "state.bloch must have 3 components")
+    return qubit_states(bloch)
 
 
 def _shots(config: dict) -> int | None:
@@ -159,19 +200,32 @@ def _policy(config: dict) -> InstrumentPolicy:
         raise SchemaError(f"unknown policy {name!r}") from exc
 
 
+def _exact_rows(angles, corr, dist):
+    return [(angle, c, d, 0.0, 0.0) for angle, c, d in zip(angles, corr, dist)]
+
+
+def _shot_rows(angles, joint, alone, shots: int, seed: int, first: int = 0):
+    """One shot record per point; grid point ``first + i`` draws from the
+    stream ``seed ^ (first + i)``."""
+    rows = []
+    for i, angle in enumerate(angles):
+        est = estimate_cd(sample_distributions(joint[i], alone[i], shots, shots,
+                                               seed ^ (first + i)))
+        rows.append((angle, est.c_hat, est.d_hat, est.c_err, est.d_err))
+    return rows
+
+
 def _scan_rows(config: dict, seed: int):
     """Rows (theta, c, d, c_err, d_err) for scan and search-optimal modes."""
-    from .shot_sampler import policy_cd
-
     mode = config["mode"]
     shots = _shots(config)
     policy = _policy(config)
     # search-optimal defaults reproduce the optimal-state search setting:
     # probe axis at pi/4 in the x-z plane, target along x
     default_theta = 0.0 if mode == "scan" else math.pi / 4
-    probe = _measurement(config.get("probe", {"gamma": 1.0, "theta": default_theta}), "probe")
-    inst = probe.to_instrument()
-    rows = []
+    probe_bias, probe_bloch = _measurement(
+        config.get("probe", {"gamma": 1.0, "theta": default_theta}), "probe")
+    probe_effects = qubit_povms(probe_bias, probe_bloch)
     if mode == "scan":
         target_spec = dict(config.get("target", {}))
         _require("theta_grid" in target_spec or "theta" in target_spec,
@@ -180,28 +234,19 @@ def _scan_rows(config: dict, seed: int):
             grid = _grid(target_spec.pop("theta_grid"), "target.theta_grid")
         else:
             grid = np.array([float(target_spec.pop("theta"))])
-        settings = []
-        for theta in grid:
-            target = _measurement({**target_spec, "theta": float(theta)}, "target")
-            rho = _state(config.get("state"), probe, target)
-            settings.append((float(theta), rho, target))
+        target_bias, target_bloch = _measurement(target_spec, "target", grid)
+        target_effects = qubit_povms(target_bias, target_bloch)
+        rho = _states(config.get("state"), probe_bloch, target_bloch)
     else:
-        target = _measurement(config.get("target", {"gamma": 1.0, "theta": 0.0}), "target")
+        target_bias, target_bloch = _measurement(
+            config.get("target", {"gamma": 1.0, "theta": 0.0}), "target")
+        target_effects = qubit_povms(target_bias, target_bloch)
         grid = _grid(config.get("phi_grid", {"points": 64}), "phi_grid")
-        settings = []
-        for phi in grid:
-            rho = state_from_bloch([math.sin(phi), 0.0, math.cos(phi)])
-            settings.append((float(phi), rho, target))
-    for index, (angle, rho, target) in enumerate(settings):
-        povm = target.to_povm()
-        if shots is None:
-            value = policy_cd(rho, inst, povm, policy)
-            rows.append((angle, value.correlation, value.disturbance, 0.0, 0.0))
-        else:
-            rec = sample(rho, inst, povm, shots, shots, seed ^ index, policy)
-            est = estimate_cd(rec)
-            rows.append((angle, est.c_hat, est.d_hat, est.c_err, est.d_err))
-    return rows
+        rho = qubit_states(np.stack([np.sin(grid), np.zeros_like(grid), np.cos(grid)], axis=-1))
+    joint, alone = policy_tables(policy, rho, probe_effects, target_effects)
+    if shots is not None:
+        return _shot_rows(grid, joint, alone, shots, seed)
+    return _exact_rows(grid, *policy_values(policy, joint, alone, LABELS, LABELS))
 
 
 def _highdim_rows(config: dict, seed: int):
@@ -214,25 +259,26 @@ def _highdim_rows(config: dict, seed: int):
         grid = np.array([float(config.get("c2", 0.5))])
     _require(bool(np.all((grid >= 0) & (grid <= 1))), "c2 values must lie in [0, 1]")
     shots = _shots(config)
+    # sharp probe along the first basis ket; target ket at overlap c2 with it
+    ket_a = np.zeros(dim)
+    ket_a[0] = 1.0
+    kets_b = np.zeros((len(grid), dim))
+    kets_b[:, 0] = np.sqrt(grid)
+    kets_b[:, 1] = np.sqrt(1.0 - grid)
+    angles = np.arccos(np.clip(2.0 * grid - 1.0, -1.0, 1.0))
+    if shots is None:
+        return _exact_rows(angles, *circle_law(gamma, overlaps(ket_a, kets_b)))
+    proj_a = projectors(ket_a)
+    probe_effects = randomized_povms(1.0, proj_a)
     rows = []
-    for index, c2 in enumerate(grid):
-        ket_a = np.zeros(dim)
-        ket_a[0] = 1.0
-        ket_b = np.zeros(dim)
-        ket_b[0] = math.sqrt(c2)
-        ket_b[1] = math.sqrt(1.0 - c2)
-        pa = RandomizedDichotomic.from_ket(ket_a, 1.0)
-        pb = RandomizedDichotomic.from_ket(ket_b, gamma)
-        angle = math.acos(min(1.0, max(-1.0, 2.0 * float(c2) - 1.0)))
-        if shots is None:
-            value = cd_highdim(pa, pb)
-            rows.append((angle, value.correlation, value.disturbance, 0.0, 0.0))
-        else:
-            rho = DensityMatrix.from_ket(overlap(pa, pb).psi_plus)
-            inst = LuedersInstrument(pa.to_povm())
-            rec = sample(rho, inst, pb.to_povm(), shots, shots, seed ^ index)
-            est = estimate_cd(rec)
-            rows.append((angle, est.c_hat, est.d_hat, est.c_err, est.d_err))
+    step = max(1, _BATCH_ENTRIES // (dim * dim))
+    for start in range(0, len(grid), step):
+        proj_b = projectors(kets_b[start:start + step])
+        joint, alone = policy_tables(
+            InstrumentPolicy.LUEDERS, check_states(projectors(optimal_kets(proj_a, proj_b))),
+            probe_effects, randomized_povms(gamma, proj_b),
+        )
+        rows += _shot_rows(angles[start:start + step], joint, alone, shots, seed, start)
     return rows
 
 
@@ -393,6 +439,18 @@ def _cmd_detector(config: dict, seed: int, out_path: str) -> None:
     _write_json(out_path, report)
 
 
+def _require_distinct(config_path: str, out_path: str, mode: str) -> None:
+    """Refuse outputs (the report, or a scan CSV and its sidecar) that
+    resolve to the config file."""
+    outputs = [out_path]
+    if mode not in ("calibrate", "detector"):
+        outputs.append(_sidecar_path(out_path))
+    config_real = os.path.realpath(config_path)
+    for path in outputs:
+        if os.path.realpath(path) == config_real:
+            raise ConfigError(f"output {path!r} would overwrite the config file")
+
+
 def run(config: dict, out_path: str, seed: int) -> None:
     mode = config["mode"]
     if mode in ("scan", "search-optimal"):
@@ -429,7 +487,9 @@ def main(argv=None) -> int:
         if args.exact:
             config["shots"] = "exact"
         seed = config.get("seed", 0)
-        _require(_is_int(seed) and seed >= 0, "seed must be a nonnegative integer")
+        _require(_is_int(seed) and 0 <= seed < SEED_LIMIT,
+                 "seed must be an integer in [0, 2**64)")
+        _require_distinct(args.config, args.out, config["mode"])
         run(config, args.out, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -9,6 +9,10 @@ class DimensionMismatchError(CdTradeoffError):
     """Operands act on Hilbert spaces of different dimension."""
 
 
+class NotFiniteError(CdTradeoffError):
+    """Matrix or parameter holds a NaN or an infinity."""
+
+
 class NotHermitianError(CdTradeoffError):
     """Matrix deviates from Hermiticity beyond tolerance."""
 
@@ -36,6 +40,10 @@ class LabelMismatchError(CdTradeoffError):
 
 class NotNormalizedError(CdTradeoffError):
     """Probability table does not sum to one within tolerance."""
+
+
+class TradeoffViolationError(CdTradeoffError):
+    """Square-root-instrument value outside the disc C^2 + D^2 <= 1."""
 
 
 class NotDichotomicError(CdTradeoffError):

@@ -9,6 +9,11 @@ c^2 = tr(P_a P_b):
     C = gamma * (2 c^2 - 1),   D = 2 gamma * sqrt((1 - c^2) c^2),
 
 so the scan lies on the circle C^2 + D^2 = gamma^2 in any dimension.
+
+Overlaps and the circle law take stacks of kets (n, d); the projector
+checks, the POVM construction and the optimal states take stacks (n, d, d)
+of projectors.  An overlap scan is evaluated with these array kernels; the
+scalar types are the unbatched case.
 """
 
 from __future__ import annotations
@@ -18,14 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cd_measures import CdValue
+from .cd_measures import CdValue, check_tradeoff
 from .errors import (
     DimensionMismatchError,
     InvalidDimError,
     InvalidMeasurementError,
+    InvalidStateError,
     ProbeNotSharpError,
 )
-from .quantum_core import Effect, Povm, _frozen
+from .quantum_core import Effect, Povm, _frozen, at_index, check_povms, dagger, first_bad
 
 # Idempotency / rank-one tolerance for the projectors.
 PROJECTOR_TOL = 1e-9
@@ -33,6 +39,55 @@ PROJECTOR_TOL = 1e-9
 # Below this top eigenvalue the disturbance operator is treated as zero
 # (parallel or orthogonal projectors) and the probe ket is returned.
 DEGENERACY_TOL = 1e-12
+
+
+def unit_kets(kets) -> np.ndarray:
+    """Kets (..., d) divided by their norms; a zero ket raises
+    InvalidStateError naming its index."""
+    k = np.asarray(kets, dtype=complex)
+    norm = np.linalg.norm(k, axis=-1, keepdims=True)
+    index = first_bad(norm[..., 0] == 0)
+    if index is not None:
+        raise InvalidStateError(f"zero ket{at_index(index)}")
+    return k / norm
+
+
+def projectors(kets) -> np.ndarray:
+    """Rank-one projectors |k><k| (..., d, d) of (automatically normalized)
+    kets (..., d)."""
+    k = unit_kets(kets)
+    return k[..., :, None] * k[..., None, :].conj()
+
+
+def check_projectors(proj) -> None:
+    """Each matrix of a stack (..., d, d) is an idempotent of unit trace."""
+    p = np.asarray(proj)
+    index = first_bad(np.abs(p @ p - p).max(axis=(-2, -1)) > PROJECTOR_TOL)
+    if index is not None:
+        raise InvalidMeasurementError(f"projector{at_index(index)} is not idempotent")
+    index = first_bad(np.abs(np.trace(p, axis1=-2, axis2=-1).real - 1.0) > PROJECTOR_TOL)
+    if index is not None:
+        raise InvalidMeasurementError(f"projector{at_index(index)} must have rank one")
+
+
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 <= gamma <= 1.0:
+        raise InvalidMeasurementError(f"gamma {gamma!r} outside [0, 1]")
+
+
+def randomized_povms(gamma: float, proj) -> np.ndarray:
+    """Validated (..., 2, d, d) effect stacks gamma * P + (1 - gamma) I/2
+    and their complements, labels (+1, -1).
+
+    The noise part is taken proportional to the identity; any other noise
+    operator would leave the disturbance unchanged, so the canonical choice
+    keeps simulations reproducible.
+    """
+    _check_gamma(gamma)
+    p = np.asarray(proj, dtype=complex)
+    eye = np.eye(p.shape[-1], dtype=complex)
+    e_plus = gamma * p + (1 - gamma) * eye / 2
+    return check_povms(np.stack([e_plus, eye - e_plus], axis=-3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,34 +101,23 @@ class RandomizedDichotomic:
     def __post_init__(self):
         if self.dim < 2:
             raise InvalidDimError(f"dimension {self.dim} below 2")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise InvalidMeasurementError(f"gamma {self.gamma!r} outside [0, 1]")
+        _check_gamma(self.gamma)
         p = self.projector_plus.matrix
         if p.shape[0] != self.dim:
             raise DimensionMismatchError(
                 f"projector dim {p.shape[0]} does not match {self.dim}"
             )
-        if np.abs(p @ p - p).max() > PROJECTOR_TOL:
-            raise InvalidMeasurementError("projector is not idempotent")
-        if abs(p.trace().real - 1.0) > PROJECTOR_TOL:
-            raise InvalidMeasurementError("projector must have rank one")
+        check_projectors(p)
 
     @classmethod
     def from_ket(cls, ket, gamma: float) -> "RandomizedDichotomic":
         k = np.asarray(ket, dtype=complex).ravel()
-        k = k / np.linalg.norm(k)
-        return cls(k.size, gamma, Effect(np.outer(k, k.conj())))
+        return cls(k.size, gamma, Effect(projectors(k)))
 
     def to_povm(self) -> Povm:
-        """Effects gamma * P + (1 - gamma) I/2 and its complement, labels +1/-1.
-
-        The noise part is taken proportional to the identity; any other
-        noise operator would leave the disturbance unchanged, so the
-        canonical choice keeps simulations reproducible.
-        """
-        eye = np.eye(self.dim, dtype=complex)
-        e_plus = self.gamma * self.projector_plus.matrix + (1 - self.gamma) * eye / 2
-        return Povm([e_plus, eye - e_plus], (1.0, -1.0))
+        """Effects gamma * P + (1 - gamma) I/2 and its complement, labels
+        +1/-1 (see ``randomized_povms``)."""
+        return Povm(randomized_povms(self.gamma, self.projector_plus.matrix), (1.0, -1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,10 +130,43 @@ class OverlapGeometry:
     psi_plus: np.ndarray
 
 
-def _phase_fixed(ket: np.ndarray) -> np.ndarray:
-    idx = int(np.argmax(np.abs(ket)))
-    phase = ket[idx] / abs(ket[idx])
-    return _frozen(ket / phase)
+def _phase_fixed(kets: np.ndarray) -> np.ndarray:
+    """Kets (..., d) scaled so that their largest-magnitude entry is real
+    and positive."""
+    idx = np.argmax(np.abs(kets), axis=-1)[..., None]
+    top = np.take_along_axis(kets, idx, axis=-1)
+    return kets / (top / np.abs(top))
+
+
+def overlaps(kets_a, kets_b) -> np.ndarray:
+    """Overlaps c^2 = |<a|b>|^2 = tr(P_a P_b) of stacked ket pairs (..., d),
+    clipped to [0, 1]; memory grows with d, not d^2."""
+    a, b = unit_kets(kets_a), unit_kets(kets_b)
+    return np.clip(np.abs(np.einsum("...i,...i->...", a.conj(), b)) ** 2, 0.0, 1.0)
+
+
+def optimal_kets(proj_a, proj_b) -> np.ndarray:
+    """Disturbance-maximizing kets (..., d) of stacked sharp-probe/target
+    projector pairs (..., d, d), from one batched ``eigh``.  Where the
+    geometry is degenerate (c^2 of 0 or 1) the disturbance vanishes for
+    every state and the probe ket is returned."""
+    pa, pb = np.broadcast_arrays(np.asarray(proj_a), np.asarray(proj_b))
+    # Disturbance operator of the sharp probe acting on the target
+    # projector direction, up to the overall strength factor.
+    ab = pa @ pb
+    geom = ab + dagger(ab) - 2.0 * ab @ pa
+    w, v = np.linalg.eigh((geom + dagger(geom)) / 2)
+    psi = v[..., -1]
+    degenerate = w[..., -1] <= DEGENERACY_TOL
+    if degenerate.any():
+        psi = np.where(degenerate[..., None], np.linalg.eigh(pa)[1][..., -1], psi)
+    return _phase_fixed(psi)
+
+
+def _radius(c2):
+    """Spectral radius 2 sqrt((1 - c^2) c^2) of the sharp-probe
+    disturbance operator, per unit target strength."""
+    return 2.0 * np.sqrt((1.0 - c2) * c2)
 
 
 def overlap(pa: RandomizedDichotomic, pb: RandomizedDichotomic) -> OverlapGeometry:
@@ -107,27 +184,25 @@ def overlap(pa: RandomizedDichotomic, pb: RandomizedDichotomic) -> OverlapGeomet
     proj_a = pa.projector_plus.matrix
     proj_b = pb.projector_plus.matrix
     c2 = float(np.clip(np.trace(proj_a @ proj_b).real, 0.0, 1.0))
-    lam = 2.0 * math.sqrt((1.0 - c2) * c2)
-    # Disturbance operator of the sharp probe acting on the target
-    # projector direction, up to the overall strength factor.
-    ab = proj_a @ proj_b
-    geom = ab + ab.conj().T - 2.0 * ab @ proj_a
-    w, v = np.linalg.eigh((geom + geom.conj().T) / 2)
-    if w[-1] > DEGENERACY_TOL:
-        psi = v[:, -1]
-    else:
-        w_a, v_a = np.linalg.eigh(proj_a)
-        psi = v_a[:, -1]
-    return OverlapGeometry(c2, lam, _phase_fixed(psi))
+    return OverlapGeometry(c2, float(_radius(c2)), _frozen(optimal_kets(proj_a, proj_b)))
+
+
+def circle_law(gamma: float, c2) -> tuple[np.ndarray, np.ndarray]:
+    """C = gamma (2 c^2 - 1) and D = 2 gamma sqrt((1 - c^2) c^2) of a sharp
+    probe followed by a randomized target of strength ``gamma``, on the
+    optimal state, for one overlap or an array of them."""
+    _check_gamma(gamma)
+    c2 = np.asarray(c2, dtype=float)
+    corr, dist = gamma * (2.0 * c2 - 1.0), gamma * _radius(c2)
+    check_tradeoff(corr, dist)
+    return corr, dist
 
 
 def cd_highdim(pa: RandomizedDichotomic, pb: RandomizedDichotomic) -> CdValue:
     """Closed-form correlation and disturbance of a sharp probe followed by
     a randomized target, evaluated on the optimal state."""
-    geom = overlap(pa, pb)
-    corr = pb.gamma * (2.0 * geom.c_squared - 1.0)
-    dist = pb.gamma * geom.lam
-    return CdValue(corr, dist)
+    corr, dist = circle_law(pb.gamma, overlap(pa, pb).c_squared)
+    return CdValue(float(corr), float(dist))
 
 
 def bloch_length(gamma: float, dim: int) -> float:

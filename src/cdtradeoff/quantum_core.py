@@ -2,10 +2,15 @@
 instruments, plus the probability rules for one probe followed by one target
 measurement.
 
-All operators are dense complex numpy arrays.  Validation happens once, at
-construction of the wrapper types, so the probability operations stay cheap
-inside scan loops.  Every type is immutable after construction (matrices are
-stored as read-only copies) and every operation is a pure function.
+All operators are dense complex numpy arrays.  The checks and the
+probability rules are array kernels over leading batch axes: a stack of
+states has shape ``(n, d, d)``, a stack of POVMs ``(n, k, d, d)``, and a
+scan validates and evaluates all of its points in one call.  A failed check
+raises a typed error naming the index of the first bad matrix.  The wrapper
+types (``DensityMatrix``, ``Effect``, ``Povm``, ``LuedersInstrument``) are
+the unbatched case of the same kernels: they validate once, at
+construction, and are immutable afterwards (matrices are stored as
+read-only copies).
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidMeasurementError,
     InvalidStateError,
+    NotFiniteError,
     NotHermitianError,
     NotPsdError,
 )
@@ -32,16 +38,116 @@ ATOL = 1e-9
 SQRT_FLOOR = 1e-12
 
 
+def first_bad(bad) -> tuple | None:
+    """Index of the first true entry of a batch mask, or None if all are
+    false.  An unbatched (0-d) mask gives the empty index."""
+    bad = np.asarray(bad)
+    if bad.ndim == 0:
+        return () if bad else None
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+
+
+def at_index(index: tuple) -> str:
+    """Location suffix for error messages: '' for an unbatched value,
+    ' at index i' (or a tuple of indices) inside a stack."""
+    if not index:
+        return ""
+    return f" at index {index[0] if len(index) == 1 else index}"
+
+
+def _as_stack(matrices, what: str = "matrix") -> np.ndarray:
+    m = np.asarray(matrices, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatchError(f"{what} must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        index = first_bad(~np.isfinite(m).all(axis=(-2, -1)))
+        raise NotFiniteError(f"{what}{at_index(index)} has a non-finite entry")
+    return m
+
+
 def _as_square(matrix, what: str = "matrix") -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    m = _as_stack(matrix, what)
+    if m.ndim != 2:
         raise DimensionMismatchError(f"{what} must be square, got shape {m.shape}")
     return m
 
 
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def _require_hermitian(m: np.ndarray, what: str = "matrix") -> None:
-    if np.abs(m - m.conj().T).max() > ATOL:
-        raise NotHermitianError(f"{what} is not Hermitian within {ATOL}")
+    index = first_bad(np.abs(m - dagger(m)).max(axis=(-2, -1)) > ATOL)
+    if index is not None:
+        raise NotHermitianError(f"{what}{at_index(index)} is not Hermitian within {ATOL}")
+
+
+def _require_spectrum(m: np.ndarray, what: str, at_most_one: bool = False) -> None:
+    """Eigenvalues >= -ATOL, and <= 1 + ATOL if ``at_most_one``."""
+    w = np.linalg.eigvalsh(m)
+    low, high = w[..., 0], w[..., -1]
+    index = first_bad(low < -ATOL)
+    if index is not None:
+        raise NotPsdError(
+            f"{what}{at_index(index)} eigenvalue {low[index]:.3e} below -{ATOL:g}"
+        )
+    index = first_bad(high > 1.0 + ATOL) if at_most_one else None
+    if index is not None:
+        raise InvalidMeasurementError(
+            f"{what}{at_index(index)} eigenvalue {high[index]!r} exceeds 1 beyond {ATOL:g}"
+        )
+
+
+def check_states(matrices) -> np.ndarray:
+    """Validated stack (..., d, d) of density matrices: finite, Hermitian,
+    positive semidefinite and of unit trace.  Returns the complex array."""
+    return _require_states(_as_stack(matrices, "density matrix"))
+
+
+def _require_states(m: np.ndarray) -> np.ndarray:
+    _require_hermitian(m, "density matrix")
+    _require_spectrum(m, "density matrix")
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    index = first_bad(np.abs(tr - 1.0) > ATOL)
+    if index is not None:
+        raise InvalidStateError(
+            f"trace{at_index(index)} {tr[index]!r} differs from 1 beyond {ATOL:g}"
+        )
+    return m
+
+
+def check_effects(matrices) -> np.ndarray:
+    """Validated stack (..., d, d) of effects: finite, Hermitian, spectrum
+    inside [0, 1].  Returns the complex array."""
+    return _require_effects(_as_stack(matrices, "effect"))
+
+
+def _require_effects(m: np.ndarray) -> np.ndarray:
+    _require_hermitian(m, "effect")
+    _require_spectrum(m, "effect", at_most_one=True)
+    return m
+
+
+def _require_complete(effects: np.ndarray) -> None:
+    if effects.ndim < 3 or effects.shape[-3] < 2:
+        raise InvalidMeasurementError("a POVM needs at least two effects")
+    eye = np.eye(effects.shape[-1])
+    index = first_bad(np.abs(effects.sum(axis=-3) - eye).max(axis=(-2, -1)) > ATOL)
+    if index is not None:
+        raise InvalidMeasurementError(
+            f"effects{at_index(index)} do not sum to the identity within {ATOL:g}"
+        )
+
+
+def check_povms(effects) -> np.ndarray:
+    """Validated stack (..., k, d, d) of k-outcome POVMs: every effect
+    passes ``check_effects`` and each POVM sums to the identity."""
+    m = check_effects(effects)
+    _require_complete(m)
+    return m
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -51,21 +157,42 @@ def _frozen(m: np.ndarray) -> np.ndarray:
 
 
 def psd_sqrt(matrix) -> np.ndarray:
-    """Hermitian square root of a positive-semidefinite matrix.
+    """Hermitian square root of a positive-semidefinite matrix, or of each
+    matrix in a stack (..., d, d).
 
     Computed by eigendecomposition: eigenvalues in [-ATOL, SQRT_FLOOR) are
     clamped to zero before the square root, anything below -ATOL raises
     NotPsdError.  The result r is Hermitian PSD with r @ r equal to the
     input within ATOL.
     """
-    m = _as_square(matrix)
+    m = _as_stack(matrix)
     _require_hermitian(m)
     w, v = np.linalg.eigh(m)
-    if w[0] < -ATOL:
-        raise NotPsdError(f"eigenvalue {w[0]:.3e} below -{ATOL:g}")
+    index = first_bad(w[..., 0] < -ATOL)
+    if index is not None:
+        raise NotPsdError(f"eigenvalue{at_index(index)} {w[index][0]:.3e} below -{ATOL:g}")
     w = np.where(w < SQRT_FLOOR, 0.0, w)
-    r = (v * np.sqrt(w)) @ v.conj().T
-    return (r + r.conj().T) / 2
+    r = (v * np.sqrt(w)[..., None, :]) @ dagger(v)
+    return (r + dagger(r)) / 2
+
+
+def lueders_posts(kraus, rho) -> np.ndarray:
+    """Subnormalized post-measurement states K_a rho K_a^dagger, shape
+    (..., k, d, d), for Kraus stacks (..., k, d, d) and states (..., d, d)."""
+    return kraus @ rho[..., None, :, :] @ dagger(kraus)
+
+
+def outcome_probabilities(rho, effects) -> np.ndarray:
+    """Outcome distributions tr(rho E_b), shape (..., k), for states
+    (..., d, d) and POVMs (..., k, d, d)."""
+    return np.einsum("...ij,...bji->...b", rho, effects).real
+
+
+def joint_table(posts, effects) -> np.ndarray:
+    """Probability tables p[..., a, b] = tr(post_a E_b) of probe outcome a
+    followed by target outcome b, for post-measurement states
+    (..., ka, d, d) (each of trace p(a)) and target POVMs (..., kb, d, d)."""
+    return np.einsum("...aij,...bji->...ab", posts, effects).real
 
 
 class DensityMatrix:
@@ -74,15 +201,7 @@ class DensityMatrix:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        m = _as_square(matrix, "density matrix")
-        _require_hermitian(m, "density matrix")
-        w = np.linalg.eigvalsh(m)
-        if w[0] < -ATOL:
-            raise NotPsdError(f"density matrix eigenvalue {w[0]:.3e} below -{ATOL:g}")
-        tr = m.trace().real
-        if abs(tr - 1.0) > ATOL:
-            raise InvalidStateError(f"trace {tr!r} differs from 1 beyond {ATOL:g}")
-        self.matrix = _frozen(m)
+        self.matrix = _frozen(_require_states(_as_square(matrix, "density matrix")))
 
     @property
     def dim(self) -> int:
@@ -112,16 +231,7 @@ class Effect:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        m = _as_square(matrix, "effect")
-        _require_hermitian(m, "effect")
-        w = np.linalg.eigvalsh(m)
-        if w[0] < -ATOL:
-            raise NotPsdError(f"effect eigenvalue {w[0]:.3e} below -{ATOL:g}")
-        if w[-1] > 1.0 + ATOL:
-            raise InvalidMeasurementError(
-                f"effect eigenvalue {w[-1]!r} exceeds 1 beyond {ATOL:g}"
-            )
-        self.matrix = _frozen(m)
+        self.matrix = _frozen(_require_effects(_as_square(matrix, "effect")))
 
     @property
     def dim(self) -> int:
@@ -137,9 +247,10 @@ class Povm:
     ``outcome_labels`` are the real values attached to the outcomes (the
     eigenvalue bookkeeping for the observable ``sum(label * effect)``).
     Two-outcome POVMs default to labels (+1, -1) in effect order.
+    ``matrices`` is the read-only (k, d, d) stack of the effects.
     """
 
-    __slots__ = ("effects", "labels")
+    __slots__ = ("effects", "labels", "matrices")
 
     def __init__(self, effects, outcome_labels=None):
         eff = tuple(e if isinstance(e, Effect) else Effect(e) for e in effects)
@@ -157,13 +268,11 @@ class Povm:
         labels = tuple(float(x) for x in outcome_labels)
         if len(labels) != len(eff):
             raise InvalidMeasurementError("one label per effect is required")
-        total = sum(e.matrix for e in eff)
-        if np.abs(total - np.eye(dim)).max() > ATOL:
-            raise InvalidMeasurementError(
-                f"effects do not sum to the identity within {ATOL:g}"
-            )
+        matrices = np.array([e.matrix for e in eff])
+        _require_complete(matrices)
         self.effects = eff
         self.labels = labels
+        self.matrices = _frozen(matrices)
 
     @property
     def dim(self) -> int:
@@ -187,13 +296,15 @@ class LuedersInstrument:
 
     The Kraus operators are Hermitian PSD by construction; arbitrary
     unitary-rotated Kraus choices are deliberately out of scope.
+    ``matrices`` is the read-only (k, d, d) stack of the Kraus operators.
     """
 
-    __slots__ = ("povm", "kraus")
+    __slots__ = ("povm", "kraus", "matrices")
 
     def __init__(self, povm: Povm):
         self.povm = povm
-        self.kraus = tuple(_frozen(psd_sqrt(e.matrix)) for e in povm.effects)
+        self.matrices = _frozen(psd_sqrt(povm.matrices))
+        self.kraus = tuple(self.matrices)
 
     @property
     def dim(self) -> int:
@@ -230,10 +341,7 @@ def unregistered_channel(inst: LuedersInstrument, rho: DensityMatrix) -> Density
     """State after the measurement is performed but its outcome discarded:
     sum_a K_a rho K_a.  Trace preserving."""
     _check_dims(inst.dim, rho.dim)
-    out = np.zeros_like(rho.matrix)
-    for k in inst.kraus:
-        out = out + k @ rho.matrix @ k
-    return DensityMatrix(out)
+    return DensityMatrix(lueders_posts(inst.matrices, rho.matrix).sum(axis=0))
 
 
 def joint_probabilities(
@@ -248,12 +356,7 @@ def joint_probabilities(
     """
     _check_dims(inst_a.dim, rho.dim)
     _check_dims(inst_a.dim, povm_b.dim)
-    table = np.empty((inst_a.n_outcomes, povm_b.n_outcomes))
-    for i, k in enumerate(inst_a.kraus):
-        post = k @ rho.matrix @ k
-        for j, e in enumerate(povm_b.effects):
-            table[i, j] = np.trace(post @ e.matrix).real
-    return table
+    return joint_table(lueders_posts(inst_a.matrices, rho.matrix), povm_b.matrices)
 
 
 def dual_channel(inst_a: LuedersInstrument, op) -> np.ndarray:

@@ -15,6 +15,11 @@ where u_pm = sqrt((1 pm a0)^2 - |a|^2), s = 1 - (u_+ + u_-)/2 squeezes and
 delta = (u_+ - u_-)/2 shears the circle that a sharp, unbiased probe would
 produce.  Since the disturbance is a norm, scans are symmetric under
 theta -> -theta; sin(theta) enters through its absolute value.
+
+Bloch vectors, measurement parameters and the optimal-state construction
+take arrays with leading batch axes ((n, 3) Bloch vectors, (n,) biases), so
+a scan builds all of its operators at once; the scalar types are the
+unbatched case of the same functions.
 """
 
 from __future__ import annotations
@@ -24,28 +29,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cd_measures import CdValue
+from .cd_measures import CdValue, check_tradeoff
 from .errors import (
     InvalidBiasError,
     InvalidMeasurementError,
     NonQubitError,
+    NotFiniteError,
     ZeroBlochError,
 )
-from .quantum_core import ATOL, DensityMatrix, LuedersInstrument, Povm, _frozen
+from .quantum_core import (
+    ATOL,
+    DensityMatrix,
+    LuedersInstrument,
+    Povm,
+    _frozen,
+    at_index,
+    check_povms,
+    check_states,
+    first_bad,
+)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 ID2 = np.eye(2, dtype=complex)
+_SIGNS = np.array([1.0, -1.0])[:, None, None]  # outcome signs, effect order
 
 
 def bloch_matrix(vec) -> np.ndarray:
-    """v . sigma for a real 3-vector v."""
+    """v . sigma for a real 3-vector v, or for each row of a (..., 3) stack."""
     v = np.asarray(vec, dtype=float)
-    if v.shape != (3,):
+    if v.ndim == 0 or v.shape[-1] != 3:
         raise ZeroBlochError(f"Bloch vector must have 3 components, got {v.shape}")
-    return np.einsum("i,ijk->jk", v, PAULI)
+    return np.einsum("...i,ijk->...jk", v, PAULI)
 
 
 def state_from_bloch(vec) -> DensityMatrix:
@@ -53,17 +70,71 @@ def state_from_bloch(vec) -> DensityMatrix:
     return DensityMatrix((ID2 + bloch_matrix(vec)) / 2)
 
 
-def bloch_of_state(rho: DensityMatrix) -> np.ndarray:
-    if rho.dim != 2:
-        raise NonQubitError(f"expected a qubit state, got dim {rho.dim}")
-    return np.array(
-        [np.trace(rho.matrix @ s).real for s in PAULI]
+def qubit_states(vecs) -> np.ndarray:
+    """Validated (..., 2, 2) stack of the states (I + r . sigma)/2."""
+    return check_states((ID2 + bloch_matrix(vecs)) / 2)
+
+
+def plane_axis(theta) -> np.ndarray:
+    """Unit vector (cos theta, 0, sin theta) in the x-z measurement plane;
+    an array of angles gives a (..., 3) stack."""
+    t = np.asarray(theta, dtype=float)
+    out = np.zeros(t.shape + (3,))
+    out[..., 0] = np.cos(t)
+    out[..., 2] = np.sin(t)
+    return out
+
+
+def _lengths(v: np.ndarray) -> np.ndarray:
+    """Euclidean lengths over the last axis, keeping it (the arithmetic of
+    ``np.linalg.norm(v, axis=-1, keepdims=True)`` without its overhead)."""
+    return np.sqrt((v * v).sum(axis=-1, keepdims=True))
+
+
+def unit_axes(bloch) -> np.ndarray:
+    """Directions of nonzero Bloch vectors (..., 3); ZeroBlochError names
+    the first zero vector."""
+    v = np.asarray(bloch, dtype=float)
+    norm = _lengths(v)
+    index = first_bad(norm[..., 0] == 0)
+    if index is not None:
+        raise ZeroBlochError(
+            f"unsharp measurement of zero strength{at_index(index)} has no axis"
+        )
+    return v / norm
+
+
+def check_qubit(bias, bloch) -> None:
+    """Parameters of two-outcome qubit measurements, scalar or stacked
+    ((...,) biases, (..., 3) Bloch vectors): finite, with
+    |bias| + |bloch| <= 1 so that both effects are positive."""
+    b0 = np.asarray(bias, dtype=float)
+    v = np.asarray(bloch, dtype=float)
+    if v.ndim == 0 or v.shape[-1] != 3:
+        raise InvalidMeasurementError("Bloch vector must have 3 components")
+    total = np.abs(b0) + _lengths(v)[..., 0]
+    index = first_bad(~(total <= 1.0 + ATOL))  # NaN fails the comparison too
+    if index is None:
+        return
+    if not np.isfinite(total[index]):
+        raise NotFiniteError(f"measurement{at_index(index)} has a non-finite parameter")
+    raise InvalidMeasurementError(
+        f"|bias| + |bloch|{at_index(index)} = {total[index]!r} "
+        "exceeds 1: effects would not be positive"
     )
 
 
-def plane_axis(theta: float) -> np.ndarray:
-    """Unit vector (cos theta, 0, sin theta) in the x-z measurement plane."""
-    return np.array([math.cos(theta), 0.0, math.sin(theta)])
+def _effect_pairs(bias, bloch) -> np.ndarray:
+    """Effects ((1 +- b0) I +- b . sigma)/2 stacked as (..., 2, 2, 2)."""
+    m = np.asarray(bias, dtype=float)[..., None, None] * ID2 + bloch_matrix(bloch)
+    return (ID2 + _SIGNS * m[..., None, :, :]) / 2
+
+
+def qubit_povms(bias, bloch) -> np.ndarray:
+    """Validated (..., 2, 2, 2) effect stacks, labels (+1, -1) in effect
+    order, of the measurements (bias, bloch)."""
+    check_qubit(bias, bloch)
+    return check_povms(_effect_pairs(bias, bloch))
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,11 +148,7 @@ class QubitMeasurement:
         v = np.asarray(self.bloch, dtype=float)
         if v.shape != (3,):
             raise InvalidMeasurementError("Bloch vector must have 3 components")
-        if abs(self.bias) + np.linalg.norm(v) > 1.0 + ATOL:
-            raise InvalidMeasurementError(
-                f"|bias| + |bloch| = {abs(self.bias) + np.linalg.norm(v)!r} "
-                "exceeds 1: effects would not be positive"
-            )
+        check_qubit(self.bias, v)
         object.__setattr__(self, "bias", float(self.bias))
         object.__setattr__(self, "bloch", _frozen(v))
 
@@ -102,17 +169,14 @@ class QubitMeasurement:
 
     @property
     def axis(self) -> np.ndarray:
-        n = self.strength
-        if n == 0:
-            raise ZeroBlochError("unsharp measurement of zero strength has no axis")
-        return self.bloch / n
+        return unit_axes(self.bloch)
 
     def observable(self) -> np.ndarray:
         return self.bias * ID2 + bloch_matrix(self.bloch)
 
     def effects(self) -> tuple[np.ndarray, np.ndarray]:
-        m = self.observable()
-        return (ID2 + m) / 2, (ID2 - m) / 2
+        plus, minus = _effect_pairs(self.bias, self.bloch)
+        return plus, minus
 
     def to_povm(self) -> Povm:
         return Povm(self.effects(), (1.0, -1.0))
@@ -233,12 +297,14 @@ def cd_parametric(
         + char.shear * target_gamma * sin_t
     )
     dist = char.squeeze * target_gamma * sin_t
+    check_tradeoff(corr, dist)
     return CdValue(corr, dist)
 
 
 def optimal_bloch(probe_axis, target_axis) -> np.ndarray:
     """Unit Bloch vector maximizing the disturbance: the component of the
-    target axis perpendicular to the probe axis, normalized.
+    target axis perpendicular to the probe axis, normalized.  Axis stacks
+    (..., 3) give one vector per row.
 
     For parallel axes the disturbance vanishes for every state; a fixed
     perpendicular direction (probe axis crossed with the first
@@ -246,13 +312,16 @@ def optimal_bloch(probe_axis, target_axis) -> np.ndarray:
     """
     a = np.asarray(probe_axis, dtype=float)
     b = np.asarray(target_axis, dtype=float)
-    r = b - (a @ b) * a
-    norm = np.linalg.norm(r)
-    if norm < 1e-12:
-        for unit in np.eye(3):
-            perp = np.cross(a, unit)
-            if np.linalg.norm(perp) > 1e-6:
-                return perp / np.linalg.norm(perp)
+    r = b - np.einsum("...i,...i->...", a, b)[..., None] * a
+    norm = _lengths(r)
+    parallel = norm < 1e-12
+    if parallel.any():
+        a = np.broadcast_to(a, r.shape)
+        perp = np.cross(a[..., None, :], np.eye(3))  # a x e_k for k = x, y, z
+        perp_norm = _lengths(perp)
+        first = np.argmax(perp_norm > 1e-6, axis=-2)[..., None]
+        r = np.where(parallel, np.take_along_axis(perp, first, axis=-2)[..., 0, :], r)
+        norm = np.where(parallel, np.take_along_axis(perp_norm, first, axis=-2)[..., 0, :], norm)
     return r / norm
 
 

@@ -23,9 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qubit_model
-from .cd_measures import CdValue, OutcomeDistribution, correlation, disturbance
+from .cd_measures import CdValue, cd_tables, check_tradeoff
 from .errors import (
+    DimensionMismatchError,
     EmptyRecordError,
+    InvalidMeasurementError,
     InvalidShotsError,
     LabelMismatchError,
     NonQubitError,
@@ -37,7 +39,10 @@ from .quantum_core import (
     Povm,
     _frozen,
     apply_instrument,
-    joint_probabilities,
+    joint_table,
+    lueders_posts,
+    outcome_probabilities,
+    psd_sqrt,
 )
 
 
@@ -139,27 +144,57 @@ def policy_update(
     return qubit_model.state_from_bloch(sign * probe.strength * probe.axis)
 
 
-def policy_joint_probabilities(
-    rho: DensityMatrix,
-    inst_a: LuedersInstrument,
-    povm_b: Povm,
-    policy: InstrumentPolicy = InstrumentPolicy.LUEDERS,
-) -> np.ndarray:
-    """Exact joint outcome table under the chosen post-measurement policy."""
+def policy_tables(
+    policy: InstrumentPolicy, rho, probe_effects, target_effects, probe_labels=(1.0, -1.0)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact joint tables p[..., a, b] under the chosen post-measurement
+    policy, and the probe-off target distributions p[..., b].
+
+    Takes validated stacks with common leading batch axes: states
+    (..., d, d), probe and target POVMs (..., k, d, d).  The square-root
+    policy uses p[a, b] = tr(K_a rho K_a E_b); the measure-and-prepare
+    policies (qubits only) use p[a, b] = p(a) tr(sigma_a E_b), with sigma_a
+    the state re-prepared for the outcome labelled +1 or -1.
+    """
     if policy is InstrumentPolicy.LUEDERS:
-        return joint_probabilities(inst_a, povm_b, rho)
-    if inst_a.dim != 2:
-        raise NonQubitError("post-measurement policies are defined for qubits")
-    probe = qubit_model.measurement_from_povm(inst_a.povm)
-    table = np.zeros((inst_a.n_outcomes, povm_b.n_outcomes))
-    for i, effect in enumerate(inst_a.povm.effects):
-        p_out = float(np.trace(rho.matrix @ effect.matrix).real)
-        if p_out <= 0.0:
-            continue
-        post = policy_update(policy, probe, rho, i)
-        for j, eb in enumerate(povm_b.effects):
-            table[i, j] = p_out * np.trace(post.matrix @ eb.matrix).real
-    return table
+        posts = lueders_posts(psd_sqrt(probe_effects), rho)
+    else:
+        if rho.shape[-1] != 2:
+            raise NonQubitError("post-measurement policies are defined for qubits")
+        labels = tuple(float(x) for x in probe_labels)
+        if sorted(labels) != [-1.0, 1.0]:
+            raise InvalidMeasurementError("POVM labels must be +1/-1")
+        plus = probe_effects[..., labels.index(1.0), :, :]
+        bloch = np.einsum("...ij,kji->...k", plus, qubit_model.PAULI).real
+        if policy is InstrumentPolicy.EIGENSTATE:
+            bloch = qubit_model.unit_axes(bloch)
+        signs = np.array(labels)[:, None]
+        sigma = qubit_model.qubit_states(signs * bloch[..., None, :])
+        weights = np.clip(outcome_probabilities(rho, probe_effects), 0.0, None)
+        posts = weights[..., None, None] * sigma
+    return joint_table(posts, target_effects), outcome_probabilities(rho, target_effects)
+
+
+def policy_values(
+    policy: InstrumentPolicy, joint, alone, labels_a, labels_b
+) -> tuple[np.ndarray, np.ndarray]:
+    """Correlations and disturbances of ``policy_tables`` output.  The
+    bound C^2 + D^2 <= 1 is a theorem for the square-root policy only, and
+    is checked there."""
+    corr, dist = cd_tables(joint, alone, labels_a, labels_b)
+    if policy is InstrumentPolicy.LUEDERS:
+        check_tradeoff(corr, dist)
+    return corr, dist
+
+
+def _scenario_tables(rho, inst_a, povm_b, policy):
+    if inst_a.dim != rho.dim or povm_b.dim != rho.dim:
+        raise DimensionMismatchError(
+            f"dimension mismatch: {inst_a.dim}, {rho.dim}, {povm_b.dim}"
+        )
+    return policy_tables(
+        policy, rho.matrix, inst_a.povm.matrices, povm_b.matrices, inst_a.povm.labels
+    )
 
 
 def policy_cd(
@@ -172,16 +207,9 @@ def policy_cd(
 
     Coincides with the plain scenario value for the square-root policy.
     """
-    table = policy_joint_probabilities(rho, inst_a, povm_b, policy)
-    corr = correlation(table, inst_a.povm.labels, povm_b.labels)
-    alone = tuple(
-        float(np.trace(rho.matrix @ e.matrix).real) for e in povm_b.effects
-    )
-    dist = disturbance(
-        OutcomeDistribution(alone, povm_b.labels),
-        OutcomeDistribution(tuple(float(x) for x in table.sum(axis=0)), povm_b.labels),
-    )
-    return CdValue(corr, dist)
+    joint, alone = _scenario_tables(rho, inst_a, povm_b, policy)
+    corr, dist = policy_values(policy, joint, alone, inst_a.povm.labels, povm_b.labels)
+    return CdValue(float(corr), float(dist))
 
 
 def sample_distributions(
@@ -212,8 +240,7 @@ def sample(
         raise LabelMismatchError(
             "probe and target label sequences must be identical for matching"
         )
-    joint = policy_joint_probabilities(rho, inst_a, povm_b, policy)
-    alone = [float(np.trace(rho.matrix @ e.matrix).real) for e in povm_b.effects]
+    joint, alone = _scenario_tables(rho, inst_a, povm_b, policy)
     return sample_distributions(joint, alone, shots_joint, shots_alone, seed)
 
 

@@ -6,6 +6,7 @@ from cdtradeoff.cd_measures import (
     CdValue,
     OutcomeDistribution,
     cd_from_scenario,
+    check_tradeoff,
     correlation,
     correlation_operator,
     dissipator,
@@ -17,6 +18,7 @@ from cdtradeoff.errors import (
     LabelMismatchError,
     NotDichotomicError,
     NotNormalizedError,
+    TradeoffViolationError,
 )
 from cdtradeoff.quantum_core import LuedersInstrument, Povm, unregistered_channel
 from cdtradeoff.qubit_model import (
@@ -151,9 +153,14 @@ class TestCdFromScenario:
             value = cd_from_scenario(rho, inst, povm)
             assert value.correlation**2 + value.disturbance**2 <= 1.0 + 1e-9
 
-    def test_cd_value_rejects_outside_disc(self):
-        with pytest.raises(ValueError):
-            CdValue(0.9, 0.9)
+    def test_tradeoff_checked_on_square_root_path_only(self):
+        # measure-and-prepare values may leave the disc, so CdValue holds them
+        assert CdValue(0.9, 0.9).correlation == 0.9
+        with pytest.raises(TradeoffViolationError):
+            check_tradeoff(0.9, 0.9)
+        with pytest.raises(TradeoffViolationError, match="index 2"):
+            check_tradeoff(np.array([0.0, 0.6, 0.9]), np.array([1.0, 0.8, 0.9]))
+        check_tradeoff(np.array([0.6, 1.0]), np.array([0.8, 0.0]))
 
 
 class TestOperators:

@@ -485,3 +485,76 @@ class TestBoolIsNotAnInteger:
             bootstrap=True,
         )
         assert run_cli("--config", config, "--out", tmp_path / "r.json") == 2
+
+
+class TestMeasureAndPrepareLeavesTheDisc:
+    def test_eigenstate_config_writes_rows_outside_the_disc(self, tmp_path):
+        config = write_config(
+            tmp_path / "eig.json",
+            mode="scan",
+            policy="eigenstate",
+            probe={"gamma": 0.3, "bias": 0.6},
+            state={"bloch": [0, 0, 1]},
+            target={"gamma": 1, "theta_grid": {"points": 16}},
+        )
+        out = tmp_path / "eig.csv"
+        assert run_cli("--config", config, "--out", out) == 0
+        rows = read_rows(out)
+        assert rows.shape == (16, 6)
+        assert rows[0, 1:3].tolist() == [1.0, 0.6]
+        assert rows[0, 5] == pytest.approx(1.36, abs=1e-9)
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [2**64, 2**128, -1])
+    def test_out_of_range_seed_is_config_error(self, tmp_path, seed):
+        config = scan_config(tmp_path, shots=100, seed=seed)
+        assert run_cli("--config", config, "--out", tmp_path / "o.csv") == 2
+
+    def test_largest_seed_runs(self, tmp_path):
+        config = scan_config(tmp_path, shots=100, seed=2**64 - 1)
+        assert run_cli("--config", config, "--out", tmp_path / "o.csv") == 0
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+    def test_bias_and_theta(self, tmp_path, literal):
+        for target in (
+            '{"bias": %s, "gamma": 0.5, "theta_grid": {"points": 4}}' % literal,
+            '{"gamma": 1.0, "theta": %s}' % literal,
+        ):
+            path = tmp_path / "nf.json"
+            path.write_text(
+                '{"schema": 1, "mode": "scan", "probe": {"gamma": 1.0}, '
+                '"target": %s}' % target,
+                encoding="utf-8",
+            )
+            out = tmp_path / "nf.csv"
+            assert run_cli("--config", path, "--out", out) == 2
+            assert not out.exists()
+
+
+class TestOutputNeverReplacesConfig:
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"mode": "detector", "detector": {"d1": 0.6, "c2": 0.3}},
+            {"mode": "calibrate", "scan_file": "missing.csv", "fit": "circle"},
+        ],
+        ids=["detector", "calibrate"],
+    )
+    def test_report_modes(self, tmp_path, entries):
+        config = write_config(tmp_path / "c.json", **entries)
+        before = (tmp_path / "c.json").read_bytes()
+        alias = tmp_path / "sub" / ".." / "c.json"
+        (tmp_path / "sub").mkdir()
+        for out in (config, alias):
+            assert run_cli("--config", config, "--out", out) == 2
+            assert (tmp_path / "c.json").read_bytes() == before
+
+    def test_scan_sidecar(self, tmp_path):
+        config = scan_config(tmp_path, name="s.meta.json")
+        before = (tmp_path / "s.meta.json").read_bytes()
+        assert run_cli("--config", config, "--out", tmp_path / "s.csv") == 2
+        assert (tmp_path / "s.meta.json").read_bytes() == before
+        assert not (tmp_path / "s.csv").exists()

@@ -88,6 +88,52 @@ def oracle_joint_table(kraus, rho, effects):
     return table
 
 
+PAULI_LIST = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def qubit_sqrt(m):
+    """Closed-form square root of a 2x2 PSD matrix,
+    (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)), independent of the
+    eigendecomposition in the library."""
+    s = np.sqrt(max(np.linalg.det(m).real, 0.0))
+    return (m + s * np.eye(2)) / np.sqrt(m.trace().real + 2 * s)
+
+
+def oracle_qubit_cd(policy, probe, target, state_bloch):
+    """(C, D) of a qubit probe/target pair (each ``(bias, bloch)``) on the
+    state with Bloch vector ``state_bloch``, from explicit loops: Kraus
+    operators by ``qubit_sqrt`` for ``"lueders"``, re-prepared states
+    +/- axis (``"eigenstate"``) or +/- bloch (``"mixed"``) otherwise."""
+    eye = np.eye(2, dtype=complex)
+
+    def pair(bias, bloch):
+        m = bias * eye + sum(c * s for c, s in zip(bloch, PAULI_LIST))
+        return [(eye + m) / 2, (eye - m) / 2]
+
+    rho = (eye + sum(c * s for c, s in zip(state_bloch, PAULI_LIST))) / 2
+    probe_effects, target_effects = pair(*probe), pair(*target)
+    if policy == "lueders":
+        table = oracle_joint_table([qubit_sqrt(e) for e in probe_effects], rho, target_effects)
+    else:
+        b = np.asarray(probe[1], dtype=float)
+        if policy == "eigenstate":
+            b = b / np.sqrt(sum(x * x for x in b))
+        table = np.empty((2, 2))
+        for a, sign in enumerate((1.0, -1.0)):
+            p_a = loop_trace(loop_matmul(rho, probe_effects[a])).real
+            sigma = (eye + sign * sum(c * s for c, s in zip(b, PAULI_LIST))) / 2
+            for j, e in enumerate(target_effects):
+                table[a, j] = max(p_a, 0.0) * loop_trace(loop_matmul(sigma, e)).real
+    alone_plus = loop_trace(loop_matmul(rho, target_effects[0])).real
+    corr = 2 * (table[0, 0] + table[1, 1]) - 1
+    dist = 2 * abs(alone_plus - (table[0, 0] + table[1, 0]))
+    return corr, dist
+
+
 def scenario(rho: DensityMatrix, probe: QubitMeasurement, target: QubitMeasurement):
     return rho, LuedersInstrument(probe.to_povm()), target.to_povm()
 
