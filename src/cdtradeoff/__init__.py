@@ -28,9 +28,7 @@ from .cd_measures import (
 )
 from .detector_model import (
     DetectorNoise,
-    DetectorPovm,
     FockState,
-    detector_povm,
     estimate_noise,
     scenario_cd,
     scenario_distributions,
@@ -45,6 +43,7 @@ from .highdim_model import (
 from .quantum_core import (
     DensityMatrix,
     Effect,
+    Instrument,
     LuedersInstrument,
     Povm,
     apply_instrument,
@@ -70,8 +69,6 @@ from .shot_sampler import (
     InstrumentPolicy,
     ShotRecord,
     estimate_cd,
-    policy_cd,
-    policy_update,
     sample,
 )
 

@@ -33,15 +33,14 @@ from .errors import (
 from .quantum_core import (
     ATOL,
     DensityMatrix,
-    LuedersInstrument,
+    Instrument,
     Povm,
     _as_square,
     _check_dims,
     at_index,
     dual_channel,
     first_bad,
-    joint_probabilities,
-    outcome_probabilities,
+    scenario_tables,
 )
 
 
@@ -159,36 +158,37 @@ def disturbance(p_alone: OutcomeDistribution, p_tilde: OutcomeDistribution) -> f
     return float(_distance(np.asarray(p_alone.probs), np.asarray(p_tilde.probs)))
 
 
-def cd_tables(joint, alone, labels_a, labels_b) -> tuple[np.ndarray, np.ndarray]:
-    """Correlations and disturbances of stacked joint tables (..., ka, kb)
-    and probe-off target distributions (..., kb).
+def cd_tables(joint, alone, inst_a: Instrument, labels_b) -> tuple[np.ndarray, np.ndarray]:
+    """Correlations and disturbances of the joint tables (..., ka, kb) and
+    probe-off target distributions (..., kb) of ``scenario_tables``.
 
     Every table must sum to one, and the probe-off and probe-on target
     distributions must be probability vectors; the first bad point is named.
+    The bound C^2 + D^2 <= 1 is checked when the square-root constructor
+    built the probe, the one instrument for which it is a theorem.
     """
     table = np.asarray(joint, dtype=float)
     alone = np.asarray(alone, dtype=float)
-    corr = np.asarray(correlation(table, labels_a, labels_b))
+    corr = np.asarray(correlation(table, inst_a.labels, labels_b))
     tilde = table.sum(axis=-2)
     _check_distributions(alone, "probe-off distribution")
     _check_distributions(tilde, "probe-on distribution")
-    return corr, _distance(alone, tilde)
+    dist = _distance(alone, tilde)
+    if inst_a.square_root:
+        check_tradeoff(corr, dist)
+    return corr, dist
 
 
-def cd_from_scenario(
-    rho: DensityMatrix, inst_a: LuedersInstrument, povm_b: Povm
-) -> CdValue:
+def cd_from_scenario(rho: DensityMatrix, inst_a: Instrument, povm_b: Povm) -> CdValue:
     """Exact correlation and disturbance of a state/probe/target scenario."""
-    joint = joint_probabilities(inst_a, povm_b, rho)
-    alone = outcome_probabilities(rho.matrix, povm_b.matrices)
-    corr, dist = cd_tables(joint, alone, inst_a.povm.labels, povm_b.labels)
-    check_tradeoff(corr, dist)
+    joint, alone = scenario_tables(rho.matrix, inst_a, povm_b.matrices)
+    corr, dist = cd_tables(joint, alone, inst_a, povm_b.labels)
     return CdValue(float(corr), float(dist))
 
 
-def disturbance_operator(inst_a: LuedersInstrument, observable_b) -> np.ndarray:
+def disturbance_operator(inst_a: Instrument, observable_b) -> np.ndarray:
     """Observable shift caused by the unregistered probe:
-    M_b - sum_a E_a^(1/2) M_b E_a^(1/2).
+    M_b - sum_am K_am^dagger M_b K_am.
 
     Its expectation value is the signed disturbance; the optimal state
     (largest-eigenvalue eigenvector) makes it nonnegative.
@@ -198,27 +198,22 @@ def disturbance_operator(inst_a: LuedersInstrument, observable_b) -> np.ndarray:
     return m - dual_channel(inst_a, m)
 
 
-def disturbance_bound(inst_a: LuedersInstrument, observable_b) -> float:
+def disturbance_bound(inst_a: Instrument, observable_b) -> float:
     """Largest disturbance attainable over all states: the spectral radius
     of the disturbance operator (dichotomic target labels assumed)."""
     w = np.linalg.eigvalsh(disturbance_operator(inst_a, observable_b))
     return float(np.abs(w).max())
 
 
-def correlation_operator(inst_a: LuedersInstrument, observable_b) -> np.ndarray:
+def correlation_operator(inst_a: Instrument, observable_b) -> np.ndarray:
     """Observable whose expectation value equals the correlation, for a
     two-outcome probe with labels +1/-1:
-    sum_a label_a * E_a^(1/2) M_b E_a^(1/2)."""
+    sum_a label_a sum_m K_am^dagger M_b K_am."""
     m = _as_square(observable_b, "observable")
     _check_dims(inst_a.dim, m.shape[0])
-    if sorted(inst_a.povm.labels) != [-1.0, 1.0]:
-        raise NotDichotomicError(
-            f"probe labels {inst_a.povm.labels} are not a +1/-1 pair"
-        )
-    out = np.zeros_like(m)
-    for label, k in zip(inst_a.povm.labels, inst_a.kraus):
-        out = out + label * (k @ m @ k)
-    return out
+    if sorted(inst_a.labels) != [-1.0, 1.0]:
+        raise NotDichotomicError(f"probe labels {inst_a.labels} are not a +1/-1 pair")
+    return np.tensordot(inst_a.labels, inst_a.dual(m), axes=1)
 
 
 def dissipator(effect_sqrt, target) -> np.ndarray:

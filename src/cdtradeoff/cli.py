@@ -56,15 +56,10 @@ from .highdim_model import (
     projectors,
     randomized_povms,
 )
-from .quantum_core import check_states
+from .cd_measures import cd_tables
+from .quantum_core import Instrument, Povm, check_states, scenario_tables
 from .qubit_model import optimal_bloch, plane_axis, qubit_povms, qubit_states, unit_axes
-from .shot_sampler import (
-    InstrumentPolicy,
-    estimate_cd,
-    policy_tables,
-    policy_values,
-    sample_distributions,
-)
+from .shot_sampler import InstrumentPolicy, estimate_cd, sample_distributions
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -116,6 +111,25 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _number(value, what: str) -> float:
+    """A config number as a finite double; ``true``/``false``, strings,
+    ``null`` and integers too large for a double are schema errors."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             f"{what} must be a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    _require(math.isfinite(number), f"{what} must be finite in double precision")
+    return number
+
+
+def _vector(value, what: str) -> np.ndarray:
+    """A 3-component config vector of numbers."""
+    _require(isinstance(value, list) and len(value) == 3, f"{what} must have 3 components")
+    return np.array([_number(v, f"{what}[{i}]") for i, v in enumerate(value)])
+
+
 def _reject_constant(name: str):
     raise SchemaError(f"config holds the non-finite number {name}")
 
@@ -151,8 +165,8 @@ def _grid(spec: dict, what: str) -> np.ndarray:
              f"{what} must carry start/stop/points")
     points = spec.get("points")
     _require(_is_int(points) and points >= 1, f"{what}.points must be >= 1")
-    start = float(spec.get("start", 0.0))
-    stop = float(spec.get("stop", 2 * math.pi))
+    start = _number(spec.get("start", 0.0), f"{what}.start")
+    stop = _number(spec.get("stop", 2 * math.pi), f"{what}.stop")
     return np.linspace(start, stop, points, endpoint=False) if points > 1 else np.array([start])
 
 
@@ -162,13 +176,13 @@ def _measurement(spec: dict, what: str, theta=None) -> tuple[float, np.ndarray]:
     _require(isinstance(spec, dict), f"{what} must be an object")
     _require(set(spec) <= {"bias", "gamma", "theta", "bloch"},
              f"{what} keys must be bias/gamma/theta or bias/bloch")
-    bias = float(spec.get("bias", 0.0))
+    bias = _number(spec.get("bias", 0.0), f"{what}.bias")
     if "bloch" in spec:
-        bloch = np.asarray(spec["bloch"], dtype=float)
-        _require(bloch.shape == (3,), f"{what}.bloch must have 3 components")
+        bloch = _vector(spec["bloch"], f"{what}.bloch")
     else:
-        gamma = float(spec.get("gamma", 1.0))
-        bloch = gamma * plane_axis(float(spec.get("theta", 0.0)) if theta is None else theta)
+        gamma = _number(spec.get("gamma", 1.0), f"{what}.gamma")
+        angle = _number(spec.get("theta", 0.0), f"{what}.theta") if theta is None else theta
+        bloch = gamma * plane_axis(angle)
     if theta is not None:
         bloch = np.broadcast_to(bloch, (len(theta), 3))
     return bias, bloch
@@ -179,9 +193,7 @@ def _states(spec, probe_bloch: np.ndarray, target_bloch: np.ndarray) -> np.ndarr
         return qubit_states(optimal_bloch(unit_axes(probe_bloch), unit_axes(target_bloch)))
     _require(isinstance(spec, dict) and set(spec) == {"bloch"},
              "state must be \"optimal\" or {\"bloch\": [x,y,z]}")
-    bloch = np.asarray(spec["bloch"], dtype=float)
-    _require(bloch.shape == (3,), "state.bloch must have 3 components")
-    return qubit_states(bloch)
+    return qubit_states(_vector(spec["bloch"], "state.bloch"))
 
 
 def _shots(config: dict) -> int | None:
@@ -225,15 +237,17 @@ def _scan_rows(config: dict, seed: int):
     default_theta = 0.0 if mode == "scan" else math.pi / 4
     probe_bias, probe_bloch = _measurement(
         config.get("probe", {"gamma": 1.0, "theta": default_theta}), "probe")
-    probe_effects = qubit_povms(probe_bias, probe_bloch)
+    probe = policy.instrument(Povm(qubit_povms(probe_bias, probe_bloch), LABELS))
     if mode == "scan":
-        target_spec = dict(config.get("target", {}))
+        target_spec = config.get("target", {})
+        _require(isinstance(target_spec, dict), "target must be an object")
+        target_spec = dict(target_spec)
         _require("theta_grid" in target_spec or "theta" in target_spec,
                  "target needs theta or theta_grid")
         if "theta_grid" in target_spec:
             grid = _grid(target_spec.pop("theta_grid"), "target.theta_grid")
         else:
-            grid = np.array([float(target_spec.pop("theta"))])
+            grid = np.array([_number(target_spec.pop("theta"), "target.theta")])
         target_bias, target_bloch = _measurement(target_spec, "target", grid)
         target_effects = qubit_povms(target_bias, target_bloch)
         rho = _states(config.get("state"), probe_bloch, target_bloch)
@@ -243,20 +257,20 @@ def _scan_rows(config: dict, seed: int):
         target_effects = qubit_povms(target_bias, target_bloch)
         grid = _grid(config.get("phi_grid", {"points": 64}), "phi_grid")
         rho = qubit_states(np.stack([np.sin(grid), np.zeros_like(grid), np.cos(grid)], axis=-1))
-    joint, alone = policy_tables(policy, rho, probe_effects, target_effects)
+    joint, alone = scenario_tables(rho, probe, target_effects)
     if shots is not None:
         return _shot_rows(grid, joint, alone, shots, seed)
-    return _exact_rows(grid, *policy_values(policy, joint, alone, LABELS, LABELS))
+    return _exact_rows(grid, *cd_tables(joint, alone, probe, LABELS))
 
 
 def _highdim_rows(config: dict, seed: int):
     dim = config.get("dim", 2)
     _require(_is_int(dim) and dim >= 2, "dim must be an integer >= 2")
-    gamma = float(config.get("gamma", 1.0))
+    gamma = _number(config.get("gamma", 1.0), "gamma")
     if "c2_grid" in config:
         grid = _grid(config["c2_grid"], "c2_grid")
     else:
-        grid = np.array([float(config.get("c2", 0.5))])
+        grid = np.array([_number(config.get("c2", 0.5), "c2")])
     _require(bool(np.all((grid >= 0) & (grid <= 1))), "c2 values must lie in [0, 1]")
     shots = _shots(config)
     # sharp probe along the first basis ket; target ket at overlap c2 with it
@@ -269,14 +283,14 @@ def _highdim_rows(config: dict, seed: int):
     if shots is None:
         return _exact_rows(angles, *circle_law(gamma, overlaps(ket_a, kets_b)))
     proj_a = projectors(ket_a)
-    probe_effects = randomized_povms(1.0, proj_a)
+    probe = Instrument.lueders(Povm(randomized_povms(1.0, proj_a), LABELS))
     rows = []
     step = max(1, _BATCH_ENTRIES // (dim * dim))
     for start in range(0, len(grid), step):
         proj_b = projectors(kets_b[start:start + step])
-        joint, alone = policy_tables(
-            InstrumentPolicy.LUEDERS, check_states(projectors(optimal_kets(proj_a, proj_b))),
-            probe_effects, randomized_povms(gamma, proj_b),
+        joint, alone = scenario_tables(
+            check_states(projectors(optimal_kets(proj_a, proj_b))), probe,
+            randomized_povms(gamma, proj_b),
         )
         rows += _shot_rows(angles[start:start + step], joint, alone, shots, seed, start)
     return rows
@@ -364,7 +378,8 @@ def _cmd_calibrate(config: dict, seed: int, out_path: str) -> None:
         if fit_kind == "ellipse-known-theta":
             strength = config.get("target_strength")
             character = fit_ellipse_known_theta(
-                scan, None if strength is None else float(strength), n_boot, seed
+                scan, None if strength is None else _number(strength, "target_strength"),
+                n_boot, seed,
             )
         else:
             character = fit_ellipse_unknown_theta(scan, n_boot, seed)
@@ -396,7 +411,8 @@ def _cmd_detector(config: dict, seed: int, out_path: str) -> None:
     }
     if {"eta", "nu"} <= set(spec):
         _require(set(spec) <= {"eta", "nu"}, "detector simulation takes only eta and nu")
-        noise = DetectorNoise(float(spec["eta"]), float(spec["nu"]))
+        noise = DetectorNoise(_number(spec["eta"], "detector.eta"),
+                              _number(spec["nu"], "detector.nu"))
         shots = _shots(config)
         if shots is None:
             sharp = scenario_cd(noise, "sharp")
@@ -427,8 +443,8 @@ def _cmd_detector(config: dict, seed: int, out_path: str) -> None:
         _require({"d1", "c2"} <= set(spec) and set(spec) <= {"d1", "c2", "d1_err", "c2_err"},
                  "detector inversion needs d1/c2 (optionally d1_err/c2_err)")
         estimate = estimate_detector(
-            float(spec["d1"]), float(spec["c2"]),
-            float(spec.get("d1_err", 0.0)), float(spec.get("c2_err", 0.0)),
+            *(_number(spec.get(key, 0.0), f"detector.{key}")
+              for key in ("d1", "c2", "d1_err", "c2_err")),
         )
     report["estimate"] = {
         "eta": estimate.noise.eta,

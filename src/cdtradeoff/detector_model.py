@@ -14,7 +14,10 @@ fully biased (every photon passed as H) - yield
     D_sharp  = exp(-nu) * eta        (correlation zero)
     C_biased = exp(-nu) * (2 - eta) - 1   (disturbance zero)
 
-from which (eta, nu) invert in closed form.
+from which (eta, nu) invert in closed form.  The reference is a heralding
+``Instrument`` with a non-Hermitian Kraus operator; its tables and its
+correlation and disturbance come from the same functions as every other
+probe's (``scenario_tables``, ``cd_tables``).
 """
 
 from __future__ import annotations
@@ -24,9 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cd_measures import CdValue, OutcomeDistribution, correlation, disturbance
-from .errors import InvalidNoiseError, NotNormalizedError, OutOfDomainError
-from .quantum_core import ATOL, Effect, _frozen
+from .cd_measures import CdValue, cd_tables
+from .errors import (
+    InvalidMeasurementError,
+    InvalidNoiseError,
+    NotNormalizedError,
+    OutOfDomainError,
+)
+from .quantum_core import ATOL, Instrument, _frozen, scenario_tables
 
 # Outcome labels: polarization H/V and detector off/on.  H pairs with off
 # (photon routed away from the watched mode should leave the detector
@@ -34,7 +42,15 @@ from .quantum_core import ATOL, Effect, _frozen
 LABELS_POLARIZATION = (-1.0, 1.0)  # (H, V)
 LABELS_CLICK = (-1.0, 1.0)  # (off, on)
 
-_REFERENCES = ("sharp", "fully_biased")
+# Kraus operators (H, V) of the two reference settings on (vacuum, 1H, 1V).
+# Sharp: no click on the heralding detector -> outcome H, photon passes;
+# click -> outcome V, the V photon is absorbed and vacuum travels on
+# (K_V = |vac><1V|, not Hermitian).  Fully biased: every photon passes,
+# reported as H.
+_HERALDS = {
+    "sharp": (np.diag([1.0, 1.0, 0.0]), np.outer(np.eye(3)[0], np.eye(3)[2])),
+    "fully_biased": (np.eye(3), np.zeros((3, 3))),
+}
 
 
 @dataclass(frozen=True)
@@ -61,14 +77,6 @@ class DetectorNoise:
 
 
 @dataclass(frozen=True, eq=False)
-class DetectorPovm:
-    """No-click / click effect pair on a truncated Fock space."""
-
-    e_off: Effect
-    e_on: Effect
-
-
-@dataclass(frozen=True, eq=False)
 class FockState:
     """Pure state on the basis (vacuum, one H photon, one V photon)."""
 
@@ -91,16 +99,12 @@ class FockState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-def detector_povm(noise: DetectorNoise, cutoff: int) -> DetectorPovm:
-    """Single-mode on-off POVM truncated at ``cutoff`` photons:
-    no-click entries exp(-nu) (1 - eta)^n for n = 0 .. cutoff."""
-    if cutoff < 1:
-        raise InvalidNoiseError(f"cutoff {cutoff} must be at least 1")
-    n = np.arange(cutoff + 1)
-    off_diag = noise.silence * (1.0 - noise.eta) ** n
-    e_off = np.diag(off_diag).astype(complex)
-    e_on = np.eye(cutoff + 1, dtype=complex) - e_off
-    return DetectorPovm(Effect(e_off), Effect(e_on))
+def _herald(reference: str) -> Instrument:
+    if reference not in _HERALDS:
+        raise InvalidMeasurementError(
+            f"reference must be one of {tuple(_HERALDS)}, got {reference!r}"
+        )
+    return Instrument(_HERALDS[reference], LABELS_POLARIZATION)
 
 
 def scenario_distributions(
@@ -112,45 +116,21 @@ def scenario_distributions(
     (off, on).  Everything is computed from the truncated-space operators,
     not from the closed forms.
     """
-    if reference not in _REFERENCES:
-        raise ValueError(f"reference must be one of {_REFERENCES}, got {reference!r}")
+    inst = _herald(reference)
     silence = noise.silence
     # No-click effect of a detector watching the V mode: photon number in
     # V is 0 on vacuum and on the H photon, 1 on the V photon.
-    e_off = np.diag([silence, silence, silence * (1.0 - noise.eta)]).astype(complex)
-    e_on = np.eye(3, dtype=complex) - e_off
-    rho = FockState.diagonal_photon().density()
-    if reference == "sharp":
-        # No click on the heralding detector -> outcome H, photon passes;
-        # click -> outcome V, photon absorbed, vacuum travels on.
-        k_h = np.diag([1.0, 1.0, 0.0]).astype(complex)
-        k_v = np.zeros((3, 3), dtype=complex)
-        k_v[0, 2] = 1.0
-    else:
-        # Fully biased reference: every photon passes, reported as H.
-        k_h = np.eye(3, dtype=complex)
-        k_v = np.zeros((3, 3), dtype=complex)
-    joint = np.empty((2, 2))
-    for i, k in enumerate((k_h, k_v)):
-        post = k @ rho @ k.conj().T
-        joint[i, 0] = np.trace(post @ e_off).real
-        joint[i, 1] = np.trace(post @ e_on).real
-    alone = np.array(
-        [np.trace(rho @ e_off).real, np.trace(rho @ e_on).real]
-    )
-    return joint, alone
+    e_off = np.diag([silence, silence, silence * (1.0 - noise.eta)])
+    target = np.stack([e_off, np.eye(3) - e_off])
+    return scenario_tables(FockState.diagonal_photon().density(), inst, target)
 
 
 def scenario_cd(noise: DetectorNoise, reference: str) -> CdValue:
     """Correlation and disturbance of one reference setting, from first
     principles on the truncated space."""
     joint, alone = scenario_distributions(noise, reference)
-    corr = correlation(joint, LABELS_POLARIZATION, LABELS_CLICK)
-    dist = disturbance(
-        OutcomeDistribution(tuple(alone), LABELS_CLICK),
-        OutcomeDistribution(tuple(joint.sum(axis=0)), LABELS_CLICK),
-    )
-    return CdValue(corr, dist)
+    corr, dist = cd_tables(joint, alone, _herald(reference), LABELS_CLICK)
+    return CdValue(float(corr), float(dist))
 
 
 def estimate_noise(d1: float, c2: float) -> DetectorNoise:

@@ -1,5 +1,5 @@
-"""Finite-dimensional quantum states, effects, POVMs, and minimal-back-action
-instruments, plus the probability rules for one probe followed by one target
+"""Finite-dimensional quantum states, effects, POVMs and measurement
+instruments, plus the one probability rule for a probe followed by a target
 measurement.
 
 All operators are dense complex numpy arrays.  The checks and the
@@ -7,10 +7,16 @@ probability rules are array kernels over leading batch axes: a stack of
 states has shape ``(n, d, d)``, a stack of POVMs ``(n, k, d, d)``, and a
 scan validates and evaluates all of its points in one call.  A failed check
 raises a typed error naming the index of the first bad matrix.  The wrapper
-types (``DensityMatrix``, ``Effect``, ``Povm``, ``LuedersInstrument``) are
-the unbatched case of the same kernels: they validate once, at
-construction, and are immutable afterwards (matrices are stored as
-read-only copies).
+types (``DensityMatrix``, ``Effect``, ``Povm``) are the unbatched case of
+the same kernels: they validate once, at construction, and are immutable
+afterwards (matrices are stored as read-only copies).
+
+``Instrument`` holds the Kraus operators of a probe: the square-root
+(minimal back-action) update, a measure-and-prepare update, or any
+hand-built Kraus list, such as a non-Hermitian heralding operator.  Every
+joint outcome table comes from ``scenario_tables``; the post-measurement
+states, the unregistered channel and its dual all act through the same
+Kraus stack.
 """
 
 from __future__ import annotations
@@ -176,25 +182,6 @@ def psd_sqrt(matrix) -> np.ndarray:
     return (r + dagger(r)) / 2
 
 
-def lueders_posts(kraus, rho) -> np.ndarray:
-    """Subnormalized post-measurement states K_a rho K_a^dagger, shape
-    (..., k, d, d), for Kraus stacks (..., k, d, d) and states (..., d, d)."""
-    return kraus @ rho[..., None, :, :] @ dagger(kraus)
-
-
-def outcome_probabilities(rho, effects) -> np.ndarray:
-    """Outcome distributions tr(rho E_b), shape (..., k), for states
-    (..., d, d) and POVMs (..., k, d, d)."""
-    return np.einsum("...ij,...bji->...b", rho, effects).real
-
-
-def joint_table(posts, effects) -> np.ndarray:
-    """Probability tables p[..., a, b] = tr(post_a E_b) of probe outcome a
-    followed by target outcome b, for post-measurement states
-    (..., ka, d, d) (each of trace p(a)) and target POVMs (..., kb, d, d)."""
-    return np.einsum("...aij,...bji->...ab", posts, effects).real
-
-
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace operator."""
 
@@ -290,21 +277,70 @@ class Povm:
         return f"Povm(dim={self.dim}, outcomes={self.labels})"
 
 
-class LuedersInstrument:
-    """Measurement instrument with the square-root (minimal back-action)
-    state update K_a = E_a^(1/2).
+class Instrument:
+    """Measurement instrument: Kraus operators K_am, m = 1 .. ``per_outcome``
+    for each outcome a, with the state update rho -> sum_m K_am rho K_am^dagger.
 
-    The Kraus operators are Hermitian PSD by construction; arbitrary
-    unitary-rotated Kraus choices are deliberately out of scope.
-    ``matrices`` is the read-only (k, d, d) stack of the Kraus operators.
+    ``matrices`` is the read-only (k * m, d, d) stack of the Kraus operators
+    in outcome-major order and ``kraus`` the same operators as a tuple;
+    ``povm`` holds the effects sum_m K_am^dagger K_am with the outcome
+    labels.  There are three constructors:
+
+    * ``Instrument.lueders(povm)`` (also ``LuedersInstrument(povm)``): the
+      square-root, minimal back-action update K_a = E_a^(1/2);
+    * ``Instrument.measure_and_prepare(povm, states)``: outcome a
+      re-prepares the state sigma_a, with the d^2 operators
+      K_a,ij = sigma_a^(1/2) |j><i| E_a^(1/2);
+    * ``Instrument(kraus, outcome_labels)``: hand-built Kraus operators,
+      one (d, d) matrix per outcome or a (k, m, d, d) stack; their effects
+      are validated as a ``Povm`` is, and must sum to the identity.
+
+    ``square_root`` is recorded by the constructor and is true for the
+    first only: C^2 + D^2 <= 1 is a theorem for that update alone.
     """
 
-    __slots__ = ("povm", "kraus", "matrices")
+    __slots__ = ("povm", "matrices", "kraus", "per_outcome", "square_root")
 
-    def __init__(self, povm: Povm):
+    def __init__(self, kraus, outcome_labels=None):
+        ops = _as_stack(kraus, "Kraus operator")
+        if ops.ndim == 3:
+            ops = ops[:, None]
+        if ops.ndim != 4:
+            raise DimensionMismatchError(
+                f"Kraus operators must stack as (k, d, d) or (k, m, d, d), got {ops.shape}"
+            )
+        self._hold(ops, Povm((dagger(ops) @ ops).sum(axis=1), outcome_labels), False)
+
+    def _hold(self, ops: np.ndarray, povm: Povm, square_root: bool) -> None:
         self.povm = povm
-        self.matrices = _frozen(psd_sqrt(povm.matrices))
+        self.per_outcome = ops.shape[1]
+        self.matrices = _frozen(ops.reshape(-1, povm.dim, povm.dim))
         self.kraus = tuple(self.matrices)
+        self.square_root = square_root
+
+    @classmethod
+    def _made(cls, ops: np.ndarray, povm: Povm, square_root: bool) -> "Instrument":
+        inst = cls.__new__(cls)
+        inst._hold(ops, povm, square_root)
+        return inst
+
+    @classmethod
+    def lueders(cls, povm: Povm) -> "Instrument":
+        """Square-root instrument K_a = E_a^(1/2) of a POVM (Hermitian PSD
+        Kraus operators, in effect order)."""
+        return cls._made(psd_sqrt(povm.matrices)[:, None], povm, True)
+
+    @classmethod
+    def measure_and_prepare(cls, povm: Povm, states) -> "Instrument":
+        """Measure ``povm``, then re-prepare ``states[a]`` on outcome a."""
+        sigma = check_states(states)
+        if sigma.shape != povm.matrices.shape:
+            raise DimensionMismatchError(
+                f"need one {povm.dim}-dimensional state per outcome, got shape {sigma.shape}"
+            )
+        d = povm.dim
+        ops = np.einsum("axj,aiy->aijxy", psd_sqrt(sigma), psd_sqrt(povm.matrices))
+        return cls._made(ops.reshape(povm.n_outcomes, d * d, d, d), povm, False)
 
     @property
     def dim(self) -> int:
@@ -314,8 +350,32 @@ class LuedersInstrument:
     def n_outcomes(self) -> int:
         return self.povm.n_outcomes
 
+    @property
+    def labels(self) -> tuple[float, ...]:
+        return self.povm.labels
+
+    def _by_outcome(self, terms: np.ndarray) -> np.ndarray:
+        """Sum terms (..., k * m, d, d) over the m operators of each outcome."""
+        shape = terms.shape[:-3] + (self.n_outcomes, self.per_outcome) + terms.shape[-2:]
+        return terms.reshape(shape).sum(axis=-3)
+
+    def posts(self, rho) -> np.ndarray:
+        """Subnormalized post-measurement states sum_m K_am rho K_am^dagger
+        (trace p(a)), shape (..., k, d, d), of states (..., d, d)."""
+        k = self.matrices
+        return self._by_outcome(k @ rho[..., None, :, :] @ dagger(k))
+
+    def dual(self, op) -> np.ndarray:
+        """Heisenberg-picture images sum_m K_am^dagger op K_am of an
+        operator (d, d), one per outcome: shape (k, d, d)."""
+        k = self.matrices
+        return self._by_outcome(dagger(k) @ op @ k)
+
     def __repr__(self) -> str:
-        return f"LuedersInstrument({self.povm!r})"
+        return f"Instrument({self.povm!r}, per_outcome={self.per_outcome})"
+
+
+LuedersInstrument = Instrument.lueders  # the square-root constructor's README name
 
 
 def _check_dims(a_dim: int, b_dim: int) -> None:
@@ -323,48 +383,50 @@ def _check_dims(a_dim: int, b_dim: int) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {a_dim} vs {b_dim}")
 
 
+def scenario_tables(rho, inst: Instrument, target_effects) -> tuple[np.ndarray, np.ndarray]:
+    """Joint tables p[..., a, b] = sum_m tr(K_am rho K_am^dagger E_b) of probe
+    outcome a followed by target outcome b, and the probe-off target
+    distributions p[..., b] = tr(rho E_b).
+
+    Takes validated states (..., d, d) and target POVMs (..., kb, d, d)
+    whose leading batch axes broadcast; the instrument is one fixed probe.
+    Each table sums to one and its rows marginalize to the probe-alone
+    distribution (the later measurement cannot influence the earlier one).
+    """
+    _check_dims(inst.dim, rho.shape[-1])
+    _check_dims(inst.dim, target_effects.shape[-1])
+    joint = np.einsum("...aij,...bji->...ab", inst.posts(rho), target_effects).real
+    return joint, np.einsum("...ij,...bji->...b", rho, target_effects).real
+
+
+def joint_probabilities(inst_a: Instrument, povm_b: Povm, rho: DensityMatrix) -> np.ndarray:
+    """Probability table p[a, b] of one scenario (see ``scenario_tables``)."""
+    return scenario_tables(rho.matrix, inst_a, povm_b.matrices)[0]
+
+
 def apply_instrument(
-    inst: LuedersInstrument, rho: DensityMatrix, outcome: int
+    inst: Instrument, rho: DensityMatrix, outcome: int
 ) -> tuple[np.ndarray, float]:
     """Post-measurement update for one outcome.
 
-    Returns the subnormalized output ``K rho K`` (trace equals the outcome
+    Returns the subnormalized output (trace equals the outcome
     probability) together with that probability.
     """
     _check_dims(inst.dim, rho.dim)
-    k = inst.kraus[outcome]
-    out = k @ rho.matrix @ k
+    out = inst.posts(rho.matrix)[outcome]
     return out, float(out.trace().real)
 
 
-def unregistered_channel(inst: LuedersInstrument, rho: DensityMatrix) -> DensityMatrix:
+def unregistered_channel(inst: Instrument, rho: DensityMatrix) -> DensityMatrix:
     """State after the measurement is performed but its outcome discarded:
-    sum_a K_a rho K_a.  Trace preserving."""
+    sum_am K_am rho K_am^dagger.  Trace preserving."""
     _check_dims(inst.dim, rho.dim)
-    return DensityMatrix(lueders_posts(inst.matrices, rho.matrix).sum(axis=0))
+    return DensityMatrix(inst.posts(rho.matrix).sum(axis=0))
 
 
-def joint_probabilities(
-    inst_a: LuedersInstrument, povm_b: Povm, rho: DensityMatrix
-) -> np.ndarray:
-    """Probability table p[a, b] for probe outcome a followed by target
-    outcome b: tr(K_a rho K_a E_b).
-
-    Rows marginalize to the probe-alone distribution tr(rho E_a) (the
-    later measurement cannot influence the earlier one), and the whole
-    table sums to one.
-    """
-    _check_dims(inst_a.dim, rho.dim)
-    _check_dims(inst_a.dim, povm_b.dim)
-    return joint_table(lueders_posts(inst_a.matrices, rho.matrix), povm_b.matrices)
-
-
-def dual_channel(inst_a: LuedersInstrument, op) -> np.ndarray:
+def dual_channel(inst: Instrument, op) -> np.ndarray:
     """Heisenberg-picture action of the unregistered measurement on an
-    operator: sum_a E_a^(1/2) op E_a^(1/2).  Unital."""
+    operator: sum_am K_am^dagger op K_am.  Unital."""
     m = _as_square(op, "operator")
-    _check_dims(inst_a.dim, m.shape[0])
-    out = np.zeros_like(m)
-    for k in inst_a.kraus:
-        out = out + k @ m @ k
-    return out
+    _check_dims(inst.dim, m.shape[0])
+    return inst.dual(m).sum(axis=0)

@@ -40,7 +40,7 @@ from .errors import (
 from .quantum_core import (
     ATOL,
     DensityMatrix,
-    LuedersInstrument,
+    Instrument,
     Povm,
     _frozen,
     at_index,
@@ -181,8 +181,9 @@ class QubitMeasurement:
     def to_povm(self) -> Povm:
         return Povm(self.effects(), (1.0, -1.0))
 
-    def to_instrument(self) -> LuedersInstrument:
-        return LuedersInstrument(self.to_povm())
+    def to_instrument(self) -> Instrument:
+        """The square-root (minimal back-action) instrument."""
+        return Instrument.lueders(self.to_povm())
 
 
 def measurement_from_povm(povm: Povm) -> QubitMeasurement:

@@ -1,6 +1,7 @@
 """Seeded Monte Carlo emulation of the two-arm experiment: finite-shot
-count records, plug-in estimators for correlation and disturbance, and the
-three post-measurement-state policies of the probe.
+count records drawn from the tables of any probe ``Instrument``, plug-in
+estimators for correlation and disturbance, and the config names of the
+three qubit probe instruments (``InstrumentPolicy``).
 
 Reproducibility contract: all randomness comes from the counter-based
 Philox 4x64 bit generator (``numpy.random.Philox``) keyed by the 64-bit
@@ -23,31 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qubit_model
-from .cd_measures import CdValue, cd_tables, check_tradeoff
-from .errors import (
-    DimensionMismatchError,
-    EmptyRecordError,
-    InvalidMeasurementError,
-    InvalidShotsError,
-    LabelMismatchError,
-    NonQubitError,
-    NotNormalizedError,
-)
-from .quantum_core import (
-    DensityMatrix,
-    LuedersInstrument,
-    Povm,
-    _frozen,
-    apply_instrument,
-    joint_table,
-    lueders_posts,
-    outcome_probabilities,
-    psd_sqrt,
-)
+from .errors import EmptyRecordError, InvalidShotsError, LabelMismatchError, NotNormalizedError
+from .quantum_core import DensityMatrix, Instrument, Povm, _frozen, scenario_tables
 
 
 class InstrumentPolicy(enum.Enum):
-    """Post-measurement-state conventions for the probe.
+    """Post-measurement-state conventions for a dichotomic qubit probe, as
+    named in configs; ``instrument`` builds the probe of each.
 
     ``LUEDERS`` applies the square-root update; ``EIGENSTATE`` re-prepares
     the projector eigenstate along the probe axis; ``MIXED`` re-prepares
@@ -57,6 +40,27 @@ class InstrumentPolicy(enum.Enum):
     LUEDERS = "lueders"
     EIGENSTATE = "eigenstate"
     MIXED = "mixed"
+
+    def instrument(self, povm: Povm) -> Instrument:
+        """The probe instrument of this policy for a +1/-1 labelled POVM."""
+        return _POLICY_INSTRUMENTS[self](povm)
+
+
+def _reprepare(povm: Povm, unit: bool) -> Instrument:
+    """Measure-and-prepare instrument re-preparing the state with Bloch
+    vector label * b on the outcome labelled +/-1, b the probe's Bloch
+    vector (``unit``: its axis)."""
+    probe = qubit_model.measurement_from_povm(povm)
+    bloch = probe.axis if unit else probe.bloch
+    states = qubit_model.qubit_states(np.array(povm.labels)[:, None] * bloch)
+    return Instrument.measure_and_prepare(povm, states)
+
+
+_POLICY_INSTRUMENTS = {
+    InstrumentPolicy.LUEDERS: Instrument.lueders,
+    InstrumentPolicy.EIGENSTATE: lambda povm: _reprepare(povm, unit=True),
+    InstrumentPolicy.MIXED: lambda povm: _reprepare(povm, unit=False),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,95 +127,6 @@ def _categorical(rng: np.random.Generator, probs, shots: int) -> np.ndarray:
     return np.diff(np.array([0, *below, shots], dtype=np.int64))
 
 
-def policy_update(
-    policy: InstrumentPolicy,
-    probe: qubit_model.QubitMeasurement,
-    rho: DensityMatrix,
-    outcome: int,
-) -> DensityMatrix:
-    """Normalized post-measurement state for one probe outcome (index 0
-    carries label +1, index 1 label -1)."""
-    if rho.dim != 2:
-        raise NonQubitError("post-measurement policies are defined for qubits")
-    sign = 1.0 if outcome == 0 else -1.0
-    if policy is InstrumentPolicy.LUEDERS:
-        sub, prob = apply_instrument(probe.to_instrument(), rho, outcome)
-        if prob <= 0.0:
-            raise EmptyRecordError("zero-probability outcome has no post state")
-        return DensityMatrix(sub / prob)
-    if policy is InstrumentPolicy.EIGENSTATE:
-        return qubit_model.state_from_bloch(sign * probe.axis)
-    return qubit_model.state_from_bloch(sign * probe.strength * probe.axis)
-
-
-def policy_tables(
-    policy: InstrumentPolicy, rho, probe_effects, target_effects, probe_labels=(1.0, -1.0)
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact joint tables p[..., a, b] under the chosen post-measurement
-    policy, and the probe-off target distributions p[..., b].
-
-    Takes validated stacks with common leading batch axes: states
-    (..., d, d), probe and target POVMs (..., k, d, d).  The square-root
-    policy uses p[a, b] = tr(K_a rho K_a E_b); the measure-and-prepare
-    policies (qubits only) use p[a, b] = p(a) tr(sigma_a E_b), with sigma_a
-    the state re-prepared for the outcome labelled +1 or -1.
-    """
-    if policy is InstrumentPolicy.LUEDERS:
-        posts = lueders_posts(psd_sqrt(probe_effects), rho)
-    else:
-        if rho.shape[-1] != 2:
-            raise NonQubitError("post-measurement policies are defined for qubits")
-        labels = tuple(float(x) for x in probe_labels)
-        if sorted(labels) != [-1.0, 1.0]:
-            raise InvalidMeasurementError("POVM labels must be +1/-1")
-        plus = probe_effects[..., labels.index(1.0), :, :]
-        bloch = np.einsum("...ij,kji->...k", plus, qubit_model.PAULI).real
-        if policy is InstrumentPolicy.EIGENSTATE:
-            bloch = qubit_model.unit_axes(bloch)
-        signs = np.array(labels)[:, None]
-        sigma = qubit_model.qubit_states(signs * bloch[..., None, :])
-        weights = np.clip(outcome_probabilities(rho, probe_effects), 0.0, None)
-        posts = weights[..., None, None] * sigma
-    return joint_table(posts, target_effects), outcome_probabilities(rho, target_effects)
-
-
-def policy_values(
-    policy: InstrumentPolicy, joint, alone, labels_a, labels_b
-) -> tuple[np.ndarray, np.ndarray]:
-    """Correlations and disturbances of ``policy_tables`` output.  The
-    bound C^2 + D^2 <= 1 is a theorem for the square-root policy only, and
-    is checked there."""
-    corr, dist = cd_tables(joint, alone, labels_a, labels_b)
-    if policy is InstrumentPolicy.LUEDERS:
-        check_tradeoff(corr, dist)
-    return corr, dist
-
-
-def _scenario_tables(rho, inst_a, povm_b, policy):
-    if inst_a.dim != rho.dim or povm_b.dim != rho.dim:
-        raise DimensionMismatchError(
-            f"dimension mismatch: {inst_a.dim}, {rho.dim}, {povm_b.dim}"
-        )
-    return policy_tables(
-        policy, rho.matrix, inst_a.povm.matrices, povm_b.matrices, inst_a.povm.labels
-    )
-
-
-def policy_cd(
-    rho: DensityMatrix,
-    inst_a: LuedersInstrument,
-    povm_b: Povm,
-    policy: InstrumentPolicy = InstrumentPolicy.LUEDERS,
-) -> CdValue:
-    """Exact correlation and disturbance under a post-measurement policy.
-
-    Coincides with the plain scenario value for the square-root policy.
-    """
-    joint, alone = _scenario_tables(rho, inst_a, povm_b, policy)
-    corr, dist = policy_values(policy, joint, alone, inst_a.povm.labels, povm_b.labels)
-    return CdValue(float(corr), float(dist))
-
-
 def sample_distributions(
     joint, alone, shots_joint: int, shots_alone: int, seed: int
 ) -> ShotRecord:
@@ -227,20 +142,19 @@ def sample_distributions(
 
 def sample(
     rho: DensityMatrix,
-    inst_a: LuedersInstrument,
+    inst_a: Instrument,
     povm_b: Povm,
     shots_joint: int,
     shots_alone: int,
     seed: int,
-    policy: InstrumentPolicy = InstrumentPolicy.LUEDERS,
 ) -> ShotRecord:
     """Simulate the two-arm experiment: ``shots_joint`` runs with the probe
     on and registered, ``shots_alone`` runs with the probe off."""
-    if list(inst_a.povm.labels) != list(povm_b.labels):
+    if list(inst_a.labels) != list(povm_b.labels):
         raise LabelMismatchError(
             "probe and target label sequences must be identical for matching"
         )
-    joint, alone = _scenario_tables(rho, inst_a, povm_b, policy)
+    joint, alone = scenario_tables(rho.matrix, inst_a, povm_b.matrices)
     return sample_distributions(joint, alone, shots_joint, shots_alone, seed)
 
 

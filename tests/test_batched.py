@@ -158,12 +158,12 @@ class TestExactRowsAgainstOracles:
 def reference_qubit_csv(policy, grid, shots, seed):
     """Shot CSV from the scalar pipeline, one point at a time."""
     probe = QubitMeasurement(*qubit(PROBE))
-    inst = LuedersInstrument(probe.to_povm())
+    inst = InstrumentPolicy(policy).instrument(probe.to_povm())
     rows = []
     for index, theta in enumerate(angles(grid)):
         target = QubitMeasurement(*qubit(TARGET, theta))
         rec = sample(optimal_state(probe, target), inst, target.to_povm(), shots, shots,
-                     seed ^ index, InstrumentPolicy(policy))
+                     seed ^ index)
         est = estimate_cd(rec)
         rows.append((theta, est.c_hat, est.d_hat, est.c_err, est.d_err))
     return csv_text(rows)

@@ -6,6 +6,7 @@ from cdtradeoff.cd_measures import (
     CdValue,
     OutcomeDistribution,
     cd_from_scenario,
+    cd_tables,
     check_tradeoff,
     correlation,
     correlation_operator,
@@ -20,7 +21,7 @@ from cdtradeoff.errors import (
     NotNormalizedError,
     TradeoffViolationError,
 )
-from cdtradeoff.quantum_core import LuedersInstrument, Povm, unregistered_channel
+from cdtradeoff.quantum_core import Instrument, LuedersInstrument, Povm, unregistered_channel
 from cdtradeoff.qubit_model import (
     SIGMA_X,
     SIGMA_Z,
@@ -161,6 +162,17 @@ class TestCdFromScenario:
         with pytest.raises(TradeoffViolationError, match="index 2"):
             check_tradeoff(np.array([0.0, 0.6, 0.9]), np.array([1.0, 0.8, 0.9]))
         check_tradeoff(np.array([0.6, 1.0]), np.array([0.8, 0.0]))
+
+    def test_cd_tables_check_follows_the_constructor(self):
+        # (C, D) = (1, 0.6): outside the disc
+        joint, alone = np.array([[0.8, 0.0], [0.0, 0.2]]), np.array([0.5, 0.5])
+        povm = sharp(0.0).to_povm()
+        with pytest.raises(TradeoffViolationError):
+            cd_tables(joint, alone, Instrument.lueders(povm), povm.labels)
+        states = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        corr, dist = cd_tables(joint, alone, Instrument.measure_and_prepare(povm, states),
+                               povm.labels)
+        assert (float(corr), float(dist)) == pytest.approx((1.0, 0.6), abs=1e-12)
 
 
 class TestOperators:

@@ -558,3 +558,63 @@ class TestOutputNeverReplacesConfig:
         assert run_cli("--config", config, "--out", tmp_path / "s.csv") == 2
         assert (tmp_path / "s.meta.json").read_bytes() == before
         assert not (tmp_path / "s.csv").exists()
+
+
+SHARP = {"gamma": 1.0, "theta_grid": {"points": 4}}
+
+
+class TestConfigNumbers:
+    """Every config number must be a JSON number that fits a double; any
+    other value is a config error (exit 2), never a traceback."""
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"probe": {"bias": "x"}},
+            {"probe": {"bias": None}},
+            {"probe": {"bias": 10**400}},
+            {"probe": {"gamma": True}},
+            {"probe": {"theta": "0.5"}},
+            {"probe": {"bloch": [1, "a", 0]}},
+            {"probe": {"bloch": [1, 0]}},
+            {"target": "abc"},
+            {"target": {"gamma": 1.0, "theta": "abc"}},
+            {"target": {"gamma": 1.0, "theta_grid": {"start": "0", "points": 4}}},
+            {"target": {"gamma": 1.0, "theta_grid": {"stop": None, "points": 4}}},
+            {"target": SHARP, "state": {"bloch": [0, 0, "q"]}},
+            {"mode": "search-optimal", "target": {"bias": False}},
+            {"mode": "highdim", "dim": 3, "gamma": "x"},
+            {"mode": "highdim", "dim": 3, "c2": [0.5]},
+            {"mode": "detector", "detector": {"eta": "x", "nu": 0.0}},
+            {"mode": "detector", "detector": {"eta": 0.9, "nu": 10**400}},
+            {"mode": "detector", "detector": {"d1": 0.5, "c2": "0.1"}},
+            {"mode": "detector", "detector": {"d1": 0.5, "c2": 0.1, "d1_err": True}},
+        ],
+        ids=[
+            "bias_string", "bias_null", "bias_400_digits", "gamma_true", "theta_string",
+            "bloch_string", "bloch_short", "target_string", "target_theta_string",
+            "grid_start_string", "grid_stop_null", "state_bloch_string",
+            "search_bias_false", "highdim_gamma", "highdim_c2_list", "detector_eta",
+            "detector_nu_400_digits", "detector_c2_string", "detector_d1_err_true",
+        ],
+    )
+    def test_non_numbers_are_config_errors(self, tmp_path, entries):
+        config = scan_config(tmp_path, **entries)
+        out = tmp_path / "o.csv"
+        assert run_cli("--config", config, "--out", out) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strength", ["x", 10**400, True],
+                             ids=["string", "400_digits", "true"])
+    def test_target_strength(self, tmp_path, strength):
+        scan_path = tmp_path / "gen.csv"
+        assert run_cli("--config", scan_config(tmp_path), "--out", scan_path) == 0
+        config = write_config(
+            tmp_path / "cal.json",
+            mode="calibrate",
+            scan_file=str(scan_path),
+            fit="ellipse-known-theta",
+            target_strength=strength,
+            bootstrap=0,
+        )
+        assert run_cli("--config", config, "--out", tmp_path / "r.json") == 2

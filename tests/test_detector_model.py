@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from cdtradeoff.detector_model import (
     DetectorNoise,
     FockState,
-    detector_povm,
     estimate_noise,
     scenario_cd,
     scenario_distributions,
 )
 from cdtradeoff.errors import (
+    InvalidMeasurementError,
     InvalidNoiseError,
     NotNormalizedError,
     OutOfDomainError,
@@ -28,29 +27,6 @@ class TestDetectorNoise:
 
     def test_silence(self):
         assert DetectorNoise(0.5, 0.2).silence == pytest.approx(np.exp(-0.2))
-
-
-class TestDetectorPovm:
-    def test_ideal_detector_clicks_on_any_photon(self):
-        povm = detector_povm(DetectorNoise(1.0, 0.0), cutoff=4)
-        assert_allclose(povm.e_off.matrix, np.diag([1.0] + [0.0] * 4), atol=1e-15)
-
-    def test_blind_detector_never_clicks(self):
-        povm = detector_povm(DetectorNoise(0.0, 0.0), cutoff=3)
-        assert_allclose(povm.e_off.matrix, np.eye(4), atol=1e-15)
-
-    def test_entries(self):
-        povm = detector_povm(DetectorNoise(0.9, 0.05), cutoff=2)
-        diag = np.diag(povm.e_off.matrix).real
-        assert diag[0] == pytest.approx(0.9512294245007140, abs=1e-12)
-        assert diag[1] == pytest.approx(0.0951229424500714, abs=1e-12)
-        assert_allclose(
-            povm.e_on.matrix, np.eye(3) - povm.e_off.matrix, atol=1e-15
-        )
-
-    def test_cutoff_validated(self):
-        with pytest.raises(InvalidNoiseError):
-            detector_povm(DetectorNoise(0.9, 0.0), cutoff=0)
 
 
 class TestScenarioCd:
@@ -89,7 +65,7 @@ class TestScenarioCd:
         assert alone.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_reference(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidMeasurementError):
             scenario_cd(DetectorNoise(0.9, 0.0), "diagonal")
 
 

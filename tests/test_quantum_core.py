@@ -12,6 +12,7 @@ from cdtradeoff.errors import (
 from cdtradeoff.quantum_core import (
     DensityMatrix,
     Effect,
+    Instrument,
     LuedersInstrument,
     Povm,
     apply_instrument,
@@ -243,3 +244,70 @@ class TestDualChannel:
         inst = LuedersInstrument(x_povm(1.0))
         with pytest.raises(DimensionMismatchError):
             dual_channel(inst, np.eye(3))
+
+
+HERALD = [np.diag([1.0, 1.0, 0.0]), np.outer(np.eye(3)[0], np.eye(3)[2])]  # K_V = |0><2|
+
+
+def instruments(rng, dim=3):
+    """One instrument per constructor: square-root, measure-and-prepare on
+    random states, and the hand-built (non-Hermitian) herald."""
+    povm = random_povm(rng, dim, 3)
+    states = [random_pure(rng, dim).matrix for _ in range(3)]
+    return {
+        "square_root": Instrument.lueders(povm),
+        "measure_and_prepare": Instrument.measure_and_prepare(povm, states),
+        "herald": Instrument(HERALD, (-1.0, 1.0)),
+    }
+
+
+class TestInstrument:
+    def test_kraus_effects_must_sum_to_identity(self):
+        with pytest.raises(InvalidMeasurementError, match="identity"):
+            Instrument([np.diag([1.0, 0.0, 0.0]), np.outer(np.eye(3)[0], np.eye(3)[2])])
+        with pytest.raises(InvalidMeasurementError):
+            Instrument([np.eye(2), np.eye(2)])  # an effect above one
+        with pytest.raises(DimensionMismatchError):
+            Instrument(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("kind", ["square_root", "measure_and_prepare", "herald"])
+    def test_dual_is_the_adjoint_channel(self, kind):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            inst = instruments(rng)[kind]
+            rho = random_pure(rng, 3)
+            op = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            lhs = np.trace(unregistered_channel(inst, rho).matrix @ op)
+            rhs = np.trace(rho.matrix @ dual_channel(inst, op))
+            assert abs(lhs - rhs) <= 1e-12
+
+    def test_layout_and_tradeoff_flag(self):
+        rng = np.random.default_rng(5)
+        made = instruments(rng)
+        assert [inst.per_outcome for inst in made.values()] == [1, 9, 1]
+        assert made["measure_and_prepare"].matrices.shape == (27, 3, 3)
+        assert [inst.square_root for inst in made.values()] == [True, False, False]
+        same_kraus = Instrument(made["square_root"].matrices, made["square_root"].labels)
+        assert not same_kraus.square_root  # recorded by the constructor only
+        assert not made["herald"].matrices.flags.writeable
+
+    def test_measure_and_prepare_reprepares(self):
+        rng = np.random.default_rng(9)
+        povm = random_povm(rng, 3, 3)
+        states = [random_pure(rng, 3).matrix for _ in range(3)]
+        inst = Instrument.measure_and_prepare(povm, states)
+        rho = random_pure(rng, 3)
+        for a, (effect, sigma) in enumerate(zip(povm.effects, states)):
+            out, prob = apply_instrument(inst, rho, a)
+            assert prob == pytest.approx(np.trace(rho.matrix @ effect.matrix).real, abs=1e-12)
+            assert_allclose(out, prob * sigma, atol=1e-12)
+        with pytest.raises(DimensionMismatchError):
+            Instrument.measure_and_prepare(povm, states[:2])
+
+    def test_herald_posts_against_loop_oracle(self):
+        inst = Instrument(HERALD, (-1.0, 1.0))
+        rho = DensityMatrix.from_ket([0.0, 1.0, 1.0])
+        effects = [np.diag([0.9, 0.9, 0.3]), np.diag([0.1, 0.1, 0.7])]
+        table = joint_probabilities(inst, Povm(effects), rho)
+        assert_allclose(table, oracle_joint_table(HERALD, rho.matrix, effects), atol=1e-12)
+        assert_allclose(table, [[0.45, 0.05], [0.45, 0.05]], atol=1e-12)

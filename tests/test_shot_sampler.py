@@ -12,7 +12,7 @@ from cdtradeoff.errors import (
     NonQubitError,
     NotNormalizedError,
 )
-from cdtradeoff.quantum_core import DensityMatrix, LuedersInstrument
+from cdtradeoff.quantum_core import DensityMatrix, LuedersInstrument, Povm, apply_instrument
 from cdtradeoff.qubit_model import (
     QubitMeasurement,
     ellipse_character,
@@ -27,8 +27,6 @@ from cdtradeoff.shot_sampler import (
     _categorical,
     _stream,
     estimate_cd,
-    policy_cd,
-    policy_update,
     sample,
     sample_distributions,
 )
@@ -150,36 +148,46 @@ class TestEstimateCd:
         assert rec.joint_counts.sum() == 10_000
 
 
+def post_state(policy, probe, rho, outcome):
+    """Normalized post-measurement state of the policy's instrument for one
+    probe outcome (index 0 carries label +1, index 1 label -1)."""
+    sub, prob = apply_instrument(policy.instrument(probe.to_povm()), rho, outcome)
+    return DensityMatrix(sub / prob)
+
+
+def policy_value(args, policy):
+    rho, inst, povm_b = args
+    return cd_from_scenario(rho, policy.instrument(inst.povm), povm_b)
+
+
 class TestPolicies:
     def test_lueders_sharp_probe_reprepares_eigenstate(self):
         probe = sharp(0.0)
         rho = state_from_bloch([0.0, 0.0, 1.0])
         for outcome in (0, 1):
-            lueders = policy_update(InstrumentPolicy.LUEDERS, probe, rho, outcome)
-            eigen = policy_update(InstrumentPolicy.EIGENSTATE, probe, rho, outcome)
+            lueders = post_state(InstrumentPolicy.LUEDERS, probe, rho, outcome)
+            eigen = post_state(InstrumentPolicy.EIGENSTATE, probe, rho, outcome)
             assert_allclose(lueders.matrix, eigen.matrix, atol=1e-12)
 
     def test_mixed_policy_bloch_vector(self):
         probe = QubitMeasurement(0.0, np.array([0.5, 0.0, 0.0]))
         rho = state_from_bloch([0.0, 0.0, 1.0])
-        out = policy_update(InstrumentPolicy.MIXED, probe, rho, 0)
+        out = post_state(InstrumentPolicy.MIXED, probe, rho, 0)
         assert_allclose(out.matrix, (np.eye(2) + 0.5 * np.array([[0, 1], [1, 0]])) / 2,
                         atol=1e-12)
-        out_minus = policy_update(InstrumentPolicy.MIXED, probe, rho, 1)
+        out_minus = post_state(InstrumentPolicy.MIXED, probe, rho, 1)
         x = np.trace(out_minus.matrix @ np.array([[0, 1], [1, 0]])).real
         assert x == pytest.approx(-0.5, abs=1e-12)
 
     def test_non_qubit_rejected(self):
-        probe = sharp(0.0)
+        qutrit = Povm([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])])
         with pytest.raises(NonQubitError):
-            policy_update(
-                InstrumentPolicy.EIGENSTATE, probe, DensityMatrix.maximally_mixed(3), 0
-            )
+            InstrumentPolicy.EIGENSTATE.instrument(qutrit)
 
     def test_lueders_policy_matches_plain_scenario(self):
         args = sharp_scenario(0.3, 1.2, gamma_b=0.6)
         exact = cd_from_scenario(*args)
-        via_policy = policy_cd(*args, InstrumentPolicy.LUEDERS)
+        via_policy = policy_value(args, InstrumentPolicy.LUEDERS)
         assert via_policy.correlation == pytest.approx(exact.correlation, abs=1e-12)
         assert via_policy.disturbance == pytest.approx(exact.disturbance, abs=1e-12)
 
@@ -188,8 +196,8 @@ class TestPolicies:
         for gamma in (0.25, 0.5, 0.75):
             probe = QubitMeasurement(0.0, np.array([gamma, 0.0, 0.0]))
             args = scenario(optimal_state(probe, target), probe, target)
-            d_lueders = policy_cd(*args, InstrumentPolicy.LUEDERS).disturbance
-            d_eigen = policy_cd(*args, InstrumentPolicy.EIGENSTATE).disturbance
+            d_lueders = policy_value(args, InstrumentPolicy.LUEDERS).disturbance
+            d_eigen = policy_value(args, InstrumentPolicy.EIGENSTATE).disturbance
             squeeze = ellipse_character(probe).squeeze
             assert d_lueders == pytest.approx(squeeze, abs=1e-9)
             assert d_lueders < d_eigen
@@ -198,15 +206,16 @@ class TestPolicies:
         probe = QubitMeasurement(0.0, np.array([0.5, 0.0, 0.0]))
         target = sharp(np.pi / 2)
         args = scenario(optimal_state(probe, target), probe, target)
-        d = policy_cd(*args, InstrumentPolicy.LUEDERS).disturbance
+        d = policy_value(args, InstrumentPolicy.LUEDERS).disturbance
         assert d == pytest.approx(1.0 - np.sqrt(0.75), abs=1e-9)
 
     def test_policy_sampling_deterministic(self):
         probe = QubitMeasurement(0.0, np.array([0.5, 0.0, 0.0]))
         target = sharp(np.pi / 2)
-        args = scenario(optimal_state(probe, target), probe, target)
-        rec1 = sample(*args, 2000, 2000, seed=9, policy=InstrumentPolicy.MIXED)
-        rec2 = sample(*args, 2000, 2000, seed=9, policy=InstrumentPolicy.MIXED)
+        rho = optimal_state(probe, target)
+        mixed = InstrumentPolicy.MIXED.instrument(probe.to_povm())
+        rec1 = sample(rho, mixed, target.to_povm(), 2000, 2000, seed=9)
+        rec2 = sample(rho, mixed, target.to_povm(), 2000, 2000, seed=9)
         assert np.array_equal(rec1.joint_counts, rec2.joint_counts)
 
 
