@@ -5,7 +5,6 @@ measured scans into device parameters."""
 __version__ = "0.1.0"
 
 from .calibration import (
-    CdPoint,
     CdScan,
     CircleFit,
     DetectorEstimate,

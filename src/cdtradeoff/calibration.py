@@ -13,9 +13,16 @@ parameters (|a|, a0, s, delta) additionally requires the target strength
 the angle information entirely and recovers the same combinations from the
 algebraic conic through the points.
 
+A scan (``CdScan``) is held as columns: one read-only float64 array each
+for theta, C, D and their errors, the layout the CLI scan modes write and
+the fits read.
+
 All fitted parameters carry nonparametric bootstrap errors (seeded,
 resampling points with replacement); the shear decomposition is nonlinear,
-so delta-method errors would under-cover.
+so delta-method errors would under-cover.  The resample indices of a fit
+are drawn as (resamples, points) arrays from the Philox stream of the seed;
+they equal one draw per resample in order, so the error bits are unchanged
+from 0.1.0.  A resample on which the fit degenerates is skipped.
 """
 
 from __future__ import annotations
@@ -32,45 +39,50 @@ from .errors import (
     NotAnEllipseError,
     RankDeficientError,
 )
+from .quantum_core import _frozen
 from .shot_sampler import _stream
 
 DEFAULT_BOOTSTRAP = 200
+# DeviceCharacter fields of the four strength combinations and of the
+# separated probe parameters, in the column order of the bootstrap rows
+_COMBOS = ("center_shift", "target_strength_product", "shear_strength", "squeeze_strength")
+_SEPARATED = ("probe_sharpness", "probe_bias", "squeeze", "shear")
+# Bootstrap indices are drawn in blocks of whole resamples holding at most
+# this many uniforms (and at least one resample).  One (resamples, points)
+# matrix of 200 x 1024 raised the peak resident memory of a calibration run
+# by 4.7 MiB; blocks this small add none, and the bits are the same.
+_INDEX_BLOCK = 1 << 12
 
 
-@dataclass(frozen=True)
-class CdPoint:
-    """One scan sample; ``theta`` may be None when the setting is unknown."""
-
-    theta: float | None
-    c: float
-    d: float
-    c_err: float = 0.0
-    d_err: float = 0.0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CdScan:
-    """Ordered collection of scan points."""
+    """Scan data as columns, one entry per point: the settings ``theta``
+    (None when unknown), ``c``, ``d`` and their one-sigma errors ``c_err``
+    and ``d_err`` (zeros by default).  Each column is stored as a read-only
+    float64 array; all have the length of ``c``."""
 
-    points: tuple[CdPoint, ...]
+    theta: np.ndarray | None
+    c: np.ndarray
+    d: np.ndarray
+    c_err: np.ndarray | None = None
+    d_err: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-
-    @classmethod
-    def from_arrays(cls, theta, c, d, c_err=None, d_err=None) -> "CdScan":
-        theta = [None] * len(c) if theta is None else list(theta)
-        c_err = np.zeros(len(c)) if c_err is None else np.asarray(c_err, float)
-        d_err = np.zeros(len(c)) if d_err is None else np.asarray(d_err, float)
-        return cls(
-            tuple(
-                CdPoint(theta[i], float(c[i]), float(d[i]), float(c_err[i]), float(d_err[i]))
-                for i in range(len(c))
-            )
-        )
+        shape = (np.size(self.c),)
+        for name in ("theta", "c", "d", "c_err", "d_err"):
+            values = getattr(self, name)
+            if values is None:
+                if name == "theta":
+                    continue
+                values = np.zeros(shape)
+            column = _frozen(np.asarray(values, dtype=float))
+            if column.shape != shape:
+                raise InsufficientPointsError(
+                    f"scan column {name} has shape {column.shape}, expected {shape}")
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.c)
 
 
 @dataclass(frozen=True)
@@ -88,6 +100,7 @@ class DeviceCharacter:
 
     The four strength combinations are always populated; the separated
     probe parameters are filled only when ``identifiability`` is "full".
+    ``shear_ratio`` (Q / S) is None when the squeeze strength S is zero.
     ``errors`` maps field names to bootstrap one-sigma values.
     """
 
@@ -95,7 +108,7 @@ class DeviceCharacter:
     target_strength_product: float
     shear_strength: float
     squeeze_strength: float
-    shear_ratio: float
+    shear_ratio: float | None
     identifiability: str
     probe_sharpness: float | None = None
     probe_bias: float | None = None
@@ -114,40 +127,30 @@ class DetectorEstimate:
     nu_err: float
 
 
-def _resample_indices(rng: np.random.Generator, n: int) -> np.ndarray:
-    return np.minimum((rng.random(n) * n).astype(np.int64), n - 1)
-
-
-def _bootstrap_rows(point_fit, n_points: int, n_bootstrap: int, seed: int) -> list:
-    """Evaluate ``point_fit`` (index array -> parameter tuple) on seeded
-    bootstrap resamples; resamples on which the fit degenerates are skipped."""
+def _bootstrap(fit, width: int, n: int, n_bootstrap: int, seed: int) -> np.ndarray:
+    """Rows of ``fit`` (index array -> ``width`` parameters) on
+    ``n_bootstrap`` resamples of the ``n`` points, drawn with replacement
+    from the stream of ``seed`` as index matrices of whole resamples: the
+    same indices as one ``random(n)`` call per resample.  A resample on
+    which the fit raises ``FitError`` is skipped."""
     rng = _stream(seed)
+    step = max(1, _INDEX_BLOCK // n)
     rows = []
-    for _ in range(n_bootstrap):
-        try:
-            rows.append(point_fit(_resample_indices(rng, n_points)))
-        except FitError:
-            continue
-    return rows
+    for start in range(0, n_bootstrap, step):
+        draws = rng.random((min(step, n_bootstrap - start), n))
+        for idx in np.minimum((draws * n).astype(np.int64), n - 1):
+            try:
+                rows.append(fit(idx))
+            except FitError:
+                continue
+    return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
-def _rows_std(rows: list):
+def _errors(names: tuple, rows: np.ndarray) -> dict:
+    """Bootstrap one-sigma value of each column; empty below two rows."""
     if len(rows) < 2:
-        return None
-    return np.asarray(rows, dtype=float).std(axis=0, ddof=1)
-
-
-def _columns(scan: CdScan, need_theta: bool):
-    c = np.array([p.c for p in scan.points])
-    d = np.array([p.d for p in scan.points])
-    c_err = np.array([p.c_err for p in scan.points])
-    d_err = np.array([p.d_err for p in scan.points])
-    theta = None
-    if need_theta:
-        if any(p.theta is None for p in scan.points):
-            raise InsufficientPointsError("every point must carry its theta")
-        theta = np.array([p.theta for p in scan.points])
-    return theta, c, d, c_err, d_err
+        return {}
+    return dict(zip(names, map(float, rows.std(axis=0, ddof=1))))
 
 
 def fit_circle_sharp_probe(
@@ -159,9 +162,9 @@ def fit_circle_sharp_probe(
     mean of C^2 + D^2.  Unweighted when any point lacks errors."""
     if len(scan) < 2:
         raise InsufficientPointsError(f"need at least 2 points, got {len(scan)}")
-    _, c, d, c_err, d_err = _columns(scan, need_theta=False)
+    c, d = scan.c, scan.d
     r2 = c * c + d * d
-    r2_err = 2.0 * np.hypot(c * c_err, d * d_err)
+    r2_err = 2.0 * np.hypot(c * scan.c_err, d * scan.d_err)
     weighted = bool(np.all(r2_err > 0))
     weights = 1.0 / r2_err**2 if weighted else np.ones_like(r2)
 
@@ -172,8 +175,8 @@ def fit_circle_sharp_probe(
     mean_r2 = np.average(r2, weights=weights)
     strength = math.sqrt(max(mean_r2, 0.0))
     residual = float(np.sqrt(np.mean((r2 - mean_r2) ** 2)))
-    std = _rows_std(_bootstrap_rows(point_fit, len(scan), n_bootstrap, bootstrap_seed))
-    return CircleFit(strength, float(std[0]) if std is not None else 0.0, residual)
+    rows = _bootstrap(point_fit, 1, len(scan), n_bootstrap, bootstrap_seed)
+    return CircleFit(strength, _errors(("strength",), rows).get("strength", 0.0), residual)
 
 
 def _lstsq_scan(design: np.ndarray, target: np.ndarray, errs: np.ndarray):
@@ -212,6 +215,23 @@ def _separate_probe(q: float, s_strength: float, p: float, target_strength: floa
     return probe_sharpness, probe_bias, squeeze, shear
 
 
+def _character(combos, residual: float, errors: dict, **separated) -> DeviceCharacter:
+    """The fit result from the combinations (c0, P, Q, S) and, when the
+    target strength was given, the separated probe parameters."""
+    c0, p, q, s_strength = combos
+    return DeviceCharacter(
+        center_shift=c0,
+        target_strength_product=p,
+        shear_strength=q,
+        squeeze_strength=s_strength,
+        shear_ratio=q / s_strength if abs(s_strength) > 1e-12 else None,
+        identifiability="full" if separated else "combos_only",
+        residual=residual,
+        errors=errors,
+        **separated,
+    )
+
+
 def fit_ellipse_known_theta(
     scan: CdScan,
     target_strength: float | None = None,
@@ -227,48 +247,23 @@ def fit_ellipse_known_theta(
     """
     if len(scan) < 4:
         raise InsufficientPointsError(f"need at least 4 points, got {len(scan)}")
-    theta, c, d, c_err, d_err = _columns(scan, need_theta=True)
-    c0, p, q, s_strength, residual = _ellipse_combos_known_theta(
-        theta, c, d, c_err, d_err
-    )
+    if scan.theta is None:
+        raise InsufficientPointsError("every point must carry its theta")
+    columns = (scan.theta, scan.c, scan.d, scan.c_err, scan.d_err)
+    *combos, residual = _ellipse_combos_known_theta(*columns)
 
     def point_fit(idx):
-        return _ellipse_combos_known_theta(
-            theta[idx], c[idx], d[idx], c_err[idx], d_err[idx]
-        )[:4]
+        return _ellipse_combos_known_theta(*(col[idx] for col in columns))[:4]
 
-    rows = _bootstrap_rows(point_fit, len(scan), n_bootstrap, bootstrap_seed)
-    std = _rows_std(rows)
-    names = ("center_shift", "target_strength_product", "shear_strength", "squeeze_strength")
-    errors = dict(zip(names, map(float, std))) if std is not None else {}
-
-    shear_ratio = q / s_strength if abs(s_strength) > 1e-12 else math.nan
-    kwargs = {}
-    identifiability = "combos_only"
-    if target_strength is not None:
-        sharp, bias, squeeze, shear = _separate_probe(q, s_strength, p, target_strength)
-        kwargs = dict(
-            probe_sharpness=sharp, probe_bias=bias, squeeze=squeeze, shear=shear
-        )
-        identifiability = "full"
-        sep_std = _rows_std(
-            [_separate_probe(row[2], row[3], row[1], target_strength) for row in rows]
-        )
-        if sep_std is not None:
-            errors.update(
-                zip(("probe_sharpness", "probe_bias", "squeeze", "shear"), map(float, sep_std))
-            )
-    return DeviceCharacter(
-        center_shift=c0,
-        target_strength_product=p,
-        shear_strength=q,
-        squeeze_strength=s_strength,
-        shear_ratio=shear_ratio,
-        identifiability=identifiability,
-        residual=residual,
-        errors=errors,
-        **kwargs,
-    )
+    rows = _bootstrap(point_fit, 4, len(scan), n_bootstrap, bootstrap_seed)
+    errors = _errors(_COMBOS, rows)
+    if target_strength is None:
+        return _character(combos, residual, errors)
+    _, p, q, s_strength = combos
+    separated = _separate_probe(q, s_strength, p, target_strength)
+    errors.update(_errors(_SEPARATED, np.column_stack(
+        _separate_probe(rows[:, 2], rows[:, 3], rows[:, 1], target_strength))))
+    return _character(combos, residual, errors, **dict(zip(_SEPARATED, separated)))
 
 
 def _fit_conic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -344,25 +339,14 @@ def fit_ellipse_unknown_theta(
     information, via an algebraic conic fit through the (C, D) points."""
     if len(scan) < 6:
         raise InsufficientPointsError(f"need at least 6 points, got {len(scan)}")
-    _, c, d, _, _ = _columns(scan, need_theta=False)
-    c0, p, q, s_strength, coef = _ellipse_combos_unknown_theta(c, d)
+    c, d = scan.c, scan.d
+    *combos, coef = _ellipse_combos_unknown_theta(c, d)
 
     def point_fit(idx):
         return _ellipse_combos_unknown_theta(c[idx], d[idx])[:4]
 
-    std = _rows_std(_bootstrap_rows(point_fit, len(scan), n_bootstrap, bootstrap_seed))
-    names = ("center_shift", "target_strength_product", "shear_strength", "squeeze_strength")
-    errors = dict(zip(names, map(float, std))) if std is not None else {}
-    return DeviceCharacter(
-        center_shift=c0,
-        target_strength_product=p,
-        shear_strength=q,
-        squeeze_strength=s_strength,
-        shear_ratio=q / s_strength if abs(s_strength) > 1e-12 else math.nan,
-        identifiability="combos_only",
-        residual=_sampson_rms(coef, c, d),
-        errors=errors,
-    )
+    rows = _bootstrap(point_fit, 4, len(scan), n_bootstrap, bootstrap_seed)
+    return _character(combos, _sampson_rms(coef, c, d), _errors(_COMBOS, rows))
 
 
 def estimate_detector(

@@ -25,6 +25,7 @@ Exit codes: 0 success, 2 config error, 3 physics/feasibility error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -212,23 +213,19 @@ def _policy(config: dict) -> InstrumentPolicy:
         raise SchemaError(f"unknown policy {name!r}") from exc
 
 
-def _exact_rows(angles, corr, dist):
-    return [(angle, c, d, 0.0, 0.0) for angle, c, d in zip(angles, corr, dist)]
-
-
-def _shot_rows(angles, joint, alone, shots: int, seed: int, first: int = 0):
-    """One shot record per point; grid point ``first + i`` draws from the
-    stream ``seed ^ (first + i)``."""
-    rows = []
-    for i, angle in enumerate(angles):
+def _shot_columns(joint, alone, shots: int, seed: int, first: int = 0) -> np.ndarray:
+    """Estimate columns (c, d, c_err, d_err) of one shot record per point;
+    grid point ``first + i`` draws from the stream ``seed ^ (first + i)``."""
+    columns = np.empty((4, len(joint)))
+    for i in range(len(joint)):
         est = estimate_cd(sample_distributions(joint[i], alone[i], shots, shots,
                                                seed ^ (first + i)))
-        rows.append((angle, est.c_hat, est.d_hat, est.c_err, est.d_err))
-    return rows
+        columns[:, i] = est.c_hat, est.d_hat, est.c_err, est.d_err
+    return columns
 
 
-def _scan_rows(config: dict, seed: int):
-    """Rows (theta, c, d, c_err, d_err) for scan and search-optimal modes."""
+def _scan_rows(config: dict, seed: int) -> CdScan:
+    """The scan of the scan and search-optimal modes."""
     mode = config["mode"]
     shots = _shots(config)
     policy = _policy(config)
@@ -259,11 +256,11 @@ def _scan_rows(config: dict, seed: int):
         rho = qubit_states(np.stack([np.sin(grid), np.zeros_like(grid), np.cos(grid)], axis=-1))
     joint, alone = scenario_tables(rho, probe, target_effects)
     if shots is not None:
-        return _shot_rows(grid, joint, alone, shots, seed)
-    return _exact_rows(grid, *cd_tables(joint, alone, probe, LABELS))
+        return CdScan(grid, *_shot_columns(joint, alone, shots, seed))
+    return CdScan(grid, *cd_tables(joint, alone, probe, LABELS))
 
 
-def _highdim_rows(config: dict, seed: int):
+def _highdim_rows(config: dict, seed: int) -> CdScan:
     dim = config.get("dim", 2)
     _require(_is_int(dim) and dim >= 2, "dim must be an integer >= 2")
     gamma = _number(config.get("gamma", 1.0), "gamma")
@@ -281,10 +278,10 @@ def _highdim_rows(config: dict, seed: int):
     kets_b[:, 1] = np.sqrt(1.0 - grid)
     angles = np.arccos(np.clip(2.0 * grid - 1.0, -1.0, 1.0))
     if shots is None:
-        return _exact_rows(angles, *circle_law(gamma, overlaps(ket_a, kets_b)))
+        return CdScan(angles, *circle_law(gamma, overlaps(ket_a, kets_b)))
     proj_a = projectors(ket_a)
     probe = Instrument.lueders(Povm(randomized_povms(1.0, proj_a), LABELS))
-    rows = []
+    batches = []
     step = max(1, _BATCH_ENTRIES // (dim * dim))
     for start in range(0, len(grid), step):
         proj_b = projectors(kets_b[start:start + step])
@@ -292,14 +289,15 @@ def _highdim_rows(config: dict, seed: int):
             check_states(projectors(optimal_kets(proj_a, proj_b))), probe,
             randomized_povms(gamma, proj_b),
         )
-        rows += _shot_rows(angles[start:start + step], joint, alone, shots, seed, start)
-    return rows
+        batches.append(_shot_columns(joint, alone, shots, seed, start))
+    return CdScan(angles, *np.concatenate(batches, axis=1))
 
 
-def _write_scan(out_path: str, rows, config: dict) -> None:
+def _write_scan(out_path: str, scan: CdScan, config: dict) -> None:
+    c2d2 = scan.c * scan.c + scan.d * scan.d
+    columns = (scan.theta, scan.c, scan.d, scan.c_err, scan.d_err, c2d2)
     lines = [CSV_HEADER]
-    for theta, c, d, c_err, d_err in rows:
-        lines.append(",".join(_fmt(v) for v in (theta, c, d, c_err, d_err, c * c + d * d)))
+    lines += (",".join(map(_fmt, row)) for row in zip(*(col.tolist() for col in columns)))
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     sidecar = {
@@ -308,7 +306,7 @@ def _write_scan(out_path: str, rows, config: dict) -> None:
         "config": config,
         "config_sha256": _config_hash(config),
         "csv_header": CSV_HEADER,
-        "rows": len(rows),
+        "rows": len(scan),
     }
     _write_json(_sidecar_path(out_path), sidecar)
 
@@ -334,8 +332,8 @@ def read_scan_csv(path: str) -> CdScan:
         raise ConfigError(f"cannot read scan file: {exc}") from exc
     if not lines or lines[0] != CSV_HEADER:
         raise SchemaError(f"scan file must start with header {CSV_HEADER!r}")
-    theta, c, d, c_err, d_err = [], [], [], [], []
-    for line in lines[1:]:
+    rows = []
+    for number, line in enumerate(lines[1:], start=1):
         parts = line.split(",")
         if len(parts) != 6:
             raise SchemaError(f"malformed scan row: {line!r}")
@@ -343,16 +341,15 @@ def read_scan_csv(path: str) -> CdScan:
             values = [float(p) for p in parts]
         except ValueError as exc:
             raise SchemaError(f"non-numeric scan row: {line!r}") from exc
-        theta.append(values[0])
-        c.append(values[1])
-        d.append(values[2])
-        c_err.append(values[3])
-        d_err.append(values[4])
-    return CdScan.from_arrays(theta, c, d, c_err, d_err)
+        if not all(map(math.isfinite, values)):
+            raise SchemaError(f"scan row {number} holds a non-finite number: {line!r}")
+        rows.append(values)
+    theta, c, d, c_err, d_err, _ = np.array(rows, dtype=float).reshape(-1, 6).T
+    return CdScan(theta, c, d, c_err, d_err)
 
 
 def _cmd_calibrate(config: dict, seed: int, out_path: str) -> None:
-    _require("scan_file" in config, "calibrate mode needs scan_file")
+    _require(isinstance(config.get("scan_file"), str), "calibrate mode needs scan_file, a path")
     fit_kind = config.get("fit", "circle")
     _require(fit_kind in ("circle", "ellipse-known-theta", "ellipse-unknown-theta"),
              "fit must be circle, ellipse-known-theta, or ellipse-unknown-theta")
@@ -383,20 +380,7 @@ def _cmd_calibrate(config: dict, seed: int, out_path: str) -> None:
             )
         else:
             character = fit_ellipse_unknown_theta(scan, n_boot, seed)
-        report["result"] = {
-            "center_shift": character.center_shift,
-            "target_strength_product": character.target_strength_product,
-            "shear_strength": character.shear_strength,
-            "squeeze_strength": character.squeeze_strength,
-            "shear_ratio": character.shear_ratio,
-            "identifiability": character.identifiability,
-            "probe_sharpness": character.probe_sharpness,
-            "probe_bias": character.probe_bias,
-            "squeeze": character.squeeze,
-            "shear": character.shear,
-            "residual": character.residual,
-            "errors": character.errors,
-        }
+        report["result"] = dataclasses.asdict(character)
     _write_json(out_path, report)
 
 

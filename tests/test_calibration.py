@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cdtradeoff.calibration import (
-    CdPoint,
     CdScan,
     estimate_detector,
     fit_circle_sharp_probe,
@@ -18,7 +17,7 @@ from cdtradeoff.errors import (
 from cdtradeoff.qubit_model import QubitMeasurement, ellipse_character, plane_axis
 from cdtradeoff.shot_sampler import estimate_cd, sample_distributions
 
-from util import forward_scan, random_rotation
+from util import bootstrap_oracle, forward_scan, random_rotation
 
 S_HALF_BIASED = 1.0 - np.sqrt(2.0) / 2
 DELTA_HALF_BIASED = np.sqrt(2.0) / 2
@@ -33,12 +32,91 @@ def sharp_probe():
 
 def circle_scan(radius, n=16):
     thetas = np.linspace(0, 2 * np.pi, n, endpoint=False)
-    return CdScan(
-        tuple(
-            CdPoint(float(t), radius * np.cos(t), abs(radius * np.sin(t)))
-            for t in thetas
-        )
+    return CdScan(thetas, radius * np.cos(thetas), np.abs(radius * np.sin(thetas)))
+
+
+def noisy(scan, rng, sigma=0.01):
+    """``scan`` with Gaussian noise of ``sigma`` on C and D, stated as
+    their errors."""
+    n = len(scan)
+    return CdScan(scan.theta, scan.c + rng.normal(0.0, sigma, n),
+                  scan.d + rng.normal(0.0, sigma, n), np.full(n, sigma), np.full(n, sigma))
+
+
+class TestCdScan:
+    def test_columns_are_read_only_float64_copies(self):
+        c = [0.5, 0.25, 0.125]
+        theta = np.array([0.0, 1.0, 2.0])
+        scan = CdScan(theta, c, np.zeros(3), c_err=np.full(3, 0.1))
+        for column in (scan.theta, scan.c, scan.d, scan.c_err, scan.d_err):
+            assert column.dtype == np.float64 and column.shape == (3,)
+            assert not column.flags.writeable
+        theta[0] = 9.0
+        assert scan.theta[0] == 0.0
+        assert len(scan) == 3
+        assert scan.d_err.tolist() == [0.0, 0.0, 0.0]
+
+    def test_unknown_theta_stays_none(self):
+        assert CdScan(None, [0.1, 0.2], [0.3, 0.4]).theta is None
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            ([0.0, 1.0], [0.5, 0.5, 0.5], [0.1, 0.1, 0.1]),
+            (None, [0.5, 0.5], [0.1, 0.1, 0.1]),
+            (None, [0.5, 0.5], [0.1, 0.1], [0.01]),
+            (None, 0.5, 0.1),
+        ],
+        ids=["theta", "d", "c_err", "scalar"],
     )
+    def test_columns_of_other_lengths_rejected(self, columns):
+        with pytest.raises(InsufficientPointsError):
+            CdScan(*columns)
+
+
+class TestBootstrapBits:
+    """The bootstrap errors of every fit equal those of one ``random(n)``
+    draw per resample from the seed's stream, resample by resample."""
+
+    SEEDS = (0, 2**63 + 7)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [16, 1100, 5000])
+    def test_circle(self, seed, n):
+        # 1100 and 5000 points: the indices span several draw blocks
+        scan = noisy(circle_scan(0.6, n), np.random.default_rng(1))
+        fit = fit_circle_sharp_probe(scan, bootstrap_seed=seed)
+        expected, kept = bootstrap_oracle(fit_circle_sharp_probe, scan, ("strength",), 200, seed)
+        assert kept == 200
+        assert fit.strength_err == expected["strength"]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("target_strength", [None, 0.85])
+    @pytest.mark.parametrize("degenerate", [False, True], ids=["distinct", "repeated_theta"])
+    def test_known_theta(self, seed, target_strength, degenerate):
+        # six points on three settings: many resamples hold fewer than three
+        thetas = np.repeat([0.3, 1.2, 2.0], 2) if degenerate else THETAS_12
+        probe = QubitMeasurement(0.3, 0.55 * plane_axis(0.0))
+        scan = noisy(forward_scan(probe, 0.85, 0.1, thetas), np.random.default_rng(2))
+        fit = fit_ellipse_known_theta(scan, target_strength, bootstrap_seed=seed)
+        expected, kept = bootstrap_oracle(fit_ellipse_known_theta, scan, tuple(fit.errors),
+                                          200, seed, target_strength=target_strength)
+        assert (kept < 200) == degenerate
+        assert len(fit.errors) == (8 if target_strength else 4)
+        assert fit.errors == expected
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_unknown_theta(self, seed):
+        # seven points: resamples with repeated points can leave no ellipse
+        thetas = np.linspace(0.2, 2 * np.pi, 7, endpoint=False)
+        probe = QubitMeasurement(0.3, 0.55 * plane_axis(0.0))
+        scan = noisy(forward_scan(probe, 0.85, 0.1, thetas), np.random.default_rng(3))
+        fit = fit_ellipse_unknown_theta(scan, bootstrap_seed=seed)
+        expected, kept = bootstrap_oracle(fit_ellipse_unknown_theta, scan, tuple(fit.errors),
+                                          200, seed)
+        assert kept < 200
+        assert len(fit.errors) == 4
+        assert fit.errors == expected
 
 
 class TestCircleFit:
@@ -66,7 +144,7 @@ class TestCircleFit:
 
     def test_insufficient_points(self):
         with pytest.raises(InsufficientPointsError):
-            fit_circle_sharp_probe(CdScan((CdPoint(0.0, 1.0, 0.0),)))
+            fit_circle_sharp_probe(CdScan([0.0], [1.0], [0.0]))
 
 
 class TestKnownThetaFit:
@@ -108,25 +186,25 @@ class TestKnownThetaFit:
         assert rechar.shear == pytest.approx(character.shear, abs=1e-6)
 
     def test_requires_theta_on_every_point(self):
-        scan = CdScan(
-            (
-                CdPoint(None, 1.0, 0.0),
-                CdPoint(0.5, 0.8, 0.4),
-                CdPoint(1.0, 0.5, 0.8),
-                CdPoint(1.5, 0.1, 0.9),
-            )
-        )
+        scan = CdScan(None, [1.0, 0.8, 0.5, 0.1], [0.0, 0.4, 0.8, 0.9])
         with pytest.raises(InsufficientPointsError):
             fit_ellipse_known_theta(scan)
 
     def test_rank_deficient_grid(self):
-        points = tuple(CdPoint(0.4, 0.9, 0.4) for _ in range(6))
+        scan = CdScan(np.full(6, 0.4), np.full(6, 0.9), np.full(6, 0.4))
         with pytest.raises(RankDeficientError):
-            fit_ellipse_known_theta(CdScan(points))
+            fit_ellipse_known_theta(scan)
 
     def test_insufficient_points(self):
         with pytest.raises(InsufficientPointsError):
             fit_ellipse_known_theta(circle_scan(1.0, n=3))
+
+    @pytest.mark.parametrize("target_strength", [None, 1.0])
+    def test_zero_squeeze_strength_has_no_shear_ratio(self, target_strength):
+        scan = CdScan(THETAS_16, np.cos(THETAS_16), np.zeros(16))
+        character = fit_ellipse_known_theta(scan, target_strength)
+        assert character.squeeze_strength == 0.0
+        assert character.shear_ratio is None
 
 
 class TestUnknownThetaFit:
@@ -180,9 +258,9 @@ class TestUnknownThetaFit:
             assert abs(getattr(character, name) - value) <= 3 * err
 
     def test_collinear_points_rejected(self):
-        points = tuple(CdPoint(None, 0.1 * i, 0.2 * i) for i in range(8))
+        i = np.arange(8)
         with pytest.raises(NotAnEllipseError):
-            fit_ellipse_unknown_theta(CdScan(points))
+            fit_ellipse_unknown_theta(CdScan(None, 0.1 * i, 0.2 * i))
 
     def test_insufficient_points(self):
         with pytest.raises(InsufficientPointsError):

@@ -285,11 +285,47 @@ class TestCalibrateMode:
         )
         assert run_cli("--config", config, "--out", tmp_path / "r.json") == 4
 
+    @pytest.mark.parametrize("fit", ["circle", "ellipse-known-theta", "ellipse-unknown-theta"])
+    @pytest.mark.parametrize("column,literal", [(0, "nan"), (1, "nan"), (1, "inf"), (2, "-inf")],
+                             ids=["theta_nan", "c_nan", "c_inf", "d_minus_inf"])
+    def test_non_finite_scan_file_is_config_error(self, tmp_path, fit, column, literal):
+        scan_path = self.make_scan(tmp_path, gamma=0.5, points=16)
+        lines = scan_path.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[column] = literal
+        lines[3] = ",".join(fields)
+        scan_path.write_text("\n".join(lines) + "\n")
+        config = write_config(tmp_path / "cal.json", mode="calibrate",
+                              scan_file=str(scan_path), fit=fit, bootstrap=10)
+        out = tmp_path / "r.json"
+        assert run_cli("--config", config, "--out", out) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strength", [None, 1.0], ids=["combos_only", "full"])
+    def test_zero_squeeze_strength_reports_null_shear_ratio(self, tmp_path, strength):
+        thetas = np.linspace(0.1, 2 * np.pi, 16, endpoint=False)
+        scan_path = tmp_path / "flat.csv"
+        scan_path.write_text(CSV_HEADER + "\n" + "".join(
+            f"{t:.17g},{np.cos(t):.17g},0,0,0,{np.cos(t) ** 2:.17g}\n" for t in thetas))
+        entries = {"target_strength": strength} if strength else {}
+        config = write_config(tmp_path / "cal.json", mode="calibrate", scan_file=str(scan_path),
+                              fit="ellipse-known-theta", **entries)
+        out = tmp_path / "r.json"
+        assert run_cli("--config", config, "--out", out) == 0
+
+        def reject(name):
+            raise AssertionError(f"report holds {name}")
+
+        result = json.loads(out.read_text(), parse_constant=reject)["result"]
+        assert result["shear_ratio"] is None
+        assert result["squeeze_strength"] == 0.0
+        assert result["identifiability"] == ("full" if strength else "combos_only")
+
     def test_scan_roundtrip_reader(self, tmp_path):
         scan_path = self.make_scan(tmp_path, gamma=0.5, points=8)
         scan = read_scan_csv(str(scan_path))
         assert len(scan) == 8
-        assert scan.points[0].theta == pytest.approx(0.0)
+        assert scan.theta[0] == pytest.approx(0.0)
 
 
 class TestDetectorMode:
@@ -601,6 +637,13 @@ class TestConfigNumbers:
     def test_non_numbers_are_config_errors(self, tmp_path, entries):
         config = scan_config(tmp_path, **entries)
         out = tmp_path / "o.csv"
+        assert run_cli("--config", config, "--out", out) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scan_file", [["a"], 5, None], ids=["list", "integer", "null"])
+    def test_scan_file_must_be_a_string(self, tmp_path, scan_file):
+        config = write_config(tmp_path / "cal.json", mode="calibrate", scan_file=scan_file)
+        out = tmp_path / "r.json"
         assert run_cli("--config", config, "--out", out) == 2
         assert not out.exists()
 

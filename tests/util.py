@@ -2,11 +2,12 @@
 
 import numpy as np
 
-from cdtradeoff.calibration import CdPoint, CdScan
+from cdtradeoff.calibration import CdScan
 from cdtradeoff.cd_measures import cd_from_scenario
+from cdtradeoff.errors import FitError
 from cdtradeoff.quantum_core import DensityMatrix, LuedersInstrument, Povm
 from cdtradeoff.qubit_model import QubitMeasurement, optimal_state, plane_axis
-from cdtradeoff.shot_sampler import estimate_cd, sample
+from cdtradeoff.shot_sampler import _stream, estimate_cd, sample
 
 
 def random_unitary(rng, dim):
@@ -149,7 +150,7 @@ def forward_scan(
 ) -> CdScan:
     """Scan points from the full pipeline on the optimal state, exact or
     finite-shot; an optional common rotation is applied to all axes."""
-    points = []
+    columns = np.zeros((4, len(thetas)))
     for i, theta in enumerate(thetas):
         axis_a = probe.axis
         axis_b = plane_axis(theta)
@@ -160,13 +161,11 @@ def forward_scan(
         args = scenario(optimal_state(probe_i, target), probe_i, target)
         if shots is None:
             value = cd_from_scenario(*args)
-            points.append(CdPoint(float(theta), value.correlation, value.disturbance))
+            columns[:2, i] = value.correlation, value.disturbance
         else:
             est = estimate_cd(sample(*args, shots, shots, seed ^ i))
-            points.append(
-                CdPoint(float(theta), est.c_hat, est.d_hat, est.c_err, est.d_err)
-            )
-    return CdScan(tuple(points))
+            columns[:, i] = est.c_hat, est.d_hat, est.c_err, est.d_err
+    return CdScan(thetas, *columns)
 
 
 def categorical_oracle(rng, probs, shots):
@@ -179,3 +178,27 @@ def categorical_oracle(rng, probs, shots):
     draws = np.searchsorted(edges, rng.random(shots), side="right")
     draws = np.minimum(draws, p.size - 1)
     return np.bincount(draws, minlength=p.size).astype(np.int64)
+
+
+def bootstrap_oracle(fit, scan, names, n_bootstrap, seed, **kwargs):
+    """Bootstrap errors of the result fields ``names`` of the public fit
+    ``fit``, run with ``n_bootstrap=0`` on each resampled scan.  Each
+    resample draws its indices with one ``random(n)`` call on the Philox
+    stream of ``seed``; a resample on which the fit raises ``FitError`` is
+    skipped.  Returns ({name: sample std}, resamples kept); the dict is
+    empty below two kept resamples."""
+    rng = _stream(seed)
+    n = len(scan)
+    rows = []
+    for _ in range(n_bootstrap):
+        idx = np.minimum((rng.random(n) * n).astype(np.int64), n - 1)
+        columns = [None if col is None else col[idx]
+                   for col in (scan.theta, scan.c, scan.d, scan.c_err, scan.d_err)]
+        try:
+            result = fit(CdScan(*columns), n_bootstrap=0, **kwargs)
+        except FitError:
+            continue
+        rows.append([getattr(result, name) for name in names])
+    if len(rows) < 2:
+        return {}, len(rows)
+    return dict(zip(names, map(float, np.array(rows).std(axis=0, ddof=1)))), len(rows)
