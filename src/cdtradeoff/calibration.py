@@ -36,7 +36,9 @@ from .detector_model import DetectorNoise, estimate_noise
 from .errors import (
     FitError,
     InsufficientPointsError,
+    InvalidMeasurementError,
     NotAnEllipseError,
+    OutOfDomainError,
     RankDeficientError,
 )
 from .quantum_core import _frozen
@@ -243,8 +245,13 @@ def fit_ellipse_known_theta(
     Recovers the identifiable combinations (c0, P, Q, S); when the target
     strength |b| is supplied (e.g. measured beforehand with a sharp-target
     reference run) the probe parameters are separated and the result is
-    marked fully identifiable.
+    marked fully identifiable.  A strength outside (0, 1] raises
+    InvalidMeasurementError; one so small that the separated parameters or
+    their errors overflow raises OutOfDomainError.
     """
+    if target_strength is not None and not 0.0 < target_strength <= 1.0:
+        raise InvalidMeasurementError(
+            f"target strength {target_strength!r} must lie in (0, 1]")
     if len(scan) < 4:
         raise InsufficientPointsError(f"need at least 4 points, got {len(scan)}")
     if scan.theta is None:
@@ -260,9 +267,14 @@ def fit_ellipse_known_theta(
     if target_strength is None:
         return _character(combos, residual, errors)
     _, p, q, s_strength = combos
-    separated = _separate_probe(q, s_strength, p, target_strength)
-    errors.update(_errors(_SEPARATED, np.column_stack(
-        _separate_probe(rows[:, 2], rows[:, 3], rows[:, 1], target_strength))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        separated = _separate_probe(q, s_strength, p, target_strength)
+        separated_errors = _errors(_SEPARATED, np.column_stack(
+            _separate_probe(rows[:, 2], rows[:, 3], rows[:, 1], target_strength)))
+    if not np.isfinite([*separated, *separated_errors.values()]).all():
+        raise OutOfDomainError(
+            f"target strength {target_strength!r} is too small to separate the probe parameters")
+    errors.update(separated_errors)
     return _character(combos, residual, errors, **dict(zip(_SEPARATED, separated)))
 
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     LabelMismatchError,
+    NegativeDisturbanceError,
     NotDichotomicError,
     NotNormalizedError,
     TradeoffViolationError,
@@ -63,7 +64,7 @@ class CdValue:
 
     def __post_init__(self):
         if self.disturbance < 0:
-            raise ValueError(f"disturbance {self.disturbance!r} is negative")
+            raise NegativeDisturbanceError(f"disturbance {self.disturbance!r} is negative")
 
 
 def check_tradeoff(corr, dist) -> None:

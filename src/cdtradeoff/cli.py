@@ -60,7 +60,7 @@ from .highdim_model import (
 from .cd_measures import cd_tables
 from .quantum_core import Instrument, Povm, check_states, scenario_tables
 from .qubit_model import optimal_bloch, plane_axis, qubit_povms, qubit_states, unit_axes
-from .shot_sampler import InstrumentPolicy, estimate_cd, sample_distributions
+from .shot_sampler import InstrumentPolicy, estimate_columns, sample_tables
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,6 +68,9 @@ EXIT_PHYSICS = 3
 EXIT_FIT = 4
 
 CSV_HEADER = "theta,c,d,c_err,d_err,c2d2"
+# 9 significant digits, '.' decimal separator; columns get + 0.0 first so
+# that no value prints as -0
+_CSV_ROW = ",".join(["%.9g"] * 6)
 SCHEMA_VERSION = 1
 LABELS = (1.0, -1.0)  # outcome labels of every scan measurement, in effect order
 SEED_LIMIT = 2**64
@@ -75,6 +78,16 @@ SEED_LIMIT = 2**64
 # evaluated in batches of at most this many matrix entries (and at least one
 # point), so memory does not grow with the grid.
 _BATCH_ENTRIES = 1 << 16
+# Memory model of a highdim scan (tracemalloc peaks, less a fixed overhead
+# under 1 MiB): an exact scan holds at most 64 bytes per entry of its
+# (points, dim) kets, and a shot-mode scan on top 320 bytes per entry of one
+# batch of (dim, dim) stacks, max(dim**2, _BATCH_ENTRIES) entries.  Configs
+# whose model exceeds _HIGHDIM_BYTES are refused before anything is
+# allocated: points * dim <= HIGHDIM_ENTRIES (2**24) in every mode, and
+# dim <= HIGHDIM_SHOT_DIM (1831) in shot mode.
+_HIGHDIM_BYTES = 1 << 30
+HIGHDIM_ENTRIES = _HIGHDIM_BYTES // 64
+HIGHDIM_SHOT_DIM = math.isqrt(_HIGHDIM_BYTES // 320)
 
 MODES = ("scan", "search-optimal", "calibrate", "detector", "highdim")
 
@@ -83,14 +96,6 @@ _TOP_KEYS = {
     "phi_grid", "scan_file", "fit", "target_strength", "bootstrap",
     "detector", "dim", "gamma", "c2", "c2_grid",
 }
-
-
-def _fmt(x: float) -> str:
-    """9 significant digits, '.' decimal separator, no negative zero."""
-    v = float(x)
-    if v == 0.0:
-        v = 0.0
-    return f"{v:.9g}"
 
 
 def _canonical(config: dict) -> str:
@@ -161,11 +166,12 @@ def load_config(path: str) -> dict:
     return config
 
 
-def _grid(spec: dict, what: str) -> np.ndarray:
+def _grid(spec: dict, what: str, max_points: int | None = None) -> np.ndarray:
     _require(isinstance(spec, dict) and set(spec) <= {"start", "stop", "points"},
              f"{what} must carry start/stop/points")
     points = spec.get("points")
     _require(_is_int(points) and points >= 1, f"{what}.points must be >= 1")
+    _require(max_points is None or points <= max_points, f"{what}.points must be <= {max_points}")
     start = _number(spec.get("start", 0.0), f"{what}.start")
     stop = _number(spec.get("stop", 2 * math.pi), f"{what}.stop")
     return np.linspace(start, stop, points, endpoint=False) if points > 1 else np.array([start])
@@ -213,17 +219,6 @@ def _policy(config: dict) -> InstrumentPolicy:
         raise SchemaError(f"unknown policy {name!r}") from exc
 
 
-def _shot_columns(joint, alone, shots: int, seed: int, first: int = 0) -> np.ndarray:
-    """Estimate columns (c, d, c_err, d_err) of one shot record per point;
-    grid point ``first + i`` draws from the stream ``seed ^ (first + i)``."""
-    columns = np.empty((4, len(joint)))
-    for i in range(len(joint)):
-        est = estimate_cd(sample_distributions(joint[i], alone[i], shots, shots,
-                                               seed ^ (first + i)))
-        columns[:, i] = est.c_hat, est.d_hat, est.c_err, est.d_err
-    return columns
-
-
 def _scan_rows(config: dict, seed: int) -> CdScan:
     """The scan of the scan and search-optimal modes."""
     mode = config["mode"]
@@ -256,20 +251,22 @@ def _scan_rows(config: dict, seed: int) -> CdScan:
         rho = qubit_states(np.stack([np.sin(grid), np.zeros_like(grid), np.cos(grid)], axis=-1))
     joint, alone = scenario_tables(rho, probe, target_effects)
     if shots is not None:
-        return CdScan(grid, *_shot_columns(joint, alone, shots, seed))
+        return CdScan(grid, *estimate_columns(*sample_tables(joint, alone, shots, seed)))
     return CdScan(grid, *cd_tables(joint, alone, probe, LABELS))
 
 
 def _highdim_rows(config: dict, seed: int) -> CdScan:
     dim = config.get("dim", 2)
     _require(_is_int(dim) and dim >= 2, "dim must be an integer >= 2")
+    shots = _shots(config)
+    _require(dim <= (HIGHDIM_ENTRIES if shots is None else HIGHDIM_SHOT_DIM),
+             f"dim must be <= {HIGHDIM_ENTRIES} (exact) or {HIGHDIM_SHOT_DIM} (shots)")
     gamma = _number(config.get("gamma", 1.0), "gamma")
     if "c2_grid" in config:
-        grid = _grid(config["c2_grid"], "c2_grid")
+        grid = _grid(config["c2_grid"], "c2_grid", HIGHDIM_ENTRIES // dim)
     else:
         grid = np.array([_number(config.get("c2", 0.5), "c2")])
     _require(bool(np.all((grid >= 0) & (grid <= 1))), "c2 values must lie in [0, 1]")
-    shots = _shots(config)
     # sharp probe along the first basis ket; target ket at overlap c2 with it
     ket_a = np.zeros(dim)
     ket_a[0] = 1.0
@@ -289,7 +286,7 @@ def _highdim_rows(config: dict, seed: int) -> CdScan:
             check_states(projectors(optimal_kets(proj_a, proj_b))), probe,
             randomized_povms(gamma, proj_b),
         )
-        batches.append(_shot_columns(joint, alone, shots, seed, start))
+        batches.append(estimate_columns(*sample_tables(joint, alone, shots, seed, start)))
     return CdScan(angles, *np.concatenate(batches, axis=1))
 
 
@@ -297,7 +294,7 @@ def _write_scan(out_path: str, scan: CdScan, config: dict) -> None:
     c2d2 = scan.c * scan.c + scan.d * scan.d
     columns = (scan.theta, scan.c, scan.d, scan.c_err, scan.d_err, c2d2)
     lines = [CSV_HEADER]
-    lines += (",".join(map(_fmt, row)) for row in zip(*(col.tolist() for col in columns)))
+    lines += (_CSV_ROW % row for row in zip(*((col + 0.0).tolist() for col in columns)))
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     sidecar = {
@@ -374,10 +371,10 @@ def _cmd_calibrate(config: dict, seed: int, out_path: str) -> None:
     else:
         if fit_kind == "ellipse-known-theta":
             strength = config.get("target_strength")
-            character = fit_ellipse_known_theta(
-                scan, None if strength is None else _number(strength, "target_strength"),
-                n_boot, seed,
-            )
+            if strength is not None:
+                strength = _number(strength, "target_strength")
+                _require(0.0 < strength <= 1.0, "target_strength must lie in (0, 1]")
+            character = fit_ellipse_known_theta(scan, strength, n_boot, seed)
         else:
             character = fit_ellipse_unknown_theta(scan, n_boot, seed)
         report["result"] = dataclasses.asdict(character)
@@ -408,17 +405,16 @@ def _cmd_detector(config: dict, seed: int, out_path: str) -> None:
                 "c2": c2, "d2": biased.disturbance,
             }
         else:
-            joint_s, alone_s = scenario_distributions(noise, "sharp")
-            joint_b, alone_b = scenario_distributions(noise, "fully_biased")
-            est_s = estimate_cd(sample_distributions(joint_s, alone_s, shots, shots, seed ^ 0))
-            est_b = estimate_cd(sample_distributions(joint_b, alone_b, shots, shots, seed ^ 1))
-            d1, d1_err = est_s.d_hat, est_s.d_err
-            c2, c2_err = est_b.c_hat, est_b.c_err
+            # the sharp and fully biased settings are points 0 and 1 of one
+            # stack, drawn from the streams seed ^ 0 and seed ^ 1
+            tables = zip(*(scenario_distributions(noise, ref) for ref in ("sharp", "fully_biased")))
+            (c1, c2), (d1, d2), (c1_err, c2_err), (d1_err, d2_err) = estimate_columns(
+                *sample_tables(*map(np.stack, tables), shots, seed)).tolist()
             readings = {
-                "c1": est_s.c_hat, "c1_err": est_s.c_err,
+                "c1": c1, "c1_err": c1_err,
                 "d1": d1, "d1_err": d1_err,
                 "c2": c2, "c2_err": c2_err,
-                "d2": est_b.d_hat, "d2_err": est_b.d_err,
+                "d2": d2, "d2_err": d2_err,
             }
         report["readings"] = readings
         report["truth"] = {"eta": noise.eta, "nu": noise.nu}

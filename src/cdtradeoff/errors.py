@@ -50,6 +50,10 @@ class NotDichotomicError(CdTradeoffError):
     """Operation requires a two-outcome measurement with +1/-1 labels."""
 
 
+class NegativeDisturbanceError(CdTradeoffError):
+    """Disturbance, a distance between outcome distributions, below zero."""
+
+
 class ZeroBlochError(CdTradeoffError):
     """Bloch vector of zero length where a direction is required."""
 
@@ -72,6 +76,10 @@ class OutOfDomainError(CdTradeoffError):
 
 class InvalidShotsError(CdTradeoffError):
     """Shot counts must be positive."""
+
+
+class InvalidSeedError(CdTradeoffError):
+    """Sampler seed outside the 128-bit Philox key range."""
 
 
 class EmptyRecordError(CdTradeoffError):

@@ -5,27 +5,47 @@ three qubit probe instruments (``InstrumentPolicy``).
 
 Reproducibility contract: all randomness comes from the counter-based
 Philox 4x64 bit generator (``numpy.random.Philox``) keyed by the 64-bit
-seed, consumed as uniform doubles through the generator's native 53-bit
-conversion.  Categorical draws are inverse-CDF lookups against the
-cumulative distribution ``edge``: outcome ``i`` is drawn when
-``edge[i-1] <= u < edge[i]`` (with ``edge[-1] = 0``; the last outcome takes
-every ``u`` at or above its lower edge).  Uniforms are used in stream
-order, in fixed blocks; the joint arm is drawn before the alone arm from
-the same stream.  Identical (scenario, seed) pairs yield bit-identical
-records on any platform, and the bits are unchanged from 0.1.0.  This
-algorithm is part of the package contract and must not change silently.
+seed.  Each uniform is the generator's native 53-bit conversion
+``u = (x >> 11) * 2**-53`` of one raw 64-bit word ``x``.  Categorical draws
+are inverse-CDF lookups against the cumulative distribution ``edge``:
+outcome ``i`` is drawn when ``edge[i-1] <= u < edge[i]`` (with
+``edge[-1] = 0``; the last outcome takes every ``u`` at or above its lower
+edge).  The sampler makes the test ``u < edge`` on the raw word, as
+``x < ceil(edge * 2**53) << 11``, which holds for exactly the same words.
+Words are used in stream order, in fixed blocks; the joint arm is drawn
+before the alone arm from the same stream.  A stack of records
+(``sample_tables``) re-keys one generator for each point, which then
+yields the same words as a fresh ``Philox(key=...)``.  Identical
+(scenario, seed) pairs yield bit-identical records on any platform, and
+the bits are unchanged from 0.1.0.  This algorithm is part of the package
+contract and must not change silently.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qubit_model
-from .errors import EmptyRecordError, InvalidShotsError, LabelMismatchError, NotNormalizedError
-from .quantum_core import DensityMatrix, Instrument, Povm, _frozen, scenario_tables
+from .errors import (
+    EmptyRecordError,
+    InvalidSeedError,
+    InvalidShotsError,
+    LabelMismatchError,
+    NotNormalizedError,
+)
+from .quantum_core import (
+    DensityMatrix,
+    Instrument,
+    Povm,
+    _frozen,
+    at_index,
+    first_bad,
+    scenario_tables,
+)
 
 
 class InstrumentPolicy(enum.Enum):
@@ -97,47 +117,115 @@ class CdEstimate:
     d_err: float
 
 
-# Uniforms are drawn this many at a time, so a draw's memory is bounded by
+# Raw words are drawn this many at a time, so a draw's memory is bounded by
 # the block and not by the shot count.
 _BLOCK = 1 << 16
+# A uniform is u = (x >> 11) * 2**-53 for the raw 64-bit word x, so u < edge
+# exactly when x < ceil(edge * 2**53) << 11.  An edge of 2**53 steps or more
+# lies above every uniform.
+_STEPS = 2**53
 
 
 def _stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _categorical(rng: np.random.Generator, probs, shots: int) -> np.ndarray:
-    """Multinomial counts via inverse-CDF on uniform doubles.
+def _rekey(bitgen: np.random.Philox, key: int) -> None:
+    """Put ``bitgen`` at the start of the stream ``Philox(key=key)`` opens:
+    counter 0, empty buffer."""
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (key & (2**64 - 1), key >> 64)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
-    Negative entries are clipped to zero and the rest normalized.  Each
-    block of uniforms is counted against every cumulative edge but the
-    last; the counts are the differences of those tallies.
+
+def _thresholds(tables, first: int = 0) -> list:
+    """For each (n, k) table stack, the raw-word thresholds of every row's
+    inner cumulative edges (``None`` for an edge above every uniform).
+
+    Negative entries are clipped to zero and each row normalized; a row
+    that is not finite or has no positive sum raises NotNormalizedError
+    naming its point ``first + i``, the first such point over all stacks.
     """
-    raw = np.asarray(probs, dtype=float).ravel()
-    p = np.clip(raw, 0.0, None)
-    total = p.sum()
-    if not (np.isfinite(raw).all() and 0.0 < total < np.inf):
-        raise NotNormalizedError("probabilities must be finite with a positive sum")
-    edges = np.cumsum(p / total)[:-1]
-    below = [0] * edges.size  # draws with u < edges[i]
+    clipped = [np.clip(rows, 0.0, None) for rows in tables]
+    totals = [p.sum(axis=1) for p in clipped]
+    good = np.logical_and.reduce([np.isfinite(rows).all(axis=1) & (0.0 < t) & (t < np.inf)
+                                  for rows, t in zip(tables, totals)])
+    bad = first_bad(~good)
+    if bad is not None:
+        raise NotNormalizedError(
+            f"probabilities must be finite with a positive sum{at_index((first + bad[0],))}")
+    cuts = []
+    for p, total in zip(clipped, totals):
+        steps = np.ceil(np.cumsum(p / total[:, None], axis=1)[:, :-1] * _STEPS)
+        above = steps >= _STEPS
+        words = (np.where(above, 0.0, steps).astype(np.uint64) << np.uint64(11)).astype(object)
+        words[above] = None
+        cuts.append(words.tolist())
+    return cuts
+
+
+def _count(bitgen: np.random.Philox, thresholds: list, shots: int) -> list:
+    """Outcome counts of ``shots`` draws: each block of raw words is counted
+    against every threshold, and the counts are the differences of those
+    tallies."""
+    below = [0] * len(thresholds)  # draws below thresholds[i]
     for start in range(0, shots, _BLOCK):
-        u = rng.random(min(_BLOCK, shots - start))
-        for i, edge in enumerate(edges):
-            below[i] += np.count_nonzero(u < edge)
-    return np.diff(np.array([0, *below, shots], dtype=np.int64))
+        words = bitgen.random_raw(min(_BLOCK, shots - start))
+        for i, threshold in enumerate(thresholds):
+            below[i] += words.size if threshold is None else np.count_nonzero(words < threshold)
+    tallies = [0, *below, shots]
+    return [high - low for low, high in zip(tallies, tallies[1:])]
+
+
+def _categorical(rng: np.random.Generator, probs, shots: int) -> np.ndarray:
+    """Multinomial counts via inverse-CDF on the uniforms of ``rng``."""
+    thresholds = _thresholds([np.asarray(probs, dtype=float).reshape(1, -1)])[0][0]
+    return np.array(_count(rng.bit_generator, thresholds, shots), dtype=np.int64)
+
+
+def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
+                  shots_alone: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Count stacks shaped like the table stacks ``joint`` (n, ka, kb) and
+    ``alone`` (n, kb): one two-arm record per point.
+
+    Point ``i`` draws ``shots`` joint-arm outcomes, then ``shots_alone``
+    (default ``shots``) alone-arm outcomes, from the Philox stream keyed by
+    ``seed ^ (first + i)``.  One generator is re-keyed for each point.
+    """
+    shots_alone = shots if shots_alone is None else shots_alone
+    if shots <= 0 or shots_alone <= 0:
+        raise InvalidShotsError("shot counts must be positive")
+    if not (0 <= seed < 2**128 and 0 <= first < 2**64):
+        raise InvalidSeedError("seed must lie in [0, 2**128) and first in [0, 2**64)")
+    joint = np.asarray(joint, dtype=float)
+    alone = np.asarray(alone, dtype=float)
+    if joint.ndim < 2 or alone.ndim < 2 or len(joint) != len(alone):
+        raise LabelMismatchError("joint and alone must be table stacks of equal length")
+    rows = [t.reshape(len(t), math.prod(t.shape[1:])) for t in (joint, alone)]
+    cuts_joint, cuts_alone = _thresholds(rows, first)
+    joint_counts, alone_counts = (np.empty(r.shape, dtype=np.int64) for r in rows)
+    bitgen = np.random.Philox(key=seed)
+    for i in range(len(joint)):
+        _rekey(bitgen, seed ^ (first + i))
+        joint_counts[i] = _count(bitgen, cuts_joint[i], shots)
+        alone_counts[i] = _count(bitgen, cuts_alone[i], shots_alone)
+    return joint_counts.reshape(joint.shape), alone_counts.reshape(alone.shape)
 
 
 def sample_distributions(
     joint, alone, shots_joint: int, shots_alone: int, seed: int
 ) -> ShotRecord:
-    """Draw a shot record from explicit joint and alone distributions."""
-    if shots_joint <= 0 or shots_alone <= 0:
-        raise InvalidShotsError("shot counts must be positive")
-    joint = np.asarray(joint, dtype=float)
-    rng = _stream(seed)
-    jc = _categorical(rng, joint.ravel(), shots_joint).reshape(joint.shape)
-    ac = _categorical(rng, alone, shots_alone)
-    return ShotRecord(jc, ac, shots_joint, shots_alone, seed)
+    """Draw a shot record from explicit joint and alone distributions: the
+    one-point case of ``sample_tables``."""
+    jc, ac = sample_tables(np.asarray(joint, dtype=float)[None],
+                           np.asarray(alone, dtype=float)[None],
+                           shots_joint, seed, shots_alone=shots_alone)
+    return ShotRecord(jc[0], ac[0], shots_joint, shots_alone, seed)
 
 
 def sample(
@@ -158,14 +246,41 @@ def sample(
     return sample_distributions(joint, alone, shots_joint, shots_alone, seed)
 
 
+def estimate_columns(joint_counts, alone_counts) -> np.ndarray:
+    """Plug-in estimate columns (c, d, c_err, d_err), shape (4, n), of a
+    stack of dichotomic records: joint counts (n, 2, 2), alone counts (n, 2).
+
+    c = 2 (I(+,+) + I(-,-)) / sum(I) - 1 and
+    d = 2 |Ialone(+)/sum(Ialone) - (I(+,+) + I(-,+))/sum(I)|, with
+    binomial one-sigma errors (the two arms of d are independent and add
+    in quadrature).
+    """
+    jc = np.asarray(joint_counts, dtype=np.int64)
+    ac = np.asarray(alone_counts, dtype=np.int64)
+    if jc.shape[1:] != (2, 2) or ac.shape != (len(jc), 2):
+        raise LabelMismatchError("dichotomic records need (n, 2, 2) and (n, 2) counts")
+    n_joint = jc.sum(axis=(1, 2))
+    n_alone = ac.sum(axis=1)
+    if not (n_joint.all() and n_alone.all()):
+        raise EmptyRecordError("cannot estimate from empty record")
+    q = jc / n_joint[:, None, None]
+    p_match = q[:, 0, 0] + q[:, 1, 1]
+    p_tilde = q[:, 0, 0] + q[:, 1, 0]
+    p_alone = ac[:, 0] / n_alone
+    return np.stack([
+        2.0 * (p_match - 0.5),
+        2.0 * np.abs(p_alone - p_tilde),
+        2.0 * np.sqrt(p_match * (1.0 - p_match) / n_joint),
+        2.0 * np.sqrt(p_alone * (1.0 - p_alone) / n_alone + p_tilde * (1.0 - p_tilde) / n_joint),
+    ])
+
+
 def estimate_cd(rec: ShotRecord) -> CdEstimate:
     """Plug-in estimators from recorded intensities.
 
-    For dichotomic records: c = 2 (I(+,+) + I(-,-)) / sum(I) - 1 and
-    d = 2 |Ialone(+)/sum(Ialone) - (I(+,+) + I(-,+))/sum(I)|, with
-    binomial one-sigma errors (the two arms of d are independent and add
-    in quadrature).  Records with more outcomes use the rescaled
-    coincidence/distance forms with delta-method errors.
+    Dichotomic records are the one-record case of ``estimate_columns``.
+    Records with more outcomes use the rescaled coincidence/distance forms
+    with delta-method errors.
     """
     n_joint = int(rec.joint_counts.sum())
     n_alone = int(rec.alone_counts.sum())
@@ -175,29 +290,24 @@ def estimate_cd(rec: ShotRecord) -> CdEstimate:
     if q.shape[0] != q.shape[1]:
         raise LabelMismatchError("joint record is not square")
     n = q.shape[0]
+    if n == 2:
+        columns = estimate_columns(rec.joint_counts[None], rec.alone_counts[None])
+        return CdEstimate(*columns[:, 0].tolist())
     scale = n / (n - 1)
     p_match = float(np.trace(q))
     c_hat = scale * (p_match - 1.0 / n)
     c_err = scale * np.sqrt(p_match * (1.0 - p_match) / n_joint)
-
     p_alone = rec.alone_counts / n_alone
     p_tilde = q.sum(axis=0)
-    if n == 2:
-        d_hat = 2.0 * abs(p_alone[0] - p_tilde[0])
-        d_err = 2.0 * np.sqrt(
-            p_alone[0] * (1.0 - p_alone[0]) / n_alone
-            + p_tilde[0] * (1.0 - p_tilde[0]) / n_joint
-        )
+    diff = p_alone - p_tilde
+    norm = np.linalg.norm(diff)
+    k = np.sqrt(scale)
+    d_hat = k * norm
+    cov_alone = (np.diag(p_alone) - np.outer(p_alone, p_alone)) / n_alone
+    cov_tilde = (np.diag(p_tilde) - np.outer(p_tilde, p_tilde)) / n_joint
+    if norm > 0:
+        var = (diff @ (cov_alone + cov_tilde) @ diff) * (k / norm) ** 2
     else:
-        diff = p_alone - p_tilde
-        norm = np.linalg.norm(diff)
-        k = np.sqrt(scale)
-        d_hat = k * norm
-        cov_alone = (np.diag(p_alone) - np.outer(p_alone, p_alone)) / n_alone
-        cov_tilde = (np.diag(p_tilde) - np.outer(p_tilde, p_tilde)) / n_joint
-        if norm > 0:
-            var = (diff @ (cov_alone + cov_tilde) @ diff) * (k / norm) ** 2
-        else:
-            var = scale * np.trace(cov_alone + cov_tilde)
-        d_err = float(np.sqrt(max(var, 0.0)))
+        var = scale * np.trace(cov_alone + cov_tilde)
+    d_err = float(np.sqrt(max(var, 0.0)))
     return CdEstimate(float(c_hat), float(d_hat), float(c_err), float(d_err))

@@ -11,7 +11,9 @@ from cdtradeoff.calibration import (
 from cdtradeoff.detector_model import DetectorNoise, scenario_cd, scenario_distributions
 from cdtradeoff.errors import (
     InsufficientPointsError,
+    InvalidMeasurementError,
     NotAnEllipseError,
+    OutOfDomainError,
     RankDeficientError,
 )
 from cdtradeoff.qubit_model import QubitMeasurement, ellipse_character, plane_axis
@@ -198,6 +200,20 @@ class TestKnownThetaFit:
     def test_insufficient_points(self):
         with pytest.raises(InsufficientPointsError):
             fit_ellipse_known_theta(circle_scan(1.0, n=3))
+
+    @pytest.mark.parametrize("target_strength", [0.0, -1.0, 1.5, np.nan, np.inf])
+    def test_target_strength_outside_unit_interval(self, target_strength):
+        scan = forward_scan(QubitMeasurement(0.1, 0.7 * plane_axis(0.0)), 1.0, 0.0, THETAS_12)
+        with pytest.raises(InvalidMeasurementError):
+            fit_ellipse_known_theta(scan, target_strength, n_bootstrap=0)
+
+    @pytest.mark.parametrize("target_strength", [1e-320, 1e-300])
+    @pytest.mark.parametrize("n_bootstrap", [0, 50])
+    def test_overflowing_separation_is_out_of_domain(self, target_strength, n_bootstrap):
+        scan = forward_scan(QubitMeasurement(0.1, 0.7 * plane_axis(0.0)), 1.0, 0.0, THETAS_12,
+                            shots=10_000)
+        with pytest.raises(OutOfDomainError):
+            fit_ellipse_known_theta(scan, target_strength, n_bootstrap=n_bootstrap)
 
     @pytest.mark.parametrize("target_strength", [None, 1.0])
     def test_zero_squeeze_strength_has_no_shear_ratio(self, target_strength):

@@ -16,7 +16,9 @@ from cdtradeoff.cd_measures import (
     disturbance_operator,
 )
 from cdtradeoff.errors import (
+    CdTradeoffError,
     LabelMismatchError,
+    NegativeDisturbanceError,
     NotDichotomicError,
     NotNormalizedError,
     TradeoffViolationError,
@@ -153,6 +155,12 @@ class TestCdFromScenario:
             povm = random_two_outcome_povm(rng, dim)
             value = cd_from_scenario(rho, inst, povm)
             assert value.correlation**2 + value.disturbance**2 <= 1.0 + 1e-9
+
+    def test_negative_disturbance_is_a_typed_error(self):
+        with pytest.raises(NegativeDisturbanceError, match="negative") as info:
+            CdValue(0.5, -1e-12)
+        assert isinstance(info.value, CdTradeoffError)
+        assert CdValue(0.5, 0.0).disturbance == 0.0
 
     def test_tradeoff_checked_on_square_root_path_only(self):
         # measure-and-prepare values may leave the disc, so CdValue holds them

@@ -1,8 +1,13 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cdtradeoff import cli
+from cdtradeoff.calibration import CdScan
+from cdtradeoff.cd_measures import CdValue
 from cdtradeoff.cli import CSV_HEADER, main, read_scan_csv
 
 
@@ -661,3 +666,138 @@ class TestConfigNumbers:
             bootstrap=0,
         )
         assert run_cli("--config", config, "--out", tmp_path / "r.json") == 2
+
+
+def reference_fmt(x) -> str:
+    """The per-value CSV formatting of 0.1.0: 9 significant digits, no
+    negative zero."""
+    v = float(x)
+    if v == 0.0:
+        v = 0.0
+    return f"{v:.9g}"
+
+
+def reject_constant(name):
+    raise AssertionError(f"report holds {name}")
+
+
+class TestCsvWriter:
+    """The row-at-a-time writer prints the text of the per-value one."""
+
+    SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -3.0, 7.0, 1e9,
+               123456789.0, 1234567885.0, 1234567895.0, 0.1234567885, 2.5e-7,
+               1.5, 1e16, -2.0**52, 4294967296.0, 0.30000000000000004]
+
+    def written_rows(self, tmp_path, columns):
+        out = tmp_path / "w.csv"
+        cli._write_scan(str(out), CdScan(*columns[:5]), {"schema": 1, "mode": "scan"})
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == CSV_HEADER
+        return lines[1:]
+
+    def reference_rows(self, columns):
+        theta, c, d, c_err, d_err = columns
+        c2d2 = c * c + d * d
+        return [",".join(map(reference_fmt, row))
+                for row in zip(theta, c, d, c_err, d_err, c2d2)]
+
+    def test_special_values_and_integers(self, tmp_path):
+        values = np.array(self.SPECIAL)
+        columns = [np.roll(values, k) for k in range(5)]
+        assert self.written_rows(tmp_path, columns) == self.reference_rows(columns)
+
+    def test_random_rows(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n = 4096
+        columns = [rng.normal(size=n) * 10.0 ** rng.integers(-320, 150, size=n)
+                   for _ in range(5)]
+        pick = rng.integers(0, len(self.SPECIAL), size=(5, n))
+        for col, idx in zip(columns, pick):
+            mask = rng.random(n) < 0.2
+            col[mask] = np.array(self.SPECIAL)[idx[mask]]
+        columns = [np.where(np.isfinite(col), col, 0.0) for col in columns]
+        assert self.written_rows(tmp_path, columns) == self.reference_rows(columns)
+
+
+class TestTargetStrengthRange:
+    """A known-theta calibration takes target strengths in (0, 1]; any other
+    value, or one so small that the separated parameters overflow, ends in
+    an error exit and no report, never in a report with non-finite numbers."""
+
+    @pytest.mark.parametrize("strength, code", [(0, 2), (1e-320, 4), (-1, 2), (1.5, 2), (1.0, 0)],
+                             ids=["zero", "subnormal", "negative", "above_one", "one"])
+    def test_exit_code_and_finite_report(self, tmp_path, strength, code):
+        scan_path = tmp_path / "gen.csv"
+        target = {"bias": 0.0, "gamma": 1.0,
+                  "theta_grid": {"start": 0.1, "stop": 0.1 + 2 * np.pi, "points": 12}}
+        config = scan_config(tmp_path, target=target,
+                             probe={"bias": 0.1, "gamma": 0.7, "theta": 0.0})
+        assert run_cli("--config", config, "--out", scan_path) == 0
+        config = write_config(tmp_path / "cal.json", mode="calibrate", scan_file=str(scan_path),
+                              fit="ellipse-known-theta", target_strength=strength, bootstrap=20)
+        out = tmp_path / "r.json"
+        assert run_cli("--config", config, "--out", out) == code
+        assert out.exists() == (code == 0)
+        if out.exists():
+            report = json.loads(out.read_text(), parse_constant=reject_constant)
+            numbers = [v for v in report["result"].values() if isinstance(v, float)]
+            numbers += list(report["result"]["errors"].values())
+            assert all(map(math.isfinite, numbers))
+            assert report["result"]["probe_sharpness"] == pytest.approx(0.7, abs=1e-6)
+
+
+def highdim_exit(tmp_path, **entries):
+    """Exit code of a highdim config and the peak traced allocation of the run."""
+    config = write_config(tmp_path / "hd.json", mode="highdim", gamma=0.5, **entries)
+    tracemalloc.start()
+    try:
+        code = run_cli("--config", config, "--out", tmp_path / "hd.csv")
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestHighdimSizeCap:
+    """``dim`` and the grid are capped by the memory model in cli.py: a
+    refused config exits 2 before any array of its size is allocated."""
+
+    def test_caps_follow_the_memory_model(self):
+        assert cli.HIGHDIM_ENTRIES * 64 == cli._HIGHDIM_BYTES
+        dim = cli.HIGHDIM_SHOT_DIM
+        assert dim**2 * 320 <= cli._HIGHDIM_BYTES < (dim + 1) ** 2 * 320
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"dim": 100_000, "shots": 10},
+            {"dim": cli.HIGHDIM_SHOT_DIM + 1, "shots": 10},
+            {"dim": cli.HIGHDIM_ENTRIES + 1},
+            {"dim": 2**40, "c2": 0.5},
+            {"dim": 4096, "c2_grid": {"stop": 1.0, "points": cli.HIGHDIM_ENTRIES // 4096 + 1}},
+            {"dim": 2, "c2_grid": {"stop": 1.0, "points": 10**15}},
+        ],
+        ids=["dim_1e5_shots", "shot_dim", "exact_dim", "dim_2e40", "exact_grid", "huge_grid"],
+    )
+    def test_refused_before_allocation(self, tmp_path, entries):
+        code, peak = highdim_exit(tmp_path, **entries)
+        assert code == 2
+        assert peak < 2**20
+        assert not (tmp_path / "hd.csv").exists()
+
+    @pytest.mark.parametrize("dim, points, shots", [(200, 2, 10), (4096, 64, None), (8, 4096, None)])
+    def test_model_bounds_the_peak(self, tmp_path, dim, points, shots):
+        entries = {"dim": dim, "c2_grid": {"stop": 1.0, "points": points}}
+        if shots:
+            entries["shots"] = shots
+        code, peak = highdim_exit(tmp_path, **entries)
+        assert code == 0
+        batch = max(dim * dim, cli._BATCH_ENTRIES) if shots else 0
+        assert peak <= 64 * points * dim + 320 * batch + 2**20
+
+
+class TestNegativeDisturbance:
+    def test_typed_error_maps_to_physics_exit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "scenario_cd", lambda noise, reference: CdValue(0.5, -0.1))
+        config = write_config(tmp_path / "det.json", mode="detector",
+                              detector={"eta": 0.9, "nu": 0.01})
+        assert run_cli("--config", config, "--out", tmp_path / "r.json") == 3

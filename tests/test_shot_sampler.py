@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from cdtradeoff.cd_measures import cd_from_scenario
 from cdtradeoff.errors import (
     EmptyRecordError,
+    InvalidSeedError,
     InvalidShotsError,
     LabelMismatchError,
     NonQubitError,
@@ -25,13 +26,17 @@ from cdtradeoff.shot_sampler import (
     InstrumentPolicy,
     ShotRecord,
     _categorical,
+    _rekey,
     _stream,
+    _thresholds,
     estimate_cd,
+    estimate_columns,
     sample,
     sample_distributions,
+    sample_tables,
 )
 
-from util import categorical_oracle, scenario
+from util import categorical_oracle, dichotomic_estimate_oracle, scenario
 
 
 def sharp(theta):
@@ -285,3 +290,130 @@ class TestCategoricalOracle:
             tracemalloc.stop()
         assert rec.alone_counts.sum() == 10**7
         assert peak <= 4 * _BLOCK * np.dtype(float).itemsize
+
+
+# Joint (2, 2) and alone (2,) tables of a stack, covering zero cells,
+# clipped negatives, subnormal cells and edges that reach 1 before the last
+# cell (every draw then lands at or before that cell).
+STACK_ROWS = [
+    ([[0.4, 0.1], [0.15, 0.35]], [0.55, 0.45]),
+    ([[0.0, 0.0], [0.0, 1.0]], [1.0, 0.0]),
+    ([[1.0, 0.0], [0.0, 0.0]], [0.0, 1.0]),
+    ([[0.5, 0.5], [0.0, 0.0]], [0.3, 0.7]),
+    ([[0.5, -1e-17], [0.25, 0.25]], [0.5, -1e-300]),
+    ([[5e-324, 0.0], [0.3, 0.7]], [5e-324, 1.0]),
+    ([[0.1, 0.1], [0.1, 0.7]], [0.9, 0.1]),
+    ([[0.8006520409183475, 0.19934795908165262], [0.0, 0.0]], [0.25, 0.75]),
+]
+STACK_JOINT = np.array([joint for joint, _ in STACK_ROWS])
+STACK_ALONE = np.array([alone for _, alone in STACK_ROWS])
+
+
+class TestSampleTablesOracle:
+    """The batched kernel against per-point draws of the searchsorted
+    oracle on fresh Philox streams, and the stacked estimator against a
+    Python-float oracle, bit for bit."""
+
+    @pytest.mark.parametrize("shots", ORACLE_SHOTS)
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("first", [0, 5])
+    def test_counts_equal_per_point_oracle(self, shots, seed, first):
+        jc, ac = sample_tables(STACK_JOINT, STACK_ALONE, shots, seed, first)
+        assert jc.shape == STACK_JOINT.shape and ac.shape == STACK_ALONE.shape
+        assert jc.dtype == ac.dtype == np.int64
+        for i, (joint, alone) in enumerate(STACK_ROWS):
+            rng = _stream(seed ^ (first + i))
+            assert np.array_equal(jc[i].ravel(), categorical_oracle(rng, joint, shots)), i
+            assert np.array_equal(ac[i], categorical_oracle(rng, alone, shots)), i
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_estimates_equal_oracle(self, seed):
+        jc, ac = sample_tables(STACK_JOINT, STACK_ALONE, 1000, seed)
+        columns = estimate_columns(jc, ac)
+        assert columns.shape == (4, len(STACK_ROWS))
+        for i in range(len(STACK_ROWS)):
+            assert columns[:, i].tolist() == list(dichotomic_estimate_oracle(jc[i], ac[i])), i
+            est = estimate_cd(ShotRecord(jc[i], ac[i], 1000, 1000, seed))
+            assert [est.c_hat, est.d_hat, est.c_err, est.d_err] == columns[:, i].tolist()
+
+    def test_estimates_on_random_counts(self):
+        rng = np.random.default_rng(3)
+        jc = rng.integers(0, 40, size=(500, 2, 2))
+        ac = rng.integers(0, 40, size=(500, 2))
+        jc[:, 0, 0] += 1
+        ac[:, 1] += 1
+        columns = estimate_columns(jc, ac)
+        for i in range(len(jc)):
+            assert columns[:, i].tolist() == list(dichotomic_estimate_oracle(jc[i], ac[i])), i
+
+    def test_one_point_case_is_sample_distributions(self):
+        joint, alone = STACK_ROWS[0]
+        rec = sample_distributions(joint, alone, 300, 300, 9 ^ 3)
+        jc, ac = sample_tables(STACK_JOINT, STACK_ALONE, 300, 9, first=3)
+        assert np.array_equal(rec.joint_counts, jc[0])
+        assert np.array_equal(rec.alone_counts, ac[0])
+
+    def test_empty_stack(self):
+        jc, ac = sample_tables(np.zeros((0, 2, 2)), np.zeros((0, 2)), 10, 1)
+        assert jc.shape == (0, 2, 2) and ac.shape == (0, 2)
+        assert estimate_columns(jc, ac).shape == (4, 0)
+
+    @pytest.mark.parametrize(
+        "arm, row, value",
+        [("joint", 3, np.nan), ("joint", 6, -np.inf), ("alone", 2, np.inf), ("alone", 7, 0.0)],
+    )
+    def test_first_bad_point_is_named(self, arm, row, value):
+        joint, alone = STACK_JOINT.copy(), STACK_ALONE.copy()
+        table = joint if arm == "joint" else alone
+        table[row] = value
+        if row > 4:  # an earlier bad row in the other arm is named instead
+            (alone if arm == "joint" else joint)[4] = -1.0
+            row = 4
+        with pytest.raises(NotNormalizedError, match=f"at index {10 + row}$"):
+            sample_tables(joint, alone, 100, 1, first=10)
+
+    @pytest.mark.parametrize("seed, first", [(-1, 0), (2**128, 0), (3, -1)])
+    def test_seed_out_of_range(self, seed, first):
+        with pytest.raises(InvalidSeedError):
+            sample_tables(STACK_JOINT, STACK_ALONE, 10, seed, first)
+
+    def test_estimator_rejects_empty_and_non_dichotomic_records(self):
+        jc = np.full((3, 2, 2), 5)
+        ac = np.full((3, 2), 5)
+        ac[1] = 0
+        with pytest.raises(EmptyRecordError):
+            estimate_columns(jc, ac)
+        with pytest.raises(LabelMismatchError):
+            estimate_columns(np.ones((3, 3, 3)), np.ones((3, 3)))
+
+
+class TestRawWordThresholds:
+    @pytest.mark.parametrize("key", [0, 7, 2**63 + 5, 2**64 - 1])
+    def test_rekeyed_state_yields_fresh_philox_words(self, key):
+        bitgen = np.random.Philox(key=12345)
+        bitgen.random_raw(3)  # leave a partly used buffer behind
+        _rekey(bitgen, key)
+        fresh = np.random.Philox(key=key)
+        assert repr(bitgen.state) == repr(fresh.state)
+        assert np.array_equal(bitgen.random_raw(1001), fresh.random_raw(1001))
+
+    @pytest.mark.parametrize(
+        "edge",
+        [0.0, 5e-324, 2.0**-60, 0.1, 0.5, np.nextafter(0.5, 1.0), 1.0 - 2.0**-52,
+         1.0 - 2.0**-53, 1.0],
+    )
+    def test_word_test_equals_uniform_test(self, edge):
+        """x < threshold holds for exactly the words whose uniform
+        (x >> 11) * 2**-53 lies below the edge, around the threshold and
+        at both ends of the word range."""
+        assert edge + (1.0 - edge) == 1.0  # the table is normalized as it stands
+        (threshold,), = _thresholds([np.array([[edge, 1.0 - edge]])])[0]
+        steps = int(np.ceil(edge * 2.0**53))
+        words = {0, 2**64 - 1}
+        for m in (steps - 1, steps, steps + 1):
+            if 0 <= m < 2**53:
+                words.update({m << 11, (m << 11) + 2047})
+        for x in sorted(words):
+            uniform_below = (x >> 11) * 2.0**-53 < edge
+            assert uniform_below == (threshold is None or x < threshold), (edge, x)
+        assert (threshold is None) == (edge == 1.0)

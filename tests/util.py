@@ -1,5 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
+import math
+
 import numpy as np
 
 from cdtradeoff.calibration import CdScan
@@ -202,3 +204,17 @@ def bootstrap_oracle(fit, scan, names, n_bootstrap, seed, **kwargs):
     if len(rows) < 2:
         return {}, len(rows)
     return dict(zip(names, map(float, np.array(rows).std(axis=0, ddof=1)))), len(rows)
+
+
+def dichotomic_estimate_oracle(joint_counts, alone_counts):
+    """(c, d, c_err, d_err) of one dichotomic record with Python floats and
+    ``math.sqrt``, in the operation order of the README estimator formulas."""
+    n_joint, n_alone = int(np.sum(joint_counts)), int(np.sum(alone_counts))
+    (q_pp, q_pm), (q_mp, q_mm) = [[int(x) / n_joint for x in row] for row in joint_counts]
+    p_match, p_tilde, p_alone = q_pp + q_mm, q_pp + q_mp, int(alone_counts[0]) / n_alone
+    return (
+        2.0 * (p_match - 0.5),
+        2.0 * abs(p_alone - p_tilde),
+        2.0 * math.sqrt(p_match * (1.0 - p_match) / n_joint),
+        2.0 * math.sqrt(p_alone * (1.0 - p_alone) / n_alone + p_tilde * (1.0 - p_tilde) / n_joint),
+    )
