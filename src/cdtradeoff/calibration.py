@@ -19,15 +19,16 @@ the fits read.
 
 All fitted parameters carry nonparametric bootstrap errors (seeded,
 resampling points with replacement); the shear decomposition is nonlinear,
-so delta-method errors would under-cover.  The resample indices of a fit
-are drawn as (resamples, points) arrays from the Philox stream of the seed;
-they equal one draw per resample in order, so the error bits are unchanged
-from 0.1.0.  A resample on which the fit degenerates is skipped.
+so delta-method errors would under-cover.  Each fit evaluates resamples per
+block of (resamples, points) indices from the seed's Philox stream (stacked
+3x3 ``solve``/``eig`` for the conic), with the bits of one draw and one fit
+per resample, as in 0.1.0.  Degenerate resamples are skipped.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,22 +131,41 @@ class DetectorEstimate:
 
 
 def _bootstrap(fit, width: int, n: int, n_bootstrap: int, seed: int) -> np.ndarray:
-    """Rows of ``fit`` (index array -> ``width`` parameters) on
-    ``n_bootstrap`` resamples of the ``n`` points, drawn with replacement
-    from the stream of ``seed`` as index matrices of whole resamples: the
-    same indices as one ``random(n)`` call per resample.  A resample on
-    which the fit raises ``FitError`` is skipped."""
+    """``width``-parameter rows that the block fit ``fit`` keeps on
+    ``n_bootstrap`` resamples of the ``n`` points, passed to it as
+    (resamples, points) index matrices drawn from the stream of ``seed``:
+    the same indices as one ``random(n)`` call per resample."""
     rng = _stream(seed)
     step = max(1, _INDEX_BLOCK // n)
-    rows = []
+    rows = [np.empty((0, width))]
     for start in range(0, n_bootstrap, step):
         draws = rng.random((min(step, n_bootstrap - start), n))
-        for idx in np.minimum((draws * n).astype(np.int64), n - 1):
-            try:
-                rows.append(fit(idx))
-            except FitError:
-                continue
-    return np.array(rows, dtype=float).reshape(len(rows), width)
+        with suppress(FitError):  # raised when the block keeps no resample
+            rows.append(fit(np.minimum((draws * n).astype(np.int64), n - 1)))
+    return np.concatenate(rows)
+
+
+def _kept(row_fit, items) -> np.ndarray:
+    """Rows of ``row_fit`` over ``items`` (argument tuples), skipping those
+    on which it raises ``FitError``; the last such error when none is kept."""
+    rows, error = [], None
+    for item in items:
+        try:
+            rows.append(row_fit(*item))
+        except FitError as exc:
+            error = exc
+    if not rows:
+        raise error
+    return np.array(rows, dtype=float)
+
+
+def _finite(result, errors: dict):
+    """``result`` unless one of its numbers or bootstrap ``errors`` is not
+    finite in double precision."""
+    numbers = [v for v in (*vars(result).values(), *errors.values()) if isinstance(v, float)]
+    if not np.isfinite(numbers).all():
+        raise OutOfDomainError(f"{type(result).__name__} is not finite in double precision")
+    return result
 
 
 def _errors(names: tuple, rows: np.ndarray) -> dict:
@@ -155,6 +175,12 @@ def _errors(names: tuple, rows: np.ndarray) -> dict:
     return dict(zip(names, map(float, rows.std(axis=0, ddof=1))))
 
 
+# Floating-point warnings are off inside the fits; a result that is not
+# finite raises OutOfDomainError instead.
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+@_quiet
 def fit_circle_sharp_probe(
     scan: CdScan,
     n_bootstrap: int = DEFAULT_BOOTSTRAP,
@@ -162,53 +188,45 @@ def fit_circle_sharp_probe(
 ) -> CircleFit:
     """Target strength from a sharp-probe scan: sqrt of the error-weighted
     mean of C^2 + D^2.  Unweighted when any point lacks errors."""
-    if len(scan) < 2:
-        raise InsufficientPointsError(f"need at least 2 points, got {len(scan)}")
+    n = len(scan)
+    if n < 2:
+        raise InsufficientPointsError(f"need at least 2 points, got {n}")
     c, d = scan.c, scan.d
     r2 = c * c + d * d
     r2_err = 2.0 * np.hypot(c * scan.c_err, d * scan.d_err)
-    weighted = bool(np.all(r2_err > 0))
-    weights = 1.0 / r2_err**2 if weighted else np.ones_like(r2)
+    weights = 1.0 / r2_err**2 if np.all(r2_err > 0) else np.ones_like(r2)
+    if not (weights > 0).all():
+        raise OutOfDomainError("errors of C^2 + D^2 overflow their weights")
 
-    def point_fit(idx):
-        m = np.average(r2[idx], weights=weights[idx])
-        return (math.sqrt(max(m, 0.0)),)
+    def block_fit(idxs):  # rows of the weighted mean of C^2 + D^2
+        return np.average(r2[idxs], weights=weights[idxs], axis=1)[:, None]
 
-    mean_r2 = np.average(r2, weights=weights)
-    strength = math.sqrt(max(mean_r2, 0.0))
+    mean_r2 = block_fit(np.arange(n)[None])[0, 0]
     residual = float(np.sqrt(np.mean((r2 - mean_r2) ** 2)))
-    rows = _bootstrap(point_fit, 1, len(scan), n_bootstrap, bootstrap_seed)
-    return CircleFit(strength, _errors(("strength",), rows).get("strength", 0.0), residual)
+    rows = np.sqrt(np.maximum(_bootstrap(block_fit, 1, n, n_bootstrap, bootstrap_seed), 0.0))
+    errors = _errors(("strength",), rows)
+    strength = math.sqrt(max(mean_r2, 0.0))
+    return _finite(CircleFit(strength, errors.get("strength", 0.0), residual), errors)
 
 
-def _lstsq_scan(design: np.ndarray, target: np.ndarray, errs: np.ndarray):
-    """Least squares with optional inverse-error weighting; returns the
-    solution and the residual vector in data units."""
-    if np.all(errs > 0):
-        w = 1.0 / errs
-        sol, _, rank, _ = np.linalg.lstsq(design * w[:, None], target * w, rcond=None)
-    else:
-        sol, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < design.shape[1]:
-        raise RankDeficientError("theta grid does not determine the fit")
-    return sol, design @ sol - target
+def _lstsq(design: np.ndarray, target: np.ndarray, errs: np.ndarray):
+    """Least squares of the system on a subset ``idx`` of its points,
+    weighted by inverse errors when every one of them carries an error."""
+    positive = errs > 0
+    w = 1.0 / np.where(positive, errs, 1.0)
+    weighted = design * w[:, None], target * w
+
+    def solve(idx):
+        a, b = weighted if positive[idx].all() else (design, target)
+        sol, _, rank, _ = np.linalg.lstsq(np.take(a, idx, 0), b[idx], rcond=None)
+        if rank < design.shape[1]:
+            raise RankDeficientError("theta grid does not determine the fit")
+        return sol
+
+    return solve
 
 
-def _ellipse_combos_known_theta(theta, c, d, c_err, d_err):
-    """(c0, P, Q, S) from a theta-labeled scan by linear least squares."""
-    cos_t = np.cos(theta)
-    sin_t = np.abs(np.sin(theta))
-    if len(set(zip(np.round(cos_t, 12), np.round(sin_t, 12)))) < 3:
-        raise RankDeficientError("need at least 3 distinct theta settings")
-    sol_c, res_c = _lstsq_scan(
-        np.column_stack([np.ones_like(theta), cos_t, sin_t]), c, c_err
-    )
-    sol_d, res_d = _lstsq_scan(sin_t[:, None], d, d_err)
-    residual = float(np.sqrt(np.mean(np.concatenate([res_c, res_d]) ** 2)))
-    return float(sol_c[0]), float(sol_c[1]), float(sol_c[2]), float(sol_d[0]), residual
-
-
-def _separate_probe(q: float, s_strength: float, p: float, target_strength: float):
+def _separate_probe(p: float, q: float, s_strength: float, target_strength: float):
     """Split the strength combinations into probe parameters given |b|."""
     squeeze = s_strength / target_strength
     shear = q / target_strength
@@ -221,7 +239,7 @@ def _character(combos, residual: float, errors: dict, **separated) -> DeviceChar
     """The fit result from the combinations (c0, P, Q, S) and, when the
     target strength was given, the separated probe parameters."""
     c0, p, q, s_strength = combos
-    return DeviceCharacter(
+    return _finite(DeviceCharacter(
         center_shift=c0,
         target_strength_product=p,
         shear_strength=q,
@@ -231,9 +249,10 @@ def _character(combos, residual: float, errors: dict, **separated) -> DeviceChar
         residual=residual,
         errors=errors,
         **separated,
-    )
+    ), errors)
 
 
+@_quiet
 def fit_ellipse_known_theta(
     scan: CdScan,
     target_strength: float | None = None,
@@ -252,62 +271,38 @@ def fit_ellipse_known_theta(
     if target_strength is not None and not 0.0 < target_strength <= 1.0:
         raise InvalidMeasurementError(
             f"target strength {target_strength!r} must lie in (0, 1]")
-    if len(scan) < 4:
-        raise InsufficientPointsError(f"need at least 4 points, got {len(scan)}")
+    n = len(scan)
+    if n < 4:
+        raise InsufficientPointsError(f"need at least 4 points, got {n}")
     if scan.theta is None:
         raise InsufficientPointsError("every point must carry its theta")
-    columns = (scan.theta, scan.c, scan.d, scan.c_err, scan.d_err)
-    *combos, residual = _ellipse_combos_known_theta(*columns)
+    cos_t, sin_t = np.cos(scan.theta), np.abs(np.sin(scan.theta))
+    # setting ids of the rounded (cos, |sin|) pairs (-0.0 equals 0.0 here)
+    settings = np.round(np.column_stack([cos_t, sin_t]), 12)
+    ids = np.unique(settings, axis=0, return_inverse=True)[1].reshape(n)
+    design = np.column_stack([np.ones(n), cos_t, sin_t])
+    solvers = (_lstsq(design, scan.c, scan.c_err), _lstsq(sin_t[:, None], scan.d, scan.d_err))
 
-    def point_fit(idx):
-        return _ellipse_combos_known_theta(*(col[idx] for col in columns))[:4]
+    def row_fit(idx, distinct):  # (c0, P, Q, S) of one resample
+        if distinct < 3:
+            raise RankDeficientError("need at least 3 distinct theta settings")
+        return np.concatenate([solve(idx) for solve in solvers])
 
-    rows = _bootstrap(point_fit, 4, len(scan), n_bootstrap, bootstrap_seed)
+    def block_fit(idxs):
+        distinct = 1 + np.count_nonzero(np.diff(np.sort(ids[idxs], axis=1), axis=1), axis=1)
+        return _kept(row_fit, zip(idxs, distinct))
+
+    combos = block_fit(np.arange(n)[None])[0].tolist()
+    res = np.concatenate([design @ combos[:3] - scan.c, sin_t[:, None] @ combos[3:] - scan.d])
+    residual = float(np.sqrt(np.mean(res**2)))
+    rows = _bootstrap(block_fit, 4, n, n_bootstrap, bootstrap_seed)
     errors = _errors(_COMBOS, rows)
     if target_strength is None:
         return _character(combos, residual, errors)
-    _, p, q, s_strength = combos
-    with np.errstate(over="ignore", invalid="ignore"):
-        separated = _separate_probe(q, s_strength, p, target_strength)
-        separated_errors = _errors(_SEPARATED, np.column_stack(
-            _separate_probe(rows[:, 2], rows[:, 3], rows[:, 1], target_strength)))
-    if not np.isfinite([*separated, *separated_errors.values()]).all():
-        raise OutOfDomainError(
-            f"target strength {target_strength!r} is too small to separate the probe parameters")
-    errors.update(separated_errors)
+    separated = _separate_probe(*combos[1:], target_strength)
+    errors.update(_errors(_SEPARATED, np.column_stack(
+        _separate_probe(*rows[:, 1:].T, target_strength))))
     return _character(combos, residual, errors, **dict(zip(_SEPARATED, separated)))
-
-
-def _fit_conic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Direct least-squares conic fit constrained to an ellipse.
-
-    Partitioned scatter-matrix formulation: solve the reduced 3x3
-    eigenproblem and keep the eigenvector satisfying the ellipse
-    definiteness condition 4 A C - B^2 > 0.
-    """
-    d1 = np.column_stack([x * x, x * y, y * y])
-    d2 = np.column_stack([x, y, np.ones_like(x)])
-    s1 = d1.T @ d1
-    s2 = d1.T @ d2
-    s3 = d2.T @ d2
-    try:
-        t = -np.linalg.solve(s3, s2.T)
-    except np.linalg.LinAlgError as exc:
-        raise NotAnEllipseError("degenerate point configuration") from exc
-    m = s1 + s2 @ t
-    m_red = np.vstack([m[2] / 2.0, -m[1], m[0] / 2.0])
-    evals, evecs = np.linalg.eig(m_red)
-    best = None
-    for i in range(3):
-        if abs(evals[i].imag) > 1e-9:
-            continue
-        vec = evecs[:, i].real
-        if 4.0 * vec[0] * vec[2] - vec[1] ** 2 > 0:
-            best = vec
-            break
-    if best is None:
-        raise NotAnEllipseError("no ellipse solution in the conic pencil")
-    return np.concatenate([best, t @ best])
 
 
 def _decompose_conic(coef: np.ndarray):
@@ -328,6 +323,19 @@ def _decompose_conic(coef: np.ndarray):
     return cx, cy, math.sqrt(p_sq), math.sqrt(s_sq), kappa
 
 
+def _conic_row(t: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> list:
+    """(c0, P, Q, S) and the six coefficients of the ellipse in the conic
+    pencil of one resample: the first real eigenvector of the reduced
+    problem that satisfies the ellipse condition 4 A C - B^2 > 0."""
+    for i in range(3):
+        vec = evecs[:, i].real
+        if abs(evals[i].imag) <= 1e-9 and 4.0 * vec[0] * vec[2] - vec[1] ** 2 > 0:
+            coef = np.concatenate([vec, t @ vec])
+            cx, _, p, s_strength, kappa = _decompose_conic(coef)
+            return [cx, p, kappa * s_strength, s_strength, *coef]
+    raise NotAnEllipseError("no ellipse solution in the conic pencil")
+
+
 def _sampson_rms(coef: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     a, b, c, d, e, f = coef
     val = a * x * x + b * x * y + c * y * y + d * x + e * y + f
@@ -336,29 +344,43 @@ def _sampson_rms(coef: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sqrt(np.mean((val / grad) ** 2)))
 
 
-def _ellipse_combos_unknown_theta(c: np.ndarray, d: np.ndarray):
-    coef = _fit_conic(c, d)
-    cx, _, p, s_strength, kappa = _decompose_conic(coef)
-    return cx, p, kappa * s_strength, s_strength, coef
-
-
+@_quiet
 def fit_ellipse_unknown_theta(
     scan: CdScan,
     n_bootstrap: int = DEFAULT_BOOTSTRAP,
     bootstrap_seed: int = 0,
 ) -> DeviceCharacter:
     """Recover the identifiable strength combinations without any angle
-    information, via an algebraic conic fit through the (C, D) points."""
-    if len(scan) < 6:
-        raise InsufficientPointsError(f"need at least 6 points, got {len(scan)}")
-    c, d = scan.c, scan.d
-    *combos, coef = _ellipse_combos_unknown_theta(c, d)
+    information, via the direct least-squares conic fit constrained to an
+    ellipse (partitioned scatter matrices, reduced 3x3 eigenproblem)."""
+    n = len(scan)
+    if n < 6:
+        raise InsufficientPointsError(f"need at least 6 points, got {n}")
+    x, y = scan.c, scan.d
+    quadratic = np.column_stack([x * x, x * y, y * y])
+    linear = np.column_stack([x, y, np.ones(n)])
 
-    def point_fit(idx):
-        return _ellipse_combos_unknown_theta(c[idx], d[idx])[:4]
+    def block_fit(idxs):  # rows of (c0, P, Q, S) and the conic coefficients
+        pairs = zip(np.take(quadratic, idxs, 0), np.take(linear, idxs, 0))
+        s1, s2, s3 = map(np.array, zip(*((a.T @ a, a.T @ b, b.T @ b) for a, b in pairs)))
+        if not np.isfinite(s1).all():
+            raise OutOfDomainError("scatter of the scan points overflows double precision")
+        try:
+            t = -np.linalg.solve(s3, s2.transpose(0, 2, 1))
+        except np.linalg.LinAlgError as exc:
+            if len(idxs) > 1:  # one singular resample fails the stack: solve each alone
+                return _kept(lambda idx: block_fit(idx[None])[0], zip(idxs))
+            raise NotAnEllipseError("degenerate point configuration") from exc
+        m = s1 + s2 @ t
+        try:
+            return _kept(_conic_row, zip(t, *np.linalg.eig(
+                np.stack([m[:, 2] / 2.0, -m[:, 1], m[:, 0] / 2.0], axis=1))))
+        except np.linalg.LinAlgError as exc:
+            raise OutOfDomainError(f"conic pencil of the scan: {exc}") from exc
 
-    rows = _bootstrap(point_fit, 4, len(scan), n_bootstrap, bootstrap_seed)
-    return _character(combos, _sampson_rms(coef, c, d), _errors(_COMBOS, rows))
+    combos, coef = np.split(block_fit(np.arange(n)[None])[0], [4])
+    rows = _bootstrap(block_fit, 10, n, n_bootstrap, bootstrap_seed)
+    return _character(combos.tolist(), _sampson_rms(coef, x, y), _errors(_COMBOS, rows[:, :4]))
 
 
 def estimate_detector(

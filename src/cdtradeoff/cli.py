@@ -88,6 +88,15 @@ _BATCH_ENTRIES = 1 << 16
 _HIGHDIM_BYTES = 1 << 30
 HIGHDIM_ENTRIES = _HIGHDIM_BYTES // 64
 HIGHDIM_SHOT_DIM = math.isqrt(_HIGHDIM_BYTES // 320)
+# Memory model of a grid (tracemalloc peaks through main at 2**12 to 2**16
+# points, every policy, exact and shot mode): a scan or search-optimal run
+# holds at most 1250 bytes per point, reached by the measure-and-prepare
+# policies on the optimal state, and an exact highdim run at dim 2 about
+# 350 (its CSV rows outweigh the 64 bytes per ket entry).  Every grid is
+# capped at SCAN_POINTS points, within the same budget, before anything is
+# allocated.
+_GRID_POINT_BYTES = 1280
+SCAN_POINTS = _HIGHDIM_BYTES // _GRID_POINT_BYTES
 
 MODES = ("scan", "search-optimal", "calibrate", "detector", "highdim")
 
@@ -166,12 +175,12 @@ def load_config(path: str) -> dict:
     return config
 
 
-def _grid(spec: dict, what: str, max_points: int | None = None) -> np.ndarray:
+def _grid(spec: dict, what: str, max_points: int = SCAN_POINTS) -> np.ndarray:
     _require(isinstance(spec, dict) and set(spec) <= {"start", "stop", "points"},
              f"{what} must carry start/stop/points")
     points = spec.get("points")
     _require(_is_int(points) and points >= 1, f"{what}.points must be >= 1")
-    _require(max_points is None or points <= max_points, f"{what}.points must be <= {max_points}")
+    _require(points <= max_points, f"{what}.points must be <= {max_points}")
     start = _number(spec.get("start", 0.0), f"{what}.start")
     stop = _number(spec.get("stop", 2 * math.pi), f"{what}.stop")
     return np.linspace(start, stop, points, endpoint=False) if points > 1 else np.array([start])
@@ -263,7 +272,7 @@ def _highdim_rows(config: dict, seed: int) -> CdScan:
              f"dim must be <= {HIGHDIM_ENTRIES} (exact) or {HIGHDIM_SHOT_DIM} (shots)")
     gamma = _number(config.get("gamma", 1.0), "gamma")
     if "c2_grid" in config:
-        grid = _grid(config["c2_grid"], "c2_grid", HIGHDIM_ENTRIES // dim)
+        grid = _grid(config["c2_grid"], "c2_grid", min(SCAN_POINTS, HIGHDIM_ENTRIES // dim))
     else:
         grid = np.array([_number(config.get("c2", 0.5), "c2")])
     _require(bool(np.all((grid >= 0) & (grid <= 1))), "c2 values must lie in [0, 1]")

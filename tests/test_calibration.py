@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cdtradeoff import calibration
 from cdtradeoff.calibration import (
     CdScan,
     estimate_detector,
@@ -17,7 +18,7 @@ from cdtradeoff.errors import (
     RankDeficientError,
 )
 from cdtradeoff.qubit_model import QubitMeasurement, ellipse_character, plane_axis
-from cdtradeoff.shot_sampler import estimate_cd, sample_distributions
+from cdtradeoff.shot_sampler import _stream, estimate_cd, sample_distributions
 
 from util import bootstrap_oracle, forward_scan, random_rotation
 
@@ -117,6 +118,108 @@ class TestBootstrapBits:
         expected, kept = bootstrap_oracle(fit_ellipse_unknown_theta, scan, tuple(fit.errors),
                                           200, seed)
         assert kept < 200
+        assert len(fit.errors) == 4
+        assert fit.errors == expected
+
+
+@pytest.fixture
+def kept_counts(monkeypatch):
+    """Bootstrap rows kept by each fit call, in call order."""
+    counts = []
+    original = calibration._bootstrap
+
+    def spy(*args):
+        rows = original(*args)
+        counts.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(calibration, "_bootstrap", spy)
+    return counts
+
+
+def resample_indices(n, n_bootstrap, seed):
+    """The resample indices of the bootstrap oracle, one ``random(n)`` each."""
+    rng = _stream(seed)
+    return [np.minimum((rng.random(n) * n).astype(np.int64), n - 1) for _ in range(n_bootstrap)]
+
+
+def rounded_settings(thetas):
+    """Distinct theta settings as the fits define them: rounded (cos, |sin|)."""
+    return len(set(zip(np.round(np.cos(thetas), 12), np.round(np.abs(np.sin(thetas)), 12))))
+
+
+class TestBlockFitBits:
+    """Branches of the block fits, against the one-resample-at-a-time
+    bootstrap oracle: the known-theta setting ids and per-resample weighting,
+    and the per-resample solve after a singular resample fails a stack."""
+
+    SEEDS = (0, 2**63 + 7)
+    HALF_PI = np.pi / 2
+    GRIDS = {
+        "wrapped": [0.3, 0.3 + 2 * np.pi, 1.1, 1.1 + 2 * np.pi, 2.0, 2.0 + 2 * np.pi],
+        "mirrored": [0.4, -0.4, 1.3, -1.3, 2.2, -2.2],
+        # cos rounds to 0.0 at pi/2 and to -0.0 at 3 pi/2
+        "signed_zero_cos": [HALF_PI, 3 * HALF_PI, 0.5, 0.5, 2.5, 3 * HALF_PI],
+        # each pair lies closer than the rounding, but far enough apart that
+        # least squares on two settings would still find full rank
+        "below_rounding": [0.3, 0.3 + 1e-13, 1.2, 1.2 + 1e-13, 2.0, 2.0 + 1e-13],
+    }
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("target_strength", [None, 0.85])
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_known_theta_setting_ids(self, kept_counts, seed, target_strength, grid):
+        thetas = np.array(self.GRIDS[grid])
+        assert rounded_settings(thetas) == 3
+        probe = QubitMeasurement(0.3, 0.55 * plane_axis(0.0))
+        scan = noisy(forward_scan(probe, 0.85, 0.1, thetas), np.random.default_rng(4))
+        fit = fit_ellipse_known_theta(scan, target_strength, bootstrap_seed=seed)
+        kept = kept_counts[0]
+        expected, expected_kept = bootstrap_oracle(
+            fit_ellipse_known_theta, scan, tuple(fit.errors), 200, seed,
+            target_strength=target_strength)
+        assert kept == expected_kept < 200
+        assert fit.errors == expected
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_known_theta_two_settings_rejected(self, grid):
+        # the first four angles of each grid form two settings; interleaved
+        thetas = np.array(self.GRIDS[grid])[[0, 2, 1, 3]]
+        scan = CdScan(thetas, np.cos(thetas) + 0.1, np.abs(np.sin(thetas)))
+        with pytest.raises(RankDeficientError, match="at least 3 distinct theta settings"):
+            fit_ellipse_known_theta(scan, n_bootstrap=0)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_known_theta_weighting_per_resample(self, kept_counts, seed):
+        # two points without errors: resamples that miss both are weighted
+        probe = QubitMeasurement(0.3, 0.55 * plane_axis(0.0))
+        scan = noisy(forward_scan(probe, 0.85, 0.1, THETAS_12), np.random.default_rng(5))
+        c_err = scan.c_err.copy()
+        c_err[[2, 7]] = 0.0
+        scan = CdScan(scan.theta, scan.c, scan.d, c_err, scan.d_err)
+        fit = fit_ellipse_known_theta(scan, bootstrap_seed=seed)
+        expected, kept = bootstrap_oracle(fit_ellipse_known_theta, scan, tuple(fit.errors),
+                                          200, seed)
+        assert kept_counts[0] == kept == 200
+        assert fit.errors == expected
+        unweighted = CdScan(scan.theta, scan.c, scan.d, np.zeros(12), scan.d_err)
+        assert fit_ellipse_known_theta(unweighted, bootstrap_seed=seed).errors != fit.errors
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_unknown_theta_singular_resample_in_a_block(self, kept_counts, seed):
+        # two points at each end of the D = 0 axis, three above it: a
+        # resample drawn from the four axis points alone has a singular
+        # scatter matrix, and all 200 resamples of 7 points share one block
+        t = np.array([0.0, 0.0, np.pi, np.pi, 1.0, 2.0, 2.6])
+        c = 0.1 + 0.5 * np.cos(t) + 0.2 * np.abs(np.sin(t))
+        d = 0.4 * np.abs(np.sin(t))
+        c[2:4], d[:4] = -0.4, 0.0
+        scan = CdScan(None, c, d)
+        assert any((d[idx] == 0).all() for idx in resample_indices(7, 200, seed))
+        fit = fit_ellipse_unknown_theta(scan, bootstrap_seed=seed)
+        expected, kept = bootstrap_oracle(fit_ellipse_unknown_theta, scan, tuple(fit.errors),
+                                          200, seed)
+        assert kept_counts[0] == kept < 200
         assert len(fit.errors) == 4
         assert fit.errors == expected
 

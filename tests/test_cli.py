@@ -326,6 +326,45 @@ class TestCalibrateMode:
         assert result["squeeze_strength"] == 0.0
         assert result["identifiability"] == ("full" if strength else "combos_only")
 
+    def scaled_scan(self, tmp_path, scale, errors):
+        """A 16-point ellipse scan with C and D, and errors of 1% when
+        ``errors``, multiplied by ``scale``."""
+        thetas = np.linspace(0.1, 2 * np.pi, 16, endpoint=False)
+        c = (0.1 + 0.5 * np.cos(thetas) + 0.2 * np.abs(np.sin(thetas))) * scale
+        d = 0.4 * np.abs(np.sin(thetas)) * scale
+        err = 0.01 * scale if errors else 0.0
+        path = tmp_path / "scaled.csv"
+        path.write_text(CSV_HEADER + "\n" + "".join(
+            f"{t!r},{x!r},{y!r},{err!r},{err!r},0\n" for t, x, y in zip(thetas.tolist(), c.tolist(), d.tolist())))
+        return path
+
+    @pytest.mark.parametrize("errors", [False, True], ids=["no_errors", "errors"])
+    @pytest.mark.parametrize("fit", ["circle", "ellipse-known-theta", "ellipse-unknown-theta"])
+    def test_huge_scan_values_are_out_of_domain(self, tmp_path, fit, errors):
+        # finite values whose squares overflow double precision
+        config = write_config(tmp_path / "cal.json", mode="calibrate", fit=fit, bootstrap=20,
+                              scan_file=str(self.scaled_scan(tmp_path, 1e200, errors)))
+        out = tmp_path / "r.json"
+        assert run_cli("--config", config, "--out", out) == 4
+        assert not out.exists()
+
+    @pytest.mark.parametrize("errors", [False, True], ids=["no_errors", "errors"])
+    @pytest.mark.parametrize("fit, code", [("circle", 0), ("ellipse-known-theta", 0),
+                                           ("ellipse-unknown-theta", 4)])
+    def test_tiny_scan_values_give_finite_reports(self, tmp_path, fit, code, errors):
+        # squares underflow to zero: the conic fit degenerates, the others
+        # report finite numbers
+        config = write_config(tmp_path / "cal.json", mode="calibrate", fit=fit, bootstrap=20,
+                              scan_file=str(self.scaled_scan(tmp_path, 1e-200, errors)))
+        out = tmp_path / "r.json"
+        assert run_cli("--config", config, "--out", out) == code
+        assert out.exists() == (code == 0)
+        if out.exists():
+            result = json.loads(out.read_text(), parse_constant=reject_constant)["result"]
+            numbers = [v for v in result.values() if isinstance(v, float)]
+            numbers += list(result.get("errors", {}).values())
+            assert numbers and all(map(math.isfinite, numbers))
+
     def test_scan_roundtrip_reader(self, tmp_path):
         scan_path = self.make_scan(tmp_path, gamma=0.5, points=8)
         scan = read_scan_csv(str(scan_path))
@@ -746,15 +785,21 @@ class TestTargetStrengthRange:
             assert report["result"]["probe_sharpness"] == pytest.approx(0.7, abs=1e-6)
 
 
-def highdim_exit(tmp_path, **entries):
-    """Exit code of a highdim config and the peak traced allocation of the run."""
-    config = write_config(tmp_path / "hd.json", mode="highdim", gamma=0.5, **entries)
+def traced_exit(tmp_path, name, **entries):
+    """Exit code of a config, written to ``name``.json with its output in
+    ``name``.csv, and the peak traced allocation of the run."""
+    config = write_config(tmp_path / f"{name}.json", **entries)
     tracemalloc.start()
     try:
-        code = run_cli("--config", config, "--out", tmp_path / "hd.csv")
+        code = run_cli("--config", config, "--out", tmp_path / f"{name}.csv")
         return code, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def highdim_exit(tmp_path, **entries):
+    """Exit code of a highdim config and the peak traced allocation of the run."""
+    return traced_exit(tmp_path, "hd", mode="highdim", gamma=0.5, **entries)
 
 
 class TestHighdimSizeCap:
@@ -793,6 +838,46 @@ class TestHighdimSizeCap:
         assert code == 0
         batch = max(dim * dim, cli._BATCH_ENTRIES) if shots else 0
         assert peak <= 64 * points * dim + 320 * batch + 2**20
+
+
+class TestGridSizeCap:
+    """Every grid is capped by the memory model in cli.py: a refused grid
+    exits 2 before any array of its size is allocated."""
+
+    THETA = {"gamma": 0.9, "bias": 0.05}
+    PROBE = {"gamma": 0.8, "bias": 0.1}
+
+    def test_cap_follows_the_memory_model(self):
+        assert cli.SCAN_POINTS * cli._GRID_POINT_BYTES <= cli._HIGHDIM_BYTES
+        assert (cli.SCAN_POINTS + 1) * cli._GRID_POINT_BYTES > cli._HIGHDIM_BYTES
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"mode": "scan", "target": {**THETA, "theta_grid": {"points": 10**12}}},
+            {"mode": "scan", "shots": 10,
+             "target": {**THETA, "theta_grid": {"points": cli.SCAN_POINTS + 1}}},
+            {"mode": "search-optimal", "phi_grid": {"points": 10**12}},
+            {"mode": "search-optimal", "phi_grid": {"points": cli.SCAN_POINTS + 1}},
+            {"mode": "highdim", "dim": 2, "c2_grid": {"stop": 1.0, "points": cli.SCAN_POINTS + 1}},
+        ],
+        ids=["scan_1e12", "scan_shots", "search_1e12", "search", "highdim_dim2"],
+    )
+    def test_refused_before_allocation(self, tmp_path, entries):
+        code, peak = traced_exit(tmp_path, "grid", **entries)
+        assert code == 2
+        assert peak < 2**20
+        assert not (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize("policy", ["lueders", "mixed", "eigenstate"])
+    @pytest.mark.parametrize("shots", ["exact", 10])
+    def test_model_bounds_the_peak(self, tmp_path, policy, shots):
+        points = 4096
+        code, peak = traced_exit(tmp_path, "grid", mode="scan", policy=policy, shots=shots,
+                                 seed=1, probe=self.PROBE,
+                                 target={**self.THETA, "theta_grid": {"points": points}})
+        assert code == 0
+        assert peak <= cli._GRID_POINT_BYTES * points + 2**20
 
 
 class TestNegativeDisturbance:
