@@ -211,10 +211,14 @@ def fit_circle_sharp_probe(
 
 def _lstsq(design: np.ndarray, target: np.ndarray, errs: np.ndarray):
     """Least squares of the system on a subset ``idx`` of its points,
-    weighted by inverse errors when every one of them carries an error."""
+    weighted by inverse errors when every one of them carries an error.
+    Errors so small that the weighted system overflows raise
+    OutOfDomainError."""
     positive = errs > 0
     w = 1.0 / np.where(positive, errs, 1.0)
     weighted = design * w[:, None], target * w
+    if not all(np.isfinite(a).all() for a in weighted):
+        raise OutOfDomainError("inverse errors of the scan points overflow their weights")
 
     def solve(idx):
         a, b = weighted if positive[idx].all() else (design, target)
@@ -266,7 +270,8 @@ def fit_ellipse_known_theta(
     reference run) the probe parameters are separated and the result is
     marked fully identifiable.  A strength outside (0, 1] raises
     InvalidMeasurementError; one so small that the separated parameters or
-    their errors overflow raises OutOfDomainError.
+    their errors overflow raises OutOfDomainError, as do point errors so
+    small that their inverse weights overflow.
     """
     if target_strength is not None and not 0.0 < target_strength <= 1.0:
         raise InvalidMeasurementError(

@@ -15,7 +15,10 @@ edge).  The sampler makes the test ``u < edge`` on the raw word, as
 Words are used in stream order, in fixed blocks; the joint arm is drawn
 before the alone arm from the same stream.  A stack of records
 (``sample_tables``) re-keys one generator for each point, which then
-yields the same words as a fresh ``Philox(key=...)``.  Identical
+yields the same words as a fresh ``Philox(key=...)``.  Records that fit
+one block over both arms are drawn a chunk of points at a time into one
+reused buffer and counted per chunk; larger records are counted a block
+of words at a time.  Both give the same words and counts.  Identical
 (scenario, seed) pairs yield bit-identical records on any platform, and
 the bits are unchanged from 0.1.0.  This algorithm is part of the package
 contract and must not change silently.
@@ -144,8 +147,10 @@ def _rekey(bitgen: np.random.Philox, key: int) -> None:
 
 
 def _thresholds(tables, first: int = 0) -> list:
-    """For each (n, k) table stack, the raw-word thresholds of every row's
-    inner cumulative edges (``None`` for an edge above every uniform).
+    """For each (n, k) table stack, the raw-word thresholds (n, k-1) uint64
+    of every row's inner cumulative edges, and a bool mask (n, k-1) of the
+    edges above every uniform (their threshold reads 0; they count every
+    word).
 
     Negative entries are clipped to zero and each row normalized; a row
     that is not finite or has no positive sum raises NotNormalizedError
@@ -163,29 +168,44 @@ def _thresholds(tables, first: int = 0) -> list:
     for p, total in zip(clipped, totals):
         steps = np.ceil(np.cumsum(p / total[:, None], axis=1)[:, :-1] * _STEPS)
         above = steps >= _STEPS
-        words = (np.where(above, 0.0, steps).astype(np.uint64) << np.uint64(11)).astype(object)
-        words[above] = None
-        cuts.append(words.tolist())
+        cuts.append((np.where(above, 0.0, steps).astype(np.uint64) << np.uint64(11), above))
     return cuts
 
 
-def _count(bitgen: np.random.Philox, thresholds: list, shots: int) -> list:
-    """Outcome counts of ``shots`` draws: each block of raw words is counted
-    against every threshold, and the counts are the differences of those
-    tallies."""
-    below = [0] * len(thresholds)  # draws below thresholds[i]
+def _count(bitgen: np.random.Philox, thresholds: np.ndarray, above: np.ndarray,
+           shots: int) -> list:
+    """Outcome counts of ``shots`` draws against one row of thresholds:
+    each block of raw words is counted against every threshold (an edge
+    ``above`` every uniform counts every word), and the counts are the
+    differences of those tallies."""
+    cuts = [None if a else t for t, a in zip(thresholds.tolist(), above.tolist())]
+    below = [0] * len(cuts)  # draws below each edge
     for start in range(0, shots, _BLOCK):
         words = bitgen.random_raw(min(_BLOCK, shots - start))
-        for i, threshold in enumerate(thresholds):
+        for i, threshold in enumerate(cuts):
             below[i] += words.size if threshold is None else np.count_nonzero(words < threshold)
     tallies = [0, *below, shots]
     return [high - low for low, high in zip(tallies, tallies[1:])]
 
 
+def _tally(words: np.ndarray, thresholds: np.ndarray, above: np.ndarray,
+           scratch: np.ndarray) -> np.ndarray:
+    """Outcome counts of each row of ``words`` (points, shots) against the
+    thresholds (points, k-1) of its point: one comparison per inner edge
+    over the whole chunk into the bool ``scratch``, summed along the rows."""
+    scratch = scratch[:len(words), :words.shape[1]]
+    below = np.empty(thresholds.shape, dtype=np.int64)  # draws below each edge
+    for i in range(thresholds.shape[1]):
+        np.less(words, thresholds[:, i, None], out=scratch)
+        below[:, i] = scratch.sum(axis=1)
+    below[above] = words.shape[1]
+    return np.diff(below, axis=1, prepend=0, append=words.shape[1])
+
+
 def _categorical(rng: np.random.Generator, probs, shots: int) -> np.ndarray:
     """Multinomial counts via inverse-CDF on the uniforms of ``rng``."""
-    thresholds = _thresholds([np.asarray(probs, dtype=float).reshape(1, -1)])[0][0]
-    return np.array(_count(rng.bit_generator, thresholds, shots), dtype=np.int64)
+    (thresholds, above), = _thresholds([np.asarray(probs, dtype=float).reshape(1, -1)])
+    return np.array(_count(rng.bit_generator, thresholds[0], above[0], shots), dtype=np.int64)
 
 
 def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
@@ -210,10 +230,26 @@ def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
     cuts_joint, cuts_alone = _thresholds(rows, first)
     joint_counts, alone_counts = (np.empty(r.shape, dtype=np.int64) for r in rows)
     bitgen = np.random.Philox(key=seed)
-    for i in range(len(joint)):
-        _rekey(bitgen, seed ^ (first + i))
-        joint_counts[i] = _count(bitgen, cuts_joint[i], shots)
-        alone_counts[i] = _count(bitgen, cuts_alone[i], shots_alone)
+    record = shots + shots_alone
+    if record > _BLOCK:  # a flat count per block is cheaper per word than a row sum
+        for i in range(len(joint)):
+            _rekey(bitgen, seed ^ (first + i))
+            joint_counts[i] = _count(bitgen, *(c[i] for c in cuts_joint), shots)
+            alone_counts[i] = _count(bitgen, *(c[i] for c in cuts_alone), shots_alone)
+    else:  # a chunk of records per block of words
+        chunk = _BLOCK // record
+        words = np.empty((min(chunk, len(joint)), record), dtype=np.uint64)
+        scratch = np.empty((len(words), max(shots, shots_alone)), dtype=bool)
+        for start in range(0, len(joint), chunk):
+            n = min(chunk, len(joint) - start)
+            for row in range(n):
+                _rekey(bitgen, seed ^ (first + start + row))
+                words[row] = bitgen.random_raw(record)
+            points = slice(start, start + n)
+            joint_counts[points] = _tally(words[:n, :shots], *(c[points] for c in cuts_joint),
+                                          scratch)
+            alone_counts[points] = _tally(words[:n, shots:], *(c[points] for c in cuts_alone),
+                                          scratch)
     return joint_counts.reshape(joint.shape), alone_counts.reshape(alone.shape)
 
 

@@ -365,6 +365,27 @@ class TestCalibrateMode:
             numbers += list(result.get("errors", {}).values())
             assert numbers and all(map(math.isfinite, numbers))
 
+    @pytest.mark.parametrize("strength", [None, 0.9], ids=["combos_only", "full"])
+    @pytest.mark.parametrize("err, code", [("1e-308", 0), ("1e-310", 4), ("1e-320", 4)])
+    def test_subnormal_errors_known_theta(self, tmp_path, err, code, strength):
+        # inverse errors that overflow double precision cannot weight the fit
+        target = {"bias": 0.0, "gamma": 0.9,
+                  "theta_grid": {"start": 0.1, "stop": 0.1 + 2 * np.pi, "points": 12}}
+        config = scan_config(tmp_path, name="gen.json", target=target,
+                             probe={"bias": 0.1, "gamma": 0.7, "theta": 0.0})
+        scan_path = tmp_path / "gen.csv"
+        assert run_cli("--config", config, "--out", scan_path) == 0
+        header, *lines = scan_path.read_text().splitlines()
+        fields = [line.split(",") for line in lines]
+        scan_path.write_text("\n".join([header] + [",".join(f[:3] + [err, err] + f[5:])
+                                                   for f in fields]) + "\n")
+        entries = {"target_strength": strength} if strength else {}
+        config = write_config(tmp_path / "cal.json", mode="calibrate", scan_file=str(scan_path),
+                              fit="ellipse-known-theta", bootstrap=20, **entries)
+        out = tmp_path / "r.json"
+        assert run_cli("--config", config, "--out", out) == code
+        assert out.exists() == (code == 0)
+
     def test_scan_roundtrip_reader(self, tmp_path):
         scan_path = self.make_scan(tmp_path, gamma=0.5, points=8)
         scan = read_scan_csv(str(scan_path))

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -309,6 +310,48 @@ STACK_JOINT = np.array([joint for joint, _ in STACK_ROWS])
 STACK_ALONE = np.array([alone for _, alone in STACK_ROWS])
 
 
+# Three-outcome tables (joint 3x3, alone 3): inner edges at 0 (leading zero
+# cells) and at 1 (trailing zero cells), a certain outcome, a cumulative
+# sum that ends below 1, then random rows; 75 points in all.
+_three = np.random.default_rng(11)
+THREE_ROWS = [
+    ([0.0, 0.0, 0.2, 0.1, 0.3, 0.4, 0.0, 0.0, 0.0], [0.0, 0.6, 0.4]),
+    ([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0]),
+    ([0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ([0.1] * 9, [0.2, 0.3, 0.5]),
+] + list(zip(_three.dirichlet(np.ones(9), 71).tolist(), _three.dirichlet(np.ones(3), 71).tolist()))
+THREE_JOINT = np.array([joint for joint, _ in THREE_ROWS]).reshape(-1, 3, 3)
+THREE_ALONE = np.array([alone for _, alone in THREE_ROWS])
+# (shots, shots_alone) on both sides of the chunk path, whose records hold
+# at most _BLOCK words over both arms: chunks of 32, 28, 16 and 2 points
+# with a partial last chunk, records of exactly _BLOCK words, and records
+# of _BLOCK + 1 words (counted a block at a time); alone arms shorter and
+# longer than the joint arm.
+CHUNK_SHOTS = [
+    (1000, 1000), (300, 2000), (4000, 7), (_BLOCK // 4, _BLOCK // 4),
+    (_BLOCK - 9, 9), (9, _BLOCK - 9), (_BLOCK // 2, _BLOCK // 2 + 1), (5, _BLOCK - 4),
+]
+
+# Explicit decimal tables whose counts are pinned by SHA-256, for shot pairs
+# on the chunk path (one chunk; chunks of two points) and on the block path.
+# Each digest hashes the little-endian int64 joint and alone counts of
+# seeds 7, 2026 and 2**64 - 1 in turn (first = 3), so it changes with the
+# draw order or the word test on any platform.
+PIN_JOINT = [
+    [[0.4, 0.1], [0.15, 0.35]],
+    [[0.0, 0.25], [0.75, 0.0]],
+    [[0.3, 0.2], [0.2, 0.3]],
+    [[1.0, 0.0], [0.0, 0.0]],
+    [[0.05, 0.45], [0.45, 0.05]],
+]
+PIN_ALONE = [[0.55, 0.45], [0.2, 0.8], [0.5, 0.5], [0.0, 1.0], [0.9, 0.1]]
+PIN_SHA256 = {
+    (1000, 1000): "980a1cc362b25e439ccaf47cc310eed30ec6d3fb0041ec0b3f6633f799304877",
+    (30000, 300): "f60474605f0a375994545c7e6ef96724481bb05b9299fdae7a0aaa2e2e7368ed",
+    (40000, 40000): "adb3d0a42c87c3f89605125f887fb2ca79d66bd357bf810f3153aae69bef13f4",
+}
+
+
 class TestSampleTablesOracle:
     """The batched kernel against per-point draws of the searchsorted
     oracle on fresh Philox streams, and the stacked estimator against a
@@ -325,6 +368,40 @@ class TestSampleTablesOracle:
             rng = _stream(seed ^ (first + i))
             assert np.array_equal(jc[i].ravel(), categorical_oracle(rng, joint, shots)), i
             assert np.array_equal(ac[i], categorical_oracle(rng, alone, shots)), i
+
+    @pytest.mark.parametrize("shots, shots_alone", CHUNK_SHOTS)
+    def test_chunks_equal_per_point_oracle(self, shots, shots_alone):
+        # five points of the large records keep the oracle quick
+        points = len(THREE_ROWS) if shots + shots_alone <= 4096 else 5
+        seed, first = 2**127 + 12345, 2**63 - 2
+        jc, ac = sample_tables(THREE_JOINT[:points], THREE_ALONE[:points], shots, seed, first,
+                               shots_alone)
+        assert jc.shape == (points, 3, 3) and ac.shape == (points, 3)
+        for i in range(points):
+            rng = _stream(seed ^ (first + i))
+            assert np.array_equal(jc[i].ravel(), categorical_oracle(rng, THREE_JOINT[i], shots)), i
+            assert np.array_equal(ac[i], categorical_oracle(rng, THREE_ALONE[i], shots_alone)), i
+
+    @pytest.mark.parametrize("shots, shots_alone", sorted(PIN_SHA256))
+    def test_counts_pinned_across_commits(self, shots, shots_alone):
+        digest = hashlib.sha256()
+        for seed in (7, 2026, 2**64 - 1):
+            for counts in sample_tables(PIN_JOINT, PIN_ALONE, shots, seed, 3, shots_alone):
+                digest.update(counts.astype("<i8").tobytes())
+        assert digest.hexdigest() == PIN_SHA256[shots, shots_alone]
+
+    def test_chunk_memory_bounded_by_block(self):
+        joint = np.full((4096, 2, 2), 0.25)
+        alone = np.full((4096, 2), 0.5)
+        sample_tables(joint[:1], alone[:1], 1000, seed=3)  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            jc, ac = sample_tables(joint, alone, 1000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (jc.sum(axis=(1, 2)) == 1000).all() and (ac.sum(axis=1) == 1000).all()
+        assert peak <= 2 * _BLOCK * np.dtype(np.uint64).itemsize + jc.nbytes + ac.nbytes
 
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_estimates_equal_oracle(self, seed):
@@ -403,11 +480,13 @@ class TestRawWordThresholds:
          1.0 - 2.0**-53, 1.0],
     )
     def test_word_test_equals_uniform_test(self, edge):
-        """x < threshold holds for exactly the words whose uniform
-        (x >> 11) * 2**-53 lies below the edge, around the threshold and
-        at both ends of the word range."""
+        """x < threshold (every x for an edge marked above) holds for
+        exactly the words whose uniform (x >> 11) * 2**-53 lies below the
+        edge, around the threshold and at both ends of the word range."""
         assert edge + (1.0 - edge) == 1.0  # the table is normalized as it stands
-        (threshold,), = _thresholds([np.array([[edge, 1.0 - edge]])])[0]
+        (thresholds, above), = _thresholds([np.array([[edge, 1.0 - edge]])])
+        assert thresholds.shape == above.shape == (1, 1) and thresholds.dtype == np.uint64
+        threshold, above = int(thresholds[0, 0]), bool(above[0, 0])
         steps = int(np.ceil(edge * 2.0**53))
         words = {0, 2**64 - 1}
         for m in (steps - 1, steps, steps + 1):
@@ -415,5 +494,8 @@ class TestRawWordThresholds:
                 words.update({m << 11, (m << 11) + 2047})
         for x in sorted(words):
             uniform_below = (x >> 11) * 2.0**-53 < edge
-            assert uniform_below == (threshold is None or x < threshold), (edge, x)
-        assert (threshold is None) == (edge == 1.0)
+            assert uniform_below == (above or x < threshold), (edge, x)
+        assert above == (edge == 1.0)
+        xs = np.array(sorted(words), dtype=np.uint64)  # the sampler's uint64 comparison
+        assert ((xs < thresholds[0, 0]) | above).tolist() == [
+            (x >> 11) * 2.0**-53 < edge for x in sorted(words)]
