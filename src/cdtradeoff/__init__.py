@@ -16,13 +16,10 @@ from .calibration import (
 )
 from .cd_measures import (
     CdValue,
-    OutcomeDistribution,
     cd_from_scenario,
     correlation,
     correlation_operator,
     dissipator,
-    disturbance,
-    disturbance_bound,
     disturbance_operator,
 )
 from .detector_model import (
@@ -35,7 +32,6 @@ from .detector_model import (
 from .highdim_model import (
     OverlapGeometry,
     RandomizedDichotomic,
-    bloch_length,
     cd_highdim,
     overlap,
 )
@@ -47,7 +43,6 @@ from .quantum_core import (
     Povm,
     apply_instrument,
     dual_channel,
-    joint_probabilities,
     psd_sqrt,
     unregistered_channel,
 )
@@ -55,7 +50,6 @@ from .qubit_model import (
     ConvexPovmSpec,
     EllipseCharacter,
     QubitMeasurement,
-    amplitude_phase_form,
     cd_parametric,
     convex_povm,
     ellipse_character,

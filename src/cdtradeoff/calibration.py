@@ -2,16 +2,14 @@
 parameters.
 
 A scan against a sharp probe lies on a circle whose radius is the target
-strength.  A theta scan against a general probe lies on a sheared ellipse
-
-    C = c0 + P cos(theta) + Q |sin(theta)|,   D = S |sin(theta)|,
-
-with c0 = a0 b0, P = |a||b|, Q = delta |b|, S = s |b|.  From scan data
-alone only these four combinations are identifiable; separating the probe
-parameters (|a|, a0, s, delta) additionally requires the target strength
-|b|, e.g. from a sharp-target reference run.  The unknown-theta fit drops
-the angle information entirely and recovers the same combinations from the
-algebraic conic through the points.
+strength.  A theta scan against a general probe lies on the sheared ellipse
+of ``qubit_model.ellipse_map``, C = c0 + P cos(theta) + Q |sin(theta)| and
+D = S |sin(theta)|.  From scan data alone only these four combinations are
+identifiable; separating the probe parameters (|a|, a0, s, delta)
+additionally requires the target strength |b|, e.g. from a sharp-target
+reference run, and uses the map's inverse ``_separate_probe``.  The
+unknown-theta fit drops the angle information entirely and recovers the
+same combinations from the algebraic conic through the points.
 
 A scan (``CdScan``) is held as columns: one read-only float64 array each
 for theta, C, D and their errors, the layout the CLI scan modes write and
@@ -43,6 +41,7 @@ from .errors import (
     RankDeficientError,
 )
 from .quantum_core import _frozen
+from .qubit_model import _separate_probe
 from .shot_sampler import _stream
 
 DEFAULT_BOOTSTRAP = 200
@@ -211,32 +210,23 @@ def fit_circle_sharp_probe(
 
 def _lstsq(design: np.ndarray, target: np.ndarray, errs: np.ndarray):
     """Least squares of the system on a subset ``idx`` of its points,
-    weighted by inverse errors when every one of them carries an error.
-    Errors so small that the weighted system overflows raise
+    weighted by inverse errors when every point of the scan carries one
+    (decided once per scan, for every resample alike, as in the circle
+    fit).  Errors so small that the weighted system overflows raise
     OutOfDomainError."""
-    positive = errs > 0
-    w = 1.0 / np.where(positive, errs, 1.0)
-    weighted = design * w[:, None], target * w
-    if not all(np.isfinite(a).all() for a in weighted):
-        raise OutOfDomainError("inverse errors of the scan points overflow their weights")
+    if (errs > 0).all():
+        w = 1.0 / errs
+        design, target = design * w[:, None], target * w
+        if not (np.isfinite(design).all() and np.isfinite(target).all()):
+            raise OutOfDomainError("inverse errors of the scan points overflow their weights")
 
     def solve(idx):
-        a, b = weighted if positive[idx].all() else (design, target)
-        sol, _, rank, _ = np.linalg.lstsq(np.take(a, idx, 0), b[idx], rcond=None)
+        sol, _, rank, _ = np.linalg.lstsq(np.take(design, idx, 0), target[idx], rcond=None)
         if rank < design.shape[1]:
             raise RankDeficientError("theta grid does not determine the fit")
         return sol
 
     return solve
-
-
-def _separate_probe(p: float, q: float, s_strength: float, target_strength: float):
-    """Split the strength combinations into probe parameters given |b|."""
-    squeeze = s_strength / target_strength
-    shear = q / target_strength
-    probe_bias = shear * (1.0 - squeeze)
-    probe_sharpness = p / target_strength
-    return probe_sharpness, probe_bias, squeeze, shear
 
 
 def _character(combos, residual: float, errors: dict, **separated) -> DeviceCharacter:
@@ -263,7 +253,8 @@ def fit_ellipse_known_theta(
     n_bootstrap: int = DEFAULT_BOOTSTRAP,
     bootstrap_seed: int = 0,
 ) -> DeviceCharacter:
-    """Linear least squares of the theta-parametrized scan model.
+    """Linear least squares of the theta-parametrized scan model, each of
+    C and D weighted by its inverse errors when all of them are positive.
 
     Recovers the identifiable combinations (c0, P, Q, S); when the target
     strength |b| is supplied (e.g. measured beforehand with a sharp-target

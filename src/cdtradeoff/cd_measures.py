@@ -91,27 +91,6 @@ def _check_distributions(probs: np.ndarray, what: str) -> None:
         raise NotNormalizedError(f"{what}{at_index(index)} sums to {total[index]!r}, not 1")
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Probability vector with its outcome labels."""
-
-    probs: tuple[float, ...]
-    labels: tuple[float, ...]
-
-    def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
-        labels = tuple(float(x) for x in self.labels)
-        if len(probs) != len(labels):
-            raise LabelMismatchError("one label per probability is required")
-        _check_distributions(np.array(probs), "distribution")
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.probs)
-
-
 def _matched_label_sets(labels_a, labels_b) -> None:
     la, lb = tuple(labels_a), tuple(labels_b)
     if len(set(la)) != len(la) or len(set(lb)) != len(lb):
@@ -149,14 +128,6 @@ def correlation(joint, labels_a, labels_b):
 def _distance(p_alone: np.ndarray, p_tilde: np.ndarray) -> np.ndarray:
     n = p_alone.shape[-1]
     return np.sqrt(n / (n - 1)) * np.linalg.norm(p_alone - p_tilde, axis=-1)
-
-
-def disturbance(p_alone: OutcomeDistribution, p_tilde: OutcomeDistribution) -> float:
-    """Rescaled Euclidean distance between the probe-off and probe-on
-    (unregistered) target distributions."""
-    if p_alone.labels != p_tilde.labels:
-        raise LabelMismatchError("distributions carry different labels")
-    return float(_distance(np.asarray(p_alone.probs), np.asarray(p_tilde.probs)))
 
 
 def cd_tables(joint, alone, inst_a: Instrument, labels_b) -> tuple[np.ndarray, np.ndarray]:
@@ -197,13 +168,6 @@ def disturbance_operator(inst_a: Instrument, observable_b) -> np.ndarray:
     m = _as_square(observable_b, "observable")
     _check_dims(inst_a.dim, m.shape[0])
     return m - dual_channel(inst_a, m)
-
-
-def disturbance_bound(inst_a: Instrument, observable_b) -> float:
-    """Largest disturbance attainable over all states: the spectral radius
-    of the disturbance operator (dichotomic target labels assumed)."""
-    w = np.linalg.eigvalsh(disturbance_operator(inst_a, observable_b))
-    return float(np.abs(w).max())
 
 
 def correlation_operator(inst_a: Instrument, observable_b) -> np.ndarray:

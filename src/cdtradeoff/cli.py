@@ -97,6 +97,14 @@ HIGHDIM_SHOT_DIM = math.isqrt(_HIGHDIM_BYTES // 320)
 # allocated.
 _GRID_POINT_BYTES = 1280
 SCAN_POINTS = _HIGHDIM_BYTES // _GRID_POINT_BYTES
+# Memory model of a calibration's bootstrap (tracemalloc slopes through main
+# between 4000 and 60000 resamples, every fit): the kept rows take at most
+# 305 bytes per resample, reached by the unknown-theta fit on scans of over
+# 2048 points, where each resample is a block of its own.  The resample
+# count is capped at BOOTSTRAP_LIMIT, within the same budget, before
+# anything is drawn.
+_RESAMPLE_BYTES = 320
+BOOTSTRAP_LIMIT = _HIGHDIM_BYTES // _RESAMPLE_BYTES
 
 MODES = ("scan", "search-optimal", "calibrate", "detector", "highdim")
 
@@ -183,6 +191,7 @@ def _grid(spec: dict, what: str, max_points: int = SCAN_POINTS) -> np.ndarray:
     _require(points <= max_points, f"{what}.points must be <= {max_points}")
     start = _number(spec.get("start", 0.0), f"{what}.start")
     stop = _number(spec.get("stop", 2 * math.pi), f"{what}.stop")
+    _require(math.isfinite(stop - start), f"{what} span stop - start overflows double precision")
     return np.linspace(start, stop, points, endpoint=False) if points > 1 else np.array([start])
 
 
@@ -359,9 +368,10 @@ def _cmd_calibrate(config: dict, seed: int, out_path: str) -> None:
     fit_kind = config.get("fit", "circle")
     _require(fit_kind in ("circle", "ellipse-known-theta", "ellipse-unknown-theta"),
              "fit must be circle, ellipse-known-theta, or ellipse-unknown-theta")
-    scan = read_scan_csv(config["scan_file"])
     n_boot = config.get("bootstrap", 200)
-    _require(_is_int(n_boot) and n_boot >= 0, "bootstrap must be a nonnegative integer")
+    _require(_is_int(n_boot) and 0 <= n_boot <= BOOTSTRAP_LIMIT,
+             f"bootstrap must be an integer in [0, {BOOTSTRAP_LIMIT}]")
+    scan = read_scan_csv(config["scan_file"])
     report = {
         "schema": SCHEMA_VERSION,
         "library_version": __version__,

@@ -18,7 +18,6 @@ scalar types are the unbatched case.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,13 +202,3 @@ def cd_highdim(pa: RandomizedDichotomic, pb: RandomizedDichotomic) -> CdValue:
     a randomized target, evaluated on the optimal state."""
     corr, dist = circle_law(pb.gamma, overlap(pa, pb).c_squared)
     return CdValue(float(corr), float(dist))
-
-
-def bloch_length(gamma: float, dim: int) -> float:
-    """Generalized Bloch length gamma * sqrt(d - 1) of a randomized
-    measurement, in the basis normalization tr(sigma_i sigma_j) = d."""
-    if dim < 2:
-        raise InvalidDimError(f"dimension {dim} below 2")
-    if not 0.0 <= gamma <= 1.0:
-        raise InvalidMeasurementError(f"gamma {gamma!r} outside [0, 1]")
-    return gamma * math.sqrt(dim - 1)

@@ -399,11 +399,6 @@ def scenario_tables(rho, inst: Instrument, target_effects) -> tuple[np.ndarray, 
     return joint, np.einsum("...ij,...bji->...b", rho, target_effects).real
 
 
-def joint_probabilities(inst_a: Instrument, povm_b: Povm, rho: DensityMatrix) -> np.ndarray:
-    """Probability table p[a, b] of one scenario (see ``scenario_tables``)."""
-    return scenario_tables(rho.matrix, inst_a, povm_b.matrices)[0]
-
-
 def apply_instrument(
     inst: Instrument, rho: DensityMatrix, outcome: int
 ) -> tuple[np.ndarray, float]:

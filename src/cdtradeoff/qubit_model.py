@@ -6,15 +6,11 @@ measurement decomposition used on hardware.
 A two-outcome qubit measurement is the four-vector (b0, b) with effects
 E_pm = ((1 pm b0) I pm b . sigma) / 2; positivity requires |b0| + |b| <= 1.
 Scanning the angle theta between probe and target axes with the optimal
-input state traces
-
-    C = a0 b0 + |a||b| cos(theta) + delta |b| sin(theta)
-    D = s |b| sin(theta)
-
-where u_pm = sqrt((1 pm a0)^2 - |a|^2), s = 1 - (u_+ + u_-)/2 squeezes and
-delta = (u_+ - u_-)/2 shears the circle that a sharp, unbiased probe would
-produce.  Since the disturbance is a norm, scans are symmetric under
-theta -> -theta; sin(theta) enters through its absolute value.
+input state traces a sheared, squeezed and shifted circle; ``ellipse_map``
+is that law, from the probe (a0, |a|) and target (b0, |b|) parameters to
+the curve's coefficients, and ``_separate_probe`` its inverse.  Since the
+disturbance is a norm, scans are symmetric under theta -> -theta; sin(theta)
+enters through its absolute value.
 
 Bloch vectors, measurement parameters and the optimal-state construction
 take arrays with leading batch axes ((n, 3) Bloch vectors, (n,) biases), so
@@ -245,59 +241,75 @@ class EllipseCharacter:
     probe_bias: float
 
 
+def ellipse_map(a0, na, b0=0.0, nb=1.0) -> tuple:
+    """The sheared-ellipse law, for numbers or broadcasting arrays.  A probe
+    of bias a0 and strength |a| = ``na`` and a target of bias b0 and
+    strength |b| = ``nb``, scanned over the angle theta between their axes
+    on the optimal state, trace
+
+        C = c0 + P cos(theta) + Q |sin(theta)|,   D = S |sin(theta)|,
+
+    with u_pm = sqrt((1 pm a0)^2 - |a|^2), squeeze s = 1 - (u_+ + u_-)/2,
+    shear delta = (u_+ - u_-)/2, and c0 = a0 b0, P = |a||b|, Q = delta |b|,
+    S = s |b|.  Returns (u_+, u_-, s, delta, c0, P, Q, S); a probe that
+    violates positivity raises InvalidMeasurementError.  Only P, Q, S and c0
+    are identifiable from a scan; ``_separate_probe`` inverts the map given
+    |b|.
+    """
+    # Python floats are not converted: their squares stay libm pow, whose
+    # last bit can differ from the x * x of an array, so the scalar
+    # functions keep their floats
+    up_sq = (1.0 + a0) ** 2 - na**2
+    um_sq = (1.0 - a0) ** 2 - na**2
+    if (np.minimum(up_sq, um_sq) < -ATOL).any():
+        raise InvalidMeasurementError("probe violates positivity")
+    u_plus, u_minus = np.sqrt(np.maximum(up_sq, 0.0)), np.sqrt(np.maximum(um_sq, 0.0))
+    s = 1.0 - (u_plus + u_minus) / 2
+    delta = (u_plus - u_minus) / 2
+    return u_plus, u_minus, s, delta, a0 * b0, na * nb, delta * nb, s * nb
+
+
+def _separate_probe(p, q, s_strength, target_strength):
+    """Inverse of ``ellipse_map`` given the target strength |b|: the probe
+    parameters (|a|, a0, s, delta) of the combinations (P, Q, S), using
+    a0 = delta (1 - s), since u_+^2 - u_-^2 = 4 a0."""
+    squeeze = s_strength / target_strength
+    shear = q / target_strength
+    probe_bias = shear * (1.0 - squeeze)
+    probe_sharpness = p / target_strength
+    return probe_sharpness, probe_bias, squeeze, shear
+
+
 def ellipse_character(
     probe: QubitMeasurement, target: QubitMeasurement | None = None
 ) -> EllipseCharacter:
-    """Squeeze and shear parameters of a probe measurement.
+    """Squeeze and shear parameters of a probe measurement (``ellipse_map``).
 
     ``target`` supplies the bias and strength entering the shift and scale
     fields; when omitted a sharp unbiased target is assumed, so those
     fields reduce to the probe-only quantities.
     """
-    a0 = probe.bias
-    na = probe.strength
-    up_sq = (1.0 + a0) ** 2 - na**2
-    um_sq = (1.0 - a0) ** 2 - na**2
-    if min(up_sq, um_sq) < -ATOL:
-        raise InvalidMeasurementError("probe violates positivity")
-    u_plus = math.sqrt(max(up_sq, 0.0))
-    u_minus = math.sqrt(max(um_sq, 0.0))
-    s = 1.0 - (u_plus + u_minus) / 2
-    delta = (u_plus - u_minus) / 2
     b0, nb = (0.0, 1.0) if target is None else (target.bias, target.strength)
-    return EllipseCharacter(
-        shift=a0 * b0,
-        scale_major=na * nb,
-        scale_minor=s * nb,
-        shear=delta,
-        squeeze=s,
-        u_plus=u_plus,
-        u_minus=u_minus,
-        probe_strength=na,
-        probe_bias=a0,
-    )
+    u_plus, u_minus, s, delta, c0, p, _, s_strength = ellipse_map(
+        probe.bias, probe.strength, b0, nb)
+    return EllipseCharacter(*map(float, (c0, p, s_strength, delta, s, u_plus, u_minus)),
+                            probe_strength=probe.strength, probe_bias=probe.bias)
 
 
 def cd_parametric(
     probe: QubitMeasurement, target_gamma: float, target_bias: float, theta: float
 ) -> CdValue:
     """Closed-form correlation and disturbance at axis angle ``theta`` for
-    the disturbance-maximizing input state.
+    the disturbance-maximizing input state (``ellipse_map``).
 
     Must agree with the full density-matrix pipeline on the optimal state.
     ``theta`` is folded onto [0, pi] (the disturbance is a norm).
     """
     if abs(target_bias) + target_gamma > 1.0 + ATOL:
         raise InvalidMeasurementError("target violates positivity")
-    char = ellipse_character(probe)
+    *_, c0, p, q, s_strength = ellipse_map(probe.bias, probe.strength, target_bias, target_gamma)
     sin_t = abs(math.sin(theta))
-    cos_t = math.cos(theta)
-    corr = (
-        probe.bias * target_bias
-        + char.probe_strength * target_gamma * cos_t
-        + char.shear * target_gamma * sin_t
-    )
-    dist = char.squeeze * target_gamma * sin_t
+    corr, dist = float(c0 + p * math.cos(theta) + q * sin_t), float(s_strength * sin_t)
     check_tradeoff(corr, dist)
     return CdValue(corr, dist)
 
@@ -329,16 +341,3 @@ def optimal_bloch(probe_axis, target_axis) -> np.ndarray:
 def optimal_state(probe: QubitMeasurement, target: QubitMeasurement) -> DensityMatrix:
     """Pure disturbance-maximizing input state for a probe/target pair."""
     return state_from_bloch(optimal_bloch(probe.axis, target.axis))
-
-
-def amplitude_phase_form(
-    char: EllipseCharacter, target_gamma: float
-) -> tuple[float, float]:
-    """Collapse the two oscillating correlation terms into one cosine:
-    C - shift = R cos(theta - phi) with R = |b| sqrt(|a|^2 + delta^2) and
-    tan(phi) = delta / |a|."""
-    if char.probe_strength == 0:
-        raise ZeroBlochError("amplitude-phase form undefined for zero strength")
-    amplitude = target_gamma * math.hypot(char.probe_strength, char.shear)
-    phase = math.atan2(char.shear, char.probe_strength)
-    return amplitude, phase

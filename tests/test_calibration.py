@@ -149,9 +149,9 @@ def rounded_settings(thetas):
 
 
 class TestBlockFitBits:
-    """Branches of the block fits, against the one-resample-at-a-time
-    bootstrap oracle: the known-theta setting ids and per-resample weighting,
-    and the per-resample solve after a singular resample fails a stack."""
+    """Branches of the block fits: the known-theta setting ids against the
+    one-resample-at-a-time bootstrap oracle, its per-scan weighting, and the
+    per-resample solve after a singular resample fails a stack."""
 
     SEEDS = (0, 2**63 + 7)
     HALF_PI = np.pi / 2
@@ -190,20 +190,21 @@ class TestBlockFitBits:
             fit_ellipse_known_theta(scan, n_bootstrap=0)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_known_theta_weighting_per_resample(self, kept_counts, seed):
-        # two points without errors: resamples that miss both are weighted
+    def test_known_theta_weighting_per_scan(self, kept_counts, seed):
+        # two points without C errors: the C system of every resample is
+        # unweighted, also of those that miss both points, as when the scan
+        # carries no C error at all; D stays weighted
         probe = QubitMeasurement(0.3, 0.55 * plane_axis(0.0))
         scan = noisy(forward_scan(probe, 0.85, 0.1, THETAS_12), np.random.default_rng(5))
         c_err = scan.c_err.copy()
         c_err[[2, 7]] = 0.0
-        scan = CdScan(scan.theta, scan.c, scan.d, c_err, scan.d_err)
-        fit = fit_ellipse_known_theta(scan, bootstrap_seed=seed)
-        expected, kept = bootstrap_oracle(fit_ellipse_known_theta, scan, tuple(fit.errors),
-                                          200, seed)
-        assert kept_counts[0] == kept == 200
-        assert fit.errors == expected
+        mixed = CdScan(scan.theta, scan.c, scan.d, c_err, scan.d_err)
+        assert any((c_err[idx] > 0).all() for idx in resample_indices(12, 200, seed))
         unweighted = CdScan(scan.theta, scan.c, scan.d, np.zeros(12), scan.d_err)
-        assert fit_ellipse_known_theta(unweighted, bootstrap_seed=seed).errors != fit.errors
+        fit = fit_ellipse_known_theta(mixed, bootstrap_seed=seed)
+        assert kept_counts[0] == 200
+        assert fit.errors == fit_ellipse_known_theta(unweighted, bootstrap_seed=seed).errors
+        assert fit.errors != fit_ellipse_known_theta(scan, bootstrap_seed=seed).errors
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_unknown_theta_singular_resample_in_a_block(self, kept_counts, seed):

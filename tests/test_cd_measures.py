@@ -4,15 +4,12 @@ from numpy.testing import assert_allclose
 
 from cdtradeoff.cd_measures import (
     CdValue,
-    OutcomeDistribution,
     cd_from_scenario,
     cd_tables,
     check_tradeoff,
     correlation,
     correlation_operator,
     dissipator,
-    disturbance,
-    disturbance_bound,
     disturbance_operator,
 )
 from cdtradeoff.errors import (
@@ -23,7 +20,13 @@ from cdtradeoff.errors import (
     NotNormalizedError,
     TradeoffViolationError,
 )
-from cdtradeoff.quantum_core import Instrument, LuedersInstrument, Povm, unregistered_channel
+from cdtradeoff.quantum_core import (
+    Instrument,
+    LuedersInstrument,
+    Povm,
+    scenario_tables,
+    unregistered_channel,
+)
 from cdtradeoff.qubit_model import (
     SIGMA_X,
     SIGMA_Z,
@@ -57,9 +60,7 @@ class TestCorrelation:
 
     def test_sharp_pair_gives_cosine(self):
         rho, inst, povm = scenario(0.0, np.pi / 3)
-        from cdtradeoff.quantum_core import joint_probabilities
-
-        joint = joint_probabilities(inst, povm, rho)
+        joint, _ = scenario_tables(rho.matrix, inst, povm.matrices)
         assert correlation(joint, PM, PM) == pytest.approx(0.5, abs=1e-12)
 
     def test_label_value_matching_not_positional(self):
@@ -76,38 +77,40 @@ class TestCorrelation:
             correlation(np.full((2, 2), 0.3), PM, PM)
 
 
+def measure_and_prepare():
+    """A probe whose values cd_tables does not hold to C^2 + D^2 <= 1."""
+    povm = sharp(0.0).to_povm()
+    return Instrument.measure_and_prepare(povm, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+
+
+def disturbance_of(p_alone, p_tilde, labels=PM):
+    """D from cd_tables of the probe-off distribution ``p_alone`` and a
+    joint table whose columns sum to the probe-on distribution ``p_tilde``."""
+    joint = np.outer([0.5, 0.5], p_tilde)
+    return float(cd_tables(joint, np.asarray(p_alone), measure_and_prepare(), labels)[1])
+
+
 class TestDisturbance:
     def test_identical_distributions(self):
-        p = OutcomeDistribution((0.3, 0.7), PM)
-        assert disturbance(p, p) == 0.0
+        assert disturbance_of((0.3, 0.7), (0.3, 0.7)) == 0.0
 
     def test_complementary_sharp_pair(self):
-        p = OutcomeDistribution((1.0, 0.0), PM)
-        q = OutcomeDistribution((0.5, 0.5), PM)
-        assert disturbance(p, q) == pytest.approx(1.0, abs=1e-15)
+        assert disturbance_of((1.0, 0.0), (0.5, 0.5)) == pytest.approx(1.0, abs=1e-15)
 
     def test_sharp_pair_gives_sine(self):
-        # probe-off vs probe-on distributions built through the channel,
-        # independently of the joint-table column sums
+        # the probe-on distribution that cd_tables takes from the joint-table
+        # column sums equals the one built through the channel
         rho, inst, povm = scenario(0.0, np.pi / 3)
-        p_alone = tuple(
-            np.trace(rho.matrix @ e.matrix).real for e in povm.effects
-        )
+        joint, alone = scenario_tables(rho.matrix, inst, povm.matrices)
         after = unregistered_channel(inst, rho)
-        p_tilde = tuple(
-            np.trace(after.matrix @ e.matrix).real for e in povm.effects
-        )
-        d = disturbance(
-            OutcomeDistribution(p_alone, PM), OutcomeDistribution(p_tilde, PM)
-        )
+        p_tilde = [np.trace(after.matrix @ e.matrix).real for e in povm.effects]
+        assert_allclose(joint.sum(axis=0), p_tilde, atol=1e-12)
+        d = float(cd_tables(joint, alone, inst, PM)[1])
         assert d == pytest.approx(np.sin(np.pi / 3), abs=1e-12)
 
     def test_label_mismatch(self):
         with pytest.raises(LabelMismatchError):
-            disturbance(
-                OutcomeDistribution((0.5, 0.5), PM),
-                OutcomeDistribution((0.5, 0.5), (-1.0, 1.0)),
-            )
+            disturbance_of((0.5, 0.5), (0.5, 0.5), labels=(0.0, 1.0))
 
     def test_dichotomic_reduction(self):
         # general rescaled-norm form equals 2 |delta p| for two outcomes
@@ -115,9 +118,7 @@ class TestDisturbance:
         for _ in range(100):
             p = rng.uniform(0.0, 1.0)
             q = rng.uniform(0.0, 1.0)
-            d = disturbance(
-                OutcomeDistribution((p, 1 - p), PM), OutcomeDistribution((q, 1 - q), PM)
-            )
+            d = disturbance_of((p, 1 - p), (q, 1 - q))
             assert d == pytest.approx(2 * abs(p - q), abs=1e-14)
 
     def test_dichotomic_correlation_reduction(self):
@@ -212,7 +213,6 @@ class TestOperators:
         assert w[-1] == pytest.approx(0.8, abs=1e-12)
         assert w[0] == pytest.approx(-0.8, abs=1e-12)
         assert np.abs(w[1:-1]).max() <= 1e-12
-        assert disturbance_bound(inst, povm_b.observable()) == pytest.approx(0.8, abs=1e-12)
 
     def test_correlation_operator_repeated_sharp(self):
         meas = QubitMeasurement(0.0, np.array([0.0, 0.0, 1.0]))

@@ -867,6 +867,7 @@ class TestGridSizeCap:
 
     THETA = {"gamma": 0.9, "bias": 0.05}
     PROBE = {"gamma": 0.8, "bias": 0.1}
+    SPAN = {"points": 4, "start": 1e308, "stop": -1e308}
 
     def test_cap_follows_the_memory_model(self):
         assert cli.SCAN_POINTS * cli._GRID_POINT_BYTES <= cli._HIGHDIM_BYTES
@@ -899,6 +900,63 @@ class TestGridSizeCap:
                                  target={**self.THETA, "theta_grid": {"points": points}})
         assert code == 0
         assert peak <= cli._GRID_POINT_BYTES * points + 2**20
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"mode": "scan", "target": {**THETA, "theta_grid": SPAN}},
+            {"mode": "search-optimal", "phi_grid": SPAN},
+            {"mode": "highdim", "dim": 2, "c2_grid": SPAN},
+        ],
+        ids=["theta_grid", "phi_grid", "c2_grid"],
+    )
+    def test_overflowing_span_refused(self, tmp_path, entries, capsys):
+        # stop - start is -inf: linspace, cos and sin would warn and yield
+        # non-finite points
+        code, _ = traced_exit(tmp_path, "grid", **entries)
+        assert code == 2
+        assert "span" in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
+
+
+class TestBootstrapCap:
+    """The bootstrap resample count is capped by the memory model in cli.py:
+    a larger count exits 2 before anything is drawn."""
+
+    FITS = ("circle", "ellipse-known-theta", "ellipse-unknown-theta")
+
+    def scan_file(self, tmp_path, points):
+        config = scan_config(tmp_path, name="gen.json", shots=1000,
+                             probe=TestGridSizeCap.PROBE, target={
+                                 **TestGridSizeCap.THETA, "theta_grid": {"points": points}})
+        assert run_cli("--config", config, "--out", tmp_path / "gen.csv") == 0
+        return str(tmp_path / "gen.csv")
+
+    def test_cap_follows_the_memory_model(self):
+        assert cli.BOOTSTRAP_LIMIT * cli._RESAMPLE_BYTES <= cli._HIGHDIM_BYTES
+        assert (cli.BOOTSTRAP_LIMIT + 1) * cli._RESAMPLE_BYTES > cli._HIGHDIM_BYTES
+
+    @pytest.mark.parametrize("fit", FITS)
+    @pytest.mark.parametrize("count", ["limit", 10**12])
+    def test_refused_before_drawing(self, tmp_path, fit, count):
+        entries = {"target_strength": 0.9} if fit == "ellipse-known-theta" else {}
+        code, peak = traced_exit(
+            tmp_path, "cal", mode="calibrate", scan_file=self.scan_file(tmp_path, 12), fit=fit,
+            bootstrap=cli.BOOTSTRAP_LIMIT + 1 if count == "limit" else count, **entries)
+        assert code == 2
+        assert peak < 2**20
+        assert not (tmp_path / "cal.csv").exists()
+
+    @pytest.mark.parametrize("fit", ["circle", "ellipse-unknown-theta"])
+    def test_model_bounds_the_peak(self, tmp_path, fit):
+        # over 2048 points every resample is a block of its own: the most
+        # bytes per kept row
+        resamples = 4000
+        scan_file = self.scan_file(tmp_path, 2049)
+        code, peak = traced_exit(tmp_path, "cal", mode="calibrate", scan_file=scan_file,
+                                 fit=fit, bootstrap=resamples)
+        assert code == 0
+        assert peak <= cli._RESAMPLE_BYTES * resamples + 2**20
 
 
 class TestNegativeDisturbance:

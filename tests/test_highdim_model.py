@@ -11,9 +11,10 @@ from cdtradeoff.errors import (
 )
 from cdtradeoff.highdim_model import (
     RandomizedDichotomic,
-    bloch_length,
     cd_highdim,
     overlap,
+    projectors,
+    randomized_povms,
 )
 from cdtradeoff.quantum_core import DensityMatrix, Effect, LuedersInstrument
 
@@ -162,19 +163,31 @@ class TestCircleLaw:
             assert abs(sim.disturbance - value.disturbance) <= 1e-9
 
 
+def bloch_length(gamma, dim):
+    """Generalized Bloch length |b| of the effect gamma P + (1 - gamma) I/2
+    from ``randomized_povms``, written (e0 I + b . sigma)/d in the basis
+    normalization tr(sigma_i sigma_j) = d: sqrt(d) times the Frobenius norm
+    of its traceless part."""
+    effect = randomized_povms(gamma, projectors(ket(dim, 1.0, 0.5j)))[0]
+    traceless = effect - np.trace(effect).real / dim * np.eye(dim)
+    return np.sqrt(dim) * np.linalg.norm(traceless)
+
+
 class TestBlochLength:
+    """The randomized effects have Bloch length gamma sqrt(d - 1)."""
+
     def test_qubit_sharp(self):
-        assert bloch_length(1.0, 2) == pytest.approx(1.0)
+        assert bloch_length(1.0, 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_strength_dim5(self):
-        assert bloch_length(0.5, 5) == pytest.approx(1.0)
+        assert bloch_length(0.5, 5) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_strength(self):
         assert bloch_length(0.0, 7) == 0.0
 
     def test_invalid_dim(self):
         with pytest.raises(InvalidDimError):
-            bloch_length(0.5, 1)
+            RandomizedDichotomic.from_ket([1.0], 0.5)
 
     def test_invalid_gamma(self):
         with pytest.raises(InvalidMeasurementError):

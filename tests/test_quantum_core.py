@@ -17,8 +17,8 @@ from cdtradeoff.quantum_core import (
     Povm,
     apply_instrument,
     dual_channel,
-    joint_probabilities,
     psd_sqrt,
+    scenario_tables,
     unregistered_channel,
 )
 from cdtradeoff.qubit_model import ID2, SIGMA_X, SIGMA_Z, QubitMeasurement
@@ -187,15 +187,17 @@ class TestUnregisteredChannel:
 class TestJointProbabilities:
     def test_repeated_sharp_z(self):
         meas = QubitMeasurement(0.0, np.array([0.0, 0.0, 1.0]))
-        table = joint_probabilities(
-            LuedersInstrument(meas.to_povm()), meas.to_povm(), DensityMatrix.from_ket(KET0)
+        povm = meas.to_povm()
+        table, _ = scenario_tables(
+            DensityMatrix.from_ket(KET0).matrix, LuedersInstrument(povm), povm.matrices
         )
         assert_allclose(table, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
 
     def test_mutually_unbiased_pair(self):
         z = QubitMeasurement(0.0, np.array([0.0, 0.0, 1.0]))
-        table = joint_probabilities(
-            LuedersInstrument(x_povm(1.0)), z.to_povm(), DensityMatrix.from_ket(KET0)
+        table, _ = scenario_tables(
+            DensityMatrix.from_ket(KET0).matrix, LuedersInstrument(x_povm(1.0)),
+            z.to_povm().matrices,
         )
         assert_allclose(table, np.full((2, 2), 0.25), atol=1e-12)
 
@@ -204,7 +206,7 @@ class TestJointProbabilities:
         target = QubitMeasurement(0.0, np.array([np.sin(theta), 0.0, np.cos(theta)]))
         inst = LuedersInstrument(x_povm(1.0))
         rho = DensityMatrix.from_ket(KET0)
-        table = joint_probabilities(inst, target.to_povm(), rho)
+        table, _ = scenario_tables(rho.matrix, inst, target.to_povm().matrices)
         oracle = oracle_joint_table(
             inst.kraus, rho.matrix, [e.matrix for e in target.to_povm().effects]
         )
@@ -217,11 +219,14 @@ class TestJointProbabilities:
             povm_a = random_povm(rng, dim, int(rng.integers(2, 4)))
             povm_b = random_povm(rng, dim, int(rng.integers(2, 4)))
             rho = random_pure(rng, dim)
-            table = joint_probabilities(LuedersInstrument(povm_a), povm_b, rho)
+            table, alone = scenario_tables(
+                rho.matrix, LuedersInstrument(povm_a), povm_b.matrices)
             assert abs(table.sum() - 1.0) <= 1e-9
             marginal = table.sum(axis=1)
             direct = [np.trace(rho.matrix @ e.matrix).real for e in povm_a.effects]
             assert np.abs(marginal - direct).max() <= 1e-9
+            target = [np.trace(rho.matrix @ e.matrix).real for e in povm_b.effects]
+            assert np.abs(alone - target).max() <= 1e-9
 
 
 class TestDualChannel:
@@ -308,6 +313,6 @@ class TestInstrument:
         inst = Instrument(HERALD, (-1.0, 1.0))
         rho = DensityMatrix.from_ket([0.0, 1.0, 1.0])
         effects = [np.diag([0.9, 0.9, 0.3]), np.diag([0.1, 0.1, 0.7])]
-        table = joint_probabilities(inst, Povm(effects), rho)
+        table, _ = scenario_tables(rho.matrix, inst, Povm(effects).matrices)
         assert_allclose(table, oracle_joint_table(HERALD, rho.matrix, effects), atol=1e-12)
         assert_allclose(table, [[0.45, 0.05], [0.45, 0.05]], atol=1e-12)

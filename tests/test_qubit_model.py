@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,10 +18,11 @@ from cdtradeoff.qubit_model import (
     SIGMA_Z,
     ConvexPovmSpec,
     QubitMeasurement,
-    amplitude_phase_form,
+    _separate_probe,
     cd_parametric,
     convex_povm,
     ellipse_character,
+    ellipse_map,
     measurement_from_povm,
     optimal_state,
     plane_axis,
@@ -212,34 +216,108 @@ class TestOptimalState:
             optimal_state(probe, target)
 
 
+def amplitude_phase(a0, na, b0, nb):
+    """(R, phi) of C - c0 = R cos(theta - phi) on [0, pi]: the polar form
+    of the ``ellipse_map`` coefficients (P, Q)."""
+    *_, p, q, _ = ellipse_map(a0, na, b0, nb)
+    return math.hypot(p, q), math.atan2(q, p)
+
+
 class TestAmplitudePhase:
     def test_unbiased_probe(self):
-        char = ellipse_character(QubitMeasurement(0.0, 0.4 * plane_axis(0.0)))
-        amplitude, phase = amplitude_phase_form(char, 0.9)
+        amplitude, phase = amplitude_phase(0.0, 0.4, 0.0, 0.9)
         assert phase == pytest.approx(0.0, abs=1e-15)
         assert amplitude == pytest.approx(0.4 * 0.9, abs=1e-12)
 
     def test_sharp_probe(self):
-        char = ellipse_character(QubitMeasurement(0.0, plane_axis(0.0)))
-        amplitude, phase = amplitude_phase_form(char, 0.6)
+        amplitude, phase = amplitude_phase(0.0, 1.0, 0.0, 0.6)
         assert amplitude == pytest.approx(0.6, abs=1e-12)
         assert phase == pytest.approx(0.0, abs=1e-15)
 
     def test_biased_half_strength_values(self):
-        char = ellipse_character(QubitMeasurement(0.5, 0.5 * plane_axis(0.0)))
-        amplitude, phase = amplitude_phase_form(char, 1.0)
+        amplitude, phase = amplitude_phase(0.5, 0.5, 0.0, 1.0)
         assert amplitude == pytest.approx(0.8660254037844386, abs=1e-12)
         assert phase == pytest.approx(0.9553166181245093, abs=1e-12)
 
     def test_reproduces_parametric_correlation(self):
         probe = QubitMeasurement(0.3, 0.45 * plane_axis(0.0))
-        char = ellipse_character(probe)
         target_gamma, target_bias = 0.7, 0.2
-        amplitude, phase = amplitude_phase_form(char, target_gamma)
+        amplitude, phase = amplitude_phase(probe.bias, probe.strength, target_bias, target_gamma)
         for theta in np.linspace(0.0, np.pi, 40):
             value = cd_parametric(probe, target_gamma, target_bias, theta)
             expected = probe.bias * target_bias + amplitude * np.cos(theta - phase)
             assert value.correlation == pytest.approx(expected, abs=1e-12)
+
+
+def ellipse_grid():
+    """Valid (a0, |a|, |b|) on a grid that includes |a| = 0 and
+    |a0| + |a| = 1, as three arrays."""
+    rows = [(a0, na, nb)
+            for a0 in np.linspace(-1.0, 1.0, 9)
+            for na in np.linspace(0.0, 1.0 - abs(a0), 5)
+            for nb in (0.1, 0.485, 1.0)]
+    return np.array(rows).T
+
+
+def scalar_ellipse(a0, na, b0, nb):
+    """u_pm, s, delta and (c0, P, Q, S) in Python floats and ``math``, in
+    the operation order of the 0.1.0 scalar functions."""
+    u_plus = math.sqrt(max((1.0 + a0) ** 2 - na**2, 0.0))
+    u_minus = math.sqrt(max((1.0 - a0) ** 2 - na**2, 0.0))
+    s, delta = 1.0 - (u_plus + u_minus) / 2, (u_plus - u_minus) / 2
+    return u_plus, u_minus, s, delta, a0 * b0, na * nb, delta * nb, s * nb
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestEllipseMap:
+    def test_inverse_of_forward(self):
+        a0, na, nb = ellipse_grid()
+        _, _, s, delta, _, p, q, s_strength = ellipse_map(a0, na, 0.0, nb)
+        recovered = _separate_probe(p, q, s_strength, nb)
+        for got, want in zip(recovered, (na, a0, s, delta)):
+            assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_forward_of_inverse(self):
+        a0, na, nb = ellipse_grid()
+        mapped = np.array(ellipse_map(a0, na, 0.0, nb))
+        na_back, a0_back, _, _ = _separate_probe(*mapped[5:], nb)
+        again = np.array(ellipse_map(a0_back, na_back, 0.0, nb))
+        # u_pm = sqrt((1 pm a0)^2 - |a|^2) has infinite slope where it
+        # vanishes (|a0| + |a| = 1): a parameter one ulp off moves u_pm, Q
+        # and S by up to sqrt(eps) there, and by rounding elsewhere
+        edge = np.isclose(np.abs(a0) + na, 1.0, rtol=0, atol=1e-12)
+        assert_allclose(again[:, ~edge], mapped[:, ~edge], rtol=0, atol=1e-12)
+        assert_allclose(again[:, edge], mapped[:, edge], rtol=0, atol=1e-7)
+        assert_allclose(again[5], mapped[5], rtol=0, atol=1e-12)  # P = |a||b|
+
+    def test_scalar_functions_keep_their_floats(self):
+        for a0, na, nb in ellipse_grid().T.tolist():
+            probe = QubitMeasurement(a0, na * plane_axis(0.3))
+            b0 = (1.0 - nb) / 2
+            target = QubitMeasurement(b0, nb * plane_axis(1.1))
+            a0, na = probe.bias, probe.strength
+            u_plus, u_minus, s, delta, c0, p, q, s_strength = scalar_ellipse(
+                a0, na, target.bias, target.strength)
+            char = ellipse_character(probe, target)
+            assert hexes(dataclasses.astuple(char)) == hexes(
+                (c0, p, s_strength, delta, s, u_plus, u_minus, na, a0))
+            u_plus, u_minus, s, delta, *_ = scalar_ellipse(a0, na, 0.0, 1.0)
+            assert hexes(dataclasses.astuple(ellipse_character(probe))) == hexes(
+                (a0 * 0.0, na, s, delta, s, u_plus, u_minus, na, a0))
+            for theta in (0.0, 0.4, np.pi / 2, 2.5, -2.0):
+                value = cd_parametric(probe, nb, b0, theta)
+                sin_t = abs(math.sin(theta))
+                *_, c0, p, q, s_strength = scalar_ellipse(a0, na, b0, nb)
+                assert hexes((value.correlation, value.disturbance)) == hexes(
+                    (c0 + p * math.cos(theta) + q * sin_t, s_strength * sin_t))
+                assert type(value.correlation) is float
+
+    def test_positivity(self):
+        with pytest.raises(InvalidMeasurementError, match="positivity"):
+            ellipse_map(np.array([0.0, 0.5]), np.array([0.5, 0.6]))
 
 
 class TestCovariance:
