@@ -41,10 +41,8 @@ from .quantum_core import (
     Instrument,
     LuedersInstrument,
     Povm,
-    apply_instrument,
     dual_channel,
     psd_sqrt,
-    unregistered_channel,
 )
 from .qubit_model import (
     ConvexPovmSpec,

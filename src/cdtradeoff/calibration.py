@@ -136,12 +136,22 @@ def _bootstrap(fit, width: int, n: int, n_bootstrap: int, seed: int) -> np.ndarr
     the same indices as one ``random(n)`` call per resample."""
     rng = _stream(seed)
     step = max(1, _INDEX_BLOCK // n)
-    rows = [np.empty((0, width))]
+    rows = np.empty((n_bootstrap, width))
+    kept = 0
     for start in range(0, n_bootstrap, step):
         draws = rng.random((min(step, n_bootstrap - start), n))
         with suppress(FitError):  # raised when the block keeps no resample
-            rows.append(fit(np.minimum((draws * n).astype(np.int64), n - 1)))
-    return np.concatenate(rows)
+            block = fit(np.minimum((draws * n).astype(np.int64), n - 1))
+            rows[kept:kept + len(block)] = block
+            kept += len(block)
+    return rows[:kept]
+
+
+def _unit_scaled(errs: np.ndarray) -> np.ndarray:
+    """Positive errors times the power of two that brings the smallest into
+    [0.5, 1): exact, so a weighted fit keeps its bits, and the inverse
+    errors cannot overflow."""
+    return np.ldexp(errs, -np.frexp(errs.min())[1])
 
 
 def _kept(row_fit, items) -> np.ndarray:
@@ -193,7 +203,7 @@ def fit_circle_sharp_probe(
     c, d = scan.c, scan.d
     r2 = c * c + d * d
     r2_err = 2.0 * np.hypot(c * scan.c_err, d * scan.d_err)
-    weights = 1.0 / r2_err**2 if np.all(r2_err > 0) else np.ones_like(r2)
+    weights = 1.0 / _unit_scaled(r2_err) ** 2 if np.all(r2_err > 0) else np.ones_like(r2)
     if not (weights > 0).all():
         raise OutOfDomainError("errors of C^2 + D^2 overflow their weights")
 
@@ -212,13 +222,12 @@ def _lstsq(design: np.ndarray, target: np.ndarray, errs: np.ndarray):
     """Least squares of the system on a subset ``idx`` of its points,
     weighted by inverse errors when every point of the scan carries one
     (decided once per scan, for every resample alike, as in the circle
-    fit).  Errors so small that the weighted system overflows raise
-    OutOfDomainError."""
+    fit).  A weighted system that overflows raises OutOfDomainError."""
     if (errs > 0).all():
-        w = 1.0 / errs
+        w = 1.0 / _unit_scaled(errs)
         design, target = design * w[:, None], target * w
         if not (np.isfinite(design).all() and np.isfinite(target).all()):
-            raise OutOfDomainError("inverse errors of the scan points overflow their weights")
+            raise OutOfDomainError("the weighted scan points overflow double precision")
 
     def solve(idx):
         sol, _, rank, _ = np.linalg.lstsq(np.take(design, idx, 0), target[idx], rcond=None)
@@ -261,8 +270,8 @@ def fit_ellipse_known_theta(
     reference run) the probe parameters are separated and the result is
     marked fully identifiable.  A strength outside (0, 1] raises
     InvalidMeasurementError; one so small that the separated parameters or
-    their errors overflow raises OutOfDomainError, as do point errors so
-    small that their inverse weights overflow.
+    their errors overflow raises OutOfDomainError, as does a weighted
+    system that overflows.
     """
     if target_strength is not None and not 0.0 < target_strength <= 1.0:
         raise InvalidMeasurementError(
@@ -303,11 +312,11 @@ def fit_ellipse_known_theta(
 
 def _decompose_conic(coef: np.ndarray):
     """Center, semi-axis scales, and shear ratio of the scan-model conic
-    ((x - cx - kappa y) / P)^2 + (y / S)^2 = 1."""
+    ((x - cx - kappa y) / P)^2 + (y / S)^2 = 1, for coefficients that pass
+    the ellipse test of ``_conic_row``: its 4 A C - B B > 0 computes the
+    same two products as ``disc`` does, so ``disc`` is negative."""
     a, b, c, d, e, f = (float(v) for v in coef)
     disc = b * b - 4.0 * a * c
-    if disc >= 0:
-        raise NotAnEllipseError(f"conic discriminant {disc!r} is not negative")
     cx = (2.0 * c * d - b * e) / disc
     cy = (2.0 * a * e - b * d) / disc
     f_centered = a * cx * cx + b * cx * cy + c * cy * cy + d * cx + e * cy + f
@@ -325,7 +334,7 @@ def _conic_row(t: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> list:
     problem that satisfies the ellipse condition 4 A C - B^2 > 0."""
     for i in range(3):
         vec = evecs[:, i].real
-        if abs(evals[i].imag) <= 1e-9 and 4.0 * vec[0] * vec[2] - vec[1] ** 2 > 0:
+        if abs(evals[i].imag) <= 1e-9 and 4.0 * vec[0] * vec[2] - vec[1] * vec[1] > 0:
             coef = np.concatenate([vec, t @ vec])
             cx, _, p, s_strength, kappa = _decompose_conic(coef)
             return [cx, p, kappa * s_strength, s_strength, *coef]

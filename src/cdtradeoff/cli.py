@@ -98,21 +98,23 @@ HIGHDIM_SHOT_DIM = math.isqrt(_HIGHDIM_BYTES // 320)
 _GRID_POINT_BYTES = 1280
 SCAN_POINTS = _HIGHDIM_BYTES // _GRID_POINT_BYTES
 # Memory model of a calibration's bootstrap (tracemalloc slopes through main
-# between 4000 and 60000 resamples, every fit): the kept rows take at most
-# 305 bytes per resample, reached by the unknown-theta fit on scans of over
-# 2048 points, where each resample is a block of its own.  The resample
-# count is capped at BOOTSTRAP_LIMIT, within the same budget, before
-# anything is drawn.
-_RESAMPLE_BYTES = 320
+# between 4000 and 60000 resamples, every fit, scans of 8, 2049 and 4097
+# points): the kept rows, one (resamples, width) array, and the arrays
+# derived from them take at most 118 bytes per resample, reached by the
+# unknown-theta fit on 8 points.  The resample count is capped at
+# BOOTSTRAP_LIMIT, within the same budget, before anything is drawn.
+_RESAMPLE_BYTES = 128
 BOOTSTRAP_LIMIT = _HIGHDIM_BYTES // _RESAMPLE_BYTES
 
-MODES = ("scan", "search-optimal", "calibrate", "detector", "highdim")
-
-_TOP_KEYS = {
-    "schema", "mode", "seed", "shots", "policy", "probe", "target", "state",
-    "phi_grid", "scan_file", "fit", "target_strength", "bootstrap",
-    "detector", "dim", "gamma", "c2", "c2_grid",
+# the config keys of each mode, beside schema, mode and seed
+_MODE_KEYS = {
+    "scan": {"shots", "policy", "probe", "target", "state"},
+    "search-optimal": {"shots", "policy", "probe", "target", "phi_grid"},
+    "calibrate": {"scan_file", "fit", "target_strength", "bootstrap"},
+    "detector": {"shots", "detector"},
+    "highdim": {"shots", "dim", "gamma", "c2", "c2_grid"},
 }
+MODES = tuple(_MODE_KEYS)
 
 
 def _canonical(config: dict) -> str:
@@ -175,8 +177,6 @@ def load_config(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(config, dict), "config must be a JSON object")
-    unknown = set(config) - _TOP_KEYS
-    _require(not unknown, f"unknown config keys: {sorted(unknown)}")
     _require(config.get("schema") == SCHEMA_VERSION,
              f"config schema must be {SCHEMA_VERSION}")
     _require(config.get("mode") in MODES, f"mode must be one of {MODES}")
@@ -201,6 +201,8 @@ def _measurement(spec: dict, what: str, theta=None) -> tuple[float, np.ndarray]:
     _require(isinstance(spec, dict), f"{what} must be an object")
     _require(set(spec) <= {"bias", "gamma", "theta", "bloch"},
              f"{what} keys must be bias/gamma/theta or bias/bloch")
+    _require(not ("bloch" in spec and {"gamma", "theta"} & set(spec)),
+             f"{what}.bloch excludes gamma and theta")
     bias = _number(spec.get("bias", 0.0), f"{what}.bias")
     if "bloch" in spec:
         bloch = _vector(spec["bloch"], f"{what}.bloch")
@@ -252,8 +254,8 @@ def _scan_rows(config: dict, seed: int) -> CdScan:
         target_spec = config.get("target", {})
         _require(isinstance(target_spec, dict), "target must be an object")
         target_spec = dict(target_spec)
-        _require("theta_grid" in target_spec or "theta" in target_spec,
-                 "target needs theta or theta_grid")
+        _require(("theta_grid" in target_spec) != ("theta" in target_spec),
+                 "target needs one of theta and theta_grid")
         if "theta_grid" in target_spec:
             grid = _grid(target_spec.pop("theta_grid"), "target.theta_grid")
         else:
@@ -280,6 +282,7 @@ def _highdim_rows(config: dict, seed: int) -> CdScan:
     _require(dim <= (HIGHDIM_ENTRIES if shots is None else HIGHDIM_SHOT_DIM),
              f"dim must be <= {HIGHDIM_ENTRIES} (exact) or {HIGHDIM_SHOT_DIM} (shots)")
     gamma = _number(config.get("gamma", 1.0), "gamma")
+    _require(not {"c2", "c2_grid"} <= set(config), "highdim takes one of c2 and c2_grid")
     if "c2_grid" in config:
         grid = _grid(config["c2_grid"], "c2_grid", min(SCAN_POINTS, HIGHDIM_ENTRIES // dim))
     else:
@@ -368,6 +371,8 @@ def _cmd_calibrate(config: dict, seed: int, out_path: str) -> None:
     fit_kind = config.get("fit", "circle")
     _require(fit_kind in ("circle", "ellipse-known-theta", "ellipse-unknown-theta"),
              "fit must be circle, ellipse-known-theta, or ellipse-unknown-theta")
+    _require(fit_kind == "ellipse-known-theta" or "target_strength" not in config,
+             "target_strength applies to the ellipse-known-theta fit only")
     n_boot = config.get("bootstrap", 200)
     _require(_is_int(n_boot) and 0 <= n_boot <= BOOTSTRAP_LIMIT,
              f"bootstrap must be an integer in [0, {BOOTSTRAP_LIMIT}]")
@@ -439,6 +444,7 @@ def _cmd_detector(config: dict, seed: int, out_path: str) -> None:
         report["truth"] = {"eta": noise.eta, "nu": noise.nu}
         estimate = estimate_detector(d1, c2, d1_err, c2_err)
     else:
+        _require("shots" not in config, "a detector inversion draws no shots")
         _require({"d1", "c2"} <= set(spec) and set(spec) <= {"d1", "c2", "d1_err", "c2_err"},
                  "detector inversion needs d1/c2 (optionally d1_err/c2_err)")
         estimate = estimate_detector(
@@ -501,6 +507,8 @@ def main(argv=None) -> int:
             config["seed"] = args.seed
         if args.exact:
             config["shots"] = "exact"
+        unknown = set(config) - {"schema", "mode", "seed"} - _MODE_KEYS[config["mode"]]
+        _require(not unknown, f"{config['mode']} mode takes no config keys {sorted(unknown)}")
         seed = config.get("seed", 0)
         _require(_is_int(seed) and 0 <= seed < SEED_LIMIT,
                  "seed must be an integer in [0, 2**64)")

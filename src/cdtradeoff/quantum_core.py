@@ -15,8 +15,7 @@ afterwards (matrices are stored as read-only copies).
 (minimal back-action) update, a measure-and-prepare update, or any
 hand-built Kraus list, such as a non-Hermitian heralding operator.  Every
 joint outcome table comes from ``scenario_tables``; the post-measurement
-states, the unregistered channel and its dual all act through the same
-Kraus stack.
+states and the dual channel act through the same Kraus stack.
 """
 
 from __future__ import annotations
@@ -208,9 +207,6 @@ class DensityMatrix:
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         return cls(np.eye(dim, dtype=complex) / dim)
 
-    def __repr__(self) -> str:
-        return f"DensityMatrix(dim={self.dim})"
-
 
 class Effect:
     """POVM element: Hermitian with spectrum inside [0, 1] (within ATOL)."""
@@ -223,9 +219,6 @@ class Effect:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def __repr__(self) -> str:
-        return f"Effect(dim={self.dim})"
 
 
 class Povm:
@@ -241,11 +234,10 @@ class Povm:
 
     def __init__(self, effects, outcome_labels=None):
         eff = tuple(e if isinstance(e, Effect) else Effect(e) for e in effects)
-        if len(eff) < 2:
-            raise InvalidMeasurementError("a POVM needs at least two effects")
-        dim = eff[0].dim
-        if any(e.dim != dim for e in eff):
+        if len({e.dim for e in eff}) > 1:
             raise DimensionMismatchError("effects have mixed dimensions")
+        matrices = np.array([e.matrix for e in eff])
+        _require_complete(matrices)
         if outcome_labels is None:
             if len(eff) != 2:
                 raise InvalidMeasurementError(
@@ -255,8 +247,6 @@ class Povm:
         labels = tuple(float(x) for x in outcome_labels)
         if len(labels) != len(eff):
             raise InvalidMeasurementError("one label per effect is required")
-        matrices = np.array([e.matrix for e in eff])
-        _require_complete(matrices)
         self.effects = eff
         self.labels = labels
         self.matrices = _frozen(matrices)
@@ -272,9 +262,6 @@ class Povm:
     def observable(self) -> np.ndarray:
         """Hermitian observable sum_a label_a * E_a."""
         return sum(l * e.matrix for l, e in zip(self.labels, self.effects))
-
-    def __repr__(self) -> str:
-        return f"Povm(dim={self.dim}, outcomes={self.labels})"
 
 
 class Instrument:
@@ -371,9 +358,6 @@ class Instrument:
         k = self.matrices
         return self._by_outcome(dagger(k) @ op @ k)
 
-    def __repr__(self) -> str:
-        return f"Instrument({self.povm!r}, per_outcome={self.per_outcome})"
-
 
 LuedersInstrument = Instrument.lueders  # the square-root constructor's README name
 
@@ -397,26 +381,6 @@ def scenario_tables(rho, inst: Instrument, target_effects) -> tuple[np.ndarray, 
     _check_dims(inst.dim, target_effects.shape[-1])
     joint = np.einsum("...aij,...bji->...ab", inst.posts(rho), target_effects).real
     return joint, np.einsum("...ij,...bji->...b", rho, target_effects).real
-
-
-def apply_instrument(
-    inst: Instrument, rho: DensityMatrix, outcome: int
-) -> tuple[np.ndarray, float]:
-    """Post-measurement update for one outcome.
-
-    Returns the subnormalized output (trace equals the outcome
-    probability) together with that probability.
-    """
-    _check_dims(inst.dim, rho.dim)
-    out = inst.posts(rho.matrix)[outcome]
-    return out, float(out.trace().real)
-
-
-def unregistered_channel(inst: Instrument, rho: DensityMatrix) -> DensityMatrix:
-    """State after the measurement is performed but its outcome discarded:
-    sum_am K_am rho K_am^dagger.  Trace preserving."""
-    _check_dims(inst.dim, rho.dim)
-    return DensityMatrix(inst.posts(rho.matrix).sum(axis=0))
 
 
 def dual_channel(inst: Instrument, op) -> np.ndarray:

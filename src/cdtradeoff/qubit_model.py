@@ -36,7 +36,6 @@ from .errors import (
 from .quantum_core import (
     ATOL,
     DensityMatrix,
-    Instrument,
     Povm,
     _frozen,
     at_index,
@@ -148,16 +147,6 @@ class QubitMeasurement:
         object.__setattr__(self, "bias", float(self.bias))
         object.__setattr__(self, "bloch", _frozen(v))
 
-    @classmethod
-    def from_axis(
-        cls, bias: float, strength: float, axis
-    ) -> "QubitMeasurement":
-        a = np.asarray(axis, dtype=float)
-        norm = np.linalg.norm(a)
-        if norm == 0:
-            raise ZeroBlochError("measurement axis has zero length")
-        return cls(bias, strength * a / norm)
-
     @property
     def strength(self) -> float:
         """Bloch-vector length (sharpness)."""
@@ -176,10 +165,6 @@ class QubitMeasurement:
 
     def to_povm(self) -> Povm:
         return Povm(self.effects(), (1.0, -1.0))
-
-    def to_instrument(self) -> Instrument:
-        """The square-root (minimal back-action) instrument."""
-        return Instrument.lueders(self.to_povm())
 
 
 def measurement_from_povm(povm: Povm) -> QubitMeasurement:

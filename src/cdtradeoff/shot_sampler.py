@@ -38,6 +38,7 @@ from .errors import (
     InvalidSeedError,
     InvalidShotsError,
     LabelMismatchError,
+    NotDichotomicError,
     NotNormalizedError,
 )
 from .quantum_core import (
@@ -202,12 +203,6 @@ def _tally(words: np.ndarray, thresholds: np.ndarray, above: np.ndarray,
     return np.diff(below, axis=1, prepend=0, append=words.shape[1])
 
 
-def _categorical(rng: np.random.Generator, probs, shots: int) -> np.ndarray:
-    """Multinomial counts via inverse-CDF on the uniforms of ``rng``."""
-    (thresholds, above), = _thresholds([np.asarray(probs, dtype=float).reshape(1, -1)])
-    return np.array(_count(rng.bit_generator, thresholds[0], above[0], shots), dtype=np.int64)
-
-
 def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
                   shots_alone: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Count stacks shaped like the table stacks ``joint`` (n, ka, kb) and
@@ -312,38 +307,10 @@ def estimate_columns(joint_counts, alone_counts) -> np.ndarray:
 
 
 def estimate_cd(rec: ShotRecord) -> CdEstimate:
-    """Plug-in estimators from recorded intensities.
-
-    Dichotomic records are the one-record case of ``estimate_columns``.
-    Records with more outcomes use the rescaled coincidence/distance forms
-    with delta-method errors.
-    """
-    n_joint = int(rec.joint_counts.sum())
-    n_alone = int(rec.alone_counts.sum())
-    if n_joint == 0 or n_alone == 0:
-        raise EmptyRecordError("cannot estimate from empty record")
-    q = rec.joint_counts / n_joint
-    if q.shape[0] != q.shape[1]:
-        raise LabelMismatchError("joint record is not square")
-    n = q.shape[0]
-    if n == 2:
-        columns = estimate_columns(rec.joint_counts[None], rec.alone_counts[None])
-        return CdEstimate(*columns[:, 0].tolist())
-    scale = n / (n - 1)
-    p_match = float(np.trace(q))
-    c_hat = scale * (p_match - 1.0 / n)
-    c_err = scale * np.sqrt(p_match * (1.0 - p_match) / n_joint)
-    p_alone = rec.alone_counts / n_alone
-    p_tilde = q.sum(axis=0)
-    diff = p_alone - p_tilde
-    norm = np.linalg.norm(diff)
-    k = np.sqrt(scale)
-    d_hat = k * norm
-    cov_alone = (np.diag(p_alone) - np.outer(p_alone, p_alone)) / n_alone
-    cov_tilde = (np.diag(p_tilde) - np.outer(p_tilde, p_tilde)) / n_joint
-    if norm > 0:
-        var = (diff @ (cov_alone + cov_tilde) @ diff) * (k / norm) ** 2
-    else:
-        var = scale * np.trace(cov_alone + cov_tilde)
-    d_err = float(np.sqrt(max(var, 0.0)))
-    return CdEstimate(float(c_hat), float(d_hat), float(c_err), float(d_err))
+    """Plug-in estimates of one dichotomic record: the one-record case of
+    ``estimate_columns``.  Records of any other shape raise
+    NotDichotomicError."""
+    if rec.joint_counts.shape != (2, 2) or rec.alone_counts.shape != (2,):
+        raise NotDichotomicError("shot estimates need 2x2 joint and 2 alone counts")
+    columns = estimate_columns(rec.joint_counts[None], rec.alone_counts[None])
+    return CdEstimate(*columns[:, 0].tolist())

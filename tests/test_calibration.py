@@ -305,6 +305,40 @@ class TestKnownThetaFit:
         with pytest.raises(InsufficientPointsError):
             fit_ellipse_known_theta(circle_scan(1.0, n=3))
 
+    def test_two_settings_split_by_rounding_are_rank_deficient(self):
+        # adjacent doubles whose (cos, |sin|) round to two 12-decimal
+        # settings: three setting ids, but only two points of the design
+        a, b = 1.0003592173943805, 1.0003592173943807
+        assert b == np.nextafter(a, 2.0)
+        thetas = np.array([0.3, 0.3, a, a, b, b])
+        settings = np.round(np.column_stack([np.cos(thetas), np.abs(np.sin(thetas))]), 12)
+        assert len(np.unique(settings, axis=0)) == 3
+        scan = CdScan(thetas, 0.1 + 0.5 * np.cos(thetas), 0.4 * np.abs(np.sin(thetas)))
+        with pytest.raises(RankDeficientError, match="theta grid"):
+            fit_ellipse_known_theta(scan, n_bootstrap=0)
+
+    def test_overflowing_weighted_system_is_out_of_domain(self):
+        # the inverse errors reach 2 after scaling: C of 1.5e308 overflows
+        scan = CdScan(THETAS_12, np.full(12, 1.5e308), np.zeros(12), np.ones(12), np.ones(12))
+        with pytest.raises(OutOfDomainError, match="weighted"):
+            fit_ellipse_known_theta(scan, n_bootstrap=0)
+
+    @pytest.mark.parametrize("fit", [fit_circle_sharp_probe, fit_ellipse_known_theta])
+    @pytest.mark.parametrize("exponent", [-600, -1030])
+    def test_errors_weight_alike_at_any_power_of_two(self, fit, exponent):
+        # the weights are invariant under a common power-of-two scale of the
+        # errors, down to subnormal errors whose inverse squares overflow
+        thetas = np.linspace(0.1, 2 * np.pi, 12, endpoint=False)
+        c = 0.1 + 0.5 * np.cos(thetas) + 0.2 * np.abs(np.sin(thetas))
+        d = 0.4 * np.abs(np.sin(thetas))
+        errs = 1.0 + np.arange(12) / 16  # exact at every scale tried
+        results = [fit(CdScan(thetas, c, d, np.ldexp(errs, k), np.ldexp(errs, k)),
+                       n_bootstrap=20) for k in (-4, exponent)]
+        if fit is fit_ellipse_known_theta or exponent > -1000:
+            assert results[0] == results[1]
+        else:  # c and d times a subnormal error round: the weights move slightly
+            assert results[1].strength == pytest.approx(results[0].strength, rel=1e-9)
+
     @pytest.mark.parametrize("target_strength", [0.0, -1.0, 1.5, np.nan, np.inf])
     def test_target_strength_outside_unit_interval(self, target_strength):
         scan = forward_scan(QubitMeasurement(0.1, 0.7 * plane_axis(0.0)), 1.0, 0.0, THETAS_12)
@@ -381,6 +415,25 @@ class TestUnknownThetaFit:
         i = np.arange(8)
         with pytest.raises(NotAnEllipseError):
             fit_ellipse_unknown_theta(CdScan(None, 0.1 * i, 0.2 * i))
+
+    def test_cluster_below_rounding_has_no_real_semi_axes(self):
+        # six points within 2e-8 of (1, 2): the centered constant term of
+        # the conic is rounding noise, here of the sign of its quadratic
+        # part (the message may differ with the LAPACK build)
+        x = [0.9999999898651154, 0.9999999970021807, 1.0000000029668408,
+             0.9999999880225066, 1.000000009961053, 0.9999999855780078]
+        y = [2.000000001360324, 1.9999999911618398, 2.000000002133874,
+             1.9999999798243102, 1.9999999902069667, 1.999999987509441]
+        with pytest.raises(NotAnEllipseError):
+            fit_ellipse_unknown_theta(CdScan(None, x, y), n_bootstrap=0)
+
+    def test_overflowing_conic_pencil_is_out_of_domain(self):
+        # a circle of radius 2.85e76 centered at twice its radius: the
+        # scatter is finite, the reduced pencil overflows
+        t = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+        scan = CdScan(None, 2.85e76 * (2.0 + np.cos(t)), 2.85e76 * np.sin(t))
+        with pytest.raises(OutOfDomainError, match="conic pencil"):
+            fit_ellipse_unknown_theta(scan, n_bootstrap=0)
 
     def test_insufficient_points(self):
         with pytest.raises(InsufficientPointsError):

@@ -25,7 +25,6 @@ from cdtradeoff.quantum_core import (
     LuedersInstrument,
     Povm,
     scenario_tables,
-    unregistered_channel,
 )
 from cdtradeoff.qubit_model import (
     SIGMA_X,
@@ -35,7 +34,12 @@ from cdtradeoff.qubit_model import (
     plane_axis,
 )
 
-from util import random_pure, random_qubit_measurement, random_two_outcome_povm
+from util import (
+    random_pure,
+    random_qubit_measurement,
+    random_two_outcome_povm,
+    unregistered_channel,
+)
 
 PM = (1.0, -1.0)
 
@@ -76,6 +80,14 @@ class TestCorrelation:
         with pytest.raises(NotNormalizedError):
             correlation(np.full((2, 2), 0.3), PM, PM)
 
+    def test_table_shape_must_match_labels(self):
+        with pytest.raises(LabelMismatchError, match="label counts"):
+            correlation(np.full((2, 3), 1 / 6), PM, PM)
+
+    def test_labels_must_be_distinct(self):
+        with pytest.raises(LabelMismatchError, match="distinct"):
+            correlation(np.full((2, 2), 0.25), (1.0, 1.0), (1.0, 1.0))
+
 
 def measure_and_prepare():
     """A probe whose values cd_tables does not hold to C^2 + D^2 <= 1."""
@@ -111,6 +123,11 @@ class TestDisturbance:
     def test_label_mismatch(self):
         with pytest.raises(LabelMismatchError):
             disturbance_of((0.5, 0.5), (0.5, 0.5), labels=(0.0, 1.0))
+
+    @pytest.mark.parametrize("p_alone, message", [((1.5, -0.5), "outside"), ((0.3, 0.3), "sums")])
+    def test_probe_off_distribution_is_checked(self, p_alone, message):
+        with pytest.raises(NotNormalizedError, match=message):
+            disturbance_of(p_alone, (0.5, 0.5))
 
     def test_dichotomic_reduction(self):
         # general rescaled-norm form equals 2 |delta p| for two outcomes

@@ -366,9 +366,10 @@ class TestCalibrateMode:
             assert numbers and all(map(math.isfinite, numbers))
 
     @pytest.mark.parametrize("strength", [None, 0.9], ids=["combos_only", "full"])
-    @pytest.mark.parametrize("err, code", [("1e-308", 0), ("1e-310", 4), ("1e-320", 4)])
+    @pytest.mark.parametrize("err, code", [("1e-308", 0), ("1e-310", 0), ("1e-320", 0)])
     def test_subnormal_errors_known_theta(self, tmp_path, err, code, strength):
-        # inverse errors that overflow double precision cannot weight the fit
+        # errors whose inverse overflows double precision still weight the
+        # fit: they are scaled by a power of two first
         target = {"bias": 0.0, "gamma": 0.9,
                   "theta_grid": {"start": 0.1, "stop": 0.1 + 2 * np.pi, "points": 12}}
         config = scan_config(tmp_path, name="gen.json", target=target,
@@ -385,6 +386,42 @@ class TestCalibrateMode:
         out = tmp_path / "r.json"
         assert run_cli("--config", config, "--out", out) == code
         assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("fit", ["circle", "ellipse-known-theta"])
+    @pytest.mark.parametrize("err", ["1e-200", "1e-310"])
+    def test_tiny_errors_weight_like_larger_ones(self, tmp_path, fit, err):
+        # a noisy 12-point scan, once with errors of 0.01 and once with ``err``
+        numbers = []
+        for scale in ("0.01", err):
+            path = tmp_path / f"{scale}.csv"
+            path.write_text(CSV_HEADER + "\n" + "".join(
+                f"{t!r},{0.8 * math.cos(t) + 0.01 * math.sin(7 * t)!r},"
+                f"{0.8 * abs(math.sin(t)) + 0.01 * math.cos(5 * t)!r},{scale},{scale},0\n"
+                for t in np.linspace(0.1, 2 * np.pi, 12, endpoint=False).tolist()))
+            config = write_config(tmp_path / "cal.json", mode="calibrate", fit=fit,
+                                  scan_file=str(path), bootstrap=20)
+            out = tmp_path / f"{scale}.json"
+            assert run_cli("--config", config, "--out", out) == 0
+            result = json.loads(out.read_text(), parse_constant=reject_constant)["result"]
+            result.update({f"{k}_err": v for k, v in result.pop("errors", {}).items()})
+            numbers.append({k: v for k, v in result.items() if isinstance(v, float)})
+        assert numbers[1] == pytest.approx(numbers[0], rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "text",
+        [None, "", "theta,c,d\n", CSV_HEADER + "\n0.1,0.5,0.5,0,0\n",
+         CSV_HEADER + "\n0.1,0.5,x,0,0,0.5\n"],
+        ids=["missing", "empty", "header", "short_row", "non_numeric"])
+    def test_bad_scan_file_is_config_error(self, tmp_path, text, capsys):
+        scan_path = tmp_path / "scan.csv"
+        if text is not None:
+            scan_path.write_text(text)
+        config = write_config(tmp_path / "cal.json", mode="calibrate",
+                              scan_file=str(scan_path), fit="circle")
+        out = tmp_path / "r.json"
+        assert run_cli("--config", config, "--out", out) == 2
+        assert not out.exists()
+        assert "scan" in capsys.readouterr().err
 
     def test_scan_roundtrip_reader(self, tmp_path):
         scan_path = self.make_scan(tmp_path, gamma=0.5, points=8)
@@ -513,6 +550,11 @@ class TestErrorsAndOverrides:
             tmp_path / "weird.json", mode="scan", theta_degrees=90
         )
         assert run_cli("--config", config, "--out", tmp_path / "o") == 2
+
+    def test_unknown_policy_rejected(self, tmp_path, capsys):
+        config = scan_config(tmp_path, policy="bogus")
+        assert run_cli("--config", config, "--out", tmp_path / "o.csv") == 2
+        assert "unknown policy 'bogus'" in capsys.readouterr().err
 
     def test_infeasible_measurement_is_physics_error(self, tmp_path):
         config = scan_config(
@@ -700,7 +742,10 @@ class TestConfigNumbers:
         ],
     )
     def test_non_numbers_are_config_errors(self, tmp_path, entries):
-        config = scan_config(tmp_path, **entries)
+        if entries.get("mode", "scan") == "scan":
+            config = scan_config(tmp_path, **entries)
+        else:
+            config = write_config(tmp_path / "c.json", **entries)
         out = tmp_path / "o.csv"
         assert run_cli("--config", config, "--out", out) == 2
         assert not out.exists()
@@ -949,8 +994,7 @@ class TestBootstrapCap:
 
     @pytest.mark.parametrize("fit", ["circle", "ellipse-unknown-theta"])
     def test_model_bounds_the_peak(self, tmp_path, fit):
-        # over 2048 points every resample is a block of its own: the most
-        # bytes per kept row
+        # over 2048 points every resample is a block of its own
         resamples = 4000
         scan_file = self.scan_file(tmp_path, 2049)
         code, peak = traced_exit(tmp_path, "cal", mode="calibrate", scan_file=scan_file,
@@ -965,3 +1009,69 @@ class TestNegativeDisturbance:
         config = write_config(tmp_path / "det.json", mode="detector",
                               detector={"eta": 0.9, "nu": 0.01})
         assert run_cli("--config", config, "--out", tmp_path / "r.json") == 3
+
+
+SCAN_BASE = {"mode": "scan", "target": {"gamma": 1.0, "theta_grid": {"points": 4}}}
+CIRCLE_BASE = {"mode": "calibrate", "fit": "circle", "bootstrap": 10}
+
+
+class TestOneKeySetPerMode:
+    """Each mode takes its own config keys, and a branch refuses the keys it
+    never reads: the base config of each case runs, and the same config
+    with the extra keys exits 2 and writes nothing."""
+
+    CASES = {
+        "scan_with_other_modes_keys": (
+            SCAN_BASE, {"dim": 7, "fit": "circle", "c2": 3.0, "phi_grid": {"points": -1}}),
+        "highdim_with_policy_and_probe": (
+            {"mode": "highdim", "dim": 3, "c2": 0.5},
+            {"policy": "eigenstate", "probe": {"gamma": 1.0}}),
+        "circle_with_strength_shots_detector": (
+            CIRCLE_BASE, {"target_strength": 5, "shots": 3, "detector": 7}),
+        "inversion_with_shots_and_policy": (
+            {"mode": "detector", "detector": {"d1": 0.5, "c2": -0.1}},
+            {"shots": -5, "policy": "bogus"}),
+        "search_with_state": (
+            {"mode": "search-optimal", "phi_grid": {"points": 4}},
+            {"state": {"bloch": [9, 9, 9]}}),
+        "bloch_beside_gamma_theta_beside_grid": (
+            SCAN_BASE, {"probe": {"bloch": [1, 0, 0], "gamma": "x"},
+                        "target": {"gamma": 1.0, "theta": "zz", "theta_grid": {"points": 4}}}),
+        "bloch_beside_theta": (SCAN_BASE, {"probe": {"bloch": [1, 0, 0], "theta": 0.5}}),
+        "theta_beside_grid": (
+            SCAN_BASE, {"target": {"gamma": 1.0, "theta": 0.5, "theta_grid": {"points": 4}}}),
+        "c2_beside_grid": (
+            {"mode": "highdim", "dim": 3, "c2_grid": {"stop": 1.0, "points": 4}}, {"c2": 0.5}),
+        "unknown_theta_with_strength": (
+            {**CIRCLE_BASE, "fit": "ellipse-unknown-theta"}, {"target_strength": 0.9}),
+    }
+
+    @staticmethod
+    def with_scan_file(tmp_path, entries):
+        """``entries``, given a scan file when they calibrate."""
+        if entries["mode"] != "calibrate":
+            return entries
+        scan_file = tmp_path / "gen.csv"
+        assert run_cli("--config", scan_config(tmp_path, name="gen.json"), "--out", scan_file) == 0
+        return {**entries, "scan_file": str(scan_file)}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_ignored_keys_exit_2_and_write_nothing(self, tmp_path, case):
+        base, extra = self.CASES[case]
+        base = self.with_scan_file(tmp_path, base)
+        codes = []
+        for name, entries in (("base", base), ("extra", {**base, **extra})):
+            (tmp_path / name).mkdir()
+            config = write_config(tmp_path / f"{name}.json", **entries)
+            codes.append(run_cli("--config", config, "--out", tmp_path / name / "out.csv"))
+        assert codes == [0, 2]
+        assert not any((tmp_path / "extra").iterdir())
+
+    @pytest.mark.parametrize("entries", [CIRCLE_BASE, CASES["inversion_with_shots_and_policy"][0]],
+                             ids=["calibrate", "detector_inversion"])
+    def test_exact_flag_where_no_shots_are_drawn(self, tmp_path, entries):
+        config = write_config(tmp_path / "c.json", **self.with_scan_file(tmp_path, entries))
+        assert run_cli("--config", config, "--out", tmp_path / "ok.json") == 0
+        out = tmp_path / "r.json"
+        assert run_cli("--config", config, "--out", out, "--exact") == 2
+        assert not out.exists()

@@ -119,6 +119,10 @@ class TestFockState:
         rho = state.density()
         assert np.trace(rho).real == pytest.approx(1.0)
 
+    def test_three_amplitudes(self):
+        with pytest.raises(NotNormalizedError, match="3 amplitudes"):
+            FockState(np.array([1.0, 0.0]))
+
     def test_normalization_enforced(self):
         with pytest.raises(NotNormalizedError):
             FockState(np.array([1.0, 1.0, 0.0]))

@@ -7,6 +7,7 @@ from cdtradeoff.errors import (
     DimensionMismatchError,
     InvalidDimError,
     InvalidMeasurementError,
+    InvalidStateError,
     ProbeNotSharpError,
 )
 from cdtradeoff.highdim_model import (
@@ -56,6 +57,14 @@ class TestValidation:
     def test_rejects_non_idempotent(self):
         with pytest.raises(InvalidMeasurementError):
             RandomizedDichotomic(2, 1.0, Effect(np.diag([0.6, 0.4])))
+
+    def test_rejects_projector_of_other_dim(self):
+        with pytest.raises(DimensionMismatchError, match="does not match"):
+            RandomizedDichotomic(3, 1.0, Effect(np.diag([1.0, 0.0])))
+
+    def test_rejects_zero_ket(self):
+        with pytest.raises(InvalidStateError, match="zero ket at index 1"):
+            projectors(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_rejects_bad_dim(self):
         with pytest.raises(InvalidDimError):

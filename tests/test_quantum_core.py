@@ -15,15 +15,21 @@ from cdtradeoff.quantum_core import (
     Instrument,
     LuedersInstrument,
     Povm,
-    apply_instrument,
+    check_povms,
     dual_channel,
     psd_sqrt,
     scenario_tables,
-    unregistered_channel,
 )
 from cdtradeoff.qubit_model import ID2, SIGMA_X, SIGMA_Z, QubitMeasurement
 
-from util import oracle_joint_table, random_povm, random_pure, random_unitary
+from util import (
+    apply_instrument,
+    oracle_joint_table,
+    random_povm,
+    random_pure,
+    random_unitary,
+    unregistered_channel,
+)
 
 KET0 = np.array([1.0, 0.0])
 KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -106,6 +112,31 @@ class TestTypes:
         assert povm.labels == (1.0, -1.0)
         assert_allclose(povm.observable(), SIGMA_X, atol=1e-15)
 
+    @pytest.mark.parametrize("make", [DensityMatrix, Effect, lambda m: Povm([m, m])],
+                             ids=["density_matrix", "effect", "povm"])
+    def test_one_matrix_not_a_stack(self, make):
+        with pytest.raises(DimensionMismatchError, match="square"):
+            make(np.stack([np.eye(2) / 2] * 2))
+
+    def test_zero_ket(self):
+        with pytest.raises(InvalidStateError, match="zero ket"):
+            DensityMatrix.from_ket([0.0, 0.0])
+
+    @pytest.mark.parametrize("effects", [[], [np.eye(2)]], ids=["none", "one"])
+    def test_povm_needs_two_effects(self, effects):
+        with pytest.raises(InvalidMeasurementError, match="two effects"):
+            Povm(effects, (1.0,) * len(effects))
+        with pytest.raises(InvalidMeasurementError, match="two effects"):
+            check_povms(np.reshape(effects, (len(effects), 2, 2)))
+
+    def test_povm_effects_share_one_dimension(self):
+        with pytest.raises(DimensionMismatchError, match="mixed dimensions"):
+            Povm([np.eye(2) / 2, np.eye(3) / 2])
+
+    def test_povm_needs_one_label_per_effect(self):
+        with pytest.raises(InvalidMeasurementError, match="one label per effect"):
+            Povm([np.eye(2) / 2, np.eye(2) / 2], (1.0, -1.0, 0.0))
+
     def test_povm_needs_labels_beyond_two_outcomes(self):
         thirds = [np.eye(2) / 3] * 3
         with pytest.raises(InvalidMeasurementError):
@@ -149,7 +180,9 @@ class TestApplyInstrument:
     def test_dimension_mismatch(self):
         inst = LuedersInstrument(x_povm(1.0))
         with pytest.raises(DimensionMismatchError):
-            apply_instrument(inst, DensityMatrix.maximally_mixed(3), 0)
+            scenario_tables(DensityMatrix.maximally_mixed(3).matrix, inst, x_povm(1.0).matrices)
+        with pytest.raises(DimensionMismatchError):
+            scenario_tables(DensityMatrix.maximally_mixed(2).matrix, inst, np.eye(3)[None])
 
 
 class TestUnregisteredChannel:

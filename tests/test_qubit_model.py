@@ -12,6 +12,7 @@ from cdtradeoff.errors import (
     NotPsdError,
     ZeroBlochError,
 )
+from cdtradeoff.quantum_core import Povm
 from cdtradeoff.qubit_model import (
     ID2,
     SIGMA_X,
@@ -20,6 +21,7 @@ from cdtradeoff.qubit_model import (
     QubitMeasurement,
     _separate_probe,
     cd_parametric,
+    check_qubit,
     convex_povm,
     ellipse_character,
     ellipse_map,
@@ -58,6 +60,16 @@ class TestConvexPovm:
         meas = measurement_from_povm(povm)
         assert meas.strength == pytest.approx(0.5, abs=1e-12)
         assert meas.bias == pytest.approx(0.35, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [-0.1, 1.5])
+    def test_gamma_outside_unit_interval(self, gamma):
+        with pytest.raises(InvalidMeasurementError, match="gamma"):
+            ConvexPovmSpec(theta=0.0, gamma=gamma)
+
+    def test_labels_must_be_plus_minus_one(self):
+        povm = Povm(QubitMeasurement(0.0, plane_axis(0.3)).effects(), (0.0, 1.0))
+        with pytest.raises(InvalidMeasurementError, match="labels"):
+            measurement_from_povm(povm)
 
     def test_bias_exceeding_dummy_weight(self):
         with pytest.raises(InvalidBiasError):
@@ -363,6 +375,21 @@ class TestCovariance:
 
 
 class TestStateFromBloch:
+    @pytest.mark.parametrize(
+        "check, error",
+        [(state_from_bloch, ZeroBlochError),
+         (lambda v: check_qubit(0.0, v), InvalidMeasurementError),
+         (lambda v: QubitMeasurement(0.0, v), InvalidMeasurementError)],
+        ids=["state_from_bloch", "check_qubit", "QubitMeasurement"])
+    @pytest.mark.parametrize("vec", [[1.0, 0.0], 0.5], ids=["two_components", "number"])
+    def test_rejects_vectors_of_other_shapes(self, check, error, vec):
+        with pytest.raises(error, match="3 components"):
+            check(vec)
+
+    def test_measurement_takes_one_vector(self):
+        with pytest.raises(InvalidMeasurementError, match="3 components"):
+            QubitMeasurement(0.0, np.zeros((2, 3)))
+
     def test_rejects_overlong_vector(self):
         with pytest.raises(NotPsdError):
             state_from_bloch([1.1, 0.0, 0.0])

@@ -12,9 +12,10 @@ from cdtradeoff.errors import (
     InvalidShotsError,
     LabelMismatchError,
     NonQubitError,
+    NotDichotomicError,
     NotNormalizedError,
 )
-from cdtradeoff.quantum_core import DensityMatrix, LuedersInstrument, Povm, apply_instrument
+from cdtradeoff.quantum_core import DensityMatrix, LuedersInstrument, Povm
 from cdtradeoff.qubit_model import (
     QubitMeasurement,
     ellipse_character,
@@ -26,7 +27,6 @@ from cdtradeoff.shot_sampler import (
     _BLOCK,
     InstrumentPolicy,
     ShotRecord,
-    _categorical,
     _rekey,
     _stream,
     _thresholds,
@@ -37,7 +37,7 @@ from cdtradeoff.shot_sampler import (
     sample_tables,
 )
 
-from util import categorical_oracle, dichotomic_estimate_oracle, scenario
+from util import apply_instrument, categorical_oracle, dichotomic_estimate_oracle, scenario
 
 
 def sharp(theta):
@@ -244,15 +244,17 @@ class TestCategoricalOracle:
 
     @pytest.mark.parametrize("name", sorted(ORACLE_TABLES))
     def test_counts_equal_searchsorted(self, name):
-        probs = ORACLE_TABLES[name]
+        # one record of ``shots`` draws on the joint arm and one on the alone
+        # arm: the alone draw checks the position the joint arm left behind
+        probs = np.reshape(ORACLE_TABLES[name], (1, -1))
         for shots in ORACLE_SHOTS:
             for seed in range(50):
-                rng, rng_oracle = _stream(seed), _stream(seed)
-                counts = _categorical(rng, probs, shots)
+                counts, after = sample_tables(probs, probs, shots, seed, shots_alone=1)
+                rng_oracle = _stream(seed)
                 expected = categorical_oracle(rng_oracle, probs, shots)
-                assert np.array_equal(counts, expected), (shots, seed)
+                assert np.array_equal(counts[0], expected), (shots, seed)
                 assert counts.dtype == np.int64
-                assert rng.random() == rng_oracle.random()
+                assert np.array_equal(after[0], categorical_oracle(rng_oracle, probs, 1))
 
     def test_sample_distributions_draws_joint_then_alone(self):
         joint = np.array([[0.4, 0.1], [0.15, 0.35]])
@@ -453,6 +455,18 @@ class TestSampleTablesOracle:
     def test_seed_out_of_range(self, seed, first):
         with pytest.raises(InvalidSeedError):
             sample_tables(STACK_JOINT, STACK_ALONE, 10, seed, first)
+
+    @pytest.mark.parametrize("joint, alone", [(np.zeros((3, 2, 2)), np.zeros((2, 2))),
+                                              (np.zeros((2, 2)), np.zeros(2))],
+                             ids=["lengths", "not_stacks"])
+    def test_table_stacks_must_pair_up(self, joint, alone):
+        with pytest.raises(LabelMismatchError, match="equal length"):
+            sample_tables(joint, alone, 10, 1)
+
+    def test_record_estimate_needs_a_dichotomic_record(self):
+        rec = ShotRecord(np.full((3, 3), 10), np.full(3, 30), 90, 90, 0)
+        with pytest.raises(NotDichotomicError):
+            estimate_cd(rec)
 
     def test_estimator_rejects_empty_and_non_dichotomic_records(self):
         jc = np.full((3, 2, 2), 5)

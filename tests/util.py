@@ -81,6 +81,22 @@ def loop_trace(a) -> complex:
     return sum(a[i, i] for i in range(a.shape[0]))
 
 
+def apply_instrument(inst, rho: DensityMatrix, outcome: int):
+    """Subnormalized post-measurement state sum_m K_am rho K_am^dagger of
+    one outcome, summed over that outcome's Kraus operators one by one, and
+    its trace (the outcome probability)."""
+    m = inst.per_outcome
+    out = sum(k @ rho.matrix @ k.conj().T for k in inst.kraus[outcome * m:(outcome + 1) * m])
+    return out, float(out.trace().real)
+
+
+def unregistered_channel(inst, rho: DensityMatrix) -> DensityMatrix:
+    """State after the probe with its outcome discarded, sum over every
+    Kraus operator of K rho K^dagger; ``DensityMatrix`` checks that it is a
+    state."""
+    return DensityMatrix(sum(k @ rho.matrix @ k.conj().T for k in inst.kraus))
+
+
 def oracle_joint_table(kraus, rho, effects):
     """Brute-force joint probabilities tr(K rho Kdag E) via explicit loops."""
     table = np.empty((len(kraus), len(effects)))
