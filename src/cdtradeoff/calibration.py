@@ -202,7 +202,10 @@ def fit_circle_sharp_probe(
         raise InsufficientPointsError(f"need at least 2 points, got {n}")
     c, d = scan.c, scan.d
     r2 = c * c + d * d
-    r2_err = 2.0 * np.hypot(c * scan.c_err, d * scan.d_err)
+    # both error columns share one exact power-of-two scale before the
+    # products, so errors near the subnormal floor keep their bits
+    scale = -np.frexp(max(scan.c_err.max(), scan.d_err.max()))[1]
+    r2_err = 2.0 * np.hypot(c * np.ldexp(scan.c_err, scale), d * np.ldexp(scan.d_err, scale))
     weights = 1.0 / _unit_scaled(r2_err) ** 2 if np.all(r2_err > 0) else np.ones_like(r2)
     if not (weights > 0).all():
         raise OutOfDomainError("errors of C^2 + D^2 overflow their weights")
@@ -400,4 +403,4 @@ def estimate_detector(
     dnu = 1.0 / total
     eta_err = math.hypot(deta_dd1 * d1_err, deta_dc2 * c2_err)
     nu_err = math.hypot(dnu * d1_err, dnu * c2_err)
-    return DetectorEstimate(noise, eta_err, nu_err)
+    return _finite(DetectorEstimate(noise, eta_err, nu_err), {})

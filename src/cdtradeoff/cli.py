@@ -9,6 +9,10 @@ calibrate       fit a previously written scan file
 detector        simulate and/or invert the on-off detector protocol
 highdim         overlap scan of the d-dimensional circle law
 
+A config is parsed once, after the flags, then run: ``_SCHEMA`` maps each
+key of each mode to its default and parser, and a mode's branch reads only
+the parsed values and checks the rules that tie two keys together.
+
 All angles are radians.  CSV columns are theta,c,d,c_err,d_err,c2d2 with 9
 significant digits; every scan CSV gets a JSON sidecar carrying the full
 config, its SHA-256 hash, and the library version, so outputs are
@@ -105,24 +109,14 @@ SCAN_POINTS = _HIGHDIM_BYTES // _GRID_POINT_BYTES
 # BOOTSTRAP_LIMIT, within the same budget, before anything is drawn.
 _RESAMPLE_BYTES = 128
 BOOTSTRAP_LIMIT = _HIGHDIM_BYTES // _RESAMPLE_BYTES
-
-# the config keys of each mode, beside schema, mode and seed
-_MODE_KEYS = {
-    "scan": {"shots", "policy", "probe", "target", "state"},
-    "search-optimal": {"shots", "policy", "probe", "target", "phi_grid"},
-    "calibrate": {"scan_file", "fit", "target_strength", "bootstrap"},
-    "detector": {"shots", "detector"},
-    "highdim": {"shots", "dim", "gamma", "c2", "c2_grid"},
-}
-MODES = tuple(_MODE_KEYS)
-
-
-def _canonical(config: dict) -> str:
-    return json.dumps(config, sort_keys=True, separators=(",", ":"))
-
-
-def _config_hash(config: dict) -> str:
-    return hashlib.sha256(_canonical(config).encode()).hexdigest()
+# Time model of a shot-mode run: it draws points * 2 * shots raw Philox
+# words (both arms of every record), and a word costs at least the
+# generator's floor of about 8.5 ns (8.5 to 10.5 ns measured on a 2-vCPU
+# x86_64 VM, numpy 2.4).  A run of more than DRAW_LIMIT draws, about
+# _DRAW_SECONDS at that floor, is refused before any table is built.
+_WORD_NS = 8.5
+_DRAW_SECONDS = 3 * 3600
+DRAW_LIMIT = int(_DRAW_SECONDS * 1e9 / _WORD_NS)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -130,15 +124,13 @@ def _require(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
-def _is_int(value) -> bool:
-    """JSON integer: ``true``/``false`` load as ``bool``, a subclass of
-    ``int``, and are rejected."""
-    return isinstance(value, int) and not isinstance(value, bool)
+# Parsers: each takes (value, what, *args), where ``what`` names the value
+# in messages, and returns the parsed value or raises SchemaError.
 
 
-def _number(value, what: str) -> float:
-    """A config number as a finite double; ``true``/``false``, strings,
-    ``null`` and integers too large for a double are schema errors."""
+def _number(value, what: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """A config number as a finite double in (low, high]; ``true``/``false``,
+    strings, ``null`` and integers too large for a double are schema errors."""
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{what} must be a number")
     try:
@@ -146,13 +138,137 @@ def _number(value, what: str) -> float:
     except OverflowError:
         number = math.inf
     _require(math.isfinite(number), f"{what} must be finite in double precision")
+    _require(low < number <= high, f"{what} must lie in ({low}, {high}]")
     return number
+
+
+def _integer(value, what: str, low: int, high: int) -> int:
+    """A JSON integer in [low, high]; ``true``/``false`` load as ``bool``."""
+    _require(isinstance(value, int) and not isinstance(value, bool) and low <= value <= high,
+             f"{what} must be an integer in [{low}, {high}]")
+    return value
+
+
+def _shots(value, what: str) -> int | None:
+    """None for ``"exact"``, else the shots of one point within DRAW_LIMIT."""
+    return None if value == "exact" else _integer(value, f'{what} (or "exact")', 1, DRAW_LIMIT // 2)
+
+
+def _choice(value, what: str, *choices: str) -> str:
+    _require(value in choices, f"unknown {what} {value!r}, not one of {choices}")
+    return value
+
+
+def _path(value, what: str) -> str:
+    _require(isinstance(value, str), f"{what} must be a path")
+    return value
 
 
 def _vector(value, what: str) -> np.ndarray:
     """A 3-component config vector of numbers."""
     _require(isinstance(value, list) and len(value) == 3, f"{what} must have 3 components")
     return np.array([_number(v, f"{what}[{i}]") for i, v in enumerate(value)])
+
+
+def _point(value, what: str) -> tuple[float, float, int]:
+    """One number as the one-point grid (value, value, 1)."""
+    number = _number(value, what)
+    return number, number, 1
+
+
+def _grid(spec, what: str) -> tuple[float, float, int]:
+    """(start, stop, points) of a grid spec, checked alone; ``_linspace``
+    makes the points once the branch has checked the caps of other keys."""
+    _require(isinstance(spec, dict) and set(spec) <= {"start", "stop", "points"},
+             f"{what} must carry start/stop/points")
+    points = _integer(spec.get("points"), f"{what}.points", 1, SCAN_POINTS)
+    start = _number(spec.get("start", 0.0), f"{what}.start")
+    stop = _number(spec.get("stop", 2 * math.pi), f"{what}.stop")
+    _require(math.isfinite(stop - start), f"{what} span stop - start overflows double precision")
+    return start, stop, points
+
+
+def _measurement(spec, what: str, scan_target: bool = False) -> tuple:
+    """(bias, Bloch vector) of ``{bias, bloch}`` or of ``gamma`` along ``theta``
+    in the x-z plane; a scan target takes no bloch but one of theta and
+    theta_grid, and gives (bias, gamma, angle grid as ``_grid`` gives it)."""
+    other = ("gamma", "theta_grid") if scan_target else ("bloch",)
+    _require(isinstance(spec, dict) and (
+        set(spec) <= {"bias", "gamma", "theta"} or set(spec) <= {"bias", *other}),
+        f"{what} takes bias, gamma and theta, or bias and {' and '.join(other)}")
+    bias = _number(spec.get("bias", 0.0), f"{what}.bias")
+    if "bloch" in spec:
+        return bias, _vector(spec["bloch"], f"{what}.bloch")
+    gamma = _number(spec.get("gamma", 1.0), f"{what}.gamma")
+    if not scan_target:
+        return bias, gamma * plane_axis(_number(spec.get("theta", 0.0), f"{what}.theta"))
+    if "theta_grid" in spec:
+        return bias, gamma, _grid(spec["theta_grid"], f"{what}.theta_grid")
+    _require("theta" in spec, f"{what} needs one of theta and theta_grid")
+    return bias, gamma, _point(spec["theta"], f"{what}.theta")
+
+
+def _state(value, what: str) -> np.ndarray | None:
+    """None for ``"optimal"``, else the Bloch vector of ``{"bloch": [x, y, z]}``."""
+    if value == "optimal":
+        return None
+    _require(isinstance(value, dict) and set(value) == {"bloch"},
+             f"{what} must be \"optimal\" or {{\"bloch\": [x,y,z]}}")
+    return _vector(value["bloch"], f"{what}.bloch")
+
+
+def _detector(spec, what: str) -> dict:
+    """The numbers of a detector spec: ``eta`` and ``nu`` to simulate, or
+    readings ``d1`` and ``c2`` to invert, with errors (default 0)."""
+    _require(isinstance(spec, dict) and (
+        set(spec) == {"eta", "nu"} or set(spec) - {"d1_err", "c2_err"} == {"d1", "c2"}),
+        f"{what} takes eta and nu, or d1 and c2 (optionally d1_err and c2_err)")
+    numbers = {key: _number(value, f"{what}.{key}") for key, value in spec.items()}
+    return numbers if "eta" in numbers else {"d1_err": 0.0, "c2_err": 0.0, **numbers}
+
+
+_REQUIRED = object()  # the default of a key that every config of its mode gives
+_POLICIES = tuple(policy.value for policy in InstrumentPolicy)
+# key -> (default, parser, *args) of each mode, beside schema, mode and the
+# common seed; a default of None reads None when the key is absent, any other
+# default goes through the parser
+_SEED = {"seed": (0, _integer, 0, SEED_LIMIT - 1)}
+_SCHEMA = {
+    "scan": {
+        "shots": ("exact", _shots),
+        "policy": ("lueders", _choice, *_POLICIES),
+        "probe": ({"gamma": 1.0, "theta": 0.0}, _measurement),
+        "target": (_REQUIRED, _measurement, True),
+        "state": ("optimal", _state),
+    },
+    # the defaults reproduce the optimal-state search setting: probe axis at
+    # pi/4 in the x-z plane, target along x
+    "search-optimal": {
+        "shots": ("exact", _shots),
+        "policy": ("lueders", _choice, *_POLICIES),
+        "probe": ({"gamma": 1.0, "theta": math.pi / 4}, _measurement),
+        "target": ({"gamma": 1.0, "theta": 0.0}, _measurement),
+        "phi_grid": ({"points": 64}, _grid),
+    },
+    "calibrate": {
+        "scan_file": (_REQUIRED, _path),
+        "fit": ("circle", _choice, "circle", "ellipse-known-theta", "ellipse-unknown-theta"),
+        "target_strength": (None, _number, 0.0, 1.0),
+        "bootstrap": (200, _integer, 0, BOOTSTRAP_LIMIT),
+    },
+    "detector": {
+        "shots": ("exact", _shots),
+        "detector": (_REQUIRED, _detector),
+    },
+    "highdim": {
+        "shots": ("exact", _shots),
+        "dim": (2, _integer, 2, HIGHDIM_ENTRIES),
+        "gamma": (1.0, _number),
+        "c2": (0.5, _point),
+        "c2_grid": (None, _grid),
+    },
+}
+MODES = tuple(_SCHEMA)
 
 
 def _reject_constant(name: str):
@@ -183,110 +299,66 @@ def load_config(path: str) -> dict:
     return config
 
 
-def _grid(spec: dict, what: str, max_points: int = SCAN_POINTS) -> np.ndarray:
-    _require(isinstance(spec, dict) and set(spec) <= {"start", "stop", "points"},
-             f"{what} must carry start/stop/points")
-    points = spec.get("points")
-    _require(_is_int(points) and points >= 1, f"{what}.points must be >= 1")
-    _require(points <= max_points, f"{what}.points must be <= {max_points}")
-    start = _number(spec.get("start", 0.0), f"{what}.start")
-    stop = _number(spec.get("stop", 2 * math.pi), f"{what}.stop")
-    _require(math.isfinite(stop - start), f"{what} span stop - start overflows double precision")
+def _parse(config: dict) -> dict:
+    """The parsed value of every key of the config's mode and the seed,
+    defaults filled in; a key the mode does not take is refused."""
+    mode = config["mode"]
+    table = {**_SEED, **_SCHEMA[mode]}
+    unknown = set(config) - {"schema", "mode"} - set(table)
+    _require(not unknown, f"{mode} mode takes no config keys {sorted(unknown)}")
+    values = {}
+    for key, (default, parser, *args) in table.items():
+        if key in config:
+            values[key] = parser(config[key], key, *args)
+        else:
+            _require(default is not _REQUIRED, f"{mode} mode needs {key}")
+            values[key] = None if default is None else parser(default, key, *args)
+    return values
+
+
+def _draws(points: int, shots: int | None) -> None:
+    _require(shots is None or points * 2 * shots <= DRAW_LIMIT,
+             f"points * 2 * shots must be <= {DRAW_LIMIT} (about {_DRAW_SECONDS} s of draws)")
+
+
+def _linspace(start: float, stop: float, points: int, shots: int | None) -> np.ndarray:
+    """The points of a grid (``_grid``), once their draws are within DRAW_LIMIT."""
+    _draws(points, shots)
     return np.linspace(start, stop, points, endpoint=False) if points > 1 else np.array([start])
 
 
-def _measurement(spec: dict, what: str, theta=None) -> tuple[float, np.ndarray]:
-    """(bias, Bloch vector) of a measurement spec.  An angle grid ``theta``
-    replaces the spec's own angle and gives one Bloch vector per point."""
-    _require(isinstance(spec, dict), f"{what} must be an object")
-    _require(set(spec) <= {"bias", "gamma", "theta", "bloch"},
-             f"{what} keys must be bias/gamma/theta or bias/bloch")
-    _require(not ("bloch" in spec and {"gamma", "theta"} & set(spec)),
-             f"{what}.bloch excludes gamma and theta")
-    bias = _number(spec.get("bias", 0.0), f"{what}.bias")
-    if "bloch" in spec:
-        bloch = _vector(spec["bloch"], f"{what}.bloch")
-    else:
-        gamma = _number(spec.get("gamma", 1.0), f"{what}.gamma")
-        angle = _number(spec.get("theta", 0.0), f"{what}.theta") if theta is None else theta
-        bloch = gamma * plane_axis(angle)
-    if theta is not None:
-        bloch = np.broadcast_to(bloch, (len(theta), 3))
-    return bias, bloch
-
-
-def _states(spec, probe_bloch: np.ndarray, target_bloch: np.ndarray) -> np.ndarray:
-    if spec == "optimal" or spec is None:
-        return qubit_states(optimal_bloch(unit_axes(probe_bloch), unit_axes(target_bloch)))
-    _require(isinstance(spec, dict) and set(spec) == {"bloch"},
-             "state must be \"optimal\" or {\"bloch\": [x,y,z]}")
-    return qubit_states(_vector(spec["bloch"], "state.bloch"))
-
-
-def _shots(config: dict) -> int | None:
-    shots = config.get("shots", "exact")
-    if shots == "exact":
-        return None
-    _require(_is_int(shots) and shots > 0, "shots must be a positive integer or \"exact\"")
-    return shots
-
-
-def _policy(config: dict) -> InstrumentPolicy:
-    name = config.get("policy", "lueders")
-    try:
-        return InstrumentPolicy(name)
-    except ValueError as exc:
-        raise SchemaError(f"unknown policy {name!r}") from exc
-
-
-def _scan_rows(config: dict, seed: int) -> CdScan:
+def _scan_rows(config: dict, values: dict) -> CdScan:
     """The scan of the scan and search-optimal modes."""
-    mode = config["mode"]
-    shots = _shots(config)
-    policy = _policy(config)
-    # search-optimal defaults reproduce the optimal-state search setting:
-    # probe axis at pi/4 in the x-z plane, target along x
-    default_theta = 0.0 if mode == "scan" else math.pi / 4
-    probe_bias, probe_bloch = _measurement(
-        config.get("probe", {"gamma": 1.0, "theta": default_theta}), "probe")
-    probe = policy.instrument(Povm(qubit_povms(probe_bias, probe_bloch), LABELS))
-    if mode == "scan":
-        target_spec = config.get("target", {})
-        _require(isinstance(target_spec, dict), "target must be an object")
-        target_spec = dict(target_spec)
-        _require(("theta_grid" in target_spec) != ("theta" in target_spec),
-                 "target needs one of theta and theta_grid")
-        if "theta_grid" in target_spec:
-            grid = _grid(target_spec.pop("theta_grid"), "target.theta_grid")
-        else:
-            grid = np.array([_number(target_spec.pop("theta"), "target.theta")])
-        target_bias, target_bloch = _measurement(target_spec, "target", grid)
-        target_effects = qubit_povms(target_bias, target_bloch)
-        rho = _states(config.get("state"), probe_bloch, target_bloch)
+    scan, shots = config["mode"] == "scan", values["shots"]
+    if scan:
+        target_bias, gamma, angles = values["target"]
     else:
-        target_bias, target_bloch = _measurement(
-            config.get("target", {"gamma": 1.0, "theta": 0.0}), "target")
-        target_effects = qubit_povms(target_bias, target_bloch)
-        grid = _grid(config.get("phi_grid", {"points": 64}), "phi_grid")
-        rho = qubit_states(np.stack([np.sin(grid), np.zeros_like(grid), np.cos(grid)], axis=-1))
-    joint, alone = scenario_tables(rho, probe, target_effects)
+        (target_bias, target_bloch), angles = values["target"], values["phi_grid"]
+    grid = _linspace(*angles, shots)
+    probe_bias, probe_bloch = values["probe"]
+    probe = InstrumentPolicy(values["policy"]).instrument(
+        Povm(qubit_povms(probe_bias, probe_bloch), LABELS))
+    if scan:
+        target_bloch = gamma * plane_axis(grid)
+    target_effects = qubit_povms(target_bias, target_bloch)
+    # the measurements are validated before the optimal state takes their axes
+    if not scan:
+        state = np.stack([np.sin(grid), np.zeros_like(grid), np.cos(grid)], axis=-1)
+    elif (state := values["state"]) is None:
+        state = optimal_bloch(unit_axes(probe_bloch), unit_axes(target_bloch))
+    joint, alone = scenario_tables(qubit_states(state), probe, target_effects)
     if shots is not None:
-        return CdScan(grid, *estimate_columns(*sample_tables(joint, alone, shots, seed)))
+        return CdScan(grid, *estimate_columns(*sample_tables(joint, alone, shots, values["seed"])))
     return CdScan(grid, *cd_tables(joint, alone, probe, LABELS))
 
 
-def _highdim_rows(config: dict, seed: int) -> CdScan:
-    dim = config.get("dim", 2)
-    _require(_is_int(dim) and dim >= 2, "dim must be an integer >= 2")
-    shots = _shots(config)
-    _require(dim <= (HIGHDIM_ENTRIES if shots is None else HIGHDIM_SHOT_DIM),
-             f"dim must be <= {HIGHDIM_ENTRIES} (exact) or {HIGHDIM_SHOT_DIM} (shots)")
-    gamma = _number(config.get("gamma", 1.0), "gamma")
-    _require(not {"c2", "c2_grid"} <= set(config), "highdim takes one of c2 and c2_grid")
-    if "c2_grid" in config:
-        grid = _grid(config["c2_grid"], "c2_grid", min(SCAN_POINTS, HIGHDIM_ENTRIES // dim))
-    else:
-        grid = np.array([_number(config.get("c2", 0.5), "c2")])
+def _highdim_rows(config: dict, values: dict) -> CdScan:
+    dim, shots = values["dim"], values["shots"]
+    _require(shots is None or dim <= HIGHDIM_SHOT_DIM, f"shots need dim <= {HIGHDIM_SHOT_DIM}")
+    _require(values["c2_grid"] is None or "c2" not in config, "highdim takes one of c2 and c2_grid")
+    start, stop, points = values["c2_grid"] or values["c2"]
+    _require(points * dim <= HIGHDIM_ENTRIES, f"points * dim must be <= {HIGHDIM_ENTRIES}")
+    grid = _linspace(start, stop, points, shots)
     _require(bool(np.all((grid >= 0) & (grid <= 1))), "c2 values must lie in [0, 1]")
     # sharp probe along the first basis ket; target ket at overlap c2 with it
     ket_a = np.zeros(dim)
@@ -296,7 +368,7 @@ def _highdim_rows(config: dict, seed: int) -> CdScan:
     kets_b[:, 1] = np.sqrt(1.0 - grid)
     angles = np.arccos(np.clip(2.0 * grid - 1.0, -1.0, 1.0))
     if shots is None:
-        return CdScan(angles, *circle_law(gamma, overlaps(ket_a, kets_b)))
+        return CdScan(angles, *circle_law(values["gamma"], overlaps(ket_a, kets_b)))
     proj_a = projectors(ket_a)
     probe = Instrument.lueders(Povm(randomized_povms(1.0, proj_a), LABELS))
     batches = []
@@ -305,10 +377,17 @@ def _highdim_rows(config: dict, seed: int) -> CdScan:
         proj_b = projectors(kets_b[start:start + step])
         joint, alone = scenario_tables(
             check_states(projectors(optimal_kets(proj_a, proj_b))), probe,
-            randomized_povms(gamma, proj_b),
+            randomized_povms(values["gamma"], proj_b),
         )
-        batches.append(estimate_columns(*sample_tables(joint, alone, shots, seed, start)))
+        batches.append(estimate_columns(*sample_tables(joint, alone, shots, values["seed"], start)))
     return CdScan(angles, *np.concatenate(batches, axis=1))
+
+
+def _report(config: dict, **fields) -> dict:
+    """A report or sidecar: ``fields``, the config, its SHA-256 and the library version."""
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True, separators=(",", ":")).encode())
+    return {"schema": SCHEMA_VERSION, "library_version": __version__, "config": config,
+            "config_sha256": digest.hexdigest(), **fields}
 
 
 def _write_scan(out_path: str, scan: CdScan, config: dict) -> None:
@@ -318,15 +397,7 @@ def _write_scan(out_path: str, scan: CdScan, config: dict) -> None:
     lines += (_CSV_ROW % row for row in zip(*((col + 0.0).tolist() for col in columns)))
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    sidecar = {
-        "schema": SCHEMA_VERSION,
-        "library_version": __version__,
-        "config": config,
-        "config_sha256": _config_hash(config),
-        "csv_header": CSV_HEADER,
-        "rows": len(scan),
-    }
-    _write_json(_sidecar_path(out_path), sidecar)
+    _write_json(_sidecar_path(out_path), _report(config, csv_header=CSV_HEADER, rows=len(scan)))
 
 
 def _sidecar_path(csv_path: str) -> str:
@@ -366,98 +437,49 @@ def read_scan_csv(path: str) -> CdScan:
     return CdScan(theta, c, d, c_err, d_err)
 
 
-def _cmd_calibrate(config: dict, seed: int, out_path: str) -> None:
-    _require(isinstance(config.get("scan_file"), str), "calibrate mode needs scan_file, a path")
-    fit_kind = config.get("fit", "circle")
-    _require(fit_kind in ("circle", "ellipse-known-theta", "ellipse-unknown-theta"),
-             "fit must be circle, ellipse-known-theta, or ellipse-unknown-theta")
-    _require(fit_kind == "ellipse-known-theta" or "target_strength" not in config,
+def _cmd_calibrate(config: dict, values: dict, out_path: str) -> None:
+    fit, strength, n_boot, seed = map(values.get, ("fit", "target_strength", "bootstrap", "seed"))
+    _require(fit == "ellipse-known-theta" or strength is None,
              "target_strength applies to the ellipse-known-theta fit only")
-    n_boot = config.get("bootstrap", 200)
-    _require(_is_int(n_boot) and 0 <= n_boot <= BOOTSTRAP_LIMIT,
-             f"bootstrap must be an integer in [0, {BOOTSTRAP_LIMIT}]")
-    scan = read_scan_csv(config["scan_file"])
-    report = {
-        "schema": SCHEMA_VERSION,
-        "library_version": __version__,
-        "config": config,
-        "config_sha256": _config_hash(config),
-        "fit": fit_kind,
-        "points": len(scan),
-    }
-    if fit_kind == "circle":
-        result = fit_circle_sharp_probe(scan, n_boot, seed)
-        report["result"] = {
-            "target_strength": result.strength,
-            "target_strength_err": result.strength_err,
-            "residual": result.residual,
-        }
+    scan = read_scan_csv(values["scan_file"])
+    if fit == "circle":
+        circle = fit_circle_sharp_probe(scan, n_boot, seed)
+        result = {"target_strength": circle.strength, "target_strength_err": circle.strength_err,
+                  "residual": circle.residual}
+    elif fit == "ellipse-known-theta":
+        result = dataclasses.asdict(fit_ellipse_known_theta(scan, strength, n_boot, seed))
     else:
-        if fit_kind == "ellipse-known-theta":
-            strength = config.get("target_strength")
-            if strength is not None:
-                strength = _number(strength, "target_strength")
-                _require(0.0 < strength <= 1.0, "target_strength must lie in (0, 1]")
-            character = fit_ellipse_known_theta(scan, strength, n_boot, seed)
-        else:
-            character = fit_ellipse_unknown_theta(scan, n_boot, seed)
-        report["result"] = dataclasses.asdict(character)
-    _write_json(out_path, report)
+        result = dataclasses.asdict(fit_ellipse_unknown_theta(scan, n_boot, seed))
+    _write_json(out_path, _report(config, fit=fit, points=len(scan), result=result))
 
 
-def _cmd_detector(config: dict, seed: int, out_path: str) -> None:
-    spec = config.get("detector")
-    _require(isinstance(spec, dict), "detector mode needs a detector object")
-    report = {
-        "schema": SCHEMA_VERSION,
-        "library_version": __version__,
-        "config": config,
-        "config_sha256": _config_hash(config),
-    }
-    if {"eta", "nu"} <= set(spec):
-        _require(set(spec) <= {"eta", "nu"}, "detector simulation takes only eta and nu")
-        noise = DetectorNoise(_number(spec["eta"], "detector.eta"),
-                              _number(spec["nu"], "detector.nu"))
-        shots = _shots(config)
+def _cmd_detector(config: dict, values: dict, out_path: str) -> None:
+    spec, shots = values["detector"], values["shots"]
+    fields = {}
+    if "eta" in spec:
+        noise = DetectorNoise(**spec)
+        _draws(2, shots)
         if shots is None:
-            sharp = scenario_cd(noise, "sharp")
-            biased = scenario_cd(noise, "fully_biased")
-            d1, c2 = sharp.disturbance, biased.correlation
-            d1_err = c2_err = 0.0
-            readings = {
-                "c1": sharp.correlation, "d1": d1,
-                "c2": c2, "d2": biased.disturbance,
-            }
+            sharp, biased = (scenario_cd(noise, ref) for ref in ("sharp", "fully_biased"))
+            readings = {"c1": sharp.correlation, "d1": sharp.disturbance,
+                        "c2": biased.correlation, "d2": biased.disturbance}
         else:
             # the sharp and fully biased settings are points 0 and 1 of one
             # stack, drawn from the streams seed ^ 0 and seed ^ 1
             tables = zip(*(scenario_distributions(noise, ref) for ref in ("sharp", "fully_biased")))
             (c1, c2), (d1, d2), (c1_err, c2_err), (d1_err, d2_err) = estimate_columns(
-                *sample_tables(*map(np.stack, tables), shots, seed)).tolist()
-            readings = {
-                "c1": c1, "c1_err": c1_err,
-                "d1": d1, "d1_err": d1_err,
-                "c2": c2, "c2_err": c2_err,
-                "d2": d2, "d2_err": d2_err,
-            }
-        report["readings"] = readings
-        report["truth"] = {"eta": noise.eta, "nu": noise.nu}
-        estimate = estimate_detector(d1, c2, d1_err, c2_err)
+                *sample_tables(*map(np.stack, tables), shots, values["seed"])).tolist()
+            readings = {"c1": c1, "c1_err": c1_err, "d1": d1, "d1_err": d1_err,
+                        "c2": c2, "c2_err": c2_err, "d2": d2, "d2_err": d2_err}
+        fields = {"readings": readings, "truth": {"eta": noise.eta, "nu": noise.nu}}
+        # the simulated readings are inverted as measured ones are
+        spec = {key: readings.get(key, 0.0) for key in ("d1", "c2", "d1_err", "c2_err")}
     else:
         _require("shots" not in config, "a detector inversion draws no shots")
-        _require({"d1", "c2"} <= set(spec) and set(spec) <= {"d1", "c2", "d1_err", "c2_err"},
-                 "detector inversion needs d1/c2 (optionally d1_err/c2_err)")
-        estimate = estimate_detector(
-            *(_number(spec.get(key, 0.0), f"detector.{key}")
-              for key in ("d1", "c2", "d1_err", "c2_err")),
-        )
-    report["estimate"] = {
-        "eta": estimate.noise.eta,
-        "nu": estimate.noise.nu,
-        "eta_err": estimate.eta_err,
-        "nu_err": estimate.nu_err,
-    }
-    _write_json(out_path, report)
+    estimate = estimate_detector(**spec)
+    fields["estimate"] = {"eta": estimate.noise.eta, "nu": estimate.noise.nu,
+                          "eta_err": estimate.eta_err, "nu_err": estimate.nu_err}
+    _write_json(out_path, _report(config, **fields))
 
 
 def _require_distinct(config_path: str, out_path: str, mode: str) -> None:
@@ -472,16 +494,17 @@ def _require_distinct(config_path: str, out_path: str, mode: str) -> None:
             raise ConfigError(f"output {path!r} would overwrite the config file")
 
 
-def run(config: dict, out_path: str, seed: int) -> None:
+def run(config: dict, values: dict, out_path: str) -> None:
+    """Run the config's mode on ``values``, its keys as ``_parse`` gives them."""
     mode = config["mode"]
     if mode in ("scan", "search-optimal"):
-        _write_scan(out_path, _scan_rows(config, seed), config)
+        _write_scan(out_path, _scan_rows(config, values), config)
     elif mode == "highdim":
-        _write_scan(out_path, _highdim_rows(config, seed), config)
+        _write_scan(out_path, _highdim_rows(config, values), config)
     elif mode == "calibrate":
-        _cmd_calibrate(config, seed, out_path)
+        _cmd_calibrate(config, values, out_path)
     else:
-        _cmd_detector(config, seed, out_path)
+        _cmd_detector(config, values, out_path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,13 +530,9 @@ def main(argv=None) -> int:
             config["seed"] = args.seed
         if args.exact:
             config["shots"] = "exact"
-        unknown = set(config) - {"schema", "mode", "seed"} - _MODE_KEYS[config["mode"]]
-        _require(not unknown, f"{config['mode']} mode takes no config keys {sorted(unknown)}")
-        seed = config.get("seed", 0)
-        _require(_is_int(seed) and 0 <= seed < SEED_LIMIT,
-                 "seed must be an integer in [0, 2**64)")
+        values = _parse(config)
         _require_distinct(args.config, args.out, config["mode"])
-        run(config, args.out, seed)
+        run(config, values, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

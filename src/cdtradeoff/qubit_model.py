@@ -56,7 +56,7 @@ def bloch_matrix(vec) -> np.ndarray:
     """v . sigma for a real 3-vector v, or for each row of a (..., 3) stack."""
     v = np.asarray(vec, dtype=float)
     if v.ndim == 0 or v.shape[-1] != 3:
-        raise ZeroBlochError(f"Bloch vector must have 3 components, got {v.shape}")
+        raise InvalidMeasurementError(f"Bloch vector must have 3 components, got {v.shape}")
     return np.einsum("...i,ijk->...jk", v, PAULI)
 
 
@@ -82,8 +82,10 @@ def plane_axis(theta) -> np.ndarray:
 
 def _lengths(v: np.ndarray) -> np.ndarray:
     """Euclidean lengths over the last axis, keeping it (the arithmetic of
-    ``np.linalg.norm(v, axis=-1, keepdims=True)`` without its overhead)."""
-    return np.sqrt((v * v).sum(axis=-1, keepdims=True))
+    ``np.linalg.norm(v, axis=-1, keepdims=True)`` without its overhead); a
+    length beyond double precision is inf, which check_qubit refuses."""
+    with np.errstate(over="ignore"):
+        return np.sqrt((v * v).sum(axis=-1, keepdims=True))
 
 
 def unit_axes(bloch) -> np.ndarray:

@@ -67,7 +67,7 @@ def exact_rows(**entries):
     """Unrounded rows of the batched scan path (the CSV keeps 9 digits)."""
     config = {"schema": 1, **entries}
     rows = cli._highdim_rows if config["mode"] == "highdim" else cli._scan_rows
-    scan = rows(config, config.get("seed", 0))
+    scan = rows(config, cli._parse(config))
     return np.column_stack([scan.theta, scan.c, scan.d, scan.c_err, scan.d_err])
 
 
@@ -210,13 +210,13 @@ class TestShotBytesMatchPerPointReference:
 
 
 def highdim_peak(dim, points, shots=None):
-    config = {"schema": 1, "mode": "highdim", "dim": dim, "gamma": 0.5,
+    config = {"schema": 1, "mode": "highdim", "dim": dim, "gamma": 0.5, "seed": 1,
               "c2_grid": {"stop": 1.0, "points": points}}
     if shots:
         config["shots"] = shots
     tracemalloc.start()
     try:
-        cli._highdim_rows(config, 1)
+        cli._highdim_rows(config, cli._parse(config))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -324,20 +324,18 @@ class TestKnownThetaFit:
             fit_ellipse_known_theta(scan, n_bootstrap=0)
 
     @pytest.mark.parametrize("fit", [fit_circle_sharp_probe, fit_ellipse_known_theta])
-    @pytest.mark.parametrize("exponent", [-600, -1030])
+    @pytest.mark.parametrize("exponent", [-600, -1030, -1070])
     def test_errors_weight_alike_at_any_power_of_two(self, fit, exponent):
         # the weights are invariant under a common power-of-two scale of the
-        # errors, down to subnormal errors whose inverse squares overflow
+        # errors, down to subnormal errors whose inverse squares overflow and
+        # whose products with c and d would round
         thetas = np.linspace(0.1, 2 * np.pi, 12, endpoint=False)
         c = 0.1 + 0.5 * np.cos(thetas) + 0.2 * np.abs(np.sin(thetas))
         d = 0.4 * np.abs(np.sin(thetas))
         errs = 1.0 + np.arange(12) / 16  # exact at every scale tried
         results = [fit(CdScan(thetas, c, d, np.ldexp(errs, k), np.ldexp(errs, k)),
                        n_bootstrap=20) for k in (-4, exponent)]
-        if fit is fit_ellipse_known_theta or exponent > -1000:
-            assert results[0] == results[1]
-        else:  # c and d times a subnormal error round: the weights move slightly
-            assert results[1].strength == pytest.approx(results[0].strength, rel=1e-9)
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize("target_strength", [0.0, -1.0, 1.5, np.nan, np.inf])
     def test_target_strength_outside_unit_interval(self, target_strength):

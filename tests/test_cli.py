@@ -490,6 +490,17 @@ class TestDetectorMode:
         )
         assert run_cli("--config", config, "--out", tmp_path / "x.json") == 4
 
+    @pytest.mark.parametrize("readings", [
+        {"d1": 0.01, "c2": 0.0, "d1_err": 1.7976931348623157e308},
+        {"d1": 0.1, "c2": -0.9, "c2_err": 1e308},
+    ], ids=["d1_err", "c2_err"])
+    def test_overflowing_error_is_fit_failure(self, tmp_path, readings):
+        # the propagated error overflows: exit 4, never an Infinity in a report
+        config = write_config(tmp_path / "big.json", mode="detector", detector=readings)
+        out = tmp_path / "x.json"
+        assert run_cli("--config", config, "--out", out) == 4
+        assert not out.exists()
+
 
 class TestHighdimMode:
     def test_single_overlap_point(self, tmp_path):
@@ -1016,9 +1027,10 @@ CIRCLE_BASE = {"mode": "calibrate", "fit": "circle", "bootstrap": 10}
 
 
 class TestOneKeySetPerMode:
-    """Each mode takes its own config keys, and a branch refuses the keys it
-    never reads: the base config of each case runs, and the same config
-    with the extra keys exits 2 and writes nothing."""
+    """Each mode takes its own config keys, a branch refuses the keys it
+    never reads, and an explicit null is no value: the base config of each
+    case runs, and the same config with the extra keys exits 2 and writes
+    nothing."""
 
     CASES = {
         "scan_with_other_modes_keys": (
@@ -1044,6 +1056,13 @@ class TestOneKeySetPerMode:
             {"mode": "highdim", "dim": 3, "c2_grid": {"stop": 1.0, "points": 4}}, {"c2": 0.5}),
         "unknown_theta_with_strength": (
             {**CIRCLE_BASE, "fit": "ellipse-unknown-theta"}, {"target_strength": 0.9}),
+        # a bloch target is one fixed axis, which a theta grid would not turn
+        "bloch_beside_theta_grid": (
+            SCAN_BASE, {"probe": {"gamma": 1.0},
+                        "target": {"bloch": [0, 0, 0.9], "theta_grid": {"points": 4}}}),
+        "null_state": (SCAN_BASE, {"state": None}),
+        "null_target_strength": (
+            {**CIRCLE_BASE, "fit": "ellipse-known-theta"}, {"target_strength": None}),
     }
 
     @staticmethod
@@ -1075,3 +1094,62 @@ class TestOneKeySetPerMode:
         out = tmp_path / "r.json"
         assert run_cli("--config", config, "--out", out, "--exact") == 2
         assert not out.exists()
+
+
+class TestDrawCap:
+    """Shot-mode runs are capped by the time model in cli.py: a run of more
+    than DRAW_LIMIT draws (points times both arms' shots) exits 2 before any
+    table is built, and one at the cap reaches the sampler."""
+
+    DETECTOR = {"mode": "detector", "detector": {"eta": 0.7, "nu": 0.05}}
+
+    def test_cap_follows_the_time_model(self):
+        assert cli.DRAW_LIMIT * cli._WORD_NS <= cli._DRAW_SECONDS * 1e9
+        assert (cli.DRAW_LIMIT + 1) * cli._WORD_NS > cli._DRAW_SECONDS * 1e9
+        # the benchmark's largest job, a 1e7-shot detector simulation
+        assert 2 * 2 * 10**7 < cli.DRAW_LIMIT // 10**4
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"mode": "scan", "target": {"theta": 0.3}, "shots": cli.DRAW_LIMIT // 2 + 1},
+            {"mode": "scan", "target": {"theta_grid": {"points": 1000}},
+             "shots": cli.DRAW_LIMIT // 2000 + 1},
+            {"mode": "scan", "target": {"theta": 0.3}, "shots": 10**23},
+            {"mode": "search-optimal", "shots": cli.DRAW_LIMIT // 128 + 1},
+            {"mode": "highdim", "shots": cli.DRAW_LIMIT // 2 + 1},
+            {"mode": "highdim", "dim": 3, "c2_grid": {"stop": 1.0, "points": 64},
+             "shots": cli.DRAW_LIMIT // 128 + 1},
+            {**DETECTOR, "shots": cli.DRAW_LIMIT // 4 + 1},
+            {**DETECTOR, "shots": 2**63 - 1},
+        ],
+        ids=["scan", "scan_grid", "scan_1e23", "search", "highdim", "highdim_grid",
+             "detector", "detector_2e63"],
+    )
+    def test_refused_before_any_table(self, tmp_path, entries):
+        code, peak = traced_exit(tmp_path, "draws", **entries)
+        assert code == 2
+        assert peak < 2**20
+        assert not (tmp_path / "draws.csv").exists()
+
+    class Drawn(Exception):
+        pass
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"mode": "scan", "target": {"theta": 0.3}, "shots": cli.DRAW_LIMIT // 2},
+            {"mode": "highdim", "shots": cli.DRAW_LIMIT // 2},
+            {**DETECTOR, "shots": cli.DRAW_LIMIT // 4},
+        ],
+        ids=["scan", "highdim", "detector"],
+    )
+    def test_cap_itself_is_drawn(self, tmp_path, monkeypatch, entries):
+        def sample_tables(joint, alone, shots, *seed):
+            assert len(joint) * 2 * shots <= cli.DRAW_LIMIT
+            raise self.Drawn
+
+        monkeypatch.setattr(cli, "sample_tables", sample_tables)
+        config = write_config(tmp_path / "c.json", **entries)
+        with pytest.raises(self.Drawn):
+            run_cli("--config", config, "--out", tmp_path / "o.csv")

@@ -377,7 +377,7 @@ class TestCovariance:
 class TestStateFromBloch:
     @pytest.mark.parametrize(
         "check, error",
-        [(state_from_bloch, ZeroBlochError),
+        [(state_from_bloch, InvalidMeasurementError),
          (lambda v: check_qubit(0.0, v), InvalidMeasurementError),
          (lambda v: QubitMeasurement(0.0, v), InvalidMeasurementError)],
         ids=["state_from_bloch", "check_qubit", "QubitMeasurement"])
