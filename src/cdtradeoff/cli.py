@@ -111,9 +111,12 @@ _RESAMPLE_BYTES = 128
 BOOTSTRAP_LIMIT = _HIGHDIM_BYTES // _RESAMPLE_BYTES
 # Time model of a shot-mode run: it draws points * 2 * shots raw Philox
 # words (both arms of every record), and a word costs at least the
-# generator's floor of about 8.5 ns (8.5 to 10.5 ns measured on a 2-vCPU
-# x86_64 VM, numpy 2.4).  A run of more than DRAW_LIMIT draws, about
-# _DRAW_SECONDS at that floor, is refused before any table is built.
+# generator's floor of about 8.5 ns on one core (8.5 to 10.5 ns measured on
+# a 2-vCPU x86_64 VM, numpy 2.4).  A run of more than DRAW_LIMIT draws,
+# about _DRAW_SECONDS on one core at that floor, is refused before any
+# table is built.  The bound is a one-core bound: records of more than one
+# block are drawn on every CPU the process may use, which shortens the run
+# but leaves the limit, and so which configs are refused, unchanged.
 _WORD_NS = 8.5
 _DRAW_SECONDS = 3 * 3600
 DRAW_LIMIT = int(_DRAW_SECONDS * 1e9 / _WORD_NS)
@@ -219,11 +222,13 @@ def _state(value, what: str) -> np.ndarray | None:
 
 def _detector(spec, what: str) -> dict:
     """The numbers of a detector spec: ``eta`` and ``nu`` to simulate, or
-    readings ``d1`` and ``c2`` to invert, with errors (default 0)."""
+    readings ``d1`` and ``c2`` to invert, with non-negative errors (default 0)."""
     _require(isinstance(spec, dict) and (
         set(spec) == {"eta", "nu"} or set(spec) - {"d1_err", "c2_err"} == {"d1", "c2"}),
         f"{what} takes eta and nu, or d1 and c2 (optionally d1_err and c2_err)")
     numbers = {key: _number(value, f"{what}.{key}") for key, value in spec.items()}
+    for key in ("d1_err", "c2_err"):
+        _require(numbers.get(key, 0.0) >= 0.0, f"{what}.{key} must be non-negative")
     return numbers if "eta" in numbers else {"d1_err": 0.0, "c2_err": 0.0, **numbers}
 
 
@@ -432,6 +437,8 @@ def read_scan_csv(path: str) -> CdScan:
             raise SchemaError(f"non-numeric scan row: {line!r}") from exc
         if not all(map(math.isfinite, values)):
             raise SchemaError(f"scan row {number} holds a non-finite number: {line!r}")
+        if values[3] < 0 or values[4] < 0:
+            raise SchemaError(f"scan row {number} holds a negative c_err or d_err: {line!r}")
         rows.append(values)
     theta, c, d, c_err, d_err, _ = np.array(rows, dtype=float).reshape(-1, 6).T
     return CdScan(theta, c, d, c_err, d_err)

@@ -81,11 +81,16 @@ def plane_axis(theta) -> np.ndarray:
 
 
 def _lengths(v: np.ndarray) -> np.ndarray:
-    """Euclidean lengths over the last axis, keeping it (the arithmetic of
-    ``np.linalg.norm(v, axis=-1, keepdims=True)`` without its overhead); a
-    length beyond double precision is inf, which check_qubit refuses."""
+    """Euclidean lengths over the last axis, keeping it.  Each vector is
+    scaled by the power of two of its largest component before squaring, so
+    components below about 1e-154 do not square to 0; the scaling is exact,
+    so a vector whose squares are normal doubles keeps the bits of
+    ``np.sqrt((v * v).sum(axis=-1))``.  A length beyond double precision is
+    inf, which check_qubit refuses."""
+    _, exponent = np.frexp(np.abs(v).max(axis=-1, keepdims=True))
+    scaled = np.ldexp(v, -exponent)
     with np.errstate(over="ignore"):
-        return np.sqrt((v * v).sum(axis=-1, keepdims=True))
+        return np.ldexp(np.sqrt((scaled * scaled).sum(axis=-1, keepdims=True)), exponent)
 
 
 def unit_axes(bloch) -> np.ndarray:

@@ -17,8 +17,14 @@ before the alone arm from the same stream.  A stack of records
 (``sample_tables``) re-keys one generator for each point, which then
 yields the same words as a fresh ``Philox(key=...)``.  Records that fit
 one block over both arms are drawn a chunk of points at a time into one
-reused buffer and counted per chunk; larger records are counted a block
-of words at a time.  Both give the same words and counts.  Identical
+reused buffer and counted per chunk, on the calling thread; larger records
+are counted a block of words at a time.  Both give the same words and
+counts.  The points of larger records are split into contiguous spans, one
+per worker thread, each with its own generator re-keyed per point; the
+worker count is the number of CPUs the process may run on (its affinity
+mask), capped by the number of points, and the workers' blocks share one
+block of memory.  A point's words, counts and bits do not depend on the
+worker count or the block size.  Identical
 (scenario, seed) pairs yield bit-identical records on any platform, and
 the bits are unchanged from 0.1.0.  This algorithm is part of the package
 contract and must not change silently.
@@ -28,6 +34,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,15 +182,15 @@ def _thresholds(tables, first: int = 0) -> list:
 
 
 def _count(bitgen: np.random.Philox, thresholds: np.ndarray, above: np.ndarray,
-           shots: int) -> list:
+           shots: int, block: int) -> list:
     """Outcome counts of ``shots`` draws against one row of thresholds:
-    each block of raw words is counted against every threshold (an edge
-    ``above`` every uniform counts every word), and the counts are the
-    differences of those tallies."""
+    each block of at most ``block`` raw words is counted against every
+    threshold (an edge ``above`` every uniform counts every word), and the
+    counts are the differences of those tallies."""
     cuts = [None if a else t for t, a in zip(thresholds.tolist(), above.tolist())]
     below = [0] * len(cuts)  # draws below each edge
-    for start in range(0, shots, _BLOCK):
-        words = bitgen.random_raw(min(_BLOCK, shots - start))
+    for start in range(0, shots, block):
+        words = bitgen.random_raw(min(block, shots - start))
         for i, threshold in enumerate(cuts):
             below[i] += words.size if threshold is None else np.count_nonzero(words < threshold)
     tallies = [0, *below, shots]
@@ -203,6 +211,38 @@ def _tally(words: np.ndarray, thresholds: np.ndarray, above: np.ndarray,
     return np.diff(below, axis=1, prepend=0, append=words.shape[1])
 
 
+def _workers(points: int) -> int:
+    """Worker threads for ``points`` records: the CPUs in the process's
+    affinity mask, capped by the points (at least one)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, points))
+
+
+def _run_spans(work, spans: list) -> None:
+    """Call ``work(span)`` for every span: the first on the calling thread,
+    each other on a thread of its own.  Every thread is joined before this
+    returns; the exception of the earliest span that raised is re-raised."""
+    errors = [None] * len(spans)
+
+    def run(k: int) -> None:
+        try:
+            work(spans[k])
+        except BaseException as exc:  # re-raised on the calling thread below
+            errors[k] = exc
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(spans))]
+    for thread in threads:
+        thread.start()
+    try:
+        work(spans[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    error = next((e for e in errors if e is not None), None)
+    if error is not None:
+        raise error
+
+
 def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
                   shots_alone: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Count stacks shaped like the table stacks ``joint`` (n, ka, kb) and
@@ -210,7 +250,8 @@ def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
 
     Point ``i`` draws ``shots`` joint-arm outcomes, then ``shots_alone``
     (default ``shots``) alone-arm outcomes, from the Philox stream keyed by
-    ``seed ^ (first + i)``.  One generator is re-keyed for each point.
+    ``seed ^ (first + i)``.  A generator is re-keyed for each point; records
+    of more than one block are counted on one thread per span of points.
     """
     shots_alone = shots if shots_alone is None else shots_alone
     if shots <= 0 or shots_alone <= 0:
@@ -224,14 +265,22 @@ def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
     rows = [t.reshape(len(t), math.prod(t.shape[1:])) for t in (joint, alone)]
     cuts_joint, cuts_alone = _thresholds(rows, first)
     joint_counts, alone_counts = (np.empty(r.shape, dtype=np.int64) for r in rows)
-    bitgen = np.random.Philox(key=seed)
     record = shots + shots_alone
     if record > _BLOCK:  # a flat count per block is cheaper per word than a row sum
-        for i in range(len(joint)):
-            _rekey(bitgen, seed ^ (first + i))
-            joint_counts[i] = _count(bitgen, *(c[i] for c in cuts_joint), shots)
-            alone_counts[i] = _count(bitgen, *(c[i] for c in cuts_alone), shots_alone)
+        workers = _workers(len(joint))
+        block = _BLOCK // workers  # the workers' blocks add up to one
+
+        def count_span(points: range) -> None:
+            bitgen = np.random.Philox(key=seed)
+            for i in points:
+                _rekey(bitgen, seed ^ (first + i))
+                joint_counts[i] = _count(bitgen, *(c[i] for c in cuts_joint), shots, block)
+                alone_counts[i] = _count(bitgen, *(c[i] for c in cuts_alone), shots_alone, block)
+
+        bounds = [len(joint) * w // workers for w in range(workers + 1)]
+        _run_spans(count_span, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
     else:  # a chunk of records per block of words
+        bitgen = np.random.Philox(key=seed)
         chunk = _BLOCK // record
         words = np.empty((min(chunk, len(joint)), record), dtype=np.uint64)
         scratch = np.empty((len(words), max(shots, shots_alone)), dtype=bool)

@@ -423,6 +423,29 @@ class TestCalibrateMode:
         assert not out.exists()
         assert "scan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["c_err", "d_err", "both"])
+    @pytest.mark.parametrize("fit", ["circle", "ellipse-known-theta"])
+    def test_negative_errors_are_config_error(self, tmp_path, fit, column, capsys):
+        # a 12-point scan whose errors are negated, in one column or both:
+        # the circle fit would weight by their magnitude, the known-theta fit
+        # would drop the weights
+        negate = {"c_err": [3], "d_err": [4], "both": [3, 4]}[column]
+        lines = [CSV_HEADER]
+        for t in np.linspace(0.1, 2 * np.pi, 12, endpoint=False).tolist():
+            fields = [repr(t), repr(0.8 * math.cos(t)), repr(0.8 * abs(math.sin(t))), "0.01",
+                      "0.02", "0"]
+            for k in negate:
+                fields[k] = "-" + fields[k]
+            lines.append(",".join(fields))
+        scan_path = tmp_path / "negated.csv"
+        scan_path.write_text("\n".join(lines) + "\n")
+        config = write_config(tmp_path / "cal.json", mode="calibrate", fit=fit,
+                              scan_file=str(scan_path), bootstrap=20)
+        out = tmp_path / "r.json"
+        assert run_cli("--config", config, "--out", out) == 2
+        assert not out.exists()
+        assert "scan row 1 holds a negative c_err or d_err" in capsys.readouterr().err
+
     def test_scan_roundtrip_reader(self, tmp_path):
         scan_path = self.make_scan(tmp_path, gamma=0.5, points=8)
         scan = read_scan_csv(str(scan_path))
@@ -489,6 +512,17 @@ class TestDetectorMode:
             tmp_path / "bad.json", mode="detector", detector={"d1": 0.5, "c2": 0.9}
         )
         assert run_cli("--config", config, "--out", tmp_path / "x.json") == 4
+
+    @pytest.mark.parametrize("key", ["d1_err", "c2_err"])
+    @pytest.mark.parametrize("error, code", [(-1.0, 2), (-5e-324, 2), (0.0, 0), (0.1, 0)])
+    def test_errors_must_be_non_negative(self, tmp_path, key, error, code, capsys):
+        readings = {"d1": 0.6, "c2": 0.2, "d1_err": 0.1, "c2_err": 0.1, key: error}
+        config = write_config(tmp_path / "inv.json", mode="detector", detector=readings)
+        out = tmp_path / "x.json"
+        assert run_cli("--config", config, "--out", out) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert f"detector.{key} must be non-negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("readings", [
         {"d1": 0.01, "c2": 0.0, "d1_err": 1.7976931348623157e308},
@@ -577,6 +611,13 @@ class TestErrorsAndOverrides:
             },
         )
         assert run_cli("--config", config, "--out", tmp_path / "o.csv") == 3
+
+    def test_tiny_probe_bloch_vector_has_an_axis(self, tmp_path):
+        config = write_config(tmp_path / "tiny.json", mode="scan",
+                              probe={"bloch": [1e-200, 0, 0]}, target={"theta": 0.3})
+        out = tmp_path / "tiny.csv"
+        assert run_cli("--config", config, "--out", out) == 0
+        assert np.isfinite(read_rows(out)).all()
 
     def test_seed_override_changes_output(self, tmp_path):
         config = scan_config(tmp_path, shots=2000)

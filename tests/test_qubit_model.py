@@ -221,6 +221,16 @@ class TestOptimalState:
         assert abs(bloch[0]) <= 1e-12  # perpendicular to the probe axis
         assert simulate(probe, target, rho=rho).disturbance == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-310, 5e-324])
+    def test_tiny_bloch_probe_keeps_its_axis(self, scale):
+        # the squares of the components underflow to 0
+        probe = QubitMeasurement(0.0, np.array([scale, 0.0, 0.0]))
+        assert probe.axis.tolist() == [1.0, 0.0, 0.0]
+        target = QubitMeasurement(0.0, plane_axis(0.3))
+        sharp = QubitMeasurement(0.0, np.array([1.0, 0.0, 0.0]))
+        assert np.array_equal(optimal_state(probe, target).matrix,
+                              optimal_state(sharp, target).matrix)
+
     def test_zero_bloch_probe(self):
         probe = QubitMeasurement(0.0, np.zeros(3))
         target = QubitMeasurement(0.0, plane_axis(0.0))

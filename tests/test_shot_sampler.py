@@ -1,10 +1,12 @@
 import hashlib
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cdtradeoff import shot_sampler
 from cdtradeoff.cd_measures import cd_from_scenario
 from cdtradeoff.errors import (
     EmptyRecordError,
@@ -476,6 +478,67 @@ class TestSampleTablesOracle:
             estimate_columns(jc, ac)
         with pytest.raises(LabelMismatchError):
             estimate_columns(np.ones((3, 3, 3)), np.ones((3, 3)))
+
+
+class TestThreadedBlockPath:
+    """Records of more than one block are counted on worker threads, one
+    contiguous span of points each; the counts equal the one-point calls
+    for every worker count, within one block of memory."""
+
+    @pytest.mark.parametrize("workers", [None, 1, 2, 3, 5])
+    def test_stack_equals_one_point_calls(self, monkeypatch, workers):
+        # 5 points split unevenly; None keeps the CPU count of this process
+        if workers is not None:
+            monkeypatch.setattr(shot_sampler, "_workers", lambda points: min(workers, points))
+        seed, first = 2027, 3
+        jc, ac = sample_tables(STACK_JOINT[:5], STACK_ALONE[:5], 40000, seed, first)
+        for i in range(5):
+            one_jc, one_ac = sample_tables(STACK_JOINT[i:i + 1], STACK_ALONE[i:i + 1], 40000,
+                                           seed, first + i)
+            assert np.array_equal(jc[i], one_jc[0]) and np.array_equal(ac[i], one_ac[0]), i
+
+    @pytest.mark.parametrize("workers", [None, 4])
+    def test_memory_bounded_by_one_block(self, monkeypatch, workers):
+        if workers is not None:
+            monkeypatch.setattr(shot_sampler, "_workers", lambda points: min(workers, points))
+        joint = np.full((6, 2, 2), 0.25)
+        alone = np.full((6, 2), 0.5)
+        sample_tables(joint, alone, 10**5, seed=3)  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            jc, ac = sample_tables(joint, alone, 10**6, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (jc.sum(axis=(1, 2)) == 10**6).all() and (ac.sum(axis=1) == 10**6).all()
+        assert peak <= 4 * _BLOCK * np.dtype(float).itemsize
+
+    @pytest.mark.parametrize("bad", [0, 4], ids=["calling_thread", "worker_thread"])
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, bad):
+        count = shot_sampler._count
+        seed = 7
+
+        def failing(bitgen, *args):
+            if int(bitgen.state["state"]["key"][0]) == seed ^ bad:
+                raise RuntimeError(f"point {bad}")
+            return count(bitgen, *args)
+
+        monkeypatch.setattr(shot_sampler, "_count", failing)
+        monkeypatch.setattr(shot_sampler, "_workers", lambda points: min(2, points))
+        baseline = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"point {bad}$"):
+            sample_tables(STACK_JOINT[:5], STACK_ALONE[:5], 40000, seed)
+        assert threading.active_count() == baseline
+
+    def test_worker_count_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(shot_sampler.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        assert [shot_sampler._workers(n) for n in (0, 1, 2, 3, 1000)] == [1, 1, 2, 3, 3]
+        monkeypatch.delattr(shot_sampler.os, "sched_getaffinity")
+        monkeypatch.setattr(shot_sampler.os, "cpu_count", lambda: None)
+        assert shot_sampler._workers(1000) == 1
+        monkeypatch.setattr(shot_sampler.os, "cpu_count", lambda: 4)
+        assert shot_sampler._workers(1000) == 4
 
 
 class TestRawWordThresholds:
