@@ -16,11 +16,13 @@ the parsed values and checks the rules that tie two keys together.
 All angles are radians.  CSV columns are theta,c,d,c_err,d_err,c2d2 with 9
 significant digits; every scan CSV gets a JSON sidecar carrying the full
 config, its SHA-256 hash, and the library version, so outputs are
-byte-reproducible from config + seed alone.  A scan is evaluated as one
-batch: its operators are built, validated and turned into outcome tables
-with array kernels over the grid.  Shot-mode scan point ``i`` then draws
-from a Philox stream keyed by ``seed XOR i``, where the seed lies in
-[0, 2**64).
+byte-reproducible from config + seed alone.  A grid is evaluated in
+slices of at most ``_BATCH_ENTRIES`` operator entries: each slice's
+operators are built, validated and turned into outcome tables and
+(C, D) columns with array kernels, so only the columns grow with the grid;
+the rows are then written one slice at a time.  Shot-mode scan point ``i``
+draws from a Philox stream keyed by ``seed XOR i``, where the seed lies in
+[0, 2**64), whatever slice it falls in.
 
 Exit codes: 0 success, 2 config error, 3 physics/feasibility error,
 4 fit failure.
@@ -62,7 +64,7 @@ from .highdim_model import (
     randomized_povms,
 )
 from .cd_measures import cd_tables
-from .quantum_core import Instrument, Povm, check_states, scenario_tables
+from .quantum_core import Instrument, Povm, check_states, index_base, scenario_tables
 from .qubit_model import optimal_bloch, plane_axis, qubit_povms, qubit_states, unit_axes
 from .shot_sampler import InstrumentPolicy, estimate_columns, sample_tables
 
@@ -72,33 +74,40 @@ EXIT_PHYSICS = 3
 EXIT_FIT = 4
 
 CSV_HEADER = "theta,c,d,c_err,d_err,c2d2"
-# 9 significant digits, '.' decimal separator; columns get + 0.0 first so
-# that no value prints as -0
-_CSV_ROW = ",".join(["%.9g"] * 6)
+# 9 significant digits, '.' decimal separator, one line; columns get + 0.0
+# first so that no value prints as -0
+_CSV_ROW = ",".join(["%.9g"] * 6) + "\n"
 SCHEMA_VERSION = 1
 LABELS = (1.0, -1.0)  # outcome labels of every scan measurement, in effect order
 SEED_LIMIT = 2**64
-# Shot-mode highdim scans build (points, dim, dim) operator stacks; they are
-# evaluated in batches of at most this many matrix entries (and at least one
-# point), so memory does not grow with the grid.
-_BATCH_ENTRIES = 1 << 16
+# Every grid is evaluated in slices of at most this many operator entries,
+# points times the entries of one point's operators (dim**2 for (dim, dim)
+# matrices, dim for the kets of an exact highdim scan), and at least one
+# point, so the operator stacks of a scan do not grow with the grid: 1024
+# qubit points, or 64 points at dim 8.
+_BATCH_ENTRIES = 1 << 12
 # Memory model of a highdim scan (tracemalloc peaks, less a fixed overhead
 # under 1 MiB): an exact scan holds at most 64 bytes per entry of its
 # (points, dim) kets, and a shot-mode scan on top 320 bytes per entry of one
-# batch of (dim, dim) stacks, max(dim**2, _BATCH_ENTRIES) entries.  Configs
-# whose model exceeds _HIGHDIM_BYTES are refused before anything is
-# allocated: points * dim <= HIGHDIM_ENTRIES (2**24) in every mode, and
+# slice of (dim, dim) stacks, max(dim**2, _BATCH_ENTRIES) entries.  Exact
+# kets are built a slice at a time too, max(dim, _BATCH_ENTRIES) entries,
+# so the first term overstates the peak (67 MB at dim 2**20 and 16 points,
+# where it allows 1 GiB), but it keeps its value.  Configs whose model exceeds
+# _HIGHDIM_BYTES are refused before anything is allocated:
+# points * dim <= HIGHDIM_ENTRIES (2**24) in every mode, and
 # dim <= HIGHDIM_SHOT_DIM (1831) in shot mode.
 _HIGHDIM_BYTES = 1 << 30
 HIGHDIM_ENTRIES = _HIGHDIM_BYTES // 64
 HIGHDIM_SHOT_DIM = math.isqrt(_HIGHDIM_BYTES // 320)
-# Memory model of a grid (tracemalloc peaks through main at 2**12 to 2**16
-# points, every policy, exact and shot mode): a scan or search-optimal run
-# holds at most 1250 bytes per point, reached by the measure-and-prepare
-# policies on the optimal state, and an exact highdim run at dim 2 about
-# 350 (its CSV rows outweigh the 64 bytes per ket entry).  Every grid is
-# capped at SCAN_POINTS points, within the same budget, before anything is
-# allocated.
+# Memory model of a grid (tracemalloc peaks through main, every policy,
+# exact and shot mode): a run holds one slice of operators and rows, and
+# per point only its columns (the grid, four estimate columns and the
+# scan's read-only copies).  The peak grows by at most 85 bytes per added
+# point from 2**12 to 2**15 points (exact highdim at dim 2 the most, scans
+# and search-optimal 47 to 75), and is 81 to 84 bytes per point at 2**18
+# points.  The budget keeps the 1280 bytes per point of whole-grid
+# evaluation (1272 measured), so every grid is still capped at SCAN_POINTS
+# points before anything is allocated, and no config changes its exit code.
 _GRID_POINT_BYTES = 1280
 SCAN_POINTS = _HIGHDIM_BYTES // _GRID_POINT_BYTES
 # Memory model of a calibration's bootstrap (tracemalloc slopes through main
@@ -332,6 +341,14 @@ def _linspace(start: float, stop: float, points: int, shots: int | None) -> np.n
     return np.linspace(start, stop, points, endpoint=False) if points > 1 else np.array([start])
 
 
+def _slices(points: int, entries: int = 4):
+    """The slices of a grid of ``points`` points whose operators hold
+    ``entries`` entries each (default: a qubit's 2 x 2): ``_BATCH_ENTRIES``
+    entries a slice, and at least one point."""
+    step = max(1, _BATCH_ENTRIES // entries)
+    return (slice(start, min(start + step, points)) for start in range(0, points, step))
+
+
 def _scan_rows(config: dict, values: dict) -> CdScan:
     """The scan of the scan and search-optimal modes."""
     scan, shots = config["mode"] == "scan", values["shots"]
@@ -343,18 +360,25 @@ def _scan_rows(config: dict, values: dict) -> CdScan:
     probe_bias, probe_bloch = values["probe"]
     probe = InstrumentPolicy(values["policy"]).instrument(
         Povm(qubit_povms(probe_bias, probe_bloch), LABELS))
-    if scan:
-        target_bloch = gamma * plane_axis(grid)
-    target_effects = qubit_povms(target_bias, target_bloch)
-    # the measurements are validated before the optimal state takes their axes
-    if not scan:
-        state = np.stack([np.sin(grid), np.zeros_like(grid), np.cos(grid)], axis=-1)
-    elif (state := values["state"]) is None:
-        state = optimal_bloch(unit_axes(probe_bloch), unit_axes(target_bloch))
-    joint, alone = scenario_tables(qubit_states(state), probe, target_effects)
-    if shots is not None:
-        return CdScan(grid, *estimate_columns(*sample_tables(joint, alone, shots, values["seed"])))
-    return CdScan(grid, *cd_tables(joint, alone, probe, LABELS))
+    columns = np.zeros((4, len(grid)))  # c, d, c_err, d_err (exact: no errors)
+    for points in _slices(len(grid)):
+        with index_base(points.start):
+            part = grid[points]
+            if scan:
+                target_bloch = gamma * plane_axis(part)
+            target_effects = qubit_povms(target_bias, target_bloch)
+            # the measurements are validated before the optimal state takes their axes
+            if not scan:
+                state = np.stack([np.sin(part), np.zeros_like(part), np.cos(part)], axis=-1)
+            elif (state := values["state"]) is None:
+                state = optimal_bloch(unit_axes(probe_bloch), unit_axes(target_bloch))
+            joint, alone = scenario_tables(qubit_states(state), probe, target_effects)
+            if shots is None:
+                columns[:2, points] = cd_tables(joint, alone, probe, LABELS)
+            else:
+                columns[:, points] = estimate_columns(
+                    *sample_tables(joint, alone, shots, values["seed"], points.start))
+    return CdScan(grid, *columns)
 
 
 def _highdim_rows(config: dict, values: dict) -> CdScan:
@@ -368,24 +392,28 @@ def _highdim_rows(config: dict, values: dict) -> CdScan:
     # sharp probe along the first basis ket; target ket at overlap c2 with it
     ket_a = np.zeros(dim)
     ket_a[0] = 1.0
-    kets_b = np.zeros((len(grid), dim))
-    kets_b[:, 0] = np.sqrt(grid)
-    kets_b[:, 1] = np.sqrt(1.0 - grid)
-    angles = np.arccos(np.clip(2.0 * grid - 1.0, -1.0, 1.0))
-    if shots is None:
-        return CdScan(angles, *circle_law(values["gamma"], overlaps(ket_a, kets_b)))
-    proj_a = projectors(ket_a)
-    probe = Instrument.lueders(Povm(randomized_povms(1.0, proj_a), LABELS))
-    batches = []
-    step = max(1, _BATCH_ENTRIES // (dim * dim))
-    for start in range(0, len(grid), step):
-        proj_b = projectors(kets_b[start:start + step])
-        joint, alone = scenario_tables(
-            check_states(projectors(optimal_kets(proj_a, proj_b))), probe,
-            randomized_povms(values["gamma"], proj_b),
-        )
-        batches.append(estimate_columns(*sample_tables(joint, alone, shots, values["seed"], start)))
-    return CdScan(angles, *np.concatenate(batches, axis=1))
+    if shots is not None:
+        proj_a = projectors(ket_a)
+        probe = Instrument.lueders(Povm(randomized_povms(1.0, proj_a), LABELS))
+    columns = np.zeros((4, len(grid)))  # c, d, c_err, d_err (exact: no errors)
+    # an exact slice holds (points, dim) kets, a shot-mode slice (points, dim, dim) stacks
+    for points in _slices(len(grid), dim if shots is None else dim * dim):
+        with index_base(points.start):
+            c2 = grid[points]
+            kets_b = np.zeros((len(c2), dim))
+            kets_b[:, 0] = np.sqrt(c2)
+            kets_b[:, 1] = np.sqrt(1.0 - c2)
+            if shots is None:
+                columns[:2, points] = circle_law(values["gamma"], overlaps(ket_a, kets_b))
+                continue
+            proj_b = projectors(kets_b)
+            joint, alone = scenario_tables(
+                check_states(projectors(optimal_kets(proj_a, proj_b))), probe,
+                randomized_povms(values["gamma"], proj_b),
+            )
+            columns[:, points] = estimate_columns(
+                *sample_tables(joint, alone, shots, values["seed"], points.start))
+    return CdScan(np.arccos(np.clip(2.0 * grid - 1.0, -1.0, 1.0)), *columns)
 
 
 def _report(config: dict, **fields) -> dict:
@@ -396,12 +424,15 @@ def _report(config: dict, **fields) -> dict:
 
 
 def _write_scan(out_path: str, scan: CdScan, config: dict) -> None:
-    c2d2 = scan.c * scan.c + scan.d * scan.d
-    columns = (scan.theta, scan.c, scan.d, scan.c_err, scan.d_err, c2d2)
-    lines = [CSV_HEADER]
-    lines += (_CSV_ROW % row for row in zip(*((col + 0.0).tolist() for col in columns)))
+    """The scan's CSV, written one slice of rows at a time, and its sidecar."""
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CSV_HEADER + "\n")
+        for points in _slices(len(scan)):
+            c, d = scan.c[points], scan.d[points]
+            columns = (scan.theta[points], c, d, scan.c_err[points], scan.d_err[points],
+                       c * c + d * d)
+            fh.write("".join(_CSV_ROW % row
+                             for row in zip(*((col + 0.0).tolist() for col in columns))))
     _write_json(_sidecar_path(out_path), _report(config, csv_header=CSV_HEADER, rows=len(scan)))
 
 

@@ -5,11 +5,12 @@ measurement.
 All operators are dense complex numpy arrays.  The checks and the
 probability rules are array kernels over leading batch axes: a stack of
 states has shape ``(n, d, d)``, a stack of POVMs ``(n, k, d, d)``, and a
-scan validates and evaluates all of its points in one call.  A failed check
-raises a typed error naming the index of the first bad matrix.  The wrapper
-types (``DensityMatrix``, ``Effect``, ``Povm``) are the unbatched case of
-the same kernels: they validate once, at construction, and are immutable
-afterwards (matrices are stored as read-only copies).
+scan validates and evaluates a slice of its points in one call.  A failed
+check raises a typed error naming the index of the first bad matrix,
+counted from ``index_base`` when a caller checks a grid a slice at a time.
+The wrapper types (``DensityMatrix``, ``Effect``, ``Povm``) are the
+unbatched case of the same kernels: they validate once, at construction,
+and are immutable afterwards (matrices are stored as read-only copies).
 
 ``Instrument`` holds the Kraus operators of a probe: the square-root
 (minimal back-action) update, a measure-and-prepare update, or any
@@ -19,6 +20,9 @@ states and the dual channel act through the same Kraus stack.
 """
 
 from __future__ import annotations
+
+import contextlib
+import contextvars
 
 import numpy as np
 
@@ -54,11 +58,27 @@ def first_bad(bad) -> tuple | None:
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
 
 
+_INDEX_BASE = contextvars.ContextVar("index_base", default=0)
+
+
+@contextlib.contextmanager
+def index_base(first: int):
+    """Inside the block, error messages name entry ``i`` of a stack's first
+    axis as ``first + i``: its index in a grid checked a slice at a time."""
+    token = _INDEX_BASE.set(first)
+    try:
+        yield
+    finally:
+        _INDEX_BASE.reset(token)
+
+
 def at_index(index: tuple) -> str:
     """Location suffix for error messages: '' for an unbatched value,
-    ' at index i' (or a tuple of indices) inside a stack."""
+    ' at index i' (or a tuple of indices) inside a stack, its first index
+    counted from ``index_base``."""
     if not index:
         return ""
+    index = (_INDEX_BASE.get() + index[0], *index[1:])
     return f" at index {index[0] if len(index) == 1 else index}"
 
 

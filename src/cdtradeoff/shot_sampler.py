@@ -56,6 +56,7 @@ from .quantum_core import (
     _frozen,
     at_index,
     first_bad,
+    index_base,
     scenario_tables,
 )
 
@@ -155,7 +156,7 @@ def _rekey(bitgen: np.random.Philox, key: int) -> None:
     }
 
 
-def _thresholds(tables, first: int = 0) -> list:
+def _thresholds(tables) -> list:
     """For each (n, k) table stack, the raw-word thresholds (n, k-1) uint64
     of every row's inner cumulative edges, and a bool mask (n, k-1) of the
     edges above every uniform (their threshold reads 0; they count every
@@ -163,7 +164,7 @@ def _thresholds(tables, first: int = 0) -> list:
 
     Negative entries are clipped to zero and each row normalized; a row
     that is not finite or has no positive sum raises NotNormalizedError
-    naming its point ``first + i``, the first such point over all stacks.
+    naming its point, the first such point over all stacks.
     """
     clipped = [np.clip(rows, 0.0, None) for rows in tables]
     totals = [p.sum(axis=1) for p in clipped]
@@ -172,7 +173,7 @@ def _thresholds(tables, first: int = 0) -> list:
     bad = first_bad(~good)
     if bad is not None:
         raise NotNormalizedError(
-            f"probabilities must be finite with a positive sum{at_index((first + bad[0],))}")
+            f"probabilities must be finite with a positive sum{at_index(bad)}")
     cuts = []
     for p, total in zip(clipped, totals):
         steps = np.ceil(np.cumsum(p / total[:, None], axis=1)[:, :-1] * _STEPS)
@@ -250,7 +251,8 @@ def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
 
     Point ``i`` draws ``shots`` joint-arm outcomes, then ``shots_alone``
     (default ``shots``) alone-arm outcomes, from the Philox stream keyed by
-    ``seed ^ (first + i)``.  A generator is re-keyed for each point; records
+    ``seed ^ (first + i)``, and a table that cannot be drawn from is named
+    as point ``first + i``.  A generator is re-keyed for each point; records
     of more than one block are counted on one thread per span of points.
     """
     shots_alone = shots if shots_alone is None else shots_alone
@@ -263,7 +265,8 @@ def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
     if joint.ndim < 2 or alone.ndim < 2 or len(joint) != len(alone):
         raise LabelMismatchError("joint and alone must be table stacks of equal length")
     rows = [t.reshape(len(t), math.prod(t.shape[1:])) for t in (joint, alone)]
-    cuts_joint, cuts_alone = _thresholds(rows, first)
+    with index_base(first):
+        cuts_joint, cuts_alone = _thresholds(rows)
     joint_counts, alone_counts = (np.empty(r.shape, dtype=np.int64) for r in rows)
     record = shots + shots_alone
     if record > _BLOCK:  # a flat count per block is cheaper per word than a row sum

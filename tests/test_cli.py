@@ -998,6 +998,20 @@ class TestGridSizeCap:
         assert code == 0
         assert peak <= cli._GRID_POINT_BYTES * points + 2**20
 
+    @pytest.mark.parametrize("policy", ["lueders", "mixed", "eigenstate"])
+    @pytest.mark.parametrize("shots", ["exact", 10])
+    def test_peak_grows_by_at_most_150_bytes_per_point(self, tmp_path, policy, shots):
+        """A grid is evaluated in slices, so only its columns grow with it
+        (about 47 to 75 bytes per point); a whole-grid batch took 504 to
+        1272."""
+        peaks = {}
+        for points in (2**12, 2**15):
+            code, peaks[points] = traced_exit(
+                tmp_path, "grid", mode="scan", policy=policy, shots=shots, seed=1,
+                probe=self.PROBE, target={**self.THETA, "theta_grid": {"points": points}})
+            assert code == 0
+        assert peaks[2**15] - peaks[2**12] <= 150 * (2**15 - 2**12)
+
     @pytest.mark.parametrize(
         "entries",
         [
