@@ -70,9 +70,9 @@ class CdValue:
 def check_tradeoff(corr, dist) -> None:
     """Require C^2 + D^2 <= 1 (within INEQ_TOL) for every value of a
     square-root-instrument scan; raises TradeoffViolationError naming the
-    first point outside the disc."""
+    first point outside the disc (NaN included)."""
     c, d = np.asarray(corr), np.asarray(dist)
-    index = first_bad(c * c + d * d > 1.0 + INEQ_TOL)
+    index = first_bad(~(c * c + d * d <= 1.0 + INEQ_TOL))  # NaN fails the comparison too
     if index is not None:
         raise TradeoffViolationError(
             f"({c[index]!r}, {d[index]!r}){at_index(index)} violates the "

@@ -20,9 +20,9 @@ byte-reproducible from config + seed alone.  A grid is evaluated in
 slices of at most ``_BATCH_ENTRIES`` operator entries: each slice's
 operators are built, validated and turned into outcome tables and
 (C, D) columns with array kernels, so only the columns grow with the grid;
-the rows are then written one slice at a time.  Shot-mode scan point ``i``
-draws from a Philox stream keyed by ``seed XOR i``, where the seed lies in
-[0, 2**64), whatever slice it falls in.
+the rows are then written from them, one slice at a time.  Shot-mode scan
+point ``i`` draws from a Philox stream keyed by ``seed XOR i``, where the
+seed lies in [0, 2**64), whatever slice it falls in.
 
 Exit codes: 0 success, 2 config error, 3 physics/feasibility error,
 4 fit failure.
@@ -101,13 +101,13 @@ HIGHDIM_ENTRIES = _HIGHDIM_BYTES // 64
 HIGHDIM_SHOT_DIM = math.isqrt(_HIGHDIM_BYTES // 320)
 # Memory model of a grid (tracemalloc peaks through main, every policy,
 # exact and shot mode): a run holds one slice of operators and rows, and
-# per point only its columns (the grid, four estimate columns and the
-# scan's read-only copies).  The peak grows by at most 85 bytes per added
-# point from 2**12 to 2**15 points (exact highdim at dim 2 the most, scans
-# and search-optimal 47 to 75), and is 81 to 84 bytes per point at 2**18
-# points.  The budget keeps the 1280 bytes per point of whole-grid
-# evaluation (1272 measured), so every grid is still capped at SCAN_POINTS
-# points before anything is allocated, and no config changes its exit code.
+# per point only its columns, the grid and four estimate columns, which are
+# written without a copy.  The peak grows by about 40 bytes per added point
+# from 2**12 to 2**15 points (scans, search-optimal and exact highdim at
+# dim 2), and is 41 to 46 bytes per point at 2**18 points.  The budget
+# keeps the 1280 bytes per point of whole-grid evaluation (1272 measured),
+# so every grid is still capped at SCAN_POINTS points before anything is
+# allocated, and no config changes its exit code.
 _GRID_POINT_BYTES = 1280
 SCAN_POINTS = _HIGHDIM_BYTES // _GRID_POINT_BYTES
 # Memory model of a calibration's bootstrap (tracemalloc slopes through main
@@ -349,8 +349,9 @@ def _slices(points: int, entries: int = 4):
     return (slice(start, min(start + step, points)) for start in range(0, points, step))
 
 
-def _scan_rows(config: dict, values: dict) -> CdScan:
-    """The scan of the scan and search-optimal modes."""
+def _scan_rows(config: dict, values: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The grid and the (4, points) columns c, d, c_err, d_err of the scan
+    and search-optimal modes."""
     scan, shots = config["mode"] == "scan", values["shots"]
     if scan:
         target_bias, gamma, angles = values["target"]
@@ -378,10 +379,11 @@ def _scan_rows(config: dict, values: dict) -> CdScan:
             else:
                 columns[:, points] = estimate_columns(
                     *sample_tables(joint, alone, shots, values["seed"], points.start))
-    return CdScan(grid, *columns)
+    return grid, columns
 
 
-def _highdim_rows(config: dict, values: dict) -> CdScan:
+def _highdim_rows(config: dict, values: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The theta column and the (4, points) columns of an overlap scan."""
     dim, shots = values["dim"], values["shots"]
     _require(shots is None or dim <= HIGHDIM_SHOT_DIM, f"shots need dim <= {HIGHDIM_SHOT_DIM}")
     _require(values["c2_grid"] is None or "c2" not in config, "highdim takes one of c2 and c2_grid")
@@ -413,7 +415,9 @@ def _highdim_rows(config: dict, values: dict) -> CdScan:
             )
             columns[:, points] = estimate_columns(
                 *sample_tables(joint, alone, shots, values["seed"], points.start))
-    return CdScan(np.arccos(np.clip(2.0 * grid - 1.0, -1.0, 1.0)), *columns)
+    grid *= 2.0  # theta = arccos(2 c^2 - 1), in place of the overlaps
+    grid -= 1.0
+    return np.arccos(np.clip(grid, -1.0, 1.0, out=grid), out=grid), columns
 
 
 def _report(config: dict, **fields) -> dict:
@@ -423,17 +427,17 @@ def _report(config: dict, **fields) -> dict:
             "config_sha256": digest.hexdigest(), **fields}
 
 
-def _write_scan(out_path: str, scan: CdScan, config: dict) -> None:
-    """The scan's CSV, written one slice of rows at a time, and its sidecar."""
+def _write_scan(out_path: str, theta: np.ndarray, columns: np.ndarray, config: dict) -> None:
+    """The CSV of a scan's theta column and (4, points) columns c, d, c_err,
+    d_err, written one slice of rows at a time, and its sidecar."""
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for points in _slices(len(scan)):
-            c, d = scan.c[points], scan.d[points]
-            columns = (scan.theta[points], c, d, scan.c_err[points], scan.d_err[points],
-                       c * c + d * d)
+        for points in _slices(len(theta)):
+            c, d, c_err, d_err = columns[:, points]
+            row_columns = (theta[points], c, d, c_err, d_err, c * c + d * d)
             fh.write("".join(_CSV_ROW % row
-                             for row in zip(*((col + 0.0).tolist() for col in columns))))
-    _write_json(_sidecar_path(out_path), _report(config, csv_header=CSV_HEADER, rows=len(scan)))
+                             for row in zip(*((col + 0.0).tolist() for col in row_columns))))
+    _write_json(_sidecar_path(out_path), _report(config, csv_header=CSV_HEADER, rows=len(theta)))
 
 
 def _sidecar_path(csv_path: str) -> str:
@@ -536,9 +540,9 @@ def run(config: dict, values: dict, out_path: str) -> None:
     """Run the config's mode on ``values``, its keys as ``_parse`` gives them."""
     mode = config["mode"]
     if mode in ("scan", "search-optimal"):
-        _write_scan(out_path, _scan_rows(config, values), config)
+        _write_scan(out_path, *_scan_rows(config, values), config)
     elif mode == "highdim":
-        _write_scan(out_path, _highdim_rows(config, values), config)
+        _write_scan(out_path, *_highdim_rows(config, values), config)
     elif mode == "calibrate":
         _cmd_calibrate(config, values, out_path)
     else:

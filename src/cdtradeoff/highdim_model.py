@@ -189,9 +189,14 @@ def overlap(pa: RandomizedDichotomic, pb: RandomizedDichotomic) -> OverlapGeomet
 def circle_law(gamma: float, c2) -> tuple[np.ndarray, np.ndarray]:
     """C = gamma (2 c^2 - 1) and D = 2 gamma sqrt((1 - c^2) c^2) of a sharp
     probe followed by a randomized target of strength ``gamma``, on the
-    optimal state, for one overlap or an array of them."""
+    optimal state, for one overlap or an array of them; an overlap outside
+    [0, 1] (or NaN) raises InvalidMeasurementError naming the first one."""
     _check_gamma(gamma)
     c2 = np.asarray(c2, dtype=float)
+    index = first_bad(~((0.0 <= c2) & (c2 <= 1.0)))
+    if index is not None:
+        raise InvalidMeasurementError(f"overlap c^2{at_index(index)} = {float(c2[index])!r} "
+                                      "lies outside [0, 1]")
     corr, dist = gamma * (2.0 * c2 - 1.0), gamma * _radius(c2)
     check_tradeoff(corr, dist)
     return corr, dist

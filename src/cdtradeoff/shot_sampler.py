@@ -20,14 +20,14 @@ one block over both arms are drawn a chunk of points at a time into one
 reused buffer and counted per chunk, on the calling thread; larger records
 are counted a block of words at a time.  Both give the same words and
 counts.  The points of larger records are split into contiguous spans, one
-per worker thread, each with its own generator re-keyed per point; the
-worker count is the number of CPUs the process may run on (its affinity
-mask), capped by the number of points, and the workers' blocks share one
-block of memory.  A point's words, counts and bits do not depend on the
-worker count or the block size.  Identical
-(scenario, seed) pairs yield bit-identical records on any platform, and
-the bits are unchanged from 0.1.0.  This algorithm is part of the package
-contract and must not change silently.
+per thread of the standard library's pool (``ThreadPoolExecutor``), each
+with its own generator re-keyed per point; the worker count is the number
+of CPUs the process may run on (its affinity mask), capped by the number
+of points, and the workers' blocks share one block of memory.  A point's
+words, counts and bits do not depend on the worker count or the block
+size.  Identical (scenario, seed) pairs yield bit-identical records on
+any platform, and the bits are unchanged from 0.1.0.  This algorithm is
+part of the package contract and must not change silently.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,31 +219,6 @@ def _workers(points: int) -> int:
     return max(1, min(cpus or 1, points))
 
 
-def _run_spans(work, spans: list) -> None:
-    """Call ``work(span)`` for every span: the first on the calling thread,
-    each other on a thread of its own.  Every thread is joined before this
-    returns; the exception of the earliest span that raised is re-raised."""
-    errors = [None] * len(spans)
-
-    def run(k: int) -> None:
-        try:
-            work(spans[k])
-        except BaseException as exc:  # re-raised on the calling thread below
-            errors[k] = exc
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(spans))]
-    for thread in threads:
-        thread.start()
-    try:
-        work(spans[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    error = next((e for e in errors if e is not None), None)
-    if error is not None:
-        raise error
-
-
 def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
                   shots_alone: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Count stacks shaped like the table stacks ``joint`` (n, ka, kb) and
@@ -253,7 +228,7 @@ def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
     (default ``shots``) alone-arm outcomes, from the Philox stream keyed by
     ``seed ^ (first + i)``, and a table that cannot be drawn from is named
     as point ``first + i``.  A generator is re-keyed for each point; records
-    of more than one block are counted on one thread per span of points.
+    of more than one block are counted on a thread pool, a span of points each.
     """
     shots_alone = shots if shots_alone is None else shots_alone
     if shots <= 0 or shots_alone <= 0:
@@ -281,7 +256,9 @@ def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
                 alone_counts[i] = _count(bitgen, *(c[i] for c in cuts_alone), shots_alone, block)
 
         bounds = [len(joint) * w // workers for w in range(workers + 1)]
-        _run_spans(count_span, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+        spans = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(count_span, spans))
     else:  # a chunk of records per block of words
         bitgen = np.random.Philox(key=seed)
         chunk = _BLOCK // record

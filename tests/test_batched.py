@@ -67,8 +67,8 @@ def exact_rows(**entries):
     """Unrounded rows of the batched scan path (the CSV keeps 9 digits)."""
     config = {"schema": 1, **entries}
     rows = cli._highdim_rows if config["mode"] == "highdim" else cli._scan_rows
-    scan = rows(config, cli._parse(config))
-    return np.column_stack([scan.theta, scan.c, scan.d, scan.c_err, scan.d_err])
+    theta, columns = rows(config, cli._parse(config))
+    return np.column_stack([theta, *columns])
 
 
 def rows_of(path):

@@ -189,6 +189,16 @@ class TestCdFromScenario:
             check_tradeoff(np.array([0.0, 0.6, 0.9]), np.array([1.0, 0.8, 0.9]))
         check_tradeoff(np.array([0.6, 1.0]), np.array([0.8, 0.0]))
 
+    @pytest.mark.parametrize("corr, dist, where", [
+        (np.nan, 0.0, ""),
+        (0.0, np.nan, ""),
+        (np.array([0.6, np.nan, 0.0]), np.array([0.8, 0.0, np.nan]), " at index 1"),
+    ])
+    def test_tradeoff_check_refuses_nan(self, corr, dist, where):
+        # NaN fails every comparison, so "c^2 + d^2 > 1" alone lets it through
+        with pytest.raises(TradeoffViolationError, match=f"\\){where} violates"):
+            check_tradeoff(corr, dist)
+
     def test_cd_tables_check_follows_the_constructor(self):
         # (C, D) = (1, 0.6): outside the disc
         joint, alone = np.array([[0.8, 0.0], [0.0, 0.2]]), np.array([0.5, 0.5])

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cdtradeoff import cli
-from cdtradeoff.calibration import CdScan
 from cdtradeoff.cd_measures import CdValue
 from cdtradeoff.cli import CSV_HEADER, main, read_scan_csv
 
@@ -847,7 +846,7 @@ class TestCsvWriter:
 
     def written_rows(self, tmp_path, columns):
         out = tmp_path / "w.csv"
-        cli._write_scan(str(out), CdScan(*columns[:5]), {"schema": 1, "mode": "scan"})
+        cli._write_scan(str(out), columns[0], np.array(columns[1:5]), {"schema": 1, "mode": "scan"})
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == CSV_HEADER
         return lines[1:]
@@ -1011,6 +1010,38 @@ class TestGridSizeCap:
                 probe=self.PROBE, target={**self.THETA, "theta_grid": {"points": points}})
             assert code == 0
         assert peaks[2**15] - peaks[2**12] <= 150 * (2**15 - 2**12)
+
+    @staticmethod
+    def grid_entries(kind, points):
+        """A scan ("policy/shots"), search-optimal or exact highdim (dim 2)
+        config of ``points`` grid points."""
+        if kind == "search-optimal":
+            return {"mode": kind, "phi_grid": {"points": points}}
+        if kind == "highdim":
+            return {"mode": kind, "dim": 2, "gamma": 0.5,
+                    "c2_grid": {"stop": 1.0, "points": points}}
+        policy, shots = kind.split("/")
+        return {"mode": "scan", "policy": policy, "shots": "exact" if shots == "exact" else 10,
+                "seed": 1, "probe": TestGridSizeCap.PROBE,
+                "target": {**TestGridSizeCap.THETA, "theta_grid": {"points": points}}}
+
+    @pytest.mark.parametrize("kind", [
+        *(f"{policy}/{shots}" for policy in ("lueders", "mixed", "eigenstate")
+          for shots in ("exact", 10)),
+        "search-optimal",
+        "highdim",
+    ])
+    def test_peak_grows_by_the_columns_alone(self, tmp_path, kind):
+        """Per point a run holds only the grid and the four estimate
+        columns, five float64 columns of 40 bytes (40 measured); the bound
+        is 10% over them.  Copying the columns into a scan object took 47
+        to 74 bytes, and 85 on highdim."""
+        traced_exit(tmp_path, "grid", **self.grid_entries(kind, 16))  # first-use allocations
+        peaks = {}
+        for points in (2**12, 2**15):
+            code, peaks[points] = traced_exit(tmp_path, "grid", **self.grid_entries(kind, points))
+            assert code == 0
+        assert peaks[2**15] - peaks[2**12] <= 44 * (2**15 - 2**12)
 
     @pytest.mark.parametrize(
         "entries",

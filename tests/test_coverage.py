@@ -1,12 +1,22 @@
 """Coverage of the statistical outputs: seeded trials check that each
 one-sigma error covers its true value about 68% of the time, and pin the
-biases that are known today."""
+biases and the coverage that are known today."""
 
 import math
 
 import numpy as np
 import pytest
 
+from cdtradeoff import cli
+from cdtradeoff.calibration import (
+    CdScan,
+    estimate_detector,
+    fit_circle_sharp_probe,
+    fit_ellipse_known_theta,
+    fit_ellipse_unknown_theta,
+)
+from cdtradeoff.detector_model import DetectorNoise, scenario_distributions
+from cdtradeoff.qubit_model import ellipse_map
 from cdtradeoff.shot_sampler import estimate_columns, sample_tables
 
 SHOTS = 1000
@@ -53,3 +63,97 @@ class TestPointEstimates:
         # away from D = 0 the fold is rare and the mean is unbiased
         _, d_far, _, _ = estimates[:, 2]
         assert abs(np.mean(d_far) - D_TRUE[2]) <= 4 * np.std(d_far) / math.sqrt(RECORDS)
+
+
+def coverage_band(coverage, trials):
+    """Four binomial standard deviations of a coverage over ``trials``
+    trials; a coverage of 0 or 1 is taken as one trial off, so that it
+    keeps a band."""
+    p = min(max(coverage, 1 / trials), 1 - 1 / trials)
+    return 4 * math.sqrt(p * (1 - p) / trials)
+
+
+def covered(estimate, error, truth):
+    return abs(estimate - truth) <= error
+
+
+# The fits' scans come from the CLI scan kernel (one ``sample_tables`` call
+# per scan): 1e3 shots per arm over a full turn of the target angle, a
+# target of strength 0.485 and the optimal state; trial k draws from the
+# seed k << 32, so no two trials share a Philox stream, and resamples from
+# the bootstrap seed k.
+TARGET_STRENGTH = 0.485
+SHARP_PROBE = {"gamma": 1.0}
+NOISY_PROBE = {"gamma": 0.8, "bias": 0.1}
+COMBOS = ("center_shift", "target_strength_product", "shear_strength", "squeeze_strength")
+TRUE_COMBOS = dict(zip(COMBOS, ellipse_map(0.1, 0.8, 0.0, TARGET_STRENGTH)[4:]))
+
+
+def scan(points, probe, trial):
+    config = {"schema": 1, "mode": "scan", "shots": SHOTS, "seed": trial << 32, "probe": probe,
+              "target": {"gamma": TARGET_STRENGTH, "theta_grid": {"points": points}}}
+    theta, columns = cli._scan_rows(config, cli._parse(config))
+    return CdScan(theta, *columns)
+
+
+def combo_coverage(fit, points, trials):
+    """Coverage of each strength combination by its bootstrap error."""
+    hits = dict.fromkeys(COMBOS, 0)
+    for trial in range(trials):
+        result = fit(scan(points, NOISY_PROBE, trial), n_bootstrap=200, bootstrap_seed=trial)
+        for name in COMBOS:
+            hits[name] += covered(getattr(result, name), result.errors[name], TRUE_COMBOS[name])
+    return {name: hits[name] / trials for name in COMBOS}
+
+
+class TestFitCoverage:
+    """Coverage of the fits' 1-sigma bootstrap errors at 1e3 shots, as it
+    is today, pinned inside a binomial band."""
+
+    @pytest.mark.parametrize("points, pinned", [(256, 0.47), (1024, 0.23)])
+    def test_circle_fit_under_covers_as_points_grow(self, points, pinned):
+        """The weights come from the observed c and d, which biases the
+        strength low by a fixed amount per point while the error falls as
+        1/sqrt(points) (0.47 over 500 trials at 256 points, 0.23 over 300
+        at 1024)."""
+        trials = 100
+        hits = 0
+        for trial in range(trials):
+            fit = fit_circle_sharp_probe(scan(points, SHARP_PROBE, trial), 200, trial)
+            hits += covered(fit.strength, fit.strength_err, TARGET_STRENGTH)
+        assert abs(hits / trials - pinned) <= coverage_band(pinned, trials)
+
+    def test_known_theta_fit_covers_at_64_points(self):
+        """Each combination covers about nominally (0.64 to 0.71 over 400
+        trials)."""
+        trials = 100
+        for name, coverage in combo_coverage(fit_ellipse_known_theta, 64, trials).items():
+            assert abs(coverage - ONE_SIGMA) <= coverage_band(ONE_SIGMA, trials), name
+
+    def test_unknown_theta_fit_never_covers_at_256_points(self):
+        """The direct least-squares conic shrinks a noisy ellipse and
+        ignores the point errors: its combinations miss their truth in
+        every trial."""
+        trials = 60
+        coverage = combo_coverage(fit_ellipse_unknown_theta, 256, trials)
+        for name in ("center_shift", "target_strength_product", "squeeze_strength"):
+            assert coverage[name] <= coverage_band(0.0, trials), name
+
+
+class TestDetectorCoverage:
+    def test_delta_method_errors_cover_at_1e4_shots(self):
+        """The propagated errors of eta and nu cover nominally: readings of
+        the sharp and the fully biased setting from 1e4 shots per arm, one
+        ``sample_tables`` call over every trial."""
+        trials, shots = 4000, 10**4
+        noise = DetectorNoise(0.7, 0.05)
+        joint, alone = (np.tile(np.stack(tables), (trials,) + (1,) * tables[0].ndim)
+                        for tables in zip(*(scenario_distributions(noise, reference)
+                                            for reference in ("sharp", "fully_biased"))))
+        c, d, c_err, d_err = estimate_columns(*sample_tables(joint, alone, shots, seed=7))
+        hits = np.zeros(2)
+        for k in range(0, 2 * trials, 2):  # point k is sharp, k + 1 fully biased
+            estimate = estimate_detector(d[k], c[k + 1], d_err[k], c_err[k + 1])
+            hits += (covered(estimate.noise.eta, estimate.eta_err, noise.eta),
+                     covered(estimate.noise.nu, estimate.nu_err, noise.nu))
+        assert np.all(np.abs(hits / trials - ONE_SIGMA) <= coverage_band(ONE_SIGMA, trials))

@@ -13,6 +13,7 @@ from cdtradeoff.errors import (
 from cdtradeoff.highdim_model import (
     RandomizedDichotomic,
     cd_highdim,
+    circle_law,
     overlap,
     projectors,
     randomized_povms,
@@ -170,6 +171,17 @@ class TestCircleLaw:
             sim = simulate(pa, pb, overlap(pa, pb).psi_plus)
             assert abs(sim.correlation - value.correlation) <= 1e-9
             assert abs(sim.disturbance - value.disturbance) <= 1e-9
+
+    @pytest.mark.parametrize("c2, where", [
+        (2.0, " = 2.0"),
+        (-1e-300, " = -1e-300"),
+        (np.nan, " = nan"),
+        (np.array([0.0, 0.5, 1.0 + 2**-52, 7.0]), " at index 2 = 1.0000000000000002"),
+    ])
+    def test_circle_law_refuses_overlaps_outside_unit_interval(self, c2, where):
+        # refused before the square root, which would warn and give NaN
+        with pytest.raises(InvalidMeasurementError, match=f"overlap c\\^2{where} lies outside"):
+            circle_law(1.0, c2)
 
 
 def bloch_length(gamma, dim):
