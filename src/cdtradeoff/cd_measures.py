@@ -81,12 +81,13 @@ def check_tradeoff(corr, dist) -> None:
 
 
 def _check_distributions(probs: np.ndarray, what: str) -> None:
-    """Each distribution (..., k) lies in [0, 1] and sums to one."""
-    index = first_bad(((probs < -ATOL) | (probs > 1.0 + ATOL)).any(axis=-1))
+    """Each distribution (..., k) lies in [0, 1] and sums to one; NaN fails
+    both conditions."""
+    index = first_bad(~((probs >= -ATOL) & (probs <= 1.0 + ATOL)).all(axis=-1))
     if index is not None:
         raise NotNormalizedError(f"{what}{at_index(index)} has a probability outside [0, 1]")
     total = probs.sum(axis=-1)
-    index = first_bad(np.abs(total - 1.0) > ATOL)
+    index = first_bad(~(np.abs(total - 1.0) <= ATOL))
     if index is not None:
         raise NotNormalizedError(f"{what}{at_index(index)} sums to {total[index]!r}, not 1")
 
@@ -116,7 +117,7 @@ def correlation(joint, labels_a, labels_b):
         )
     _matched_label_sets(la, lb)
     total = table.sum(axis=(-2, -1))
-    index = first_bad(np.abs(total - 1.0) > ATOL)
+    index = first_bad(~(np.abs(total - 1.0) <= ATOL))  # NaN fails the comparison too
     if index is not None:
         raise NotNormalizedError(f"joint table{at_index(index)} sums to {total[index]!r}, not 1")
     n = len(la)

@@ -33,6 +33,7 @@ from cdtradeoff.qubit_model import (
     optimal_state,
     plane_axis,
 )
+from cdtradeoff.shot_sampler import InstrumentPolicy
 
 from util import (
     random_pure,
@@ -209,6 +210,37 @@ class TestCdFromScenario:
         corr, dist = cd_tables(joint, alone, Instrument.measure_and_prepare(povm, states),
                                povm.labels)
         assert (float(corr), float(dist)) == pytest.approx((1.0, 0.6), abs=1e-12)
+
+
+class TestNanTables:
+    """NaN fails every comparison, so a check phrased as "outside [0, 1]"
+    or "does not sum to 1" lets a NaN table through, to (nan, nan) or to a
+    misleading TradeoffViolationError on the square-root probe."""
+
+    POLICIES = ["lueders", "eigenstate", "mixed"]
+    GOOD = np.array([[0.5, 0.0], [0.0, 0.5]])
+    NAN = np.array([[np.nan, 0.5], [0.0, 0.5]])
+
+    def tables(self, policy, joint, alone):
+        """cd_tables of a two-point stack whose first point is valid, with
+        the probe that ``policy`` builds for an unsharp x measurement."""
+        probe = InstrumentPolicy(policy).instrument(QubitMeasurement(0.0, [0.8, 0.0, 0.0]).to_povm())
+        return cd_tables(np.stack([self.GOOD, joint]), np.stack([[0.5, 0.5], alone]), probe, PM)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_nan_joint_table_refused(self, policy):
+        with pytest.raises(NotNormalizedError, match=r"joint table at index 1 sums to \S*nan"):
+            self.tables(policy, self.NAN, [0.5, 0.5])
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_nan_probe_off_distribution_refused(self, policy):
+        with pytest.raises(NotNormalizedError,
+                           match="probe-off distribution at index 1 has a probability outside"):
+            self.tables(policy, self.GOOD, [np.nan, 0.5])
+
+    def test_correlation_refuses_nan(self):
+        with pytest.raises(NotNormalizedError, match=r"joint table sums to \S*nan"):
+            correlation(self.NAN, PM, PM)
 
 
 class TestOperators:

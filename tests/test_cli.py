@@ -987,30 +987,6 @@ class TestGridSizeCap:
         assert peak < 2**20
         assert not (tmp_path / "grid.csv").exists()
 
-    @pytest.mark.parametrize("policy", ["lueders", "mixed", "eigenstate"])
-    @pytest.mark.parametrize("shots", ["exact", 10])
-    def test_model_bounds_the_peak(self, tmp_path, policy, shots):
-        points = 4096
-        code, peak = traced_exit(tmp_path, "grid", mode="scan", policy=policy, shots=shots,
-                                 seed=1, probe=self.PROBE,
-                                 target={**self.THETA, "theta_grid": {"points": points}})
-        assert code == 0
-        assert peak <= cli._GRID_POINT_BYTES * points + 2**20
-
-    @pytest.mark.parametrize("policy", ["lueders", "mixed", "eigenstate"])
-    @pytest.mark.parametrize("shots", ["exact", 10])
-    def test_peak_grows_by_at_most_150_bytes_per_point(self, tmp_path, policy, shots):
-        """A grid is evaluated in slices, so only its columns grow with it
-        (about 47 to 75 bytes per point); a whole-grid batch took 504 to
-        1272."""
-        peaks = {}
-        for points in (2**12, 2**15):
-            code, peaks[points] = traced_exit(
-                tmp_path, "grid", mode="scan", policy=policy, shots=shots, seed=1,
-                probe=self.PROBE, target={**self.THETA, "theta_grid": {"points": points}})
-            assert code == 0
-        assert peaks[2**15] - peaks[2**12] <= 150 * (2**15 - 2**12)
-
     @staticmethod
     def grid_entries(kind, points):
         """A scan ("policy/shots"), search-optimal or exact highdim (dim 2)
@@ -1025,23 +1001,56 @@ class TestGridSizeCap:
                 "seed": 1, "probe": TestGridSizeCap.PROBE,
                 "target": {**TestGridSizeCap.THETA, "theta_grid": {"points": points}}}
 
+    @pytest.fixture(scope="class")
+    def traced(self, tmp_path_factory):
+        """``traced(kind)``: the (exit code, peak traced allocation) of the
+        kind's runs at 2^12, 2^15 and again 2^12 points, in that order.
+        Each kind is traced once, when a test first asks for it."""
+        runs = {}
+
+        def traced(kind):
+            if kind not in runs:
+                path = tmp_path_factory.mktemp("grid")
+                runs[kind] = [traced_exit(path, "grid", **self.grid_entries(kind, points))
+                              for points in (2**12, 2**15, 2**12)]
+            return runs[kind]
+
+        return traced
+
+    @pytest.mark.parametrize("policy", ["lueders", "mixed", "eigenstate"])
+    @pytest.mark.parametrize("shots", ["exact", 10])
+    def test_model_bounds_the_peak(self, traced, policy, shots):
+        points = 2**12
+        code, peak = traced(f"{policy}/{shots}")[0]
+        assert code == 0
+        assert peak <= cli._GRID_POINT_BYTES * points + 2**20
+
+    @pytest.mark.parametrize("policy", ["lueders", "mixed", "eigenstate"])
+    @pytest.mark.parametrize("shots", ["exact", 10])
+    def test_peak_grows_by_at_most_150_bytes_per_point(self, traced, policy, shots):
+        """A grid is evaluated in slices, so only its columns grow with it
+        (40 bytes per point measured, 17 on the first 10-shot scan, whose
+        2^12 run holds first-use allocations); a whole-grid batch took 504
+        to 1272."""
+        (code_small, small), (code_large, large), _ = traced(f"{policy}/{shots}")
+        assert code_small == code_large == 0
+        assert large - small <= 150 * (2**15 - 2**12)
+
     @pytest.mark.parametrize("kind", [
         *(f"{policy}/{shots}" for policy in ("lueders", "mixed", "eigenstate")
           for shots in ("exact", 10)),
         "search-optimal",
         "highdim",
     ])
-    def test_peak_grows_by_the_columns_alone(self, tmp_path, kind):
+    def test_peak_grows_by_the_columns_alone(self, traced, kind):
         """Per point a run holds only the grid and the four estimate
         columns, five float64 columns of 40 bytes (40 measured); the bound
         is 10% over them.  Copying the columns into a scan object took 47
-        to 74 bytes, and 85 on highdim."""
-        traced_exit(tmp_path, "grid", **self.grid_entries(kind, 16))  # first-use allocations
-        peaks = {}
-        for points in (2**12, 2**15):
-            code, peaks[points] = traced_exit(tmp_path, "grid", **self.grid_entries(kind, points))
-            assert code == 0
-        assert peaks[2**15] - peaks[2**12] <= 44 * (2**15 - 2**12)
+        to 74 bytes, and 85 on highdim.  The 2^12 run compared is the one
+        after the 2^15 run, so first-use allocations fall outside both."""
+        _, (code_large, large), (code_small, small) = traced(kind)
+        assert code_large == code_small == 0
+        assert large - small <= 44 * (2**15 - 2**12)
 
     @pytest.mark.parametrize(
         "entries",

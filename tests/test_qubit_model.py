@@ -197,10 +197,11 @@ class TestOptimalState:
         probe = random_qubit_measurement(rng)
         target = random_qubit_measurement(rng)
         best = simulate(probe, target).disturbance
+        _, inst, povm = scenario(None, probe, target)  # built once, not per state
         grid_max = 0.0
         for _ in range(10_000):
             r = random_axis(rng)
-            value = simulate(probe, target, rho=state_from_bloch(r))
+            value = cd_from_scenario(state_from_bloch(r), inst, povm)
             grid_max = max(grid_max, value.disturbance)
         assert best >= grid_max - 1e-4
 
