@@ -17,10 +17,13 @@ the fits read.
 
 All fitted parameters carry nonparametric bootstrap errors (seeded,
 resampling points with replacement); the shear decomposition is nonlinear,
-so delta-method errors would under-cover.  Each fit evaluates resamples per
-block of (resamples, points) indices from the seed's Philox stream (stacked
-3x3 ``solve``/``eig`` for the conic), with the bits of one draw and one fit
-per resample, as in 0.1.0.  Degenerate resamples are skipped.
+so delta-method errors would under-cover.  Each fit draws its resamples as
+blocks of (resamples, points) indices from the seed's Philox stream,
+reduces each block to one row of statistics per resample (for the conic,
+its three 3x3 scatter matrices), and fits the rows of consecutive blocks a
+group at a time (one stacked 3x3 ``solve`` and ``eig`` per group for the
+conic), with the bits of one draw and one fit per resample, as in 0.1.0.
+Degenerate resamples are skipped.
 """
 
 from __future__ import annotations
@@ -129,22 +132,47 @@ class DetectorEstimate:
     nu_err: float
 
 
-def _bootstrap(fit, width: int, n: int, n_bootstrap: int, seed: int) -> np.ndarray:
-    """``width``-parameter rows that the block fit ``fit`` keeps on
-    ``n_bootstrap`` resamples of the ``n`` points, passed to it as
-    (resamples, points) index matrices drawn from the stream of ``seed``:
-    the same indices as one ``random(n)`` call per resample."""
-    rng = _stream(seed)
-    step = max(1, _INDEX_BLOCK // n)
+def _bootstrap(reduce, fit, width: int, n: int, n_bootstrap: int, seed: int) -> np.ndarray:
+    """``width``-parameter rows that ``fit`` keeps on ``n_bootstrap``
+    resamples of the ``n`` points, fitting the groups of statistics that
+    ``_reduced`` yields for ``reduce``; a group on which ``fit`` raises
+    ``FitError`` (it keeps no resample) adds no rows."""
     rows = np.empty((n_bootstrap, width))
     kept = 0
-    for start in range(0, n_bootstrap, step):
-        draws = rng.random((min(step, n_bootstrap - start), n))
-        with suppress(FitError):  # raised when the block keeps no resample
-            block = fit(np.minimum((draws * n).astype(np.int64), n - 1))
+    for group in _reduced(reduce, n, n_bootstrap, seed):
+        with suppress(FitError):
+            block = fit(group)
             rows[kept:kept + len(block)] = block
             kept += len(block)
     return rows[:kept]
+
+
+def _reduced(reduce, n: int, n_bootstrap: int, seed: int):
+    """Rows of statistics that ``reduce`` makes of ``n_bootstrap``
+    resamples of the ``n`` points, passed to it as (resamples, points)
+    index matrices drawn from the stream of ``seed``: the same indices as
+    one ``random(n)`` call per resample.  The rows of consecutive matrices
+    are yielded together, at most ``_INDEX_BLOCK`` numbers (or the rows of
+    one matrix) at a time; a matrix on which ``reduce`` raises ``FitError``
+    (it keeps no resample) adds no rows."""
+    rng = _stream(seed)
+    step = max(1, _INDEX_BLOCK // n)
+    group, filled = np.empty((0, 0)), 0
+    for start in range(0, n_bootstrap, step):
+        draws = rng.random((min(step, n_bootstrap - start), n))
+        try:
+            stats = reduce(np.minimum((draws * n).astype(np.int64), n - 1))
+        except FitError:
+            continue
+        if filled + len(stats) > len(group):
+            if filled:
+                yield group[:filled]
+            width = stats.shape[1]
+            group, filled = np.empty((max(len(stats), _INDEX_BLOCK // width), width)), 0
+        group[filled:filled + len(stats)] = stats
+        filled += len(stats)
+    if filled:
+        yield group[:filled]
 
 
 def _unit_scaled(errs: np.ndarray) -> np.ndarray:
@@ -156,13 +184,15 @@ def _unit_scaled(errs: np.ndarray) -> np.ndarray:
 
 def _kept(row_fit, items) -> np.ndarray:
     """Rows of ``row_fit`` over ``items`` (argument tuples), skipping those
-    on which it raises ``FitError``; the last such error when none is kept."""
+    on which it raises ``FitError``; the last such error when none is kept.
+    The error is kept without its traceback, which would hold this frame
+    and its rows in a reference cycle until the next garbage collection."""
     rows, error = [], None
     for item in items:
         try:
             rows.append(row_fit(*item))
         except FitError as exc:
-            error = exc
+            error = exc.with_traceback(None)
     if not rows:
         raise error
     return np.array(rows, dtype=float)
@@ -210,12 +240,15 @@ def fit_circle_sharp_probe(
     if not (weights > 0).all():
         raise OutOfDomainError("errors of C^2 + D^2 overflow their weights")
 
-    def block_fit(idxs):  # rows of the weighted mean of C^2 + D^2
+    def block_mean(idxs):  # rows of the weighted mean of C^2 + D^2
         return np.average(r2[idxs], weights=weights[idxs], axis=1)[:, None]
 
-    mean_r2 = block_fit(np.arange(n)[None])[0, 0]
+    def strengths(mean_r2):
+        return np.sqrt(np.maximum(mean_r2, 0.0))
+
+    mean_r2 = block_mean(np.arange(n)[None])[0, 0]
     residual = float(np.sqrt(np.mean((r2 - mean_r2) ** 2)))
-    rows = np.sqrt(np.maximum(_bootstrap(block_fit, 1, n, n_bootstrap, bootstrap_seed), 0.0))
+    rows = _bootstrap(block_mean, strengths, 1, n, n_bootstrap, bootstrap_seed)
     errors = _errors(("strength",), rows)
     strength = math.sqrt(max(mean_r2, 0.0))
     return _finite(CircleFit(strength, errors.get("strength", 0.0), residual), errors)
@@ -303,7 +336,8 @@ def fit_ellipse_known_theta(
     combos = block_fit(np.arange(n)[None])[0].tolist()
     res = np.concatenate([design @ combos[:3] - scan.c, sin_t[:, None] @ combos[3:] - scan.d])
     residual = float(np.sqrt(np.mean(res**2)))
-    rows = _bootstrap(block_fit, 4, n, n_bootstrap, bootstrap_seed)
+    # the rows of the block fit are the parameters already
+    rows = _bootstrap(block_fit, np.asarray, 4, n, n_bootstrap, bootstrap_seed)
     errors = _errors(_COMBOS, rows)
     if target_strength is None:
         return _character(combos, residual, errors)
@@ -313,12 +347,22 @@ def fit_ellipse_known_theta(
     return _character(combos, residual, errors, **dict(zip(_SEPARATED, separated)))
 
 
-def _decompose_conic(coef: np.ndarray):
-    """Center, semi-axis scales, and shear ratio of the scan-model conic
-    ((x - cx - kappa y) / P)^2 + (y / S)^2 = 1, for coefficients that pass
-    the ellipse test of ``_conic_row``: its 4 A C - B B > 0 computes the
-    same two products as ``disc`` does, so ``disc`` is negative."""
-    a, b, c, d, e, f = (float(v) for v in coef)
+def _conic_rows(t: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """Rows of (c0, P, Q, S) and the six coefficients of the ellipse in the
+    conic pencil of each resample that has one, in resample order.  The
+    ellipse is the first real eigenvector of the reduced problem that
+    satisfies 4 A C - B^2 > 0; its conic
+    ((x - cx - kappa y) / P)^2 + (y / S)^2 = 1 is decomposed into center,
+    semi-axis scales and shear ratio, and a resample is kept when both
+    squared semi-axes are positive and finite.  ``disc`` forms the same two
+    products as the ellipse test, so it is negative on a kept resample."""
+    vecs = evecs.real  # (resample, component, eigenvector)
+    a, b, c = vecs.swapaxes(0, 1)
+    ellipse = (np.abs(evals.imag) <= 1e-9) & (4.0 * a * c - b * b > 0)
+    found = ellipse.any(axis=1)
+    vec = np.take_along_axis(vecs, ellipse.argmax(axis=1)[:, None, None], axis=2)
+    coef = np.concatenate([vec, t @ vec], axis=1)[..., 0]
+    a, b, c, d, e, f = coef.T
     disc = b * b - 4.0 * a * c
     cx = (2.0 * c * d - b * e) / disc
     cy = (2.0 * a * e - b * d) / disc
@@ -326,22 +370,12 @@ def _decompose_conic(coef: np.ndarray):
     kappa = -b / (2.0 * a)
     p_sq = -f_centered / a
     s_sq = -f_centered / (c - a * kappa * kappa)
-    if not (p_sq > 0 and s_sq > 0 and math.isfinite(p_sq) and math.isfinite(s_sq)):
-        raise NotAnEllipseError("conic does not decompose into real semi-axes")
-    return cx, cy, math.sqrt(p_sq), math.sqrt(s_sq), kappa
-
-
-def _conic_row(t: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> list:
-    """(c0, P, Q, S) and the six coefficients of the ellipse in the conic
-    pencil of one resample: the first real eigenvector of the reduced
-    problem that satisfies the ellipse condition 4 A C - B^2 > 0."""
-    for i in range(3):
-        vec = evecs[:, i].real
-        if abs(evals[i].imag) <= 1e-9 and 4.0 * vec[0] * vec[2] - vec[1] * vec[1] > 0:
-            coef = np.concatenate([vec, t @ vec])
-            cx, _, p, s_strength, kappa = _decompose_conic(coef)
-            return [cx, p, kappa * s_strength, s_strength, *coef]
-    raise NotAnEllipseError("no ellipse solution in the conic pencil")
+    real = found & (p_sq > 0) & (s_sq > 0) & np.isfinite(p_sq) & np.isfinite(s_sq)
+    if not real.any():  # the reason of the last resample
+        raise NotAnEllipseError("conic does not decompose into real semi-axes" if found[-1]
+                                else "no ellipse solution in the conic pencil")
+    s_strength = np.sqrt(s_sq)
+    return np.column_stack([cx, np.sqrt(p_sq), kappa * s_strength, s_strength, coef])[real]
 
 
 def _sampson_rms(coef: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -365,29 +399,35 @@ def fit_ellipse_unknown_theta(
     if n < 6:
         raise InsufficientPointsError(f"need at least 6 points, got {n}")
     x, y = scan.c, scan.d
-    quadratic = np.column_stack([x * x, x * y, y * y])
-    linear = np.column_stack([x, y, np.ones(n)])
+    points = np.column_stack([x * x, x * y, y * y, x, y, np.ones(n)])
 
-    def block_fit(idxs):  # rows of (c0, P, Q, S) and the conic coefficients
-        pairs = zip(np.take(quadratic, idxs, 0), np.take(linear, idxs, 0))
-        s1, s2, s3 = map(np.array, zip(*((a.T @ a, a.T @ b, b.T @ b) for a, b in pairs)))
+    def scatter(idxs):  # rows of the three 3x3 scatter matrices of each resample
+        sampled = np.take(points, idxs, 0)
+        quadratic, linear = sampled[..., :3], sampled[..., 3:]
+        s1 = quadratic.transpose(0, 2, 1) @ quadratic
         if not np.isfinite(s1).all():
             raise OutOfDomainError("scatter of the scan points overflows double precision")
+        s2 = quadratic.transpose(0, 2, 1) @ linear
+        s3 = linear.transpose(0, 2, 1) @ linear
+        return np.concatenate([s1, s2, s3], axis=1).reshape(len(idxs), 27)
+
+    def conic_fit(stats):  # rows of (c0, P, Q, S) and the conic coefficients
+        s1, s2, s3 = stats.reshape(-1, 3, 3, 3).swapaxes(0, 1)
         try:
             t = -np.linalg.solve(s3, s2.transpose(0, 2, 1))
         except np.linalg.LinAlgError as exc:
-            if len(idxs) > 1:  # one singular resample fails the stack: solve each alone
-                return _kept(lambda idx: block_fit(idx[None])[0], zip(idxs))
+            if len(stats) > 1:  # one singular resample fails the stack: solve each alone
+                return _kept(lambda row: conic_fit(row[None])[0], zip(stats))
             raise NotAnEllipseError("degenerate point configuration") from exc
         m = s1 + s2 @ t
         try:
-            return _kept(_conic_row, zip(t, *np.linalg.eig(
-                np.stack([m[:, 2] / 2.0, -m[:, 1], m[:, 0] / 2.0], axis=1))))
+            evals, evecs = np.linalg.eig(np.stack([m[:, 2] / 2.0, -m[:, 1], m[:, 0] / 2.0], axis=1))
         except np.linalg.LinAlgError as exc:
             raise OutOfDomainError(f"conic pencil of the scan: {exc}") from exc
+        return _conic_rows(t, evals, evecs)
 
-    combos, coef = np.split(block_fit(np.arange(n)[None])[0], [4])
-    rows = _bootstrap(block_fit, 10, n, n_bootstrap, bootstrap_seed)
+    combos, coef = np.split(conic_fit(scatter(np.arange(n)[None]))[0], [4])
+    rows = _bootstrap(scatter, conic_fit, 10, n, n_bootstrap, bootstrap_seed)
     return _character(combos.tolist(), _sampson_rms(coef, x, y), _errors(_COMBOS, rows[:, :4]))
 
 

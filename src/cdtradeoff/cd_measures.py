@@ -75,7 +75,7 @@ def check_tradeoff(corr, dist) -> None:
     index = first_bad(~(c * c + d * d <= 1.0 + INEQ_TOL))  # NaN fails the comparison too
     if index is not None:
         raise TradeoffViolationError(
-            f"({c[index]!r}, {d[index]!r}){at_index(index)} violates the "
+            f"({float(c[index])!r}, {float(d[index])!r}){at_index(index)} violates the "
             "correlation-disturbance tradeoff"
         )
 
@@ -89,7 +89,7 @@ def _check_distributions(probs: np.ndarray, what: str) -> None:
     total = probs.sum(axis=-1)
     index = first_bad(~(np.abs(total - 1.0) <= ATOL))
     if index is not None:
-        raise NotNormalizedError(f"{what}{at_index(index)} sums to {total[index]!r}, not 1")
+        raise NotNormalizedError(f"{what}{at_index(index)} sums to {float(total[index])!r}, not 1")
 
 
 def _matched_label_sets(labels_a, labels_b) -> None:
@@ -119,7 +119,8 @@ def correlation(joint, labels_a, labels_b):
     total = table.sum(axis=(-2, -1))
     index = first_bad(~(np.abs(total - 1.0) <= ATOL))  # NaN fails the comparison too
     if index is not None:
-        raise NotNormalizedError(f"joint table{at_index(index)} sums to {total[index]!r}, not 1")
+        raise NotNormalizedError(
+            f"joint table{at_index(index)} sums to {float(total[index])!r}, not 1")
     n = len(la)
     p_match = (table * np.equal.outer(la, lb)).sum(axis=(-2, -1))
     corr = n / (n - 1) * (p_match - 1.0 / n)

@@ -113,8 +113,10 @@ SCAN_POINTS = _HIGHDIM_BYTES // _GRID_POINT_BYTES
 # Memory model of a calibration's bootstrap (tracemalloc slopes through main
 # between 4000 and 60000 resamples, every fit, scans of 8, 2049 and 4097
 # points): the kept rows, one (resamples, width) array, and the arrays
-# derived from them take at most 118 bytes per resample, reached by the
-# unknown-theta fit on 8 points.  The resample count is capped at
+# derived from them take at most 112 bytes per resample, reached by the
+# unknown-theta fit on 2049 points; the statistics a fit has reduced but not
+# yet fitted are at most one group of 4096 numbers (or one draw block's),
+# whatever the resample count.  The resample count is capped at
 # BOOTSTRAP_LIMIT, within the same budget, before anything is drawn.
 _RESAMPLE_BYTES = 128
 BOOTSTRAP_LIMIT = _HIGHDIM_BYTES // _RESAMPLE_BYTES
@@ -453,7 +455,11 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def read_scan_csv(path: str) -> CdScan:
-    """Parse a scan CSV back into a calibration scan."""
+    """Parse a scan CSV back into a calibration scan.  The rows are parsed
+    in one ``np.loadtxt`` conversion, which reads a number as ``float``
+    does but refuses a few that ``float`` takes (underscores, non-ASCII
+    digits), and checked as an array; a file that fails there is parsed
+    again by ``_parsed_rows``, which names the first bad row."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [line.strip() for line in fh if line.strip()]
@@ -461,8 +467,23 @@ def read_scan_csv(path: str) -> CdScan:
         raise ConfigError(f"cannot read scan file: {exc}") from exc
     if not lines or lines[0] != CSV_HEADER:
         raise SchemaError(f"scan file must start with header {CSV_HEADER!r}")
+    rows = lines[1:]
+    try:
+        values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else None
+    except ValueError:
+        values = None
+    if (values is None or values.shape != (len(rows), 6) or not np.isfinite(values).all()
+            or (values[:, 3:5] < 0).any()):
+        values = _parsed_rows(rows)
+    theta, c, d, c_err, d_err, _ = values.T
+    return CdScan(theta, c, d, c_err, d_err)
+
+
+def _parsed_rows(lines: list) -> np.ndarray:
+    """Scan rows parsed one at a time as ``float`` does, six finite numbers
+    each with non-negative errors; a SchemaError names the first bad row."""
     rows = []
-    for number, line in enumerate(lines[1:], start=1):
+    for number, line in enumerate(lines, start=1):
         parts = line.split(",")
         if len(parts) != 6:
             raise SchemaError(f"malformed scan row: {line!r}")
@@ -475,8 +496,7 @@ def read_scan_csv(path: str) -> CdScan:
         if values[3] < 0 or values[4] < 0:
             raise SchemaError(f"scan row {number} holds a negative c_err or d_err: {line!r}")
         rows.append(values)
-    theta, c, d, c_err, d_err, _ = np.array(rows, dtype=float).reshape(-1, 6).T
-    return CdScan(theta, c, d, c_err, d_err)
+    return np.array(rows, dtype=float).reshape(-1, 6)
 
 
 def _cmd_calibrate(config: dict, values: dict, out_path: str) -> None:

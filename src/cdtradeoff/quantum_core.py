@@ -122,7 +122,7 @@ def _require_spectrum(m: np.ndarray, what: str, at_most_one: bool = False) -> No
     index = first_bad(high > 1.0 + ATOL) if at_most_one else None
     if index is not None:
         raise InvalidMeasurementError(
-            f"{what}{at_index(index)} eigenvalue {high[index]!r} exceeds 1 beyond {ATOL:g}"
+            f"{what}{at_index(index)} eigenvalue {float(high[index])!r} exceeds 1 beyond {ATOL:g}"
         )
 
 
@@ -139,7 +139,7 @@ def _require_states(m: np.ndarray) -> np.ndarray:
     index = first_bad(np.abs(tr - 1.0) > ATOL)
     if index is not None:
         raise InvalidStateError(
-            f"trace{at_index(index)} {tr[index]!r} differs from 1 beyond {ATOL:g}"
+            f"trace{at_index(index)} {float(tr[index])!r} differs from 1 beyond {ATOL:g}"
         )
     return m
 

@@ -121,7 +121,7 @@ def check_qubit(bias, bloch) -> None:
     if not np.isfinite(total[index]):
         raise NotFiniteError(f"measurement{at_index(index)} has a non-finite parameter")
     raise InvalidMeasurementError(
-        f"|bias| + |bloch|{at_index(index)} = {total[index]!r} "
+        f"|bias| + |bloch|{at_index(index)} = {float(total[index])!r} "
         "exceeds 1: effects would not be positive"
     )
 

@@ -20,7 +20,7 @@ from cdtradeoff.errors import (
 from cdtradeoff.qubit_model import QubitMeasurement, ellipse_character, plane_axis
 from cdtradeoff.shot_sampler import _stream, estimate_cd, sample_distributions
 
-from util import bootstrap_oracle, forward_scan, random_rotation
+from util import bootstrap_oracle, conic_row_oracle, forward_scan, random_rotation
 
 S_HALF_BIASED = 1.0 - np.sqrt(2.0) / 2
 DELTA_HALF_BIASED = np.sqrt(2.0) / 2
@@ -223,6 +223,79 @@ class TestBlockFitBits:
         assert kept_counts[0] == kept < 200
         assert len(fit.errors) == 4
         assert fit.errors == expected
+
+
+class TestConicRows:
+    """The conic decomposition of a group of resamples against the scalar
+    one of each resample: the same rows, bit for bit, and the same
+    resamples dropped."""
+
+    @staticmethod
+    def pencils(rng, count, kind):
+        """``count`` pencils (t, m): random, symmetric (real eigenvalues),
+        or from the scatter matrices of resampled noisy scan points."""
+        t = rng.normal(size=(count, 3, 3))
+        if kind == "scan":
+            thetas = rng.uniform(0.0, 2 * np.pi, (count, 8))
+            x = 0.1 + 0.6 * np.cos(thetas) + rng.normal(0.0, 0.2, thetas.shape)
+            y = 0.5 * np.abs(np.sin(thetas)) + rng.normal(0.0, 0.2, thetas.shape)
+            q = np.stack([x * x, x * y, y * y], axis=2)
+            lin = np.stack([x, y, np.ones_like(x)], axis=2)
+            s2, s3 = q.transpose(0, 2, 1) @ lin, lin.transpose(0, 2, 1) @ lin
+            t = -np.linalg.solve(s3, s2.transpose(0, 2, 1))
+            m = q.transpose(0, 2, 1) @ q + s2 @ t
+            return t, np.stack([m[:, 2] / 2.0, -m[:, 1], m[:, 0] / 2.0], axis=1)
+        m = rng.normal(size=(count, 3, 3))
+        return t, m + m.transpose(0, 2, 1) if kind == "symmetric" else m
+
+    @pytest.mark.parametrize("kind", ["random", "symmetric", "scan"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_equal_the_scalar_decomposition(self, seed, kind):
+        t, m = self.pencils(np.random.default_rng(seed), 400, kind)
+        evals, evecs = np.linalg.eig(m)
+        # a stack of real eigenvalues alone comes back as real arrays
+        assert np.iscomplexobj(evals) == (kind == "random")
+        with np.errstate(all="ignore"):
+            expected = [conic_row_oracle(*p) for p in zip(t, evals, evecs)]
+            rows = calibration._conic_rows(t, evals, evecs)
+        kept = [row for row in expected if row is not None]
+        assert len(kept) > (0 if kind == "scan" else 100)
+        assert len(kept) < len(expected) or kind == "scan"
+        assert np.array(kept).tobytes() == rows.tobytes()
+
+    def test_random_pencils_reach_every_branch(self):
+        # complex eigenvectors whose real parts pass the ellipse test,
+        # pencils without an ellipse eigenvector, and ellipses whose squared
+        # semi-axes are not both positive
+        t, m = self.pencils(np.random.default_rng(0), 400, "random")
+        evals, evecs = np.linalg.eig(m)
+        vecs = evecs.real
+        passes = 4.0 * vecs[:, 0] * vecs[:, 2] - vecs[:, 1] ** 2 > 0
+        assert ((np.abs(evals.imag) > 1e-9) & passes).any()
+        no_ellipse = ~((np.abs(evals.imag) <= 1e-9) & passes).any(axis=1)
+        assert no_ellipse.any()
+        with np.errstate(all="ignore"):
+            dropped = [conic_row_oracle(*p) is None for p in zip(t, evals, evecs)]
+        assert sum(dropped) > no_ellipse.sum()
+
+    @pytest.mark.parametrize("last, message", [
+        ("no_ellipse", "no ellipse solution in the conic pencil"),
+        ("imaginary_axes", "conic does not decompose into real semi-axes"),
+    ])
+    def test_none_kept_names_the_last_resample(self, last, message):
+        # the identity's eigenvectors are the unit vectors, none an ellipse;
+        # the one ellipse eigenvector of the other pencil, (1, 0, 1), makes
+        # the conic x^2 + y^2 + 1 = 0 through the row f of t: no real axes
+        identity = np.eye(3)
+        imaginary = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]])
+        m = np.stack([imaginary, identity] if last == "no_ellipse" else [identity, imaginary])
+        t = np.zeros((2, 3, 3))
+        t[:, 2, 0] = 1.0
+        evals, evecs = np.linalg.eig(m)
+        with np.errstate(all="ignore"):
+            assert [conic_row_oracle(*p) for p in zip(t, evals, evecs)] == [None, None]
+            with pytest.raises(NotAnEllipseError, match=message):
+                calibration._conic_rows(t, evals, evecs)
 
 
 class TestCircleFit:

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +16,8 @@ from cdtradeoff.cd_measures import (
 )
 from cdtradeoff.errors import (
     CdTradeoffError,
+    InvalidMeasurementError,
+    InvalidStateError,
     LabelMismatchError,
     NegativeDisturbanceError,
     NotDichotomicError,
@@ -24,12 +28,15 @@ from cdtradeoff.quantum_core import (
     Instrument,
     LuedersInstrument,
     Povm,
+    check_effects,
+    check_states,
     scenario_tables,
 )
 from cdtradeoff.qubit_model import (
     SIGMA_X,
     SIGMA_Z,
     QubitMeasurement,
+    check_qubit,
     optimal_state,
     plane_axis,
 )
@@ -241,6 +248,26 @@ class TestNanTables:
     def test_correlation_refuses_nan(self):
         with pytest.raises(NotNormalizedError, match=r"joint table sums to \S*nan"):
             correlation(self.NAN, PM, PM)
+
+    # the refusals print the offending number as a Python float, never as
+    # the repr of a numpy scalar
+    @pytest.mark.parametrize("refuse, error, message", [
+        (partial(correlation, np.stack([GOOD, NAN]), PM, PM), NotNormalizedError,
+         "joint table at index 1 sums to nan, not 1"),
+        (partial(check_tradeoff, [0.5, np.nan], [0.5, 0.5]), TradeoffViolationError,
+         "(nan, 0.5) at index 1 violates"),
+        (partial(check_qubit, [0.1, 0.5], [[0.0, 0.0, 0.5], [0.0, 0.0, 0.9]]),
+         InvalidMeasurementError, "|bias| + |bloch| at index 1 = 1.4 exceeds 1"),
+        (partial(check_states, [np.diag([0.6, 0.5])]), InvalidStateError,
+         "trace at index 0 1.1 differs from 1"),
+        (partial(check_effects, np.diag([1.5, 0.5])), InvalidMeasurementError,
+         "eigenvalue 1.5 exceeds 1"),
+    ], ids=["joint_table", "tradeoff", "qubit_parameters", "state_trace", "effect_spectrum"])
+    def test_messages_print_plain_numbers(self, refuse, error, message):
+        with pytest.raises(error) as info:
+            refuse()
+        assert message in str(info.value)
+        assert "np.float64(" not in str(info.value)
 
 
 class TestOperators:

@@ -406,12 +406,37 @@ class TestCalibrateMode:
             numbers.append({k: v for k, v in result.items() if isinstance(v, float)})
         assert numbers[1] == pytest.approx(numbers[0], rel=1e-9)
 
+    @staticmethod
+    def scan_text(rows, width=6, edits=None):
+        """A scan file of ``rows`` rows of ``width`` fields, 0.01 apart in
+        theta; ``edits`` maps a row number (from 1) to {field index: text}."""
+        lines = [CSV_HEADER]
+        for number in range(1, rows + 1):
+            fields = [f"{0.01 * number!r}", "0.5", "0.25", "0.01", "0.02", "0.3125"]
+            fields = (fields * 2)[:width]
+            for index, text in (edits or {}).get(number, {}).items():
+                fields[index] = text
+            lines.append(",".join(fields))
+        return "\n".join(lines) + "\n"
+
     @pytest.mark.parametrize(
-        "text",
-        [None, "", "theta,c,d\n", CSV_HEADER + "\n0.1,0.5,0.5,0,0\n",
-         CSV_HEADER + "\n0.1,0.5,x,0,0,0.5\n"],
-        ids=["missing", "empty", "header", "short_row", "non_numeric"])
-    def test_bad_scan_file_is_config_error(self, tmp_path, text, capsys):
+        "text, message",
+        [(None, "scan"), ("", "scan"), ("theta,c,d\n", "scan"),
+         (CSV_HEADER + "\n0.1,0.5,0.5,0,0\n", "scan"),
+         (CSV_HEADER + "\n0.1,0.5,x,0,0,0.5\n", "scan"),
+         # rows of 7 or 12 fields everywhere: 12 fields would fill two rows
+         # of 6 if the fields were not counted row by row
+         (scan_text(1000, width=7), "malformed scan row: '0.01,0.5,0.25,0.01,0.02,0.3125,0.01'"),
+         (scan_text(1000, width=12), "malformed scan row: '0.01,0.5,0.25,0.01,0.02,0.3125,"
+                                     "0.01,0.5,0.25,0.01,0.02,0.3125'"),
+         (scan_text(1000, edits={1000: {2: "x"}}),
+          "non-numeric scan row: '10.0,0.5,x,0.01,0.02,0.3125'"),
+         # the first of two bad rows is named
+         (scan_text(1000, edits={500: {1: "inf"}, 700: {3: "-0.01"}}),
+          "scan row 500 holds a non-finite number: '5.0,inf,0.25,0.01,0.02,0.3125'")],
+        ids=["missing", "empty", "header", "short_row", "non_numeric", "seven_fields",
+             "twelve_fields", "non_numeric_last_row", "non_finite_before_negative_error"])
+    def test_bad_scan_file_is_config_error(self, tmp_path, text, message, capsys):
         scan_path = tmp_path / "scan.csv"
         if text is not None:
             scan_path.write_text(text)
@@ -420,7 +445,18 @@ class TestCalibrateMode:
         out = tmp_path / "r.json"
         assert run_cli("--config", config, "--out", out) == 2
         assert not out.exists()
-        assert "scan" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    def test_fields_parse_as_float_does(self, tmp_path):
+        # underscores, non-ASCII digits and spaces around a field, which
+        # float accepts, next to rows of plain decimals
+        scan_path = tmp_path / "scan.csv"
+        scan_path.write_text(self.scan_text(8, edits={3: {0: " 0.0_3", 1: "\u0660.5 ",
+                                                          2: "\u00a00.25"}}), encoding="utf-8")
+        scan = read_scan_csv(str(scan_path))
+        assert scan.theta.tolist() == [0.01 * k for k in range(1, 9)]
+        assert (scan.c == 0.5).all() and (scan.d == 0.25).all()
+        assert (scan.c_err == 0.01).all() and (scan.d_err == 0.02).all()
 
     @pytest.mark.parametrize("column", ["c_err", "d_err", "both"])
     @pytest.mark.parametrize("fit", ["circle", "ellipse-known-theta"])

@@ -234,3 +234,32 @@ def dichotomic_estimate_oracle(joint_counts, alone_counts):
         2.0 * math.sqrt(p_match * (1.0 - p_match) / n_joint),
         2.0 * math.sqrt(p_alone * (1.0 - p_alone) / n_alone + p_tilde * (1.0 - p_tilde) / n_joint),
     )
+
+
+def conic_row_oracle(t, evals, evecs):
+    """Row of (c0, P, Q, S) and the six conic coefficients of one resample,
+    or None when it is dropped, with the scalar arithmetic of the 0.1.0
+    unknown-theta fit: the first real eigenvector of the reduced problem
+    (``evals``, ``evecs`` of one 3x3 pencil) that satisfies
+    4 A C - B^2 > 0, completed by ``t @ vec``, and its conic decomposed
+    with Python floats; None also when no eigenvector is an ellipse, or
+    when a squared semi-axis is not positive and finite."""
+    for i in range(3):
+        vec = evecs[:, i].real
+        if abs(evals[i].imag) <= 1e-9 and 4.0 * vec[0] * vec[2] - vec[1] * vec[1] > 0:
+            break
+    else:
+        return None
+    coef = np.concatenate([vec, t @ vec])
+    a, b, c, d, e, f = (float(v) for v in coef)
+    disc = b * b - 4.0 * a * c
+    cx = (2.0 * c * d - b * e) / disc
+    cy = (2.0 * a * e - b * d) / disc
+    f_centered = a * cx * cx + b * cx * cy + c * cy * cy + d * cx + e * cy + f
+    kappa = -b / (2.0 * a)
+    p_sq = -f_centered / a
+    s_sq = -f_centered / (c - a * kappa * kappa)
+    if not (p_sq > 0 and s_sq > 0 and math.isfinite(p_sq) and math.isfinite(s_sq)):
+        return None
+    s_strength = math.sqrt(s_sq)
+    return [cx, math.sqrt(p_sq), kappa * s_strength, s_strength, *coef]
