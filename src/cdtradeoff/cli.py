@@ -78,7 +78,6 @@ CSV_HEADER = "theta,c,d,c_err,d_err,c2d2"
 # first so that no value prints as -0
 _CSV_ROW = ",".join(["%.9g"] * 6) + "\n"
 SCHEMA_VERSION = 1
-LABELS = (1.0, -1.0)  # outcome labels of every scan measurement, in effect order
 SEED_LIMIT = 2**64
 # Every grid is evaluated in slices of at most this many operator entries,
 # points times the entries of one point's operators (dim**2 for (dim, dim)
@@ -362,7 +361,7 @@ def _scan_rows(config: dict, values: dict) -> tuple[np.ndarray, np.ndarray]:
     grid = _linspace(*angles, shots)
     probe_bias, probe_bloch = values["probe"]
     probe = InstrumentPolicy(values["policy"]).instrument(
-        Povm(qubit_povms(probe_bias, probe_bloch), LABELS))
+        Povm(qubit_povms(probe_bias, probe_bloch)))
     columns = np.zeros((4, len(grid)))  # c, d, c_err, d_err (exact: no errors)
     for points in _slices(len(grid)):
         with index_base(points.start):
@@ -377,7 +376,7 @@ def _scan_rows(config: dict, values: dict) -> tuple[np.ndarray, np.ndarray]:
                 state = optimal_bloch(unit_axes(probe_bloch), unit_axes(target_bloch))
             joint, alone = scenario_tables(qubit_states(state), probe, target_effects)
             if shots is None:
-                columns[:2, points] = cd_tables(joint, alone, probe, LABELS)
+                columns[:2, points] = cd_tables(joint, alone, probe, probe.labels)
             else:
                 columns[:, points] = estimate_columns(
                     *sample_tables(joint, alone, shots, values["seed"], points.start))
@@ -398,7 +397,7 @@ def _highdim_rows(config: dict, values: dict) -> tuple[np.ndarray, np.ndarray]:
     ket_a[0] = 1.0
     if shots is not None:
         proj_a = projectors(ket_a)
-        probe = Instrument.lueders(Povm(randomized_povms(1.0, proj_a), LABELS))
+        probe = Instrument.lueders(Povm(randomized_povms(1.0, proj_a)))
     columns = np.zeros((4, len(grid)))  # c, d, c_err, d_err (exact: no errors)
     # an exact slice holds (points, dim) kets, a shot-mode slice (points, dim, dim) stacks
     for points in _slices(len(grid), dim if shots is None else dim * dim):

@@ -116,7 +116,7 @@ class RandomizedDichotomic:
     def to_povm(self) -> Povm:
         """Effects gamma * P + (1 - gamma) I/2 and its complement, labels
         +1/-1 (see ``randomized_povms``)."""
-        return Povm(randomized_povms(self.gamma, self.projector_plus.matrix), (1.0, -1.0))
+        return Povm(randomized_povms(self.gamma, self.projector_plus.matrix))
 
 
 @dataclass(frozen=True, eq=False)

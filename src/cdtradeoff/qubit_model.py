@@ -171,7 +171,7 @@ class QubitMeasurement:
         return plus, minus
 
     def to_povm(self) -> Povm:
-        return Povm(self.effects(), (1.0, -1.0))
+        return Povm(self.effects())
 
 
 def measurement_from_povm(povm: Povm) -> QubitMeasurement:
@@ -215,7 +215,7 @@ def convex_povm(spec: ConvexPovmSpec) -> Povm:
     projector_part = bloch_matrix(spec.gamma * axis)
     e_plus = ((1.0 + spec.bias_b0) * ID2 + projector_part) / 2
     e_minus = ((1.0 - spec.bias_b0) * ID2 - projector_part) / 2
-    return Povm([e_plus, e_minus], (1.0, -1.0))
+    return Povm([e_plus, e_minus])
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,15 @@ from cdtradeoff.shot_sampler import (
     sample_tables,
 )
 
-from util import apply_instrument, categorical_oracle, dichotomic_estimate_oracle, scenario
+from util import (
+    apply_instrument,
+    categorical_oracle,
+    dichotomic_estimate_oracle,
+    forward_scan,
+    forward_scan_oracle,
+    random_rotation,
+    scenario,
+)
 
 
 def sharp(theta):
@@ -539,6 +547,27 @@ class TestThreadedBlockPath:
         assert shot_sampler._workers(1000) == 1
         monkeypatch.setattr(shot_sampler.os, "cpu_count", lambda: 4)
         assert shot_sampler._workers(1000) == 4
+
+
+class TestForwardScanOracle:
+    """The test suite's scan helper draws a whole scan with one stacked
+    ``cd_tables`` or ``sample_tables`` call; its columns equal one library
+    call per point, bit for bit, on the chunk path (1e3 shots), the block
+    path (4e4 shots), with and without a common rotation, and on a seed
+    whose ``seed ^ i`` differs from ``seed + i``."""
+
+    PROBE = QubitMeasurement(0.1, 0.7 * plane_axis(0.3))
+    THETAS = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["plane", "rotated"])
+    @pytest.mark.parametrize("shots, seed", [(None, 0), (1000, 0), (1000, 2**40 + 3),
+                                             (40_000, 0), (40_000, 2**40 + 3)])
+    def test_columns_equal_per_point_calls(self, shots, seed, rotated):
+        rotation = random_rotation(np.random.default_rng(11)) if rotated else None
+        args = (self.PROBE, 0.8, 0.15, self.THETAS, shots, seed, rotation)
+        scan = forward_scan(*args)
+        columns = np.stack([scan.c, scan.d, scan.c_err, scan.d_err])
+        assert columns.tobytes() == forward_scan_oracle(*args).tobytes()
 
 
 class TestRawWordThresholds:

@@ -5,11 +5,11 @@ import math
 import numpy as np
 
 from cdtradeoff.calibration import CdScan
-from cdtradeoff.cd_measures import cd_from_scenario
+from cdtradeoff.cd_measures import cd_from_scenario, cd_tables
 from cdtradeoff.errors import FitError
-from cdtradeoff.quantum_core import DensityMatrix, LuedersInstrument, Povm
+from cdtradeoff.quantum_core import DensityMatrix, LuedersInstrument, Povm, scenario_tables
 from cdtradeoff.qubit_model import QubitMeasurement, optimal_state, plane_axis
-from cdtradeoff.shot_sampler import _stream, estimate_cd, sample
+from cdtradeoff.shot_sampler import _stream, estimate_cd, estimate_columns, sample, sample_tables
 
 
 def random_unitary(rng, dim):
@@ -157,6 +157,22 @@ def scenario(rho: DensityMatrix, probe: QubitMeasurement, target: QubitMeasureme
     return rho, LuedersInstrument(probe.to_povm()), target.to_povm()
 
 
+def scan_scenarios(probe: QubitMeasurement, target_strength, target_bias, thetas,
+                   rotation=None):
+    """(state, probe instrument, target POVM) of each point of a scan: the
+    target at strength ``target_strength`` along ``plane_axis(theta)`` and
+    the optimal state of the pair; an optional common rotation is applied
+    to both axes."""
+    for theta in thetas:
+        axis_a = probe.axis
+        axis_b = plane_axis(theta)
+        if rotation is not None:
+            axis_a, axis_b = rotation @ axis_a, rotation @ axis_b
+        probe_i = QubitMeasurement(probe.bias, probe.strength * axis_a)
+        target = QubitMeasurement(target_bias, target_strength * axis_b)
+        yield scenario(optimal_state(probe_i, target), probe_i, target)
+
+
 def forward_scan(
     probe: QubitMeasurement,
     target_strength,
@@ -167,23 +183,38 @@ def forward_scan(
     rotation=None,
 ) -> CdScan:
     """Scan points from the full pipeline on the optimal state, exact or
-    finite-shot; an optional common rotation is applied to all axes."""
+    finite-shot; an optional common rotation is applied to all axes.
+
+    Each point's tables come from its own scenario (``scan_scenarios``);
+    the stack of them then goes through one ``cd_tables`` call (exact) or
+    one ``sample_tables`` and ``estimate_columns`` call (point ``i`` on the
+    Philox stream ``seed ^ i``), as the CLI evaluates a slice of a grid."""
+    joint, alone = [], []
+    for rho, inst, povm in scan_scenarios(probe, target_strength, target_bias, thetas, rotation):
+        joint_i, alone_i = scenario_tables(rho.matrix, inst, povm.matrices)
+        joint.append(joint_i)
+        alone.append(alone_i)
+    joint, alone = np.array(joint), np.array(alone)
+    if shots is None:  # the probe, hence its instrument, is the same at every point
+        return CdScan(thetas, *cd_tables(joint, alone, inst, inst.labels))
+    return CdScan(thetas, *estimate_columns(*sample_tables(joint, alone, shots, seed)))
+
+
+def forward_scan_oracle(probe, target_strength, target_bias, thetas, shots=None, seed=0,
+                        rotation=None) -> np.ndarray:
+    """The (4, points) columns c, d, c_err, d_err of ``forward_scan`` with
+    one library call per point: ``cd_from_scenario`` (exact; zero errors)
+    or ``estimate_cd(sample(...))`` on the Philox stream ``seed ^ i``."""
     columns = np.zeros((4, len(thetas)))
-    for i, theta in enumerate(thetas):
-        axis_a = probe.axis
-        axis_b = plane_axis(theta)
-        if rotation is not None:
-            axis_a, axis_b = rotation @ axis_a, rotation @ axis_b
-        probe_i = QubitMeasurement(probe.bias, probe.strength * axis_a)
-        target = QubitMeasurement(target_bias, target_strength * axis_b)
-        args = scenario(optimal_state(probe_i, target), probe_i, target)
+    points = scan_scenarios(probe, target_strength, target_bias, thetas, rotation)
+    for i, args in enumerate(points):
         if shots is None:
             value = cd_from_scenario(*args)
             columns[:2, i] = value.correlation, value.disturbance
         else:
             est = estimate_cd(sample(*args, shots, shots, seed ^ i))
             columns[:, i] = est.c_hat, est.d_hat, est.c_err, est.d_err
-    return CdScan(thetas, *columns)
+    return columns
 
 
 def categorical_oracle(rng, probs, shots):
