@@ -47,6 +47,7 @@ from .quantum_core import (
 from .qubit_model import (
     ConvexPovmSpec,
     EllipseCharacter,
+    InstrumentPolicy,
     QubitMeasurement,
     cd_parametric,
     convex_povm,
@@ -57,7 +58,6 @@ from .qubit_model import (
 )
 from .shot_sampler import (
     CdEstimate,
-    InstrumentPolicy,
     ShotRecord,
     estimate_cd,
     sample,

@@ -65,8 +65,9 @@ from .highdim_model import (
 )
 from .cd_measures import cd_tables
 from .quantum_core import Instrument, Povm, check_states, index_base, scenario_tables
-from .qubit_model import optimal_bloch, plane_axis, qubit_povms, qubit_states, unit_axes
-from .shot_sampler import InstrumentPolicy, estimate_columns, sample_tables
+from .qubit_model import (InstrumentPolicy, optimal_bloch, plane_axis, qubit_povms,
+                          qubit_states, unit_axes)
+from .shot_sampler import estimate_columns, sample_tables
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

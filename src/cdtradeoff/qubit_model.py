@@ -15,11 +15,14 @@ enters through its absolute value.
 Bloch vectors, measurement parameters and the optimal-state construction
 take arrays with leading batch axes ((n, 3) Bloch vectors, (n,) biases), so
 a scan builds all of its operators at once; the scalar types are the
-unbatched case of the same functions.
+unbatched case of the same functions.  ``InstrumentPolicy`` names the
+three probe instruments (Lueders and two measure-and-prepare updates) as
+configs do, and builds each from a dichotomic probe POVM.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 
@@ -36,6 +39,7 @@ from .errors import (
 from .quantum_core import (
     ATOL,
     DensityMatrix,
+    Instrument,
     Povm,
     _frozen,
     at_index,
@@ -184,6 +188,32 @@ def measurement_from_povm(povm: Povm) -> QubitMeasurement:
     bias = np.trace(plus).real - 1.0
     bloch = np.array([np.trace(plus @ s).real for s in PAULI])
     return QubitMeasurement(bias, bloch)
+
+
+class InstrumentPolicy(enum.Enum):
+    """Post-measurement-state conventions for a dichotomic qubit probe, as
+    named in configs; ``instrument`` builds the probe of each.
+
+    ``LUEDERS`` applies the square-root update; ``EIGENSTATE`` re-prepares
+    the projector eigenstate along the probe axis; ``MIXED`` re-prepares
+    the mixed state with Bloch vector +/- gamma times the probe axis.
+    """
+
+    LUEDERS = "lueders"
+    EIGENSTATE = "eigenstate"
+    MIXED = "mixed"
+
+    def instrument(self, povm: Povm) -> Instrument:
+        """The probe instrument of this policy for a +1/-1 labelled POVM.
+        The measure-and-prepare policies re-prepare the state with Bloch
+        vector label * b on the outcome labelled +/-1, b the probe's axis
+        (``EIGENSTATE``) or its Bloch vector (``MIXED``)."""
+        if self is InstrumentPolicy.LUEDERS:
+            return Instrument.lueders(povm)
+        probe = measurement_from_povm(povm)
+        bloch = probe.axis if self is InstrumentPolicy.EIGENSTATE else probe.bloch
+        states = qubit_states(np.array(povm.labels)[:, None] * bloch)
+        return Instrument.measure_and_prepare(povm, states)
 
 
 @dataclass(frozen=True, eq=False)

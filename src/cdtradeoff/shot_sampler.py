@@ -1,7 +1,6 @@
 """Seeded Monte Carlo emulation of the two-arm experiment: finite-shot
-count records drawn from the tables of any probe ``Instrument``, plug-in
-estimators for correlation and disturbance, and the config names of the
-three qubit probe instruments (``InstrumentPolicy``).
+count records drawn from the tables of any probe ``Instrument``, and
+plug-in estimators for correlation and disturbance.
 
 Reproducibility contract: all randomness comes from the counter-based
 Philox 4x64 bit generator (``numpy.random.Philox``) keyed by the 64-bit
@@ -32,7 +31,6 @@ part of the package contract and must not change silently.
 
 from __future__ import annotations
 
-import enum
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -40,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qubit_model
 from .errors import (
     EmptyRecordError,
     InvalidSeedError,
@@ -59,41 +56,6 @@ from .quantum_core import (
     index_base,
     scenario_tables,
 )
-
-
-class InstrumentPolicy(enum.Enum):
-    """Post-measurement-state conventions for a dichotomic qubit probe, as
-    named in configs; ``instrument`` builds the probe of each.
-
-    ``LUEDERS`` applies the square-root update; ``EIGENSTATE`` re-prepares
-    the projector eigenstate along the probe axis; ``MIXED`` re-prepares
-    the mixed state with Bloch vector +/- gamma times the probe axis.
-    """
-
-    LUEDERS = "lueders"
-    EIGENSTATE = "eigenstate"
-    MIXED = "mixed"
-
-    def instrument(self, povm: Povm) -> Instrument:
-        """The probe instrument of this policy for a +1/-1 labelled POVM."""
-        return _POLICY_INSTRUMENTS[self](povm)
-
-
-def _reprepare(povm: Povm, unit: bool) -> Instrument:
-    """Measure-and-prepare instrument re-preparing the state with Bloch
-    vector label * b on the outcome labelled +/-1, b the probe's Bloch
-    vector (``unit``: its axis)."""
-    probe = qubit_model.measurement_from_povm(povm)
-    bloch = probe.axis if unit else probe.bloch
-    states = qubit_model.qubit_states(np.array(povm.labels)[:, None] * bloch)
-    return Instrument.measure_and_prepare(povm, states)
-
-
-_POLICY_INSTRUMENTS = {
-    InstrumentPolicy.LUEDERS: Instrument.lueders,
-    InstrumentPolicy.EIGENSTATE: lambda povm: _reprepare(povm, unit=True),
-    InstrumentPolicy.MIXED: lambda povm: _reprepare(povm, unit=False),
-}
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,6 +32,7 @@ from cdtradeoff.quantum_core import (
     psd_sqrt,
 )
 from cdtradeoff.qubit_model import (
+    InstrumentPolicy,
     QubitMeasurement,
     cd_parametric,
     check_qubit,
@@ -40,7 +41,7 @@ from cdtradeoff.qubit_model import (
     plane_axis,
     unit_axes,
 )
-from cdtradeoff.shot_sampler import InstrumentPolicy, estimate_cd, sample
+from cdtradeoff.shot_sampler import estimate_cd, sample
 
 from util import oracle_qubit_cd
 

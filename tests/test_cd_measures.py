@@ -35,12 +35,12 @@ from cdtradeoff.quantum_core import (
 from cdtradeoff.qubit_model import (
     SIGMA_X,
     SIGMA_Z,
+    InstrumentPolicy,
     QubitMeasurement,
     check_qubit,
     optimal_state,
     plane_axis,
 )
-from cdtradeoff.shot_sampler import InstrumentPolicy
 
 from util import (
     random_pure,

@@ -5,9 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cdtradeoff import cli
+from cdtradeoff import cli, shot_sampler
 from cdtradeoff.cd_measures import CdValue
 from cdtradeoff.cli import CSV_HEADER, main, read_scan_csv
+from cdtradeoff.detector_model import DetectorNoise, scenario_cd, scenario_distributions
+from cdtradeoff.shot_sampler import estimate_cd, sample_distributions
 
 
 def write_config(path, **entries):
@@ -529,6 +531,35 @@ class TestDetectorMode:
         assert estimate["eta_err"] > 0
         assert abs(estimate["eta"] - 0.8) <= 3 * estimate["eta_err"]
         assert abs(estimate["nu"] - 0.1) <= 3 * estimate["nu_err"]
+
+    @pytest.mark.parametrize("shots", [None, 1000, 100_000], ids=["exact", "chunk", "block"])
+    def test_readings_equal_one_call_per_reference(self, tmp_path, monkeypatch, shots):
+        """Each simulated reading equals its reference's own value: the
+        exact ``scenario_cd``, or one ``sample_distributions`` record on the
+        stream ``seed ^ k`` (k = 0 sharp, 1 fully biased).  The seed is odd
+        and above 2**32, so ``seed ^ 1`` is not ``seed + 1``; the 1e5-shot
+        records are counted a block of words at a time on two workers."""
+        monkeypatch.setattr(shot_sampler, "_workers", lambda points: min(2, points))
+        seed, noise = 2**33 + 5, DetectorNoise(0.7, 0.05)
+        entries = {"mode": "detector", "seed": seed, "detector": {"eta": 0.7, "nu": 0.05}}
+        if shots is not None:
+            entries["shots"] = shots
+        out = tmp_path / "det_report.json"
+        assert run_cli("--config", write_config(tmp_path / "det.json", **entries),
+                       "--out", out) == 0
+        expected = {}
+        for k, ref in enumerate(("sharp", "fully_biased")):
+            n = k + 1
+            if shots is None:
+                value = scenario_cd(noise, ref)
+                expected |= {f"c{n}": value.correlation, f"d{n}": value.disturbance}
+            else:
+                record = sample_distributions(*scenario_distributions(noise, ref),
+                                              shots, shots, seed ^ k)
+                est = estimate_cd(record)
+                expected |= {f"c{n}": est.c_hat, f"c{n}_err": est.c_err,
+                             f"d{n}": est.d_hat, f"d{n}_err": est.d_err}
+        assert json.loads(out.read_text())["readings"] == expected
 
     def test_inversion_path(self, tmp_path):
         config = write_config(

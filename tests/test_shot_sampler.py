@@ -19,6 +19,7 @@ from cdtradeoff.errors import (
 )
 from cdtradeoff.quantum_core import DensityMatrix, LuedersInstrument, Povm
 from cdtradeoff.qubit_model import (
+    InstrumentPolicy,
     QubitMeasurement,
     ellipse_character,
     optimal_state,
@@ -27,7 +28,6 @@ from cdtradeoff.qubit_model import (
 )
 from cdtradeoff.shot_sampler import (
     _BLOCK,
-    InstrumentPolicy,
     ShotRecord,
     _rekey,
     _stream,
@@ -550,21 +550,36 @@ class TestThreadedBlockPath:
 
 
 class TestForwardScanOracle:
-    """The test suite's scan helper draws a whole scan with one stacked
-    ``cd_tables`` or ``sample_tables`` call; its columns equal one library
-    call per point, bit for bit, on the chunk path (1e3 shots), the block
-    path (4e4 shots), with and without a common rotation, and on a seed
-    whose ``seed ^ i`` differs from ``seed + i``."""
+    """The test suite's scan helper builds a whole scan from stacked qubit
+    kernels and draws it with one ``cd_tables`` or ``sample_tables`` call;
+    its columns equal one library call per point, bit for bit, on the chunk
+    path (1e3 shots), the block path (4e4 and 1e5 shots), with and without
+    a common rotation (criterion 04's among them), on criterion 08's exact
+    grid, and on seeds whose ``seed ^ i`` differs from ``seed + i``."""
 
     PROBE = QubitMeasurement(0.1, 0.7 * plane_axis(0.3))
     THETAS = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
 
-    @pytest.mark.parametrize("rotated", [False, True], ids=["plane", "rotated"])
+    def geometry(self, name):
+        """The (rotation, thetas) of a named case: criterion 04's rotations
+        are the first ones its generator draws, and criterion 08's grid is
+        its exact scans' grid."""
+        if name == "criterion08":
+            return None, np.linspace(0.1, 2 * np.pi, 12, endpoint=False)
+        rng = np.random.default_rng(40_004)
+        rotations = {"plane": None, "rotated": random_rotation(np.random.default_rng(11)),
+                     "criterion04-0": random_rotation(rng), "criterion04-1": random_rotation(rng),
+                     "criterion04-2": random_rotation(rng)}
+        return rotations[name], self.THETAS
+
+    @pytest.mark.parametrize("name", ["plane", "rotated", "criterion04-0", "criterion04-1",
+                                      "criterion04-2", "criterion08"])
     @pytest.mark.parametrize("shots, seed", [(None, 0), (1000, 0), (1000, 2**40 + 3),
-                                             (40_000, 0), (40_000, 2**40 + 3)])
-    def test_columns_equal_per_point_calls(self, shots, seed, rotated):
-        rotation = random_rotation(np.random.default_rng(11)) if rotated else None
-        args = (self.PROBE, 0.8, 0.15, self.THETAS, shots, seed, rotation)
+                                             (40_000, 0), (40_000, 2**40 + 3),
+                                             (100_000, 90_000 + (3 << 8))])
+    def test_columns_equal_per_point_calls(self, shots, seed, name):
+        rotation, thetas = self.geometry(name)
+        args = (self.PROBE, 0.8, 0.15, thetas, shots, seed, rotation)
         scan = forward_scan(*args)
         columns = np.stack([scan.c, scan.d, scan.c_err, scan.d_err])
         assert columns.tobytes() == forward_scan_oracle(*args).tobytes()

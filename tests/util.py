@@ -7,8 +7,22 @@ import numpy as np
 from cdtradeoff.calibration import CdScan
 from cdtradeoff.cd_measures import cd_from_scenario, cd_tables
 from cdtradeoff.errors import FitError
-from cdtradeoff.quantum_core import DensityMatrix, LuedersInstrument, Povm, scenario_tables
-from cdtradeoff.qubit_model import QubitMeasurement, optimal_state, plane_axis
+from cdtradeoff.quantum_core import (
+    DensityMatrix,
+    Instrument,
+    LuedersInstrument,
+    Povm,
+    scenario_tables,
+)
+from cdtradeoff.qubit_model import (
+    QubitMeasurement,
+    optimal_bloch,
+    optimal_state,
+    plane_axis,
+    qubit_povms,
+    qubit_states,
+    unit_axes,
+)
 from cdtradeoff.shot_sampler import _stream, estimate_cd, estimate_columns, sample, sample_tables
 
 
@@ -159,10 +173,11 @@ def scenario(rho: DensityMatrix, probe: QubitMeasurement, target: QubitMeasureme
 
 def scan_scenarios(probe: QubitMeasurement, target_strength, target_bias, thetas,
                    rotation=None):
-    """(state, probe instrument, target POVM) of each point of a scan: the
-    target at strength ``target_strength`` along ``plane_axis(theta)`` and
-    the optimal state of the pair; an optional common rotation is applied
-    to both axes."""
+    """(state, probe instrument, target POVM) of each point of a scan, built
+    point by point from the scalar types: the target at strength
+    ``target_strength`` along ``plane_axis(theta)`` and the optimal state
+    of the pair; an optional common rotation is applied to both axes.  The
+    per-point reference of ``forward_scan_oracle``."""
     for theta in thetas:
         axis_a = probe.axis
         axis_b = plane_axis(theta)
@@ -185,17 +200,25 @@ def forward_scan(
     """Scan points from the full pipeline on the optimal state, exact or
     finite-shot; an optional common rotation is applied to all axes.
 
-    Each point's tables come from its own scenario (``scan_scenarios``);
-    the stack of them then goes through one ``cd_tables`` call (exact) or
-    one ``sample_tables`` and ``estimate_columns`` call (point ``i`` on the
-    Philox stream ``seed ^ i``), as the CLI evaluates a slice of a grid."""
-    joint, alone = [], []
-    for rho, inst, povm in scan_scenarios(probe, target_strength, target_bias, thetas, rotation):
-        joint_i, alone_i = scenario_tables(rho.matrix, inst, povm.matrices)
-        joint.append(joint_i)
-        alone.append(alone_i)
-    joint, alone = np.array(joint), np.array(alone)
-    if shots is None:  # the probe, hence its instrument, is the same at every point
+    The scan is built as the CLI builds a slice of a grid: one Lueders
+    probe instrument, and stacks of target effects (``qubit_povms``),
+    optimal states (``optimal_bloch``, ``qubit_states``) and joint tables
+    (``scenario_tables``).  Only the probe-off tables are summed point by
+    point, as ``np.einsum`` gives them other last bits in a stack than for
+    one point (``forward_scan_oracle``'s).  The stacks then go through
+    one ``cd_tables`` call (exact) or one ``sample_tables`` and
+    ``estimate_columns`` call (point ``i`` on the Philox stream
+    ``seed ^ i``)."""
+    axis_a, axes_b = probe.axis, plane_axis(thetas)
+    if rotation is not None:  # axis by axis, as scan_scenarios rotates (same bits)
+        axis_a, axes_b = rotation @ axis_a, np.array([rotation @ axis for axis in axes_b])
+    probe_bloch, target_bloch = probe.strength * axis_a, target_strength * axes_b
+    inst = Instrument.lueders(Povm(qubit_povms(probe.bias, probe_bloch)))
+    effects = qubit_povms(target_bias, target_bloch)
+    states = qubit_states(optimal_bloch(unit_axes(probe_bloch), unit_axes(target_bloch)))
+    joint, _ = scenario_tables(states, inst, effects)
+    alone = np.array([scenario_tables(rho, inst, povm)[1] for rho, povm in zip(states, effects)])
+    if shots is None:
         return CdScan(thetas, *cd_tables(joint, alone, inst, inst.labels))
     return CdScan(thetas, *estimate_columns(*sample_tables(joint, alone, shots, seed)))
 
