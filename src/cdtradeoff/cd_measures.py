@@ -14,8 +14,9 @@ but unregistered,
 
 For dichotomic measurements these reduce to C = 2 p(a=b) - 1 and
 D = 2 |p(+) - p~(+)|, and C^2 + D^2 <= 1 for every state and every
-minimal-back-action measurement pair.  The kernels take stacks of tables
-with leading batch axes, so a scan is evaluated in one call.
+minimal-back-action measurement pair with two outcomes on each arm.  The
+kernels take stacks of tables with leading batch axes, so a scan is
+evaluated in one call.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ INEQ_TOL = 1e-9
 class CdValue:
     """One exact correlation/disturbance pair.
 
-    The tradeoff C^2 + D^2 <= 1 is a theorem for square-root instruments
-    only and is checked on that path (``check_tradeoff``); measure-and-
-    prepare updates can leave the disc.  Finite-shot estimates live in
-    CdEstimate.
+    The tradeoff C^2 + D^2 <= 1 is a theorem, checked by ``check_tradeoff``,
+    for square-root instruments with two outcomes on each arm only; other
+    updates and more outcomes can leave the disc.  Finite-shot estimates
+    live in CdEstimate.
     """
 
     correlation: float
@@ -68,9 +69,9 @@ class CdValue:
 
 
 def check_tradeoff(corr, dist) -> None:
-    """Require C^2 + D^2 <= 1 (within INEQ_TOL) for every value of a
-    square-root-instrument scan; raises TradeoffViolationError naming the
-    first point outside the disc (NaN included)."""
+    """Require C^2 + D^2 <= 1 (within INEQ_TOL), the theorem for square-root
+    instruments with two outcomes on each arm; raises TradeoffViolationError
+    naming the first point outside the disc (NaN included)."""
     c, d = np.asarray(corr), np.asarray(dist)
     index = first_bad(~(c * c + d * d <= 1.0 + INEQ_TOL))  # NaN fails the comparison too
     if index is not None:
@@ -138,8 +139,8 @@ def cd_tables(joint, alone, inst_a: Instrument, labels_b) -> tuple[np.ndarray, n
 
     Every table must sum to one, and the probe-off and probe-on target
     distributions must be probability vectors; the first bad point is named.
-    The bound C^2 + D^2 <= 1 is checked when the square-root constructor
-    built the probe, the one instrument for which it is a theorem.
+    The bound C^2 + D^2 <= 1 is checked where it is a theorem: a probe the
+    square-root constructor built, with two outcomes on each arm.
     """
     table = np.asarray(joint, dtype=float)
     alone = np.asarray(alone, dtype=float)
@@ -148,7 +149,7 @@ def cd_tables(joint, alone, inst_a: Instrument, labels_b) -> tuple[np.ndarray, n
     _check_distributions(alone, "probe-off distribution")
     _check_distributions(tilde, "probe-on distribution")
     dist = _distance(alone, tilde)
-    if inst_a.square_root:
+    if inst_a.square_root and table.shape[-2:] == (2, 2):
         check_tradeoff(corr, dist)
     return corr, dist
 

@@ -64,7 +64,7 @@ from .highdim_model import (
     randomized_povms,
 )
 from .cd_measures import cd_tables
-from .quantum_core import Instrument, Povm, check_states, index_base, scenario_tables
+from .quantum_core import Instrument, Povm, index_base, scenario_tables
 from .qubit_model import (InstrumentPolicy, optimal_bloch, plane_axis, qubit_povms,
                           qubit_states, unit_axes)
 from .shot_sampler import estimate_columns, sample_tables
@@ -411,10 +411,9 @@ def _highdim_rows(config: dict, values: dict) -> tuple[np.ndarray, np.ndarray]:
                 columns[:2, points] = circle_law(values["gamma"], overlaps(ket_a, kets_b))
                 continue
             proj_b = projectors(kets_b)
-            joint, alone = scenario_tables(
-                check_states(projectors(optimal_kets(proj_a, proj_b))), probe,
-                randomized_povms(values["gamma"], proj_b),
-            )
+            # rank-one projectors of unit kets: valid states by construction
+            joint, alone = scenario_tables(projectors(optimal_kets(proj_a, proj_b)), probe,
+                                           randomized_povms(values["gamma"], proj_b))
             columns[:, points] = estimate_columns(
                 *sample_tables(joint, alone, shots, values["seed"], points.start))
     grid *= 2.0  # theta = arccos(2 c^2 - 1), in place of the overlaps

@@ -67,8 +67,8 @@ class DetectorNoise:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise InvalidNoiseError(f"eta {self.eta!r} outside [0, 1]")
-        if self.nu < 0.0:
-            raise InvalidNoiseError(f"nu {self.nu!r} negative")
+        if not self.nu >= 0.0:  # NaN fails the comparison too
+            raise InvalidNoiseError(f"nu {self.nu!r} negative or NaN")
 
     @property
     def silence(self) -> float:

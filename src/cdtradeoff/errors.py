@@ -43,7 +43,7 @@ class NotNormalizedError(CdTradeoffError):
 
 
 class TradeoffViolationError(CdTradeoffError):
-    """Square-root-instrument value outside the disc C^2 + D^2 <= 1."""
+    """Square-root value, two outcomes on each arm, outside C^2 + D^2 <= 1."""
 
 
 class NotDichotomicError(CdTradeoffError):

@@ -302,8 +302,8 @@ class Instrument:
       one (d, d) matrix per outcome or a (k, m, d, d) stack; their effects
       are validated as a ``Povm`` is, and must sum to the identity.
 
-    ``square_root`` is recorded by the constructor and is true for the
-    first only: C^2 + D^2 <= 1 is a theorem for that update alone.
+    ``square_root``, set by the constructor, is true for the first only:
+    C^2 + D^2 <= 1 is a theorem for it alone, with two outcomes on each arm.
     """
 
     __slots__ = ("povm", "matrices", "kraus", "per_outcome", "square_root")

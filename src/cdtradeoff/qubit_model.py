@@ -43,7 +43,6 @@ from .quantum_core import (
     Povm,
     _frozen,
     at_index,
-    check_povms,
     check_states,
     first_bad,
 )
@@ -138,9 +137,10 @@ def _effect_pairs(bias, bloch) -> np.ndarray:
 
 def qubit_povms(bias, bloch) -> np.ndarray:
     """Validated (..., 2, 2, 2) effect stacks, labels (+1, -1) in effect
-    order, of the measurements (bias, bloch)."""
+    order, of the measurements (bias, bloch): |b0| + |b| <= 1 + ATOL keeps
+    their eigenvalues (1 +- b0 +- |b|)/2 within ATOL/2 of [0, 1]."""
     check_qubit(bias, bloch)
-    return check_povms(_effect_pairs(bias, bloch))
+    return _effect_pairs(bias, bloch)
 
 
 @dataclass(frozen=True, eq=False)

@@ -160,16 +160,12 @@ def _count(bitgen: np.random.Philox, thresholds: np.ndarray, above: np.ndarray,
     return [high - low for low, high in zip(tallies, tallies[1:])]
 
 
-def _tally(words: np.ndarray, thresholds: np.ndarray, above: np.ndarray,
-           scratch: np.ndarray) -> np.ndarray:
+def _tally(words: np.ndarray, thresholds: np.ndarray, above: np.ndarray) -> np.ndarray:
     """Outcome counts of each row of ``words`` (points, shots) against the
-    thresholds (points, k-1) of its point: one comparison per inner edge
-    over the whole chunk into the bool ``scratch``, summed along the rows."""
-    scratch = scratch[:len(words), :words.shape[1]]
-    below = np.empty(thresholds.shape, dtype=np.int64)  # draws below each edge
-    for i in range(thresholds.shape[1]):
-        np.less(words, thresholds[:, i, None], out=scratch)
-        below[:, i] = scratch.sum(axis=1)
+    thresholds (points, k-1) of its point, in one comparison summed along
+    the shots: its temporary holds k-1 bools per word of the chunk, at most
+    (k-1) * 64 KiB, and 96 KiB for the CLI's 2 x 2 tables."""
+    below = (words[:, None, :] < thresholds[:, :, None]).sum(axis=2)  # draws below each edge
     below[above] = words.shape[1]
     return np.diff(below, axis=1, prepend=0, append=words.shape[1])
 
@@ -225,17 +221,14 @@ def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
         bitgen = np.random.Philox(key=seed)
         chunk = _BLOCK // record
         words = np.empty((min(chunk, len(joint)), record), dtype=np.uint64)
-        scratch = np.empty((len(words), max(shots, shots_alone)), dtype=bool)
         for start in range(0, len(joint), chunk):
             n = min(chunk, len(joint) - start)
             for row in range(n):
                 _rekey(bitgen, seed ^ (first + start + row))
                 words[row] = bitgen.random_raw(record)
             points = slice(start, start + n)
-            joint_counts[points] = _tally(words[:n, :shots], *(c[points] for c in cuts_joint),
-                                          scratch)
-            alone_counts[points] = _tally(words[:n, shots:], *(c[points] for c in cuts_alone),
-                                          scratch)
+            joint_counts[points] = _tally(words[:n, :shots], *(c[points] for c in cuts_joint))
+            alone_counts[points] = _tally(words[:n, shots:], *(c[points] for c in cuts_alone))
     return joint_counts.reshape(joint.shape), alone_counts.reshape(alone.shape)
 
 

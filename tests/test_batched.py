@@ -4,6 +4,7 @@ constructors."""
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from cdtradeoff import cli
 from cdtradeoff.cli import CSV_HEADER, main
 from cdtradeoff.errors import (
+    CdTradeoffError,
     DimensionMismatchError,
     InvalidMeasurementError,
     InvalidStateError,
@@ -20,8 +22,15 @@ from cdtradeoff.errors import (
     NotPsdError,
     ZeroBlochError,
 )
-from cdtradeoff.highdim_model import RandomizedDichotomic, check_projectors, overlap
+from cdtradeoff.highdim_model import (
+    RandomizedDichotomic,
+    check_projectors,
+    optimal_kets,
+    overlap,
+    projectors,
+)
 from cdtradeoff.quantum_core import (
+    ATOL,
     DensityMatrix,
     Effect,
     LuedersInstrument,
@@ -39,11 +48,12 @@ from cdtradeoff.qubit_model import (
     optimal_bloch,
     optimal_state,
     plane_axis,
+    qubit_povms,
     unit_axes,
 )
 from cdtradeoff.shot_sampler import estimate_cd, sample
 
-from util import oracle_qubit_cd
+from util import oracle_qubit_cd, random_unitary
 
 PROBE = {"bias": 0.1, "gamma": 0.8, "theta": 0.0}
 TARGET = {"bias": 0.05, "gamma": 0.9}
@@ -387,3 +397,64 @@ class TestScalarIsTheUnbatchedCase:
         batch = psd_sqrt(stack)
         for row, m in zip(batch, stack):
             np.testing.assert_array_equal(row, psd_sqrt(m))
+
+
+class TestEachSliceCheckedOnce:
+    """A scan slice proves its operators valid once.  Qubit targets are
+    checked through their parameters (``check_qubit``), which implies the
+    spectrum and completeness ``check_povms`` tests, and the optimal states
+    of a highdim slice are rank-one projectors of unit kets."""
+
+    @pytest.mark.parametrize("points", [1024, 2048, 3072])
+    def test_exact_scan_runs_one_eigvalsh_per_slice(self, monkeypatch, points):
+        # two for the probe's effects, then one per slice for its states
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+        config = {"schema": 1, "mode": "scan", "probe": PROBE,
+                  "target": {**TARGET, "theta_grid": {"points": points}}}
+        cli._scan_rows(config, cli._parse(config))
+        slices = -(-points // (cli._BATCH_ENTRIES // 4))
+        assert len(calls) == 2 + slices
+
+    @staticmethod
+    def boundary_cases():
+        """(bias, bloch) pairs with |bias| + |bloch| at and just beyond 1, in
+        random directions and splits, with |bias| near 1, zero Bloch
+        vectors, and NaN and infinite entries."""
+        rng = np.random.default_rng(21)
+        for total in (1.0 - 1e-9, 1.0, 1.0 + ATOL / 2, 1.0 + ATOL, 1.0 + 2 * ATOL):
+            for share in (0.0, *rng.uniform(size=12), 0.5, 1.0 - 1e-12, 1.0 - 1e-15, 1.0):
+                for sign in (1.0, -1.0):
+                    direction = rng.normal(size=3)
+                    direction /= np.linalg.norm(direction)
+                    yield sign * share * total, (1.0 - share) * total * direction
+        for bad in (np.nan, np.inf, -np.inf):
+            yield bad, np.array([0.5, 0.0, 0.0])
+            yield 0.1, np.array([0.5, bad, 0.0])
+
+    def test_parameter_check_implies_the_povm_check(self):
+        accepted, refused = [], 0
+        for bias, bloch in self.boundary_cases():
+            try:
+                check_qubit(bias, bloch)
+            except CdTradeoffError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    qubit_povms(bias, bloch)
+                refused += 1
+                continue
+            check_povms(qubit_povms(bias, bloch))
+            accepted.append((bias, bloch))
+        # three of the five totals are inside, 1 + 2 ATOL is outside
+        assert len(accepted) >= 3 * 34 and refused >= 34 + 6
+        bias, bloch = map(np.array, zip(*accepted))
+        check_povms(qubit_povms(bias, bloch))
+
+    def test_optimal_highdim_states_are_states(self):
+        rng = np.random.default_rng(22)
+        for dim in rng.integers(2, 65, size=12):
+            c2 = np.concatenate([[0.0, 1.0, 1e-15, 1.0 - 1e-15], rng.uniform(size=4)])
+            basis = random_unitary(rng, dim)
+            kets_b = np.sqrt(c2)[:, None] * basis[:, 0] + np.sqrt(1.0 - c2)[:, None] * basis[:, 1]
+            proj_a = projectors(basis[:, 0])
+            check_states(projectors(optimal_kets(proj_a, projectors(kets_b))))

@@ -25,6 +25,7 @@ from cdtradeoff.errors import (
     TradeoffViolationError,
 )
 from cdtradeoff.quantum_core import (
+    DensityMatrix,
     Instrument,
     LuedersInstrument,
     Povm,
@@ -217,6 +218,25 @@ class TestCdFromScenario:
         corr, dist = cd_tables(joint, alone, Instrument.measure_and_prepare(povm, states),
                                povm.labels)
         assert (float(corr), float(dist)) == pytest.approx((1.0, 0.6), abs=1e-12)
+
+    def test_three_outcome_lueders_pair_may_leave_the_disc(self):
+        """C^2 + D^2 <= 1 is a theorem for two outcomes on each arm only: a
+        sharp computational-basis Lueders probe, a target basis rotated by
+        R01(pi/6) R12(pi/6), and the state (1, -1, -1) give C^2 + D^2 of
+        1.12, and the value is returned, not refused."""
+        def rotation(i, j, t):
+            r = np.eye(3)
+            r[[i, i, j, j], [i, j, i, j]] = np.cos(t), -np.sin(t), np.sin(t), np.cos(t)
+            return r
+
+        basis = rotation(0, 1, np.pi / 6) @ rotation(1, 2, np.pi / 6)
+        labels = (0, 1, 2)
+        probe = LuedersInstrument(Povm([np.diag(row) for row in np.eye(3)], labels))
+        target = Povm([np.outer(column, column) for column in basis.T], labels)
+        value = cd_from_scenario(DensityMatrix.from_ket([1, -1, -1]), probe, target)
+        assert (value.correlation, value.disturbance) == pytest.approx((0.53125, 0.91672),
+                                                                       abs=1e-5)
+        assert value.correlation**2 + value.disturbance**2 == pytest.approx(1.1226, abs=1e-4)
 
 
 class TestNanTables:

@@ -25,6 +25,11 @@ class TestDetectorNoise:
         with pytest.raises(InvalidNoiseError):
             DetectorNoise(0.5, -0.1)
 
+    def test_rejects_nan_nu(self):
+        # NaN fails "nu < 0" too, and would surface only from the tables
+        with pytest.raises(InvalidNoiseError, match="nu nan"):
+            DetectorNoise(0.5, float("nan"))
+
     def test_silence(self):
         assert DetectorNoise(0.5, 0.2).silence == pytest.approx(np.exp(-0.2))
 
