@@ -23,7 +23,9 @@ reduces each block to one row of statistics per resample (for the conic,
 its three 3x3 scatter matrices), and fits the rows of consecutive blocks a
 group at a time (one stacked 3x3 ``solve`` and ``eig`` per group for the
 conic), with the bits of one draw and one fit per resample, as in 0.1.0.
-Degenerate resamples are skipped.
+The known-theta fit solves the resamples of a block with one stacked call
+per arm of LAPACK ``gelsd``, the routine ``np.linalg.lstsq`` runs, again
+with each resample's bits.  Degenerate resamples are skipped.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .detector_model import DetectorNoise, estimate_noise
 from .errors import (
@@ -254,22 +257,35 @@ def fit_circle_sharp_probe(
     return _finite(CircleFit(strength, errors.get("strength", 0.0), residual), errors)
 
 
+def _unconverged(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
 def _lstsq(design: np.ndarray, target: np.ndarray, errs: np.ndarray):
-    """Least squares of the system on a subset ``idx`` of its points,
-    weighted by inverse errors when every point of the scan carries one
-    (decided once per scan, for every resample alike, as in the circle
-    fit).  A weighted system that overflows raises OutOfDomainError."""
+    """Least squares of the system on each resample of a (resamples,
+    points) block of point indices, weighted by inverse errors when every
+    point of the scan carries one (decided once per scan, for every
+    resample alike, as in the circle fit).  A weighted system that
+    overflows raises OutOfDomainError.
+
+    One stacked call of the gufunc that ``np.linalg.lstsq`` runs (LAPACK
+    ``gelsd`` on each matrix), with its ``rcond=None`` cutoff and error
+    state: each resample gets the solution and rank of fitting it alone,
+    bit for bit, and a ``gelsd`` that does not converge raises
+    LinAlgError."""
     if (errs > 0).all():
         w = 1.0 / _unit_scaled(errs)
         design, target = design * w[:, None], target * w
         if not (np.isfinite(design).all() and np.isfinite(target).all()):
             raise OutOfDomainError("the weighted scan points overflow double precision")
+    rcond = np.finfo(float).eps * max(design.shape)
 
-    def solve(idx):
-        sol, _, rank, _ = np.linalg.lstsq(np.take(design, idx, 0), target[idx], rcond=None)
-        if rank < design.shape[1]:
-            raise RankDeficientError("theta grid does not determine the fit")
-        return sol
+    def solve(idxs):  # (solutions (resamples, columns), ranks (resamples,))
+        with np.errstate(call=_unconverged, invalid="call",
+                         over="ignore", divide="ignore", under="ignore"):
+            sol, _, rank, _ = _umath_linalg.lstsq(
+                np.take(design, idxs, 0), target[idxs][..., None], rcond, signature="ddd->ddid")
+        return sol[..., 0], rank
 
     return solve
 
@@ -324,14 +340,14 @@ def fit_ellipse_known_theta(
     design = np.column_stack([np.ones(n), cos_t, sin_t])
     solvers = (_lstsq(design, scan.c, scan.c_err), _lstsq(sin_t[:, None], scan.d, scan.d_err))
 
-    def row_fit(idx, distinct):  # (c0, P, Q, S) of one resample
-        if distinct < 3:
-            raise RankDeficientError("need at least 3 distinct theta settings")
-        return np.concatenate([solve(idx) for solve in solvers])
-
-    def block_fit(idxs):
+    def block_fit(idxs):  # rows of (c0, P, Q, S) of the resamples it keeps
         distinct = 1 + np.count_nonzero(np.diff(np.sort(ids[idxs], axis=1), axis=1), axis=1)
-        return _kept(row_fit, zip(idxs, distinct))
+        (c_sol, c_rank), (d_sol, d_rank) = (solve(idxs) for solve in solvers)
+        kept = (distinct >= 3) & (c_rank == 3) & (d_rank == 1)
+        if not kept.any():  # the reason of the last resample
+            raise RankDeficientError("need at least 3 distinct theta settings" if distinct[-1] < 3
+                                     else "theta grid does not determine the fit")
+        return np.concatenate([c_sol, d_sol], axis=1)[kept]
 
     combos = block_fit(np.arange(n)[None])[0].tolist()
     res = np.concatenate([design @ combos[:3] - scan.c, sin_t[:, None] @ combos[3:] - scan.d])

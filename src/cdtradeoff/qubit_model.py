@@ -228,7 +228,7 @@ class ConvexPovmSpec:
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise InvalidMeasurementError(f"gamma {self.gamma!r} outside [0, 1]")
-        if abs(self.bias_b0) > 1.0 - self.gamma + 1e-12:
+        if not abs(self.bias_b0) <= 1.0 - self.gamma + 1e-12:  # NaN fails too
             raise InvalidBiasError(
                 f"|bias| {abs(self.bias_b0)!r} exceeds 1 - gamma = "
                 f"{1.0 - self.gamma!r}: dummy weights would leave [0, 1]"

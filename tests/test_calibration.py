@@ -225,6 +225,76 @@ class TestBlockFitBits:
         assert fit.errors == expected
 
 
+class TestStackedLstsq:
+    """The known-theta fit solves a block of resamples with one stacked
+    ``gelsd`` call per arm: each resample gets the solution and rank of
+    ``np.linalg.lstsq(..., rcond=None)`` on it alone, bit for bit."""
+
+    # six points on three settings: many resamples hold fewer than three
+    THETAS = np.repeat([0.3, 1.2, 2.0], 2)
+
+    @staticmethod
+    def system(arm, weighted):
+        """(design, target, errs) of one arm of a noisy 6-point scan."""
+        thetas = TestStackedLstsq.THETAS
+        rng = np.random.default_rng(6)
+        sin_t = np.abs(np.sin(thetas))
+        if arm == "c":
+            design = np.column_stack([np.ones(6), np.cos(thetas), sin_t])
+            target = 0.1 + 0.5 * np.cos(thetas) + 0.2 * sin_t + rng.normal(0.0, 0.01, 6)
+        else:
+            design = sin_t[:, None]
+            target = 0.4 * sin_t + rng.normal(0.0, 0.01, 6)
+        errs = rng.uniform(0.005, 0.02, 6) if weighted else np.zeros(6)
+        return design, target, errs
+
+    @pytest.mark.parametrize("stack", [1, 16])
+    @pytest.mark.parametrize("arm", ["c", "d"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_each_resample_equals_lstsq_alone(self, stack, arm, weighted):
+        design, target, errs = self.system(arm, weighted)
+        idxs = np.array(resample_indices(6, 16, 3))
+        assert (np.array([rounded_settings(self.THETAS[idx]) for idx in idxs]) < 3).any()
+        solve = calibration._lstsq(design, target, errs)
+        if weighted:
+            w = 1.0 / calibration._unit_scaled(errs)
+            design, target = design * w[:, None], target * w
+        blocks = [solve(idxs[i:i + stack]) for i in range(0, 16, stack)]
+        solutions = np.concatenate([sol for sol, _ in blocks])
+        ranks = np.concatenate([rank for _, rank in blocks])
+        for idx, sol, rank in zip(idxs, solutions, ranks):
+            expected, _, expected_rank, _ = np.linalg.lstsq(design[idx], target[idx], rcond=None)
+            assert sol.tobytes() == expected.tobytes()
+            assert rank == expected_rank
+        if arm == "c":  # resamples on two settings are rank deficient
+            assert 0 < (ranks < 3).sum() < 16
+
+    def test_unconverged_solve_raises(self):
+        design, target, _ = self.system("c", False)
+        design[0, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            calibration._lstsq(design, target, np.zeros(6))(np.arange(6)[None])
+
+    def test_block_of_resamples_is_one_stacked_call_per_arm(self, monkeypatch):
+        # 256 points: 16 resamples per draw block, 13 blocks and the full fit
+        calls = {"lstsq": 0, "gelsd": 0}
+        lstsq, gufunc = np.linalg.lstsq, np.linalg._umath_linalg.lstsq
+
+        def counted(name, f):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", lstsq))
+        monkeypatch.setattr(np.linalg._umath_linalg, "lstsq", counted("gelsd", gufunc))
+        thetas = np.linspace(0.1, 2 * np.pi, 256, endpoint=False)
+        probe = QubitMeasurement(0.3, 0.55 * plane_axis(0.0))
+        scan = noisy(forward_scan(probe, 0.85, 0.1, thetas), np.random.default_rng(7))
+        fit_ellipse_known_theta(scan, 0.85, n_bootstrap=200)
+        assert calls == {"lstsq": 0, "gelsd": 2 * (13 + 1)}
+
+
 class TestConicRows:
     """The conic decomposition of a group of resamples against the scalar
     one of each resample: the same rows, bit for bit, and the same

@@ -75,6 +75,11 @@ class TestConvexPovm:
         with pytest.raises(InvalidBiasError):
             ConvexPovmSpec(theta=0.0, gamma=0.8, bias_b0=0.35)
 
+    @pytest.mark.parametrize("bias", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bias_rejected_at_construction(self, bias):
+        with pytest.raises(InvalidBiasError):
+            ConvexPovmSpec(theta=0.0, gamma=0.5, bias_b0=bias)
+
     def test_measurement_roundtrip(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
