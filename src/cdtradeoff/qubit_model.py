@@ -34,6 +34,7 @@ from .errors import (
     InvalidMeasurementError,
     NonQubitError,
     NotFiniteError,
+    NotPsdError,
     ZeroBlochError,
 )
 from .quantum_core import (
@@ -43,7 +44,6 @@ from .quantum_core import (
     Povm,
     _frozen,
     at_index,
-    check_states,
     first_bad,
 )
 
@@ -69,8 +69,26 @@ def state_from_bloch(vec) -> DensityMatrix:
 
 
 def qubit_states(vecs) -> np.ndarray:
-    """Validated (..., 2, 2) stack of the states (I + r . sigma)/2."""
-    return check_states((ID2 + bloch_matrix(vecs)) / 2)
+    """Validated (..., 2, 2) stack of the states (I + r . sigma)/2, checked
+    through their Bloch vectors r as ``check_qubit`` checks measurements:
+    finite (else NotFiniteError), with |r| <= 1 + 2 ATOL (else NotPsdError),
+    each naming the first bad vector.  For real r the matrix is Hermitian
+    with unit trace by construction and has eigenvalues (1 +- |r|)/2, so
+    this accepts the stacks ``check_states`` accepts, without an
+    eigendecomposition."""
+    v = np.asarray(vecs, dtype=float)
+    matrices = bloch_matrix(v)
+    index = first_bad(~np.isfinite(v).all(axis=-1))
+    if index is not None:
+        raise NotFiniteError(f"Bloch vector{at_index(index)} has a non-finite entry")
+    length = _lengths(v)[..., 0]
+    index = first_bad(~(length <= 1.0 + 2 * ATOL))
+    if index is not None:
+        raise NotPsdError(
+            f"state{at_index(index)} of Bloch length {float(length[index])!r} has "
+            f"eigenvalue {(1.0 - length[index]) / 2:.3e} below -{ATOL:g}"
+        )
+    return (ID2 + matrices) / 2
 
 
 def plane_axis(theta) -> np.ndarray:

@@ -16,13 +16,16 @@ before the alone arm from the same stream.  A stack of records
 (``sample_tables``) re-keys one generator for each point, which then
 yields the same words as a fresh ``Philox(key=...)``.  Records that fit
 one block over both arms are drawn a chunk of points at a time into one
-reused buffer and counted per chunk, on the calling thread; larger records
-are counted a block of words at a time.  Both give the same words and
-counts.  The points of larger records are split into contiguous spans, one
-per thread of the standard library's pool (``ThreadPoolExecutor``), each
-with its own generator re-keyed per point; the worker count is the number
-of CPUs the process may run on (its affinity mask), capped by the number
-of points, and the workers' blocks share one block of memory.  A point's
+reused buffer and counted per chunk, on the calling thread: each arm
+compares its words against one edge's thresholds at a time into one reused
+bool buffer and sums its rows as uint16, which the block bounds (an arm
+holds fewer than 2**16 words); larger records are counted a block of words
+at a time.  Both give the same words and counts.  The points of larger
+records are split into contiguous spans, one per thread of the standard
+library's pool (``ThreadPoolExecutor``), each with its own generator
+re-keyed per point; the worker count is the number of CPUs the process
+may run on (its affinity mask), capped by the number of points, and the
+workers' blocks share one block of memory.  A point's
 words, counts and bits do not depend on the worker count or the block
 size.  Identical (scenario, seed) pairs yield bit-identical records on
 any platform, and the bits are unchanged from 0.1.0.  This algorithm is
@@ -160,14 +163,26 @@ def _count(bitgen: np.random.Philox, thresholds: np.ndarray, above: np.ndarray,
     return [high - low for low, high in zip(tallies, tallies[1:])]
 
 
-def _tally(words: np.ndarray, thresholds: np.ndarray, above: np.ndarray) -> np.ndarray:
-    """Outcome counts of each row of ``words`` (points, shots) against the
-    thresholds (points, k-1) of its point, in one comparison summed along
-    the shots: its temporary holds k-1 bools per word of the chunk, at most
-    (k-1) * 64 KiB, and 96 KiB for the CLI's 2 x 2 tables."""
-    below = (words[:, None, :] < thresholds[:, :, None]).sum(axis=2)  # draws below each edge
-    below[above] = words.shape[1]
-    return np.diff(below, axis=1, prepend=0, append=words.shape[1])
+def _tally(words: np.ndarray, thresholds: np.ndarray, above: np.ndarray,
+           out: np.ndarray) -> None:
+    """Write into ``out`` (points, k) the outcome counts of each row of
+    ``words`` (points, shots) against the thresholds (points, k-1) of its
+    point.  Each edge compares the words against its threshold column into
+    one bool buffer, reused for every edge (one byte per word, at most
+    64 KiB), whose rows are summed as uint16: a chunk-path arm holds fewer
+    than 2**16 words, as both arms of a record share one block and hold at
+    least one word each, so a sum cannot wrap.  The counts are the
+    differences of consecutive edges' tallies."""
+    shots = words.shape[1]
+    hits = np.empty(words.shape, dtype=bool)
+    low = 0  # draws below the previous edge
+    for edge in range(thresholds.shape[1]):
+        np.less(words, thresholds[:, edge, None], out=hits)
+        below = hits.sum(axis=1, dtype=np.uint16)
+        below[above[:, edge]] = shots
+        out[:, edge] = below - low
+        low = below
+    out[:, -1] = shots - low
 
 
 def _workers(points: int) -> int:
@@ -227,8 +242,8 @@ def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
                 _rekey(bitgen, seed ^ (first + start + row))
                 words[row] = bitgen.random_raw(record)
             points = slice(start, start + n)
-            joint_counts[points] = _tally(words[:n, :shots], *(c[points] for c in cuts_joint))
-            alone_counts[points] = _tally(words[:n, shots:], *(c[points] for c in cuts_alone))
+            _tally(words[:n, :shots], *(c[points] for c in cuts_joint), joint_counts[points])
+            _tally(words[:n, shots:], *(c[points] for c in cuts_alone), alone_counts[points])
     return joint_counts.reshape(joint.shape), alone_counts.reshape(alone.shape)
 
 

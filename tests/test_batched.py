@@ -402,20 +402,20 @@ class TestScalarIsTheUnbatchedCase:
 class TestEachSliceCheckedOnce:
     """A scan slice proves its operators valid once.  Qubit targets are
     checked through their parameters (``check_qubit``), which implies the
-    spectrum and completeness ``check_povms`` tests, and the optimal states
-    of a highdim slice are rank-one projectors of unit kets."""
+    spectrum and completeness ``check_povms`` tests, qubit states through
+    their Bloch lengths (``qubit_states``), and the optimal states of a
+    highdim slice are rank-one projectors of unit kets."""
 
     @pytest.mark.parametrize("points", [1024, 2048, 3072])
     def test_exact_scan_runs_one_eigvalsh_per_slice(self, monkeypatch, points):
-        # two for the probe's effects, then one per slice for its states
+        # two for the probe's effects; the states are checked by Bloch length
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
         config = {"schema": 1, "mode": "scan", "probe": PROBE,
                   "target": {**TARGET, "theta_grid": {"points": points}}}
         cli._scan_rows(config, cli._parse(config))
-        slices = -(-points // (cli._BATCH_ENTRIES // 4))
-        assert len(calls) == 2 + slices
+        assert len(calls) == 2
 
     @staticmethod
     def boundary_cases():

@@ -678,6 +678,16 @@ class TestErrorsAndOverrides:
         )
         assert run_cli("--config", config, "--out", tmp_path / "o.csv") == 3
 
+    @pytest.mark.parametrize("shots", ["exact", 1000])
+    @pytest.mark.parametrize("length, code", [(1.0 + 1e-9, 0), (1.1, 3)], ids=["within", "over"])
+    def test_state_bloch_length_is_checked(self, tmp_path, shots, length, code):
+        # a state just within the tolerance runs; an overlong one is a
+        # physics error (exit 3) that writes nothing
+        config = scan_config(tmp_path, shots=shots, state={"bloch": [length, 0, 0]})
+        out = tmp_path / "o.csv"
+        assert run_cli("--config", config, "--out", out) == code
+        assert out.exists() == (code == 0)
+
     def test_tiny_probe_bloch_vector_has_an_axis(self, tmp_path):
         config = write_config(tmp_path / "tiny.json", mode="scan",
                               probe={"bloch": [1e-200, 0, 0]}, target={"theta": 0.3})

@@ -9,17 +9,20 @@ from cdtradeoff.cd_measures import cd_from_scenario
 from cdtradeoff.errors import (
     InvalidBiasError,
     InvalidMeasurementError,
+    NotFiniteError,
     NotPsdError,
     ZeroBlochError,
 )
-from cdtradeoff.quantum_core import Povm
+from cdtradeoff.quantum_core import ATOL, Povm, check_states, index_base
 from cdtradeoff.qubit_model import (
     ID2,
     SIGMA_X,
     SIGMA_Z,
     ConvexPovmSpec,
+    InstrumentPolicy,
     QubitMeasurement,
     _separate_probe,
+    bloch_matrix,
     cd_parametric,
     check_qubit,
     convex_povm,
@@ -28,6 +31,7 @@ from cdtradeoff.qubit_model import (
     measurement_from_povm,
     optimal_state,
     plane_axis,
+    qubit_states,
     state_from_bloch,
 )
 
@@ -373,6 +377,31 @@ class TestCovariance:
                 assert abs(rotated.correlation - reference.correlation) <= 1e-9
                 assert abs(rotated.disturbance - reference.disturbance) <= 1e-9
 
+    def test_each_point_under_its_own_rotation(self):
+        # the paper's unitary-noise claim at the level of one point: a random
+        # rotation of the probe axis, the target axis and the state leaves
+        # C and D as they were, for every probe policy and for mixed states
+        rng = np.random.default_rng(79)
+        policies = list(InstrumentPolicy)
+        for i in range(240):
+            probe = random_qubit_measurement(rng)
+            target = random_qubit_measurement(rng)
+            r = random_axis(rng) * rng.uniform(0.0, 1.0) ** (1 / 3)
+            rot = random_rotation(rng)
+            policy = policies[i % len(policies)]
+            values = [
+                cd_from_scenario(state_from_bloch(rot @ r if turned else r),
+                                 policy.instrument(QubitMeasurement(
+                                     probe.bias, rot @ probe.bloch if turned else probe.bloch
+                                 ).to_povm()),
+                                 QubitMeasurement(
+                                     target.bias, rot @ target.bloch if turned else target.bloch
+                                 ).to_povm())
+                for turned in (False, True)
+            ]
+            assert abs(values[1].correlation - values[0].correlation) <= 1e-12, i
+            assert abs(values[1].disturbance - values[0].disturbance) <= 1e-12, i
+
     def test_disturbance_commutator_form(self):
         # D equals |s * |b| * (a x (a x b)) . r| for any state direction r
         rng = np.random.default_rng(78)
@@ -388,6 +417,64 @@ class TestCovariance:
             )
             value = simulate(probe, target, rho=state_from_bloch(r))
             assert value.disturbance == pytest.approx(predicted, abs=1e-9)
+
+
+class TestQubitStates:
+    """``qubit_states`` checks Bloch vectors by length; ``check_states`` on
+    the matrices (I + r . sigma)/2 is its oracle."""
+
+    @staticmethod
+    def oracle(vectors):
+        return check_states((ID2 + bloch_matrix(vectors)) / 2)
+
+    @staticmethod
+    def outcome(check, vector):
+        """The error type ``check`` raises on ``vector``, or None."""
+        try:
+            check(vector)
+        except Exception as exc:  # noqa: BLE001 - the type is the outcome
+            return type(exc)
+        return None
+
+    def test_length_check_accepts_what_check_states_accepts(self):
+        # lengths within a few ATOL of the boundary 1 + 2 ATOL, in random
+        # directions and along the axes, and exact boundary values
+        rng = np.random.default_rng(31)
+        directions = rng.normal(size=(12000, 3))
+        directions[:300] = np.eye(3)[rng.integers(0, 3, 300)] * rng.choice([-1.0, 1.0], (300, 1))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        lengths = 1.0 + ATOL * rng.uniform(-3.0, 7.0, len(directions))
+        lengths[:6] = [1.0, 1.0 + ATOL, 1.0 + 2 * ATOL, 1.0 + 3 * ATOL, 1.0 - ATOL, 0.0]
+        vectors = directions * lengths[:, None]
+        outcomes = [self.outcome(qubit_states, v) for v in vectors]
+        assert outcomes == [self.outcome(self.oracle, v) for v in vectors]
+        accepted = np.array([o is None for o in outcomes])
+        assert set(outcomes) == {None, NotPsdError}
+        assert 0.3 < accepted.mean() < 0.7
+        # the accepted vectors as one stack: the same matrices, bit for bit
+        assert np.array_equal(qubit_states(vectors[accepted]), self.oracle(vectors[accepted]))
+
+    def test_overlong_vector_names_its_index(self):
+        vectors = np.tile([0.6, 0.0, 0.8], (6, 1))
+        vectors[3] = [1.1, 0.0, 0.0]
+        vectors[5] = [0.0, 2.0, 0.0]
+        with pytest.raises(NotPsdError, match=r"at index 3 of Bloch length 1\.1 "):
+            qubit_states(vectors)
+        with index_base(40), pytest.raises(NotPsdError, match="at index 43 "):
+            qubit_states(vectors)
+        with pytest.raises(NotPsdError, match="state of Bloch length 1.1 "):
+            qubit_states(vectors[3])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_names_its_index(self, bad):
+        # finiteness is checked first, over the whole stack, as check_states does
+        vectors = np.tile([0.6, 0.0, 0.8], (6, 1))
+        vectors[2] = [1.1, 0.0, 0.0]
+        vectors[4, 1] = bad
+        with pytest.raises(NotFiniteError, match="at index 4 "):
+            qubit_states(vectors)
+        with np.errstate(invalid="ignore"), pytest.raises(NotFiniteError, match="at index 4 "):
+            self.oracle(vectors)
 
 
 class TestStateFromBloch:

@@ -488,6 +488,118 @@ class TestSampleTablesOracle:
             estimate_columns(np.ones((3, 3, 3)), np.ones((3, 3)))
 
 
+def assert_oracle_counts(joint, alone, shots, shots_alone, seed, first=0):
+    """``sample_tables`` counts each point as the searchsorted oracle does on
+    the fresh stream of the point, joint arm first; returns the counts."""
+    jc, ac = sample_tables(joint, alone, shots, seed, first, shots_alone)
+    for i in range(len(jc)):
+        rng = _stream(seed ^ (first + i))
+        assert np.array_equal(jc[i].ravel(), categorical_oracle(rng, joint[i], shots)), i
+        assert np.array_equal(ac[i], categorical_oracle(rng, alone[i], shots_alone)), i
+    return jc, ac
+
+
+# Rows with zero cells before, between and after the drawn ones: the edges
+# of trailing zero cells lie at 1, above every uniform, so an arm counts
+# every word against them.
+ZERO_ROWS = [
+    ([0.0, 0.0, 0.3, 0.0, 0.7, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0]),
+    ([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ([0.25, 0.0, 0.25, 0.0, 0.25, 0.0, 0.25, 0.0, 0.0], [0.0, 0.5, 0.5]),
+    ([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.5]),
+    ([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0]),
+]
+ZERO_JOINT = np.array([joint for joint, _ in ZERO_ROWS]).reshape(-1, 3, 3)
+ZERO_ALONE = np.array([alone for _, alone in ZERO_ROWS])
+
+
+class TestChunkTallyCorners:
+    """Corners of the chunk path's count: uint16 row sums of one reused
+    bool buffer per arm, against the searchsorted oracle."""
+
+    @pytest.mark.parametrize("shots, shots_alone", [(_BLOCK - 1, 1), (1, _BLOCK - 1)])
+    def test_sixteen_bit_ceiling(self, shots, shots_alone):
+        # records of exactly one block, one point per chunk; rows 1 and 2
+        # draw each arm into one cell, through thresholds of 0 or edges
+        # above every uniform
+        jc, ac = assert_oracle_counts(STACK_JOINT, STACK_ALONE, shots, shots_alone, 2026)
+        assert jc.max() == shots and ac.max() == shots_alone
+
+    @pytest.mark.parametrize("shots, shots_alone", [(1000, 1000), (7, 300), (1, 1)])
+    def test_one_outcome_tables(self, shots, shots_alone):
+        # no edges: every word lands in the one cell; a one-outcome joint arm
+        # still consumes its words before the alone arm draws
+        ones = np.ones((40, 1, 1))
+        jc, ac = sample_tables(ones, ones[:, 0], shots, 9, 4, shots_alone)
+        assert jc.shape == (40, 1, 1) and ac.shape == (40, 1)
+        assert (jc == shots).all() and (ac == shots_alone).all()
+        alone = THREE_ALONE[:40]
+        jc, ac = assert_oracle_counts(ones, alone, shots, shots_alone, 9, 4)
+        assert (jc == shots).all()
+
+    @pytest.mark.parametrize("shots, shots_alone",
+                             [(1000, 1000), (1, 1), (4000, 7), (_BLOCK // 2, _BLOCK // 2)])
+    def test_zero_cells_and_edges_above_every_uniform(self, shots, shots_alone):
+        jc, ac = assert_oracle_counts(ZERO_JOINT, ZERO_ALONE, shots, shots_alone, 2**64 - 1, 11)
+        assert (jc.reshape(len(jc), -1)[ZERO_JOINT.reshape(len(jc), -1) == 0] == 0).all()
+        assert (ac[ZERO_ALONE == 0] == 0).all()
+        assert jc[1, 0, 1] == jc[3, 0, 0] == jc[4, 2, 2] == shots
+
+    @pytest.mark.parametrize("points", [17, 31, 33])
+    def test_partial_last_chunk(self, points):
+        # records of 4000 words: chunks of 16 points, the last one partial
+        assert _BLOCK // 4000 == 16
+        jc, ac = assert_oracle_counts(THREE_JOINT[:points], THREE_ALONE[:points], 3000, 1000, 5, 2)
+        last = points - points % 16
+        one_jc, one_ac = sample_tables(THREE_JOINT[last:points], THREE_ALONE[last:points], 3000, 5,
+                                       2 + last, 1000)
+        assert np.array_equal(jc[last:], one_jc) and np.array_equal(ac[last:], one_ac)
+
+    def test_no_chunk_arm_reaches_two_to_the_sixteen_words(self, monkeypatch):
+        # the uint16 row sums rest on this: both arms of a chunk-path record
+        # share one block and hold at least one word each
+        assert _BLOCK - 1 <= np.iinfo(np.uint16).max
+        widths = []
+        tally = shot_sampler._tally
+
+        def spy(words, *args):
+            widths.append(words.shape[1])
+            return tally(words, *args)
+
+        monkeypatch.setattr(shot_sampler, "_tally", spy)
+        # records of one block: a chunk of one point each
+        pairs = [(1, _BLOCK - 1), (_BLOCK - 1, 1), (_BLOCK // 2, _BLOCK // 2)]
+        for shots, shots_alone in pairs:
+            sample_tables(STACK_JOINT[:2], STACK_ALONE[:2], shots, 1, 0, shots_alone)
+        assert len(widths) == 4 * len(pairs) and max(widths) == _BLOCK - 1
+        assert all(a + b == _BLOCK for a, b in zip(widths[::2], widths[1::2]))
+        widths.clear()
+        for shots, shots_alone in [(_BLOCK, 1), (1, _BLOCK), (_BLOCK // 2 + 1, _BLOCK // 2)]:
+            sample_tables(STACK_JOINT[:2], STACK_ALONE[:2], shots, 1, 0, shots_alone)
+        assert widths == []  # records over one block are counted a block at a time
+
+    def test_memory_of_one_comparison(self):
+        # the CLI's joint arm of 32 points at 1e3 shots, three edges: all of
+        # them are counted in the memory one broadcast comparison takes (its
+        # bool result and the iterator's buffers), where one comparison of
+        # every edge at once held three bools per word
+        words = np.random.default_rng(1).integers(0, 2**64, (32, 2000), dtype=np.uint64)[:, :1000]
+        (thresholds, above), = _thresholds([np.full((32, 4), 0.25)])
+        out = np.empty((32, 4), dtype=np.int64)
+        peaks = []
+        for count in (lambda: words < thresholds[:, :1],
+                      lambda: shot_sampler._tally(words, thresholds, above, out)):
+            count()  # lazy imports and caches
+            tracemalloc.start()
+            try:
+                count()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (out.sum(axis=1) == 1000).all()
+        assert peaks[1] <= peaks[0] + 4096
+
+
 class TestThreadedBlockPath:
     """Records of more than one block are counted on worker threads, one
     contiguous span of points each; the counts equal the one-point calls
