@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -394,6 +395,22 @@ def _conic_rows(t: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> np.ndarr
     return np.column_stack([cx, np.sqrt(p_sq), kappa * s_strength, s_strength, coef])[real]
 
 
+def _scatter(points: np.ndarray, idxs: np.ndarray) -> np.ndarray:
+    """Rows of the three 3x3 scatter matrices S1, S2, S3 of each resample:
+    the products of the quadratic monomials (x^2, xy, y^2) and the linear
+    ones (x, y, 1) of the ``points`` rows that each row of ``idxs`` picks.
+    S1 and S3 are the diagonal blocks of one Gram product of all six
+    monomials (a BLAS ``syrk``, whose diagonal blocks carry the bits of
+    their own products); S2 keeps its own product, whose bits the Gram
+    product's off-diagonal block does not carry."""
+    sampled = np.take(points, idxs, 0)
+    gram = sampled.transpose(0, 2, 1) @ sampled
+    if not np.isfinite(gram[:, :3, :3]).all():
+        raise OutOfDomainError("scatter of the scan points overflows double precision")
+    s2 = sampled[..., :3].transpose(0, 2, 1) @ sampled[..., 3:]
+    return np.concatenate([gram[:, :3, :3], s2, gram[:, 3:, 3:]], axis=1).reshape(len(idxs), 27)
+
+
 def _sampson_rms(coef: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     a, b, c, d, e, f = coef
     val = a * x * x + b * x * y + c * y * y + d * x + e * y + f
@@ -410,22 +427,16 @@ def fit_ellipse_unknown_theta(
 ) -> DeviceCharacter:
     """Recover the identifiable strength combinations without any angle
     information, via the direct least-squares conic fit constrained to an
-    ellipse (partitioned scatter matrices, reduced 3x3 eigenproblem)."""
+    ellipse (partitioned scatter matrices, reduced 3x3 eigenproblem).  The
+    scatter of each resample is one Gram product of the six monomials and
+    the product of its off-diagonal block S2 (``_scatter``), with the bits
+    of the three separate products."""
     n = len(scan)
     if n < 6:
         raise InsufficientPointsError(f"need at least 6 points, got {n}")
     x, y = scan.c, scan.d
     points = np.column_stack([x * x, x * y, y * y, x, y, np.ones(n)])
-
-    def scatter(idxs):  # rows of the three 3x3 scatter matrices of each resample
-        sampled = np.take(points, idxs, 0)
-        quadratic, linear = sampled[..., :3], sampled[..., 3:]
-        s1 = quadratic.transpose(0, 2, 1) @ quadratic
-        if not np.isfinite(s1).all():
-            raise OutOfDomainError("scatter of the scan points overflows double precision")
-        s2 = quadratic.transpose(0, 2, 1) @ linear
-        s3 = linear.transpose(0, 2, 1) @ linear
-        return np.concatenate([s1, s2, s3], axis=1).reshape(len(idxs), 27)
+    scatter = partial(_scatter, points)
 
     def conic_fit(stats):  # rows of (c0, P, Q, S) and the conic coefficients
         s1, s2, s3 = stats.reshape(-1, 3, 3, 3).swapaxes(0, 1)

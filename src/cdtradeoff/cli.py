@@ -430,14 +430,14 @@ def _report(config: dict, **fields) -> dict:
 
 def _write_scan(out_path: str, theta: np.ndarray, columns: np.ndarray, config: dict) -> None:
     """The CSV of a scan's theta column and (4, points) columns c, d, c_err,
-    d_err, written one slice of rows at a time, and its sidecar."""
+    d_err, written one slice of rows at a time (one ``%`` formatting each),
+    and its sidecar."""
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for points in _slices(len(theta)):
             c, d, c_err, d_err = columns[:, points]
-            row_columns = (theta[points], c, d, c_err, d_err, c * c + d * d)
-            fh.write("".join(_CSV_ROW % row
-                             for row in zip(*((col + 0.0).tolist() for col in row_columns))))
+            rows = np.column_stack([theta[points], c, d, c_err, d_err, c * c + d * d]) + 0.0
+            fh.write(_CSV_ROW * len(rows) % tuple(rows.ravel().tolist()))
     _write_json(_sidecar_path(out_path), _report(config, csv_header=CSV_HEADER, rows=len(theta)))
 
 

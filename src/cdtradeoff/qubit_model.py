@@ -56,11 +56,21 @@ _SIGNS = np.array([1.0, -1.0])[:, None, None]  # outcome signs, effect order
 
 
 def bloch_matrix(vec) -> np.ndarray:
-    """v . sigma for a real 3-vector v, or for each row of a (..., 3) stack."""
+    """v . sigma for a real 3-vector v, or for each row of a (..., 3) stack.
+    The entries are written directly, with the bits (signed zeros included)
+    of the sum over the Pauli matrices: x + 0.0 and +-y + 0.0 off the
+    diagonal, z + 0.0 and -z + 0.0 on it, and +0.0 imaginary diagonal parts."""
     v = np.asarray(vec, dtype=float)
     if v.ndim == 0 or v.shape[-1] != 3:
         raise InvalidMeasurementError(f"Bloch vector must have 3 components, got {v.shape}")
-    return np.einsum("...i,ijk->...jk", v, PAULI)
+    x, y, z = np.moveaxis(v, -1, 0) + 0.0
+    out = np.zeros(v.shape[:-1] + (2, 2), dtype=complex)
+    out.real[..., 0, 0] = z
+    out.real[..., 1, 1] = 0.0 - z
+    out.real[..., 0, 1] = out.real[..., 1, 0] = x
+    out.imag[..., 0, 1] = 0.0 - y
+    out.imag[..., 1, 0] = y
+    return out
 
 
 def state_from_bloch(vec) -> DensityMatrix:

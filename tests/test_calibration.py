@@ -225,6 +225,49 @@ class TestBlockFitBits:
         assert fit.errors == expected
 
 
+def scatter_oracle(points, idxs):
+    """Rows of S1, S2, S3 of each resample as three separate products."""
+    sampled = np.take(points, idxs, 0)
+    quadratic, linear = sampled[..., :3], sampled[..., 3:]
+    products = (quadratic.transpose(0, 2, 1) @ quadratic, quadratic.transpose(0, 2, 1) @ linear,
+                linear.transpose(0, 2, 1) @ linear)
+    return np.concatenate(products, axis=1).reshape(len(idxs), 27)
+
+
+class TestScatter:
+    """The conic fit takes S1 and S3 from one Gram product of the six
+    monomials: each block height the bootstrap draws gives the bits of the
+    three separate products, and an overflowing S1 raises."""
+
+    OVERFLOW = "scatter of the scan points overflows double precision"
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 7.0, 1e60, 1e76, 1e80, 1e150])
+    @pytest.mark.parametrize("n", [6, 7, 16, 1024, 1100, 2500, 4096, 5000])
+    def test_every_block_height_equals_three_products(self, n, scale):
+        rng = np.random.default_rng(n)
+        t = rng.uniform(0.0, 2 * np.pi, n)
+        x = scale * (0.1 + 0.5 * np.cos(t) + 0.2 * np.abs(np.sin(t)) + rng.normal(0.0, 0.01, n))
+        y = scale * (0.4 * np.abs(np.sin(t)) + rng.normal(0.0, 0.01, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = np.column_stack([x * x, x * y, y * y, x, y, np.ones(n)])
+            blocks = [np.arange(n)[None]] + [
+                np.minimum((rng.random((height, n)) * n).astype(np.int64), n - 1)
+                for height in range(1, max(1, calibration._INDEX_BLOCK // n) + 1)]
+            for idxs in blocks:
+                expected = scatter_oracle(points, idxs)
+                if np.isfinite(expected[:, :9]).all():
+                    got = calibration._scatter(points, idxs)
+                    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+                else:
+                    with pytest.raises(OutOfDomainError, match=self.OVERFLOW):
+                        calibration._scatter(points, idxs)
+
+    def test_overflowing_scatter_is_out_of_domain(self):
+        # a circle of radius 1e80: the fourth powers in S1 overflow
+        with pytest.raises(OutOfDomainError, match=self.OVERFLOW):
+            fit_ellipse_unknown_theta(circle_scan(1e80), n_bootstrap=0)
+
+
 class TestStackedLstsq:
     """The known-theta fit solves a block of resamples with one stacked
     ``gelsd`` call per arm: each resample gets the solution and rank of

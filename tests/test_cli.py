@@ -349,6 +349,19 @@ class TestCalibrateMode:
         assert run_cli("--config", config, "--out", out) == 4
         assert not out.exists()
 
+    def test_overflowing_scatter_exits_fit_code(self, tmp_path):
+        # a 16-point circle of radius 1e80: its squares are finite, the
+        # fourth powers summed in the conic's scatter overflow
+        thetas = np.linspace(0.0, 2 * np.pi, 16, endpoint=False).tolist()
+        scan_path = tmp_path / "huge.csv"
+        scan_path.write_text(CSV_HEADER + "\n" + "".join(
+            f"{t!r},{1e80 * math.cos(t)!r},{abs(1e80 * math.sin(t))!r},0,0,1e160\n" for t in thetas))
+        config = write_config(tmp_path / "cal.json", mode="calibrate", scan_file=str(scan_path),
+                              fit="ellipse-unknown-theta")
+        out = tmp_path / "r.json"
+        assert run_cli("--config", config, "--out", out) == 4
+        assert not out.exists()
+
     @pytest.mark.parametrize("errors", [False, True], ids=["no_errors", "errors"])
     @pytest.mark.parametrize("fit, code", [("circle", 0), ("ellipse-known-theta", 0),
                                            ("ellipse-unknown-theta", 4)])
@@ -915,7 +928,8 @@ def reject_constant(name):
 
 
 class TestCsvWriter:
-    """The row-at-a-time writer prints the text of the per-value one."""
+    """The writer, one ``%`` formatting a slice, prints the text of the
+    per-value one and of formatting each row alone."""
 
     SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -3.0, 7.0, 1e9,
                123456789.0, 1234567885.0, 1234567895.0, 0.1234567885, 2.5e-7,
@@ -950,6 +964,26 @@ class TestCsvWriter:
             col[mask] = np.array(self.SPECIAL)[idx[mask]]
         columns = [np.where(np.isfinite(col), col, 0.0) for col in columns]
         assert self.written_rows(tmp_path, columns) == self.reference_rows(columns)
+
+    def test_one_format_per_slice_equals_per_row_join(self, tmp_path):
+        # two full slices and a tail; -0.0, subnormals, the largest doubles
+        # and integers among random values
+        rng = np.random.default_rng(13)
+        n = 2 * (cli._BATCH_ENTRIES // 4) + 37
+        special = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 3.0, -17.0,
+                            2.0**53, 123456789.0])
+        columns = [rng.normal(size=n) * 10.0 ** rng.integers(-320, 300, size=n) for _ in range(5)]
+        for col in columns:
+            mask = rng.random(n) < 0.3
+            col[mask] = special[rng.integers(0, len(special), mask.sum())]
+        # c and d stay small enough for c^2 + d^2 to be finite
+        columns[1:3] = [np.where(np.abs(col) < 1e150, col, rng.normal(size=n)) for col in columns[1:3]]
+        theta, c, d, c_err, d_err = columns
+        expected = "".join(cli._CSV_ROW % row for row in zip(*(
+            (col + 0.0).tolist() for col in (theta, c, d, c_err, d_err, c * c + d * d))))
+        out = tmp_path / "w.csv"
+        cli._write_scan(str(out), theta, np.array(columns[1:]), {"schema": 1, "mode": "scan"})
+        assert out.read_text(encoding="utf-8") == CSV_HEADER + "\n" + expected
 
 
 class TestTargetStrengthRange:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from cdtradeoff.errors import (
 from cdtradeoff.quantum_core import ATOL, Povm, check_states, index_base
 from cdtradeoff.qubit_model import (
     ID2,
+    PAULI,
     SIGMA_X,
     SIGMA_Z,
     ConvexPovmSpec,
@@ -475,6 +477,52 @@ class TestQubitStates:
             qubit_states(vectors)
         with np.errstate(invalid="ignore"), pytest.raises(NotFiniteError, match="at index 4 "):
             self.oracle(vectors)
+
+
+class TestBlochMatrix:
+    """``bloch_matrix`` writes the entries of v . sigma directly; the sum
+    over the Pauli matrices is its oracle, bit for bit."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308, 0.3, -0.7]
+
+    @staticmethod
+    def assert_pauli_sum_bits(vectors):
+        expected = np.einsum("...i,ijk->...jk", np.asarray(vectors, dtype=float), PAULI)
+        got = bloch_matrix(vectors)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_special_triples(self):
+        # signed zeros, subnormals and the largest doubles in every position
+        triples = np.array(list(itertools.product(self.SPECIAL, repeat=3)))
+        self.assert_pauli_sum_bits(triples)
+        self.assert_pauli_sum_bits(triples.reshape(10, 100, 3))
+        for triple in triples:
+            self.assert_pauli_sum_bits(triple.tolist())
+            self.assert_pauli_sum_bits(triple[None])
+
+    def test_random_vectors(self):
+        rng = np.random.default_rng(41)
+        vectors = rng.normal(size=(100_000, 3)) * 10.0 ** rng.uniform(-300, 300, (100_000, 1))
+        self.assert_pauli_sum_bits(vectors)
+        self.assert_pauli_sum_bits(vectors.reshape(50, 2000, 3))
+        for vector in vectors[:100]:
+            self.assert_pauli_sum_bits(vector)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("component", [0, 1, 2])
+    def test_non_finite_vectors_refused_by_every_caller(self, bad, component):
+        # the direct entries need not carry the Pauli sum's bits here: each
+        # caller refuses the vector before its matrix is used
+        vector = [0.1, 0.2, 0.3]
+        vector[component] = bad
+        for check in (qubit_states, lambda v: check_qubit(0.0, v),
+                      lambda v: QubitMeasurement(0.0, v)):
+            with pytest.raises(NotFiniteError):
+                check(vector)
+        # halving an infinite complex entry also warns before DensityMatrix refuses it
+        with np.errstate(invalid="ignore"), pytest.raises(NotFiniteError):
+            state_from_bloch(vector)
 
 
 class TestStateFromBloch:
