@@ -18,11 +18,13 @@ the fits read.
 All fitted parameters carry nonparametric bootstrap errors (seeded,
 resampling points with replacement); the shear decomposition is nonlinear,
 so delta-method errors would under-cover.  Each fit draws its resamples as
-blocks of (resamples, points) indices from the seed's Philox stream,
-reduces each block to one row of statistics per resample (for the conic,
-its three 3x3 scatter matrices), and fits the rows of consecutive blocks a
-group at a time (one stacked 3x3 ``solve`` and ``eig`` per group for the
-conic), with the bits of one draw and one fit per resample, as in 0.1.0.
+blocks of (resamples, points) indices from the seed's Philox stream, at
+most 8192 uniforms (or one resample) a block, reduces each block to one
+row of statistics per resample (for the conic, its three 3x3 scatter
+matrices), and fits the rows of consecutive blocks a group of at most 8192
+numbers at a time (one stacked 3x3 ``solve`` and ``eig`` per group for the
+conic), with the bits of one draw and one fit per resample, as in 0.1.0:
+where blocks and groups are cut changes no bit.
 The known-theta fit solves the resamples of a block with one stacked call
 per arm of LAPACK ``gelsd``, the routine ``np.linalg.lstsq`` runs, again
 with each resample's bits.  Degenerate resamples are skipped.
@@ -57,10 +59,16 @@ DEFAULT_BOOTSTRAP = 200
 _COMBOS = ("center_shift", "target_strength_product", "shear_strength", "squeeze_strength")
 _SEPARATED = ("probe_sharpness", "probe_bias", "squeeze", "shear")
 # Bootstrap indices are drawn in blocks of whole resamples holding at most
-# this many uniforms (and at least one resample).  One (resamples, points)
-# matrix of 200 x 1024 raised the peak resident memory of a calibration run
-# by 4.7 MiB; blocks this small add none, and the bits are the same.
-_INDEX_BLOCK = 1 << 12
+# this many uniforms (and at least one resample), and reduced statistics are
+# fitted in groups of at most this many numbers; the bits depend on neither.
+# One (resamples, points) matrix of 200 x 1024 raised the peak resident
+# memory of a calibration run by 4.7 MiB.  A block of the conic scatter
+# holds about 64 bytes per index (uniform, index, six monomials), 512 KiB
+# here: 0.22 to 0.47 MiB more peak RSS on the benchmark's calibrate workload
+# than at 1 << 12, for half the Python round trips.  At 1 << 14 the
+# unknown-theta fit of 4000 resamples of 2049 points peaks above the
+# bootstrap memory model in cli.py plus its 1 MiB allowance.
+_INDEX_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,8 +172,11 @@ def _reduced(reduce, n: int, n_bootstrap: int, seed: int):
     group, filled = np.empty((0, 0)), 0
     for start in range(0, n_bootstrap, step):
         draws = rng.random((min(step, n_bootstrap - start), n))
+        draws *= n
+        idxs = draws.astype(np.int64)
+        np.minimum(idxs, n - 1, out=idxs)
         try:
-            stats = reduce(np.minimum((draws * n).astype(np.int64), n - 1))
+            stats = reduce(idxs)
         except FitError:
             continue
         if filled + len(stats) > len(group):
@@ -335,9 +346,10 @@ def fit_ellipse_known_theta(
     if scan.theta is None:
         raise InsufficientPointsError("every point must carry its theta")
     cos_t, sin_t = np.cos(scan.theta), np.abs(np.sin(scan.theta))
-    # setting ids of the rounded (cos, |sin|) pairs (-0.0 equals 0.0 here)
-    settings = np.round(np.column_stack([cos_t, sin_t]), 12)
-    ids = np.unique(settings, axis=0, return_inverse=True)[1].reshape(n)
+    # setting ids of the rounded (cos, |sin|) pairs, each pair one complex
+    # number (-0.0 equals 0.0 here, and no two NaNs are equal)
+    settings = np.round(np.column_stack([cos_t, sin_t]), 12).view(np.complex128)[:, 0]
+    ids = np.unique(settings, return_inverse=True, equal_nan=False)[1]
     design = np.column_stack([np.ones(n), cos_t, sin_t])
     solvers = (_lstsq(design, scan.c, scan.c_err), _lstsq(sin_t[:, None], scan.d, scan.d_err))
 

@@ -115,8 +115,9 @@ SCAN_POINTS = _HIGHDIM_BYTES // _GRID_POINT_BYTES
 # points): the kept rows, one (resamples, width) array, and the arrays
 # derived from them take at most 112 bytes per resample, reached by the
 # unknown-theta fit on 2049 points; the statistics a fit has reduced but not
-# yet fitted are at most one group of 4096 numbers (or one draw block's),
-# whatever the resample count.  The resample count is capped at
+# yet fitted are at most one group of 8192 numbers (or one draw block's),
+# and a draw block holds at most 8192 uniforms (or one resample), whatever
+# the resample count.  The resample count is capped at
 # BOOTSTRAP_LIMIT, within the same budget, before anything is drawn.
 _RESAMPLE_BYTES = 128
 BOOTSTRAP_LIMIT = _HIGHDIM_BYTES // _RESAMPLE_BYTES

@@ -74,8 +74,12 @@ def bloch_matrix(vec) -> np.ndarray:
 
 
 def state_from_bloch(vec) -> DensityMatrix:
-    """Qubit state (I + r . sigma)/2; |r| <= 1 enforced by positivity."""
-    return DensityMatrix((ID2 + bloch_matrix(vec)) / 2)
+    """Qubit state (I + r . sigma)/2; |r| <= 1 enforced by positivity.  A
+    non-finite r raises NotFiniteError before the matrix is formed."""
+    matrix = bloch_matrix(vec)
+    if not np.isfinite(matrix).all():
+        raise NotFiniteError("Bloch vector has a non-finite entry")
+    return DensityMatrix((ID2 + matrix) / 2)
 
 
 def qubit_states(vecs) -> np.ndarray:

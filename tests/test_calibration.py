@@ -319,7 +319,9 @@ class TestStackedLstsq:
             calibration._lstsq(design, target, np.zeros(6))(np.arange(6)[None])
 
     def test_block_of_resamples_is_one_stacked_call_per_arm(self, monkeypatch):
-        # 256 points: 16 resamples per draw block, 13 blocks and the full fit
+        # 256 points: one stacked call per arm for each draw block of the
+        # 200 resamples, and one for the full fit
+        blocks = -(-200 // (calibration._INDEX_BLOCK // 256))
         calls = {"lstsq": 0, "gelsd": 0}
         lstsq, gufunc = np.linalg.lstsq, np.linalg._umath_linalg.lstsq
 
@@ -335,7 +337,29 @@ class TestStackedLstsq:
         probe = QubitMeasurement(0.3, 0.55 * plane_axis(0.0))
         scan = noisy(forward_scan(probe, 0.85, 0.1, thetas), np.random.default_rng(7))
         fit_ellipse_known_theta(scan, 0.85, n_bootstrap=200)
-        assert calls == {"lstsq": 0, "gelsd": 2 * (13 + 1)}
+        assert calls == {"lstsq": 0, "gelsd": 2 * (blocks + 1)}
+
+
+class TestBlockCuts:
+    """Where the bootstrap cuts its draw blocks and groups changes no bit
+    of a fit: every fit gives the same result at a block size of 4096, of
+    8192 and of 3000 uniforms (not a power of two), with uneven tails."""
+
+    @pytest.mark.parametrize("n", [256, 1025])
+    def test_results_equal_at_every_block_size(self, monkeypatch, n):
+        thetas = np.linspace(0.1, 2 * np.pi, n, endpoint=False)
+        probe = QubitMeasurement(0.3, 0.55 * plane_axis(0.0))
+        scan = noisy(forward_scan(probe, 0.85, 0.1, thetas), np.random.default_rng(8))
+        unknown = CdScan(None, scan.c, scan.d, scan.c_err, scan.d_err)
+        results = {}
+        for block in (4096, 8192, 3000):
+            monkeypatch.setattr(calibration, "_INDEX_BLOCK", block)
+            results[block] = [repr(fit) for fit in (
+                fit_circle_sharp_probe(scan, 200, 7),
+                fit_ellipse_known_theta(scan, None, 200, 7),
+                fit_ellipse_known_theta(scan, 0.85, 333, 2**63 + 7),
+                fit_ellipse_unknown_theta(unknown, 200, 7))]
+        assert results[4096] == results[8192] == results[3000]
 
 
 class TestConicRows:

@@ -16,8 +16,10 @@ from cdtradeoff.calibration import (
     fit_ellipse_unknown_theta,
 )
 from cdtradeoff.detector_model import DetectorNoise, scenario_distributions
-from cdtradeoff.qubit_model import ellipse_map
+from cdtradeoff.qubit_model import QubitMeasurement, ellipse_map, plane_axis
 from cdtradeoff.shot_sampler import estimate_columns, sample_tables
+
+from util import forward_scan
 
 SHOTS = 1000
 RECORDS = 20000  # per setting
@@ -138,6 +140,74 @@ class TestFitCoverage:
         coverage = combo_coverage(fit_ellipse_unknown_theta, 256, trials)
         for name in ("center_shift", "target_strength_product", "squeeze_strength"):
             assert coverage[name] <= coverage_band(0.0, trials), name
+
+
+JITTER_POINTS = 256
+JITTER_TRIALS = 40
+JITTER_SIGMAS = (0.0, 0.05, 0.1)
+
+
+@pytest.fixture(scope="module")
+def jittered_fits():
+    """{sigma: (known-theta hits, unknown-theta z)} over
+    JITTER_TRIALS scans of JITTER_POINTS points at 1e3 shots, each point
+    measured at its grid angle plus N(0, sigma^2) while the scan records the
+    grid angle; hits and z are (trials, combinations) arrays, z the error of
+    a combination in units of its bootstrap error (100 resamples).  Trial t
+    draws its jitter from ``default_rng(1000 + t)``, its shots from the seed
+    t << 32 and its resamples from the bootstrap seed t, so the jitter is
+    the only difference between the rows of one trial.  The scans are built
+    as the CLI scan kernel builds a slice (``util.forward_scan``)."""
+    probe = QubitMeasurement(0.1, 0.8 * plane_axis(0.0))
+    grid = np.linspace(0.0, 2 * np.pi, JITTER_POINTS, endpoint=False)
+    rows = {}
+    for sigma in JITTER_SIGMAS:
+        hits, z_unknown = [], []
+        for trial in range(JITTER_TRIALS):
+            angles = grid + np.random.default_rng(1000 + trial).normal(0.0, sigma, JITTER_POINTS)
+            measured = forward_scan(probe, TARGET_STRENGTH, 0.0, angles, SHOTS, trial << 32)
+            columns = (measured.c, measured.d, measured.c_err, measured.d_err)
+            known = fit_ellipse_known_theta(CdScan(grid, *columns), None, 100, trial)
+            unknown = fit_ellipse_unknown_theta(CdScan(None, *columns), 100, trial)
+            hits.append([covered(getattr(known, name), known.errors[name], TRUE_COMBOS[name])
+                         for name in COMBOS])
+            z_unknown.append([(getattr(unknown, name) - TRUE_COMBOS[name]) / unknown.errors[name]
+                              for name in COMBOS])
+        rows[sigma] = np.array(hits), np.array(z_unknown)
+    return rows
+
+
+class TestAngleJitter:
+    """Fits of scans whose recorded angles are off by per-point unitary
+    noise: the known-theta fit erodes, the unknown-theta fit does not move
+    (it reads no angle), as the tradeoff's covariance says."""
+
+    # measured coverage of center shift, strength product, shear and
+    # squeeze strength over the 40 trials
+    @pytest.mark.parametrize("sigma, pinned", [
+        (0.05, (0.600, 0.700, 0.525, 0.675)),
+        (0.1, (0.625, 0.600, 0.450, 0.625)),
+    ])
+    def test_known_theta_coverage_erodes(self, jittered_fits, sigma, pinned):
+        """Each combination's coverage, pinned in its binomial band: 0.53
+        to 0.70 at sigma 0.05 and 0.45 to 0.62 at sigma 0.1, from 0.57 to
+        0.78 at sigma 0."""
+        coverage = jittered_fits[sigma][0].mean(axis=0)
+        for name, got, expected in zip(COMBOS, coverage, pinned):
+            assert abs(got - expected) <= coverage_band(expected, JITTER_TRIALS), name
+
+    @pytest.mark.parametrize("sigma", JITTER_SIGMAS[1:])
+    def test_unknown_theta_mean_z_does_not_move(self, jittered_fits, sigma):
+        """The same scans with and without jitter give each combination a
+        mean z within four standard errors of its paired difference (it
+        moves by at most 0.13 here), while the fit's bias keeps every
+        mean z beyond 4 (center +5.8, product -6.1, shear -4.5, squeeze
+        -13.9)."""
+        z_still, z_moved = jittered_fits[0.0][1], jittered_fits[sigma][1]
+        shift = z_moved - z_still
+        bound = 4 * shift.std(axis=0, ddof=1) / math.sqrt(JITTER_TRIALS)
+        assert np.all(np.abs(shift.mean(axis=0)) <= bound)
+        assert np.all(np.abs(z_moved.mean(axis=0)) > 4)
 
 
 class TestDetectorCoverage:
