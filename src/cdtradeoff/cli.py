@@ -544,16 +544,28 @@ def _cmd_detector(config: dict, values: dict, out_path: str) -> None:
     _write_json(out_path, _report(config, **fields))
 
 
-def _require_distinct(config_path: str, out_path: str, mode: str) -> None:
-    """Refuse outputs (the report, or a scan CSV and its sidecar) that
-    resolve to the config file."""
+def _file_key(path: str):
+    """What names the file at ``path``: its device and inode when it exists
+    (so a symlink or a hard link names its target), else its real path."""
+    try:
+        info = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return info.st_dev, info.st_ino
+
+
+def _require_distinct(config_path: str, out_path: str, mode: str, values: dict) -> None:
+    """Refuse outputs (the report, or a scan CSV and its sidecar) that name
+    an input: the config file or a calibration's scan file."""
     outputs = [out_path]
     if mode not in ("calibrate", "detector"):
         outputs.append(_sidecar_path(out_path))
-    config_real = os.path.realpath(config_path)
+    inputs = {_file_key(config_path): "the config file"}
+    if mode == "calibrate":
+        inputs[_file_key(values["scan_file"])] = "the scan file"
     for path in outputs:
-        if os.path.realpath(path) == config_real:
-            raise ConfigError(f"output {path!r} would overwrite the config file")
+        if clobbered := inputs.get(_file_key(path)):
+            raise ConfigError(f"output {path!r} would overwrite {clobbered}")
 
 
 def run(config: dict, values: dict, out_path: str) -> None:
@@ -593,7 +605,7 @@ def main(argv=None) -> int:
         if args.exact:
             config["shots"] = "exact"
         values = _parse(config)
-        _require_distinct(args.config, args.out, config["mode"])
+        _require_distinct(args.config, args.out, config["mode"], values)
         run(config, values, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -236,8 +236,9 @@ def scatter_oracle(points, idxs):
 
 class TestScatter:
     """The conic fit takes S1 and S3 from one Gram product of the six
-    monomials: each block height the bootstrap draws gives the bits of the
-    three separate products, and an overflowing S1 raises."""
+    monomials: a sample of the block heights the bootstrap draws, and the
+    full data, give the bits of the three separate products, and an
+    overflowing S1 raises."""
 
     OVERFLOW = "scatter of the scan points overflows double precision"
 
@@ -248,11 +249,15 @@ class TestScatter:
         t = rng.uniform(0.0, 2 * np.pi, n)
         x = scale * (0.1 + 0.5 * np.cos(t) + 0.2 * np.abs(np.sin(t)) + rng.normal(0.0, 0.01, n))
         y = scale * (0.4 * np.abs(np.sin(t)) + rng.normal(0.0, 0.01, n))
+        # the smallest and the largest height, the heights of a 200-resample
+        # bootstrap's full blocks and tail, and three seeded heights between
+        step = max(1, calibration._INDEX_BLOCK // n)
+        heights = {1, step, min(step, 200), 200 % step or step, *rng.integers(1, step + 1, 3)}
         with np.errstate(over="ignore", invalid="ignore"):
             points = np.column_stack([x * x, x * y, y * y, x, y, np.ones(n)])
             blocks = [np.arange(n)[None]] + [
                 np.minimum((rng.random((height, n)) * n).astype(np.int64), n - 1)
-                for height in range(1, max(1, calibration._INDEX_BLOCK // n) + 1)]
+                for height in sorted(heights)]
             for idxs in blocks:
                 expected = scatter_oracle(points, idxs)
                 if np.isfinite(expected[:, :9]).all():

@@ -86,6 +86,22 @@ class TestScanMode:
         assert (tmp_path / "scan.json").read_bytes() == before
         assert run_cli("--config", config, "--out", out) == 0  # rerun works
 
+    @pytest.mark.parametrize("link", [None, "symlink_to", "hardlink_to"])
+    def test_calibration_never_clobbers_its_scan(self, tmp_path, monkeypatch, link):
+        # a report that names the scan file exits 2 before reading it
+        scan = tmp_path / "scan.csv"
+        assert run_cli("--config", scan_config(tmp_path), "--out", scan) == 0
+        out = tmp_path / "report.json" if link else scan
+        if link:
+            getattr(out, link)(scan)
+        files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        config = write_config(tmp_path / "cal.json", mode="calibrate", scan_file=str(scan),
+                              fit="circle")
+        monkeypatch.setattr(cli, "read_scan_csv", lambda path: pytest.fail("scan file read"))
+        assert run_cli("--config", config, "--out", out) == 2
+        files[tmp_path / "cal.json"] = (tmp_path / "cal.json").read_bytes()
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
+
     def test_shot_mode_deterministic_bytes(self, tmp_path):
         config = scan_config(tmp_path, shots=10_000)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -1211,9 +1227,17 @@ class TestBootstrapCap:
 
     @pytest.mark.parametrize("fit", ["circle", "ellipse-unknown-theta"])
     def test_model_bounds_the_peak(self, tmp_path, fit):
-        # over 2048 points every resample is a block of its own
+        # at 2049 points a draw block holds 8192 // 2049 = 3 resamples
+        self.check_peak(tmp_path, fit, 2049)
+
+    @pytest.mark.parametrize("fit", ["circle", "ellipse-unknown-theta"])
+    def test_model_bounds_the_one_resample_peak(self, tmp_path, fit):
+        # over 4096 points every resample is a block of its own
+        self.check_peak(tmp_path, fit, 4097)
+
+    def check_peak(self, tmp_path, fit, points):
         resamples = 4000
-        scan_file = self.scan_file(tmp_path, 2049)
+        scan_file = self.scan_file(tmp_path, points)
         code, peak = traced_exit(tmp_path, "cal", mode="calibrate", scan_file=scan_file,
                                  fit=fit, bootstrap=resamples)
         assert code == 0
