@@ -27,7 +27,8 @@ conic), with the bits of one draw and one fit per resample, as in 0.1.0:
 where blocks and groups are cut changes no bit.
 The known-theta fit solves the resamples of a block with one stacked call
 per arm of LAPACK ``gelsd``, the routine ``np.linalg.lstsq`` runs, again
-with each resample's bits.  Degenerate resamples are skipped.
+with each resample's bits.  Degenerate resamples are skipped; a singular
+conic ``s3`` solves to NaN and is masked out of its group before ``eig``.
 """
 
 from __future__ import annotations
@@ -195,22 +196,6 @@ def _unit_scaled(errs: np.ndarray) -> np.ndarray:
     [0.5, 1): exact, so a weighted fit keeps its bits, and the inverse
     errors cannot overflow."""
     return np.ldexp(errs, -np.frexp(errs.min())[1])
-
-
-def _kept(row_fit, items) -> np.ndarray:
-    """Rows of ``row_fit`` over ``items`` (argument tuples), skipping those
-    on which it raises ``FitError``; the last such error when none is kept.
-    The error is kept without its traceback, which would hold this frame
-    and its rows in a reference cycle until the next garbage collection."""
-    rows, error = [], None
-    for item in items:
-        try:
-            rows.append(row_fit(*item))
-        except FitError as exc:
-            error = exc.with_traceback(None)
-    if not rows:
-        raise error
-    return np.array(rows, dtype=float)
 
 
 def _finite(result, errors: dict):
@@ -452,12 +437,14 @@ def fit_ellipse_unknown_theta(
 
     def conic_fit(stats):  # rows of (c0, P, Q, S) and the conic coefficients
         s1, s2, s3 = stats.reshape(-1, 3, 3, 3).swapaxes(0, 1)
-        try:
-            t = -np.linalg.solve(s3, s2.transpose(0, 2, 1))
-        except np.linalg.LinAlgError as exc:
-            if len(stats) > 1:  # one singular resample fails the stack: solve each alone
-                return _kept(lambda row: conic_fit(row[None])[0], zip(stats))
-            raise NotAnEllipseError("degenerate point configuration") from exc
+        # one stacked call of the gufunc np.linalg.solve runs: with invalid
+        # results ignored, it fills the solution of a singular s3 with NaN;
+        # one that overflows to NaN only in part is kept, and eig rejects it
+        t = -_umath_linalg.solve(s3, s2.transpose(0, 2, 1), signature="dd->d")
+        solved = ~np.isnan(t).all(axis=(1, 2))
+        if not solved.any():
+            raise NotAnEllipseError("degenerate point configuration")
+        s1, s2, t = s1[solved], s2[solved], t[solved]
         m = s1 + s2 @ t
         try:
             evals, evecs = np.linalg.eig(np.stack([m[:, 2] / 2.0, -m[:, 1], m[:, 0] / 2.0], axis=1))

@@ -122,13 +122,16 @@ SCAN_POINTS = _HIGHDIM_BYTES // _GRID_POINT_BYTES
 _RESAMPLE_BYTES = 128
 BOOTSTRAP_LIMIT = _HIGHDIM_BYTES // _RESAMPLE_BYTES
 # Time model of a shot-mode run: it draws points * 2 * shots raw Philox
-# words (both arms of every record), and a word costs at least the
-# generator's floor of about 8.5 ns on one core (8.5 to 10.5 ns measured on
-# a 2-vCPU x86_64 VM, numpy 2.4).  A run of more than DRAW_LIMIT draws,
-# about _DRAW_SECONDS on one core at that floor, is refused before any
-# table is built.  The bound is a one-core bound: records of more than one
-# block are drawn on every CPU the process may use, which shortens the run
-# but leaves the limit, and so which configs are refused, unchanged.
+# words (both arms of every record).  A run of more than DRAW_LIMIT draws is
+# refused before any table is built.  DRAW_LIMIT is a fixed count: the words
+# of _DRAW_SECONDS at the _WORD_NS per word measured on one core of a 2-vCPU
+# x86_64 VM (numpy 2.4) when the cap was set.  The sampler has since become
+# faster there (3.4 to 3.6 ns per word on one core), so the limit now stands
+# for about 1.2 to 1.3 hours of draws on one core; it stays a count, so that
+# no config changes its exit code.
+# The bound is a one-core bound: records of more than one block are drawn on
+# every CPU the process may use, which shortens the run but leaves the
+# limit, and so which configs are refused, unchanged.
 _WORD_NS = 8.5
 _DRAW_SECONDS = 3 * 3600
 DRAW_LIMIT = int(_DRAW_SECONDS * 1e9 / _WORD_NS)
@@ -335,7 +338,7 @@ def _parse(config: dict) -> dict:
 
 def _draws(points: int, shots: int | None) -> None:
     _require(shots is None or points * 2 * shots <= DRAW_LIMIT,
-             f"points * 2 * shots must be <= {DRAW_LIMIT} (about {_DRAW_SECONDS} s of draws)")
+             f"points * 2 * shots must be <= {DRAW_LIMIT} (a fixed cap on draws)")
 
 
 def _linspace(start: float, stop: float, points: int, shots: int | None) -> np.ndarray:

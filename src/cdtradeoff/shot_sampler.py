@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,6 +226,9 @@ def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
                 _rekey(bitgen, seed ^ (first + i))
                 joint_counts[i] = _count(bitgen, *(c[i] for c in cuts_joint), shots, block)
                 alone_counts[i] = _count(bitgen, *(c[i] for c in cuts_alone), shots_alone, block)
+
+        # imported here: only records of more than one block start threads
+        from concurrent.futures import ThreadPoolExecutor
 
         bounds = [len(joint) * w // workers for w in range(workers + 1)]
         spans = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]

@@ -126,6 +126,15 @@ CASES = [
     ("scan-1024-unknown", fit("scan-1024", "ellipse-unknown-theta"), "json", "same"),
     ("scan-300", scan(300, seed=3, shots=1000), "csv", "same"),
     ("scan-2049", scan(2049, seed=3, shots=1000), "csv", "same"),
+    # unknown-theta fits of 6- and 8-point exact scans and of a 6-point shot
+    # scan (at seed 0; its seed-7 bootstrap holds no singular resample):
+    # each bootstrap group holds a resample whose s3 is singular
+    ("six", scan(6), "csv", "same"),
+    ("eight", scan(8), "csv", "same"),
+    ("six-shot", scan(6, **SHOT), "csv", "same"),
+    ("six-unknown", fit("six", "ellipse-unknown-theta"), "json", "same"),
+    ("eight-unknown", fit("eight", "ellipse-unknown-theta"), "json", "same"),
+    ("six-shot-unknown", fit("six-shot", "ellipse-unknown-theta", seed=0), "json", "same"),
     # a calibration of the 1e80 circle, whose conic scatter overflows
     ("huge", {"mode": "calibrate", "scan_file": "huge.csv", "fit": "ellipse-unknown-theta"},
      "json", "exit 4"),

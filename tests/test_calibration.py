@@ -1,5 +1,9 @@
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from cdtradeoff import calibration
 from cdtradeoff.calibration import (
@@ -9,6 +13,7 @@ from cdtradeoff.calibration import (
     fit_ellipse_known_theta,
     fit_ellipse_unknown_theta,
 )
+from cdtradeoff.cli import CSV_HEADER, main
 from cdtradeoff.detector_model import DetectorNoise, scenario_cd, scenario_distributions
 from cdtradeoff.errors import (
     InsufficientPointsError,
@@ -223,6 +228,96 @@ class TestBlockFitBits:
         assert kept_counts[0] == kept < 200
         assert len(fit.errors) == 4
         assert fit.errors == expected
+
+
+@pytest.fixture
+def singular_counts(monkeypatch):
+    """Resamples whose conic ``s3`` is singular, one count per stacked
+    solve, in call order."""
+    counts = []
+
+    def spy(*args, **kwargs):
+        t = _umath_linalg.solve(*args, **kwargs)
+        counts.append(int(np.isnan(t).all(axis=(1, 2)).sum()))
+        return t
+
+    monkeypatch.setattr(calibration, "_umath_linalg",
+                        SimpleNamespace(solve=spy, lstsq=_umath_linalg.lstsq))
+    return counts
+
+
+class TestSingularMask:
+    """The conic fit solves each group of resamples with one stacked call,
+    drops the resamples whose ``s3`` is singular, and fits the rest with
+    one ``eig``: the kept resamples and the errors of the one-resample
+    oracle, on small scans whose bootstraps draw singular resamples."""
+
+    PROBE = QubitMeasurement(0.3, 0.55 * plane_axis(0.0))
+    GRIDS = {
+        # points on the D = 0 axis at 0 and pi; the grid's mirrored angles
+        # give the same point
+        "zero_and_pi_6": np.linspace(0.0, 2 * np.pi, 6, endpoint=False),
+        "zero_and_pi_8": np.linspace(0.0, 2 * np.pi, 8, endpoint=False),
+        "repeated_7": np.array([0.0, 0.5, 0.5, 1.4, 2.3, 2.3, np.pi]),
+        "repeated_9": np.array([0.2, 0.2, 0.2, 1.0, 1.9, 1.9, 2.7, np.pi, np.pi]),
+    }
+
+    def scan(self, grid, noise):
+        """The unknown-theta scan of ``grid``; with ``noise``, each distinct
+        point moves by one Gaussian draw, so repeated points stay repeated."""
+        scan = forward_scan(self.PROBE, 0.85, 0.1, self.GRIDS[grid])
+        if not noise:
+            return CdScan(None, scan.c, scan.d)
+        rng = np.random.default_rng(6)
+        ids = np.unique(np.round(np.column_stack([scan.c, scan.d]), 12), axis=0,
+                        return_inverse=True)[1]
+        shift = rng.normal(0.0, 0.01, (ids.max() + 1, 2))[ids]
+        errs = np.full(len(scan), 0.01)
+        return CdScan(None, scan.c + shift[:, 0], scan.d + shift[:, 1], errs, errs)
+
+    # seeds at which each bootstrap draws a resample with a singular s3
+    @pytest.mark.parametrize("grid, noise, seed", [
+        ("zero_and_pi_6", False, 0), ("zero_and_pi_6", False, 2**63 + 7),
+        ("zero_and_pi_6", True, 7), ("zero_and_pi_6", True, 12345),
+        ("zero_and_pi_8", False, 7), ("zero_and_pi_8", True, 0),
+        ("zero_and_pi_8", True, 2**63 + 7),
+        ("repeated_7", False, 12345), ("repeated_7", True, 11), ("repeated_7", True, 2**63 + 7),
+        ("repeated_9", False, 11), ("repeated_9", True, 7), ("repeated_9", True, 12345),
+    ])
+    def test_small_scans_equal_the_oracle(self, kept_counts, singular_counts, grid, noise,
+                                          seed):
+        scan = self.scan(grid, noise)
+        fit = fit_ellipse_unknown_theta(scan, bootstrap_seed=seed)
+        # one solve of the full data, one of the bootstrap's single group
+        full, group = singular_counts
+        assert full == 0 < group
+        expected, kept = bootstrap_oracle(fit_ellipse_unknown_theta, scan, tuple(fit.errors),
+                                          200, seed)
+        assert kept_counts[0] == kept <= 200 - group
+        assert len(fit.errors) == 4
+        assert fit.errors == expected
+
+    def test_every_d_zero_is_degenerate(self, tmp_path):
+        thetas = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+        scan = CdScan(None, 0.1 + 0.5 * np.cos(thetas), np.zeros(8))
+        with pytest.raises(NotAnEllipseError, match="^degenerate point configuration$"):
+            fit_ellipse_unknown_theta(scan)
+        scan_path, config = tmp_path / "flat.csv", tmp_path / "cal.json"
+        scan_path.write_text(CSV_HEADER + "\n" + "".join(
+            f"{t!r},{c!r},0,0,0,{c * c!r}\n" for t, c in zip(thetas.tolist(), scan.c.tolist())))
+        config.write_text(json.dumps({"schema": 1, "mode": "calibrate", "scan_file": str(scan_path),
+                                      "fit": "ellipse-unknown-theta"}), encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert main(["--config", str(config), "--out", str(out)]) == 4
+        assert not out.exists()
+
+    def test_solution_nan_in_part_is_out_of_domain(self, singular_counts):
+        # a nonsingular s3 whose solution overflows to NaN in two entries:
+        # it is not masked, and eig rejects it
+        scan = CdScan(None, np.full(6, 1e58), [0.0, 1e-158, 0.0, 0.0, 2e-157, 0.0])
+        with pytest.raises(OutOfDomainError, match="conic pencil"):
+            fit_ellipse_unknown_theta(scan, n_bootstrap=0)
+        assert singular_counts == [0]
 
 
 def scatter_oracle(points, idxs):

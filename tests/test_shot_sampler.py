@@ -1,6 +1,10 @@
 import hashlib
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -659,6 +663,16 @@ class TestThreadedBlockPath:
         assert shot_sampler._workers(1000) == 1
         monkeypatch.setattr(shot_sampler.os, "cpu_count", lambda: 4)
         assert shot_sampler._workers(1000) == 4
+
+
+def test_cli_import_leaves_the_thread_pool_unimported():
+    # only records of more than one block start threads; the pool's module
+    # is imported there, not by every process
+    src = str(Path(shot_sampler.__file__).resolve().parents[1])
+    code = "import sys, cdtradeoff.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestForwardScanOracle:
