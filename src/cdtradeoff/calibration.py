@@ -27,8 +27,10 @@ conic), with the bits of one draw and one fit per resample, as in 0.1.0:
 where blocks and groups are cut changes no bit.
 The known-theta fit solves the resamples of a block with one stacked call
 per arm of LAPACK ``gelsd``, the routine ``np.linalg.lstsq`` runs, again
-with each resample's bits.  Degenerate resamples are skipped; a singular
-conic ``s3`` solves to NaN and is masked out of its group before ``eig``.
+with each resample's bits.  Degenerate resamples are skipped; a conic
+resample whose pencil is not finite (a singular ``s3`` solves to NaN, or
+its scatter or solution overflows) is masked out of its group before
+``eig``; on the full data the same pencil raises.
 """
 
 from __future__ import annotations
@@ -149,11 +151,11 @@ def _bootstrap(reduce, fit, width: int, n: int, n_bootstrap: int, seed: int) -> 
     """``width``-parameter rows that ``fit`` keeps on ``n_bootstrap``
     resamples of the ``n`` points, fitting the groups of statistics that
     ``_reduced`` yields for ``reduce``; a group on which ``fit`` raises
-    ``FitError`` (it keeps no resample) adds no rows."""
+    ``FitError`` or ``OutOfDomainError`` (it keeps no resample) adds no rows."""
     rows = np.empty((n_bootstrap, width))
     kept = 0
     for group in _reduced(reduce, n, n_bootstrap, seed):
-        with suppress(FitError):
+        with suppress(FitError, OutOfDomainError):
             block = fit(group)
             rows[kept:kept + len(block)] = block
             kept += len(block)
@@ -399,11 +401,10 @@ def _scatter(points: np.ndarray, idxs: np.ndarray) -> np.ndarray:
     S1 and S3 are the diagonal blocks of one Gram product of all six
     monomials (a BLAS ``syrk``, whose diagonal blocks carry the bits of
     their own products); S2 keeps its own product, whose bits the Gram
-    product's off-diagonal block does not carry."""
+    product's off-diagonal block does not carry.  A scatter that overflows
+    is returned as it is; its conic pencil is not finite."""
     sampled = np.take(points, idxs, 0)
     gram = sampled.transpose(0, 2, 1) @ sampled
-    if not np.isfinite(gram[:, :3, :3]).all():
-        raise OutOfDomainError("scatter of the scan points overflows double precision")
     s2 = sampled[..., :3].transpose(0, 2, 1) @ sampled[..., 3:]
     return np.concatenate([gram[:, :3, :3], s2, gram[:, 3:, 3:]], axis=1).reshape(len(idxs), 27)
 
@@ -438,21 +439,27 @@ def fit_ellipse_unknown_theta(
     def conic_fit(stats):  # rows of (c0, P, Q, S) and the conic coefficients
         s1, s2, s3 = stats.reshape(-1, 3, 3, 3).swapaxes(0, 1)
         # one stacked call of the gufunc np.linalg.solve runs: with invalid
-        # results ignored, it fills the solution of a singular s3 with NaN;
-        # one that overflows to NaN only in part is kept, and eig rejects it
+        # results ignored, it fills the solution of a singular s3 with NaN
         t = -_umath_linalg.solve(s3, s2.transpose(0, 2, 1), signature="dd->d")
-        solved = ~np.isnan(t).all(axis=(1, 2))
-        if not solved.any():
-            raise NotAnEllipseError("degenerate point configuration")
-        s1, s2, t = s1[solved], s2[solved], t[solved]
         m = s1 + s2 @ t
+        pencil = np.stack([m[:, 2] / 2.0, -m[:, 1], m[:, 0] / 2.0], axis=1)
+        # a singular s3, a solution that overflows in part and a scatter that
+        # overflows all leave a pencil that is not finite: the resample is dropped
+        finite = np.isfinite(pencil).all(axis=(1, 2))
+        if not finite.any():  # the reason of the last resample
+            if np.isnan(t[-1]).all():
+                raise NotAnEllipseError("degenerate point configuration")
+            raise OutOfDomainError("conic pencil of the scan is not finite in double precision")
         try:
-            evals, evecs = np.linalg.eig(np.stack([m[:, 2] / 2.0, -m[:, 1], m[:, 0] / 2.0], axis=1))
+            evals, evecs = np.linalg.eig(pencil[finite])
         except np.linalg.LinAlgError as exc:
             raise OutOfDomainError(f"conic pencil of the scan: {exc}") from exc
-        return _conic_rows(t, evals, evecs)
+        return _conic_rows(t[finite], evals, evecs)
 
-    combos, coef = np.split(conic_fit(scatter(np.arange(n)[None]))[0], [4])
+    full = scatter(np.arange(n)[None])
+    if not np.isfinite(full[0, :9]).all():
+        raise OutOfDomainError("scatter of the scan points overflows double precision")
+    combos, coef = np.split(conic_fit(full)[0], [4])
     rows = _bootstrap(scatter, conic_fit, 10, n, n_bootstrap, bootstrap_seed)
     return _character(combos.tolist(), _sampson_rms(coef, x, y), _errors(_COMBOS, rows[:, :4]))
 

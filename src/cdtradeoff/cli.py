@@ -10,19 +10,19 @@ detector        simulate and/or invert the on-off detector protocol
 highdim         overlap scan of the d-dimensional circle law
 
 A config is parsed once, after the flags, then run: ``_SCHEMA`` maps each
-key of each mode to its default and parser, and a mode's branch reads only
-the parsed values and checks the rules that tie two keys together.
+key of each mode to its default and parser, and ``_RUNS`` maps each mode to
+what it writes (a scan CSV or a JSON report) and the function that gives it.
 
 All angles are radians.  CSV columns are theta,c,d,c_err,d_err,c2d2 with 9
 significant digits; every scan CSV gets a JSON sidecar carrying the full
 config, its SHA-256 hash, and the library version, so outputs are
 byte-reproducible from config + seed alone.  A grid is evaluated in
 slices of at most ``_BATCH_ENTRIES`` operator entries: each slice's
-operators are built, validated and turned into outcome tables and
-(C, D) columns with array kernels, so only the columns grow with the grid;
-the rows are then written from them, one slice at a time.  Shot-mode scan
-point ``i`` draws from a Philox stream keyed by ``seed XOR i``, where the
-seed lies in [0, 2**64), whatever slice it falls in.
+operators are built and validated, and its outcome tables go through one
+column path (``_columns``, which the detector's two settings take too),
+exact or drawn; only the columns grow with the grid, and the rows are
+written from them a slice at a time.  Shot-mode point ``i`` draws from a
+Philox stream keyed by ``seed XOR i``, seed in [0, 2**64), whatever slice it falls in.
 
 Exit codes: 0 success, 2 config error, 3 physics/feasibility error,
 4 fit failure.
@@ -48,7 +48,7 @@ from .calibration import (
     fit_ellipse_known_theta,
     fit_ellipse_unknown_theta,
 )
-from .detector_model import DetectorNoise, scenario_cd, scenario_distributions
+from .detector_model import LABELS_CLICK, DetectorNoise, _herald, scenario_distributions
 from .errors import (
     CdTradeoffError,
     ConfigError,
@@ -355,6 +355,15 @@ def _slices(points: int, entries: int = 4):
     return (slice(start, min(start + step, points)) for start in range(0, points, step))
 
 
+def _columns(joint, alone, probe: Instrument, labels, shots: int | None, seed: int, first=0):
+    """Columns of a stack of ``scenario_tables`` output whose target outcomes
+    carry ``labels``: exact c, d (2, points), or with ``shots`` per arm the
+    estimates c, d, c_err, d_err (4, points), point i from stream seed ^ (first + i)."""
+    if shots is None:
+        return np.array(cd_tables(joint, alone, probe, labels))
+    return estimate_columns(*sample_tables(joint, alone, shots, seed, first))
+
+
 def _scan_rows(config: dict, values: dict) -> tuple[np.ndarray, np.ndarray]:
     """The grid and the (4, points) columns c, d, c_err, d_err of the scan
     and search-optimal modes."""
@@ -380,11 +389,8 @@ def _scan_rows(config: dict, values: dict) -> tuple[np.ndarray, np.ndarray]:
             elif (state := values["state"]) is None:
                 state = optimal_bloch(unit_axes(probe_bloch), unit_axes(target_bloch))
             joint, alone = scenario_tables(qubit_states(state), probe, target_effects)
-            if shots is None:
-                columns[:2, points] = cd_tables(joint, alone, probe, probe.labels)
-            else:
-                columns[:, points] = estimate_columns(
-                    *sample_tables(joint, alone, shots, values["seed"], points.start))
+            part = _columns(joint, alone, probe, probe.labels, shots, values["seed"], points.start)
+            columns[:len(part), points] = part
     return grid, columns
 
 
@@ -418,8 +424,8 @@ def _highdim_rows(config: dict, values: dict) -> tuple[np.ndarray, np.ndarray]:
             # rank-one projectors of unit kets: valid states by construction
             joint, alone = scenario_tables(projectors(optimal_kets(proj_a, proj_b)), probe,
                                            randomized_povms(values["gamma"], proj_b))
-            columns[:, points] = estimate_columns(
-                *sample_tables(joint, alone, shots, values["seed"], points.start))
+            columns[:, points] = _columns(joint, alone, probe, probe.labels, shots,
+                                          values["seed"], points.start)
     grid *= 2.0  # theta = arccos(2 c^2 - 1), in place of the overlaps
     grid -= 1.0
     return np.arccos(np.clip(grid, -1.0, 1.0, out=grid), out=grid), columns
@@ -502,7 +508,7 @@ def _parsed_rows(lines: list) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 6)
 
 
-def _cmd_calibrate(config: dict, values: dict, out_path: str) -> None:
+def _calibrate_fields(config: dict, values: dict) -> dict:
     fit, strength, n_boot, seed = map(values.get, ("fit", "target_strength", "bootstrap", "seed"))
     _require(fit == "ellipse-known-theta" or strength is None,
              "target_strength applies to the ellipse-known-theta fit only")
@@ -515,27 +521,26 @@ def _cmd_calibrate(config: dict, values: dict, out_path: str) -> None:
         result = dataclasses.asdict(fit_ellipse_known_theta(scan, strength, n_boot, seed))
     else:
         result = dataclasses.asdict(fit_ellipse_unknown_theta(scan, n_boot, seed))
-    _write_json(out_path, _report(config, fit=fit, points=len(scan), result=result))
+    return {"fit": fit, "points": len(scan), "result": result}
 
 
-def _cmd_detector(config: dict, values: dict, out_path: str) -> None:
+def _detector_fields(config: dict, values: dict) -> dict:
     spec, shots = values["detector"], values["shots"]
     fields = {}
     if "eta" in spec:
         noise = DetectorNoise(**spec)
         _draws(2, shots)
-        if shots is None:
-            sharp, biased = (scenario_cd(noise, ref) for ref in ("sharp", "fully_biased"))
-            readings = {"c1": sharp.correlation, "d1": sharp.disturbance,
-                        "c2": biased.correlation, "d2": biased.disturbance}
-        else:
-            # the sharp and fully biased settings are points 0 and 1 of one
-            # stack, drawn from the streams seed ^ 0 and seed ^ 1
-            tables = zip(*(scenario_distributions(noise, ref) for ref in ("sharp", "fully_biased")))
-            (c1, c2), (d1, d2), (c1_err, c2_err), (d1_err, d2_err) = estimate_columns(
-                *sample_tables(*map(np.stack, tables), shots, values["seed"])).tolist()
-            readings = {"c1": c1, "c1_err": c1_err, "d1": d1, "d1_err": d1_err,
-                        "c2": c2, "c2_err": c2_err, "d2": d2, "d2_err": d2_err}
+        # the sharp and fully biased settings are points 0 and 1 of one
+        # stack, drawn from the streams seed ^ 0 and seed ^ 1; the two
+        # heralds share their labels and neither is a square-root
+        # instrument, so the sharp one stands for both in ``cd_tables``
+        tables = zip(*(scenario_distributions(noise, ref) for ref in ("sharp", "fully_biased")))
+        columns = _columns(*map(np.stack, tables), _herald("sharp"), LABELS_CLICK, shots,
+                           values["seed"])
+        # c1, d1, c2, d2, and in shot mode their errors c1_err ... d2_err
+        readings = {name % setting: value
+                    for name, row in zip(("c%d", "d%d", "c%d_err", "d%d_err"), columns.tolist())
+                    for setting, value in enumerate(row, start=1)}
         fields = {"readings": readings, "truth": {"eta": noise.eta, "nu": noise.nu}}
         # the simulated readings are inverted as measured ones are
         spec = {key: readings.get(key, 0.0) for key in ("d1", "c2", "d1_err", "c2_err")}
@@ -544,7 +549,15 @@ def _cmd_detector(config: dict, values: dict, out_path: str) -> None:
     estimate = estimate_detector(**spec)
     fields["estimate"] = {"eta": estimate.noise.eta, "nu": estimate.noise.nu,
                           "eta_err": estimate.eta_err, "nu_err": estimate.nu_err}
-    _write_json(out_path, _report(config, **fields))
+    return fields
+
+
+# What each mode writes: a scan CSV with its sidecar, from the grid and the
+# (4, points) columns of the mode's rows function, or a JSON report of the
+# fields its function returns.
+_RUNS = {"scan": ("csv", _scan_rows), "search-optimal": ("csv", _scan_rows),
+         "highdim": ("csv", _highdim_rows),
+         "calibrate": ("json", _calibrate_fields), "detector": ("json", _detector_fields)}
 
 
 def _file_key(path: str):
@@ -561,7 +574,7 @@ def _require_distinct(config_path: str, out_path: str, mode: str, values: dict) 
     """Refuse outputs (the report, or a scan CSV and its sidecar) that name
     an input: the config file or a calibration's scan file."""
     outputs = [out_path]
-    if mode not in ("calibrate", "detector"):
+    if _RUNS[mode][0] == "csv":
         outputs.append(_sidecar_path(out_path))
     inputs = {_file_key(config_path): "the config file"}
     if mode == "calibrate":
@@ -573,15 +586,11 @@ def _require_distinct(config_path: str, out_path: str, mode: str, values: dict) 
 
 def run(config: dict, values: dict, out_path: str) -> None:
     """Run the config's mode on ``values``, its keys as ``_parse`` gives them."""
-    mode = config["mode"]
-    if mode in ("scan", "search-optimal"):
-        _write_scan(out_path, *_scan_rows(config, values), config)
-    elif mode == "highdim":
-        _write_scan(out_path, *_highdim_rows(config, values), config)
-    elif mode == "calibrate":
-        _cmd_calibrate(config, values, out_path)
+    kind, produce = _RUNS[config["mode"]]
+    if kind == "csv":
+        _write_scan(out_path, *produce(config, values), config)
     else:
-        _cmd_detector(config, values, out_path)
+        _write_json(out_path, _report(config, **produce(config, values)))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -193,7 +193,7 @@ class QubitMeasurement:
     @property
     def strength(self) -> float:
         """Bloch-vector length (sharpness)."""
-        return float(np.linalg.norm(self.bloch))
+        return float(_lengths(self.bloch)[0])
 
     @property
     def axis(self) -> np.ndarray:
@@ -357,10 +357,15 @@ def cd_parametric(
     the disturbance-maximizing input state (``ellipse_map``).
 
     Must agree with the full density-matrix pipeline on the optimal state.
-    ``theta`` is folded onto [0, pi] (the disturbance is a norm).
+    ``theta`` is folded onto [0, pi] (the disturbance is a norm).  A target
+    that is not a valid measurement of strength >= 0 raises
+    InvalidMeasurementError, a non-finite target or ``theta`` NotFiniteError.
     """
-    if abs(target_bias) + target_gamma > 1.0 + ATOL:
-        raise InvalidMeasurementError("target violates positivity")
+    check_qubit(target_bias, (target_gamma, 0.0, 0.0))
+    if target_gamma < 0.0:
+        raise InvalidMeasurementError(f"target strength {target_gamma!r} is negative")
+    if not math.isfinite(theta):
+        raise NotFiniteError(f"theta {theta!r} is not finite")
     *_, c0, p, q, s_strength = ellipse_map(probe.bias, probe.strength, target_bias, target_gamma)
     sin_t = abs(math.sin(theta))
     corr, dist = float(c0 + p * math.cos(theta) + q * sin_t), float(s_strength * sin_t)

@@ -1,5 +1,6 @@
 """The byte-compare corpus of ``base_compare.py`` stays runnable: each case
-is named once, every config is one the head's CLI parses, every
+is named once, every config is one the head's CLI parses and names the
+output kind that its mode writes, every mode has a case, every
 calibration reads a scan that an earlier case writes, and every one-CPU
 case counts records of more than one block.  No CLI run is started."""
 
@@ -23,8 +24,13 @@ def test_config_parses(tmp_path, name, config, kind, expect):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps({"schema": 1, **config}), encoding="utf-8")
     cli._parse(cli.load_config(str(path)))
-    assert kind == ("json" if config["mode"] in ("calibrate", "detector") else "csv")
+    assert kind == cli._RUNS[config["mode"]][0]
     assert expect in EXPECT
+
+
+def test_every_mode_has_a_case():
+    assert set(cli._RUNS) == set(cli.MODES)
+    assert {config["mode"] for _, config, *_ in CASES} == set(cli.MODES)
 
 
 def test_calibrations_read_earlier_scans():

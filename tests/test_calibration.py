@@ -16,6 +16,7 @@ from cdtradeoff.calibration import (
 from cdtradeoff.cli import CSV_HEADER, main
 from cdtradeoff.detector_model import DetectorNoise, scenario_cd, scenario_distributions
 from cdtradeoff.errors import (
+    FitError,
     InsufficientPointsError,
     InvalidMeasurementError,
     NotAnEllipseError,
@@ -311,6 +312,34 @@ class TestSingularMask:
         assert main(["--config", str(config), "--out", str(out)]) == 4
         assert not out.exists()
 
+    # noisy scans near 1e77 whose full data fits, while some resamples of
+    # their seed-7 bootstrap overflow the conic pencil or the scatter
+    @pytest.mark.parametrize("n, scale, seed, overflow", [
+        (6, 1.2e77, 2, "conic pencil"), (9, 1.3e77, 14, "conic pencil"),
+        (6, 1.2e77, 0, "scatter"), (9, 1.2e77, 0, "scatter"),
+    ])
+    def test_overflowing_resamples_are_dropped(self, kept_counts, n, scale, seed, overflow):
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(0.0, 2 * np.pi, n))
+        x = scale * (0.1 + 0.5 * np.cos(t) + 0.2 * np.abs(np.sin(t)) + rng.normal(0.0, 0.01, n))
+        scan = CdScan(None, x, scale * (0.4 * np.abs(np.sin(t)) + rng.normal(0.0, 0.01, n)))
+        fit = fit_ellipse_unknown_theta(scan, bootstrap_seed=7)
+        expected, kept = bootstrap_oracle(fit_ellipse_unknown_theta, scan, tuple(fit.errors),
+                                          200, 7)
+        assert kept_counts[0] == kept
+        assert len(fit.errors) == 4
+        assert fit.errors == expected
+        reasons = []
+        for idx in resample_indices(n, 200, 7):
+            try:
+                fit_ellipse_unknown_theta(CdScan(None, scan.c[idx], scan.d[idx]), n_bootstrap=0)
+            except OutOfDomainError as exc:
+                reasons.append(str(exc))
+            except FitError:
+                pass
+        assert any(reason.startswith(overflow) for reason in reasons)
+        assert kept <= 200 - len(reasons)
+
     def test_solution_nan_in_part_is_out_of_domain(self, singular_counts):
         # a nonsingular s3 whose solution overflows to NaN in two entries:
         # it is not masked, and eig rejects it
@@ -332,8 +361,8 @@ def scatter_oracle(points, idxs):
 class TestScatter:
     """The conic fit takes S1 and S3 from one Gram product of the six
     monomials: a sample of the block heights the bootstrap draws, and the
-    full data, give the bits of the three separate products, and an
-    overflowing S1 raises."""
+    full data, give the bits of the three separate products, a resample
+    whose S1 overflows keeps it not finite, and the full data raises."""
 
     OVERFLOW = "scatter of the scan points overflows double precision"
 
@@ -355,12 +384,11 @@ class TestScatter:
                 for height in sorted(heights)]
             for idxs in blocks:
                 expected = scatter_oracle(points, idxs)
-                if np.isfinite(expected[:, :9]).all():
-                    got = calibration._scatter(points, idxs)
-                    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
-                else:
-                    with pytest.raises(OutOfDomainError, match=self.OVERFLOW):
-                        calibration._scatter(points, idxs)
+                got = calibration._scatter(points, idxs)
+                finite = np.isfinite(expected[:, :9]).all(axis=1)
+                assert np.array_equal(got[finite].view(np.uint64),
+                                      expected[finite].view(np.uint64))
+                assert not np.isfinite(got[~finite, :9]).all(axis=1).any()
 
     def test_overflowing_scatter_is_out_of_domain(self):
         # a circle of radius 1e80: the fourth powers in S1 overflow

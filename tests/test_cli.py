@@ -1246,7 +1246,8 @@ class TestBootstrapCap:
 
 class TestNegativeDisturbance:
     def test_typed_error_maps_to_physics_exit(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "scenario_cd", lambda noise, reference: CdValue(0.5, -0.1))
+        # the column path fails as a negative disturbance does
+        monkeypatch.setattr(cli, "_columns", lambda *args: CdValue(0.5, -0.1))
         config = write_config(tmp_path / "det.json", mode="detector",
                               detector={"eta": 0.9, "nu": 0.01})
         assert run_cli("--config", config, "--out", tmp_path / "r.json") == 3

@@ -162,6 +162,20 @@ class TestCdParametric:
         with pytest.raises(InvalidMeasurementError):
             cd_parametric(QubitMeasurement(0.0, plane_axis(0.0)), 0.8, 0.3, 0.1)
 
+    @pytest.mark.parametrize("gamma, bias, theta, error", [
+        (0.5, 0.0, math.inf, NotFiniteError),
+        (0.5, 0.0, -math.inf, NotFiniteError),
+        (0.5, 0.0, math.nan, NotFiniteError),
+        (math.nan, 0.0, 0.1, NotFiniteError),
+        (math.inf, 0.0, 0.1, NotFiniteError),
+        (0.5, math.nan, 0.1, NotFiniteError),
+        (-0.5, 0.0, 0.1, InvalidMeasurementError),
+        (-1e-300, 0.0, 0.1, InvalidMeasurementError),
+    ])
+    def test_bad_target_or_angle_raises_typed_error(self, gamma, bias, theta, error):
+        with pytest.raises(error):
+            cd_parametric(QubitMeasurement(0.0, plane_axis(0.0)), gamma, bias, theta)
+
     def test_matches_simulation_on_random_pairs(self):
         rng = np.random.default_rng(42)
         for _ in range(500):
@@ -242,6 +256,15 @@ class TestOptimalState:
         sharp = QubitMeasurement(0.0, np.array([1.0, 0.0, 0.0]))
         assert np.array_equal(optimal_state(probe, target).matrix,
                               optimal_state(sharp, target).matrix)
+
+    @pytest.mark.parametrize("bloch, strength", [
+        ([1e-200, 0.0, 0.0], 1e-200),
+        ([0.0, 5e-324, 0.0], 5e-324),
+        ([math.ldexp(3.0, -700), 0.0, math.ldexp(-4.0, -700)], math.ldexp(5.0, -700)),
+    ])
+    def test_tiny_bloch_vector_keeps_its_strength(self, bloch, strength):
+        # the squares of the components underflow to 0
+        assert QubitMeasurement(0.0, np.array(bloch)).strength == strength
 
     def test_zero_bloch_probe(self):
         probe = QubitMeasurement(0.0, np.zeros(3))

@@ -6,7 +6,7 @@ import numpy as np
 
 from cdtradeoff.calibration import CdScan
 from cdtradeoff.cd_measures import cd_from_scenario, cd_tables
-from cdtradeoff.errors import FitError
+from cdtradeoff.errors import FitError, OutOfDomainError
 from cdtradeoff.quantum_core import (
     DensityMatrix,
     Instrument,
@@ -256,7 +256,8 @@ def bootstrap_oracle(fit, scan, names, n_bootstrap, seed, **kwargs):
     """Bootstrap errors of the result fields ``names`` of the public fit
     ``fit``, run with ``n_bootstrap=0`` on each resampled scan.  Each
     resample draws its indices with one ``random(n)`` call on the Philox
-    stream of ``seed``; a resample on which the fit raises ``FitError`` is
+    stream of ``seed``; a resample on which the fit raises ``FitError``, or
+    the ``OutOfDomainError`` of a conic scatter or pencil that overflows, is
     skipped.  Returns ({name: sample std}, resamples kept); the dict is
     empty below two kept resamples."""
     rng = _stream(seed)
@@ -269,6 +270,10 @@ def bootstrap_oracle(fit, scan, names, n_bootstrap, seed, **kwargs):
         try:
             result = fit(CdScan(*columns), n_bootstrap=0, **kwargs)
         except FitError:
+            continue
+        except OutOfDomainError as exc:
+            if not str(exc).startswith(("scatter of the scan", "conic pencil of the scan")):
+                raise
             continue
         rows.append([getattr(result, name) for name in names])
     if len(rows) < 2:
