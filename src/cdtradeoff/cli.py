@@ -125,10 +125,10 @@ BOOTSTRAP_LIMIT = _HIGHDIM_BYTES // _RESAMPLE_BYTES
 # words (both arms of every record).  A run of more than DRAW_LIMIT draws is
 # refused before any table is built.  DRAW_LIMIT is a fixed count: the words
 # of _DRAW_SECONDS at the _WORD_NS per word measured on one core of a 2-vCPU
-# x86_64 VM (numpy 2.4) when the cap was set.  The sampler has since become
-# faster there (3.4 to 3.6 ns per word on one core), so the limit now stands
-# for about 1.2 to 1.3 hours of draws on one core; it stays a count, so that
-# no config changes its exit code.
+# x86_64 VM (numpy 2.4) when the cap was set.  How long the limit takes now
+# depends on the host: on such VMs the raw Philox words alone have since
+# taken from 3.4 to 9.9 ns each on one core, from run to run as host load
+# changed.  It stays a count, so that no config changes its exit code.
 # The bound is a one-core bound: records of more than one block are drawn on
 # every CPU the process may use, which shortens the run but leaves the
 # limit, and so which configs are refused, unchanged.
@@ -471,7 +471,7 @@ def read_scan_csv(path: str) -> CdScan:
     again by ``_parsed_rows``, which names the first bad row."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
+            lines = [line for line in map(str.strip, fh) if line]
     except OSError as exc:
         raise ConfigError(f"cannot read scan file: {exc}") from exc
     if not lines or lines[0] != CSV_HEADER:
@@ -600,7 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, help="JSON scenario config")
     parser.add_argument("--out", required=True, help="output CSV (scans) or JSON (reports)")
-    parser.add_argument("--mode", choices=MODES, help="override the config mode")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--exact", action="store_true", help="force exact (infinite-shot) mode")
     return parser
@@ -610,8 +609,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.mode:
-            config["mode"] = args.mode
         if args.seed is not None:
             config["seed"] = args.seed
         if args.exact:

@@ -5,6 +5,8 @@
 Each case runs with this tree's ``src`` (the head) and with ``PYTHONPATH=BASE_SRC``
 (the base; this tree's own ``src`` checks that outputs are byte-identical across
 runs) and must give what EXPECT names.  The first failing case is named, exit 1.
+Beside the cases written here, the corpus holds every job of the benchmark's
+workloads at seed 7 (``bench/workloads.py``), named ``bench-<workload>-<job>``.
 """
 
 import json
@@ -16,6 +18,9 @@ import tempfile
 from pathlib import Path
 
 HEAD_SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(HEAD_SRC.parent / "bench"))
+import workloads  # noqa: E402
+
 PROBE, TARGET = {"gamma": 0.8, "bias": 0.1}, {"gamma": 0.9, "bias": 0.05}
 FITS = ("circle", "ellipse-known-theta", "ellipse-unknown-theta")
 SHOT = {"seed": 7, "shots": 1000}
@@ -149,6 +154,13 @@ CASES += [(f"{s}-{f}", fit(s, f), "json", "same")
           for s in ("chunk", "scan-1100", "sliced-shot") for f in FITS]
 CASES += [(f"{s}-{f}-{n}", fit(s, f, bootstrap=n), "json", "same")
           for s in ("scan-300", "scan-2049") for f in FITS for n in (1, 7, 200)]
+# the benchmark's own jobs at seed 7 (bench/workloads.py), with the scan
+# files its calibrate workload reads
+for name in workloads.WORKLOADS:
+    workload = workloads.build(name, 7)
+    INPUTS.update(workload.inputs)
+    CASES += [(f"bench-{name}-{job.name}", job.config, Path(job.out).suffix[1:], "same")
+              for job in workload.jobs]
 
 
 def cli(src, config, out, cwd, pinned):

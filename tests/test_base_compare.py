@@ -1,7 +1,8 @@
 """The byte-compare corpus of ``base_compare.py`` stays runnable: each case
 is named once, every config is one the head's CLI parses and names the
 output kind that its mode writes, every mode has a case, every
-calibration reads a scan that an earlier case writes, and every one-CPU
+calibration reads a scan that an earlier case writes or that ``INPUTS``
+holds (the benchmark's calibrate inputs among them), and every one-CPU
 case counts records of more than one block.  No CLI run is started."""
 
 import json

@@ -342,7 +342,8 @@ class TestSingularMask:
 
     def test_solution_nan_in_part_is_out_of_domain(self, singular_counts):
         # a nonsingular s3 whose solution overflows to NaN in two entries:
-        # it is not masked, and eig rejects it
+        # its pencil is not finite, so the full data is masked out before
+        # eig, and the point estimate raises with no resample left
         scan = CdScan(None, np.full(6, 1e58), [0.0, 1e-158, 0.0, 0.0, 2e-157, 0.0])
         with pytest.raises(OutOfDomainError, match="conic pencil"):
             fit_ellipse_unknown_theta(scan, n_bootstrap=0)

@@ -489,6 +489,19 @@ class TestCalibrateMode:
         assert (scan.c == 0.5).all() and (scan.d == 0.25).all()
         assert (scan.c_err == 0.01).all() and (scan.d_err == 0.02).all()
 
+    def test_untidy_file_reads_as_the_tidy_one(self, tmp_path):
+        # CRLF endings, spaces and tabs around each line, and blank and
+        # whitespace-only lines, the first before the header
+        lines = self.scan_text(8).splitlines()
+        untidy = "\r\n \t\r\n" + "".join(f" {line}\t\r\n" if k % 2 else f"{line}  \r\n\r\n"
+                                         for k, line in enumerate(lines)) + "   "
+        (tmp_path / "tidy.csv").write_text(self.scan_text(8), encoding="utf-8")
+        (tmp_path / "untidy.csv").write_bytes(untidy.encode())
+        tidy, scan = (read_scan_csv(str(tmp_path / name)) for name in ("tidy.csv", "untidy.csv"))
+        assert len(scan) == 8
+        for column in ("theta", "c", "d", "c_err", "d_err"):
+            assert getattr(scan, column).tolist() == getattr(tidy, column).tolist(), column
+
     @pytest.mark.parametrize("column", ["c_err", "d_err", "both"])
     @pytest.mark.parametrize("fit", ["circle", "ellipse-known-theta"])
     def test_negative_errors_are_config_error(self, tmp_path, fit, column, capsys):
@@ -731,7 +744,9 @@ class TestErrorsAndOverrides:
         assert run_cli("--config", config, "--out", out2, "--seed", 99) == 0
         assert out1.read_bytes() != out2.read_bytes()
 
-    def test_mode_override(self, tmp_path):
+    def test_mode_flag_is_refused(self, tmp_path, capsys):
+        # a config runs as the mode it declares: a scan config that carries
+        # a search-optimal key exits 2, and --mode is no option to change that
         config = write_config(
             tmp_path / "m.json",
             mode="scan",
@@ -740,8 +755,12 @@ class TestErrorsAndOverrides:
             phi_grid={"start": 0.0, "stop": 2 * np.pi, "points": 8},
         )
         out = tmp_path / "m.csv"
-        assert run_cli("--config", config, "--out", out, "--mode", "search-optimal") == 0
-        assert read_rows(out).shape == (8, 6)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--config", config, "--out", out, "--mode", "search-optimal")
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err
+        assert run_cli("--config", config, "--out", out) == 2
+        assert [path.name for path in tmp_path.iterdir()] == ["m.json"]
 
 
 class TestBoolIsNotAnInteger:

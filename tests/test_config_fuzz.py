@@ -1,4 +1,4 @@
-"""Seeded config fuzzer built from ``cli._SCHEMA``, and the README check.
+"""Seeded config fuzzer built from ``cli._SCHEMA``, and the README checks.
 
 Each case draws a valid config of one mode from the mode's key table, then
 applies one mutation: drop, duplicate or retype a key, nest a value in a
@@ -313,10 +313,13 @@ def test_mutated_config_exits_cleanly(tmp_path, monkeypatch, text, scan, mutatio
                        for field in line.split(","))
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_keys():
     """The keys of each mode's bullet in the README config section: the
     backticked names of its "Keys:" sentence."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     section = text.split("### Config format", 1)[1].split("\n### ", 1)[0]
     keys = {}
     for bullet in re.split(r"\n\* ", section)[1:]:
@@ -331,3 +334,12 @@ def test_readme_lists_the_keys_of_each_mode():
     assert sorted(keys) == sorted(cli.MODES)
     for mode, table in cli._SCHEMA.items():
         assert sorted(keys[mode]) == sorted(table), mode
+
+
+def test_readme_usage_names_the_options_of_the_parser():
+    usage = [line for line in README.read_text(encoding="utf-8").splitlines()
+             if line.startswith("cdtradeoff --config")]
+    assert len(usage) == 1
+    options = [option for action in cli.build_parser()._actions
+               for option in action.option_strings if option not in ("-h", "--help")]
+    assert re.findall(r"--[a-z-]+", usage[0]) == options
