@@ -9,14 +9,15 @@ calibrate       fit a previously written scan file
 detector        simulate and/or invert the on-off detector protocol
 highdim         overlap scan of the d-dimensional circle law
 
-A config is parsed once, after the flags, then run: ``_SCHEMA`` maps each
-key of each mode to its default and parser, and ``_RUNS`` maps each mode to
-what it writes (a scan CSV or a JSON report) and the function that gives it.
+A run is its config file: the file is parsed once, as loaded, then run.
+``_SCHEMA`` maps each key of each mode to its default and parser, and
+``_RUNS`` maps each mode to what it writes (a scan CSV or a JSON report) and
+the function that gives it.
 
 All angles are radians.  CSV columns are theta,c,d,c_err,d_err,c2d2 with 9
 significant digits; every scan CSV gets a JSON sidecar carrying the full
-config, its SHA-256 hash, and the library version, so outputs are
-byte-reproducible from config + seed alone.  A grid is evaluated in
+config, its SHA-256 hash, and the library version, so an identical config
+file reproduces byte-identical outputs.  A grid is evaluated in
 slices of at most ``_BATCH_ENTRIES`` operator entries: each slice's
 operators are built and validated, and its outcome tables go through one
 column path (``_columns``, which the detector's two settings take too),
@@ -42,6 +43,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import (
+    DEFAULT_BOOTSTRAP,
     CdScan,
     estimate_detector,
     fit_circle_sharp_probe,
@@ -274,7 +276,7 @@ _SCHEMA = {
         "scan_file": (_REQUIRED, _path),
         "fit": ("circle", _choice, "circle", "ellipse-known-theta", "ellipse-unknown-theta"),
         "target_strength": (None, _number, 0.0, 1.0),
-        "bootstrap": (200, _integer, 0, BOOTSTRAP_LIMIT),
+        "bootstrap": (DEFAULT_BOOTSTRAP, _integer, 0, BOOTSTRAP_LIMIT),
     },
     "detector": {
         "shots": ("exact", _shots),
@@ -308,10 +310,12 @@ def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             config = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (RecursionError, ValueError) as exc:  # too deep, or an integer of too many digits
+        raise ConfigError(f"config exceeds a limit of the JSON parser: {exc}") from exc
     _require(isinstance(config, dict), "config must be a JSON object")
     _require(config.get("schema") == SCHEMA_VERSION,
              f"config schema must be {SCHEMA_VERSION}")
@@ -472,7 +476,7 @@ def read_scan_csv(path: str) -> CdScan:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [line for line in map(str.strip, fh) if line]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scan file: {exc}") from exc
     if not lines or lines[0] != CSV_HEADER:
         raise SchemaError(f"scan file must start with header {CSV_HEADER!r}")
@@ -600,8 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, help="JSON scenario config")
     parser.add_argument("--out", required=True, help="output CSV (scans) or JSON (reports)")
-    parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--exact", action="store_true", help="force exact (infinite-shot) mode")
     return parser
 
 
@@ -609,10 +611,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.seed is not None:
-            config["seed"] = args.seed
-        if args.exact:
-            config["shots"] = "exact"
         values = _parse(config)
         _require_distinct(args.config, args.out, config["mode"], values)
         run(config, values, args.out)

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +79,22 @@ class TestScanMode:
         assert len(sidecar["config_sha256"]) == 64
         assert sidecar["config"]["mode"] == "scan"
 
+    def test_run_records_its_config_file(self, tmp_path):
+        # a sidecar and a report record the config file's object as written,
+        # defaults not filled in, and the SHA-256 of its sorted compact dump
+        scan = tmp_path / "scan.csv"
+        config = scan_config(tmp_path, shots=100)
+        assert run_cli("--config", config, "--out", scan) == 0
+        calibrate = write_config(tmp_path / "cal.json", mode="calibrate", scan_file=str(scan),
+                                 bootstrap=5)
+        assert run_cli("--config", calibrate, "--out", tmp_path / "report.json") == 0
+        for path, record in ((config, "scan.meta.json"), (calibrate, "report.json")):
+            written = json.loads(Path(path).read_text(encoding="utf-8"))
+            recorded = json.loads((tmp_path / record).read_text(encoding="utf-8"))
+            assert recorded["config"] == written
+            dump = json.dumps(written, sort_keys=True, separators=(",", ":")).encode()
+            assert recorded["config_sha256"] == hashlib.sha256(dump).hexdigest()
+
     def test_sidecar_never_clobbers_config(self, tmp_path):
         # config scan.json + output scan.csv must leave the config intact
         config = scan_config(tmp_path)  # written to scan.json
@@ -111,13 +129,6 @@ class TestScanMode:
         assert (tmp_path / "a.meta.json").read_bytes() == (
             tmp_path / "b.meta.json"
         ).read_bytes()
-
-    def test_exact_flag_overrides_shots(self, tmp_path):
-        config = scan_config(tmp_path, shots=500)
-        out = tmp_path / "exact.csv"
-        assert run_cli("--config", config, "--out", out, "--exact") == 0
-        rows = read_rows(out)
-        assert np.abs(rows[:, 3:5]).max() == 0.0
 
     def test_explicit_state_and_single_theta(self, tmp_path):
         config = scan_config(
@@ -737,16 +748,20 @@ class TestErrorsAndOverrides:
         assert run_cli("--config", config, "--out", out) == 0
         assert np.isfinite(read_rows(out)).all()
 
-    def test_seed_override_changes_output(self, tmp_path):
-        config = scan_config(tmp_path, shots=2000)
+    def test_seed_changes_output(self, tmp_path):
+        # two configs that differ only in seed
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
+        config = scan_config(tmp_path, name="s1.json", shots=2000)
         assert run_cli("--config", config, "--out", out1) == 0
-        assert run_cli("--config", config, "--out", out2, "--seed", 99) == 0
+        config = scan_config(tmp_path, name="s2.json", shots=2000, seed=99)
+        assert run_cli("--config", config, "--out", out2) == 0
         assert out1.read_bytes() != out2.read_bytes()
 
-    def test_mode_flag_is_refused(self, tmp_path, capsys):
-        # a config runs as the mode it declares: a scan config that carries
-        # a search-optimal key exits 2, and --mode is no option to change that
+    @pytest.mark.parametrize("flag", [["--mode", "search-optimal"], ["--seed", "5"], ["--exact"]],
+                             ids=" ".join)
+    def test_mode_flag_is_refused(self, tmp_path, capsys, flag):
+        # a run is its config file: a scan config that carries a
+        # search-optimal key exits 2, and no flag edits the config
         config = write_config(
             tmp_path / "m.json",
             mode="scan",
@@ -756,11 +771,40 @@ class TestErrorsAndOverrides:
         )
         out = tmp_path / "m.csv"
         with pytest.raises(SystemExit) as exc:
-            run_cli("--config", config, "--out", out, "--mode", "search-optimal")
+            run_cli("--config", config, "--out", out, *flag)
         assert exc.value.code == 2
-        assert "--mode" in capsys.readouterr().err
+        assert flag[0] in capsys.readouterr().err
         assert run_cli("--config", config, "--out", out) == 2
         assert [path.name for path in tmp_path.iterdir()] == ["m.json"]
+
+
+# config bytes (None: a calibrate config of the scan file) and scan file
+# bytes of inputs that ended in a traceback: bytes that are not UTF-8 raise
+# UnicodeDecodeError, a ValueError and no OSError; json.load raises
+# RecursionError on deep nesting, and ValueError on an integer literal of
+# more digits than int converts (4300 by default)
+MALFORMED = {
+    "config_not_utf8": (b'{"schema": 1, "mode": "scan", "x": "\xff"}', None),
+    "scan_file_not_utf8": (None, CSV_HEADER.encode() + b"\n0,\xff,0,0,0,0\n"),
+    "deep_nesting": (b"[" * 100_000 + b"]" * 100_000, None),
+    "long_integer": (b'{"schema": 1, "mode": "scan", "seed": ' + b"9" * 5000 + b"}", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_file_exits_2_and_writes_nothing(tmp_path, capsys, case):
+    config_bytes, scan_bytes = MALFORMED[case]
+    config = tmp_path / "c.json"
+    if scan_bytes is None:
+        config.write_bytes(config_bytes)
+    else:
+        (tmp_path / "s.csv").write_bytes(scan_bytes)
+        write_config(config, mode="calibrate", scan_file=str(tmp_path / "s.csv"))
+    files = sorted(tmp_path.iterdir())
+    assert run_cli("--config", config, "--out", tmp_path / "o.json") == 2
+    assert sorted(tmp_path.iterdir()) == files
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 class TestBoolIsNotAnInteger:
@@ -1338,11 +1382,13 @@ class TestOneKeySetPerMode:
 
     @pytest.mark.parametrize("entries", [CIRCLE_BASE, CASES["inversion_with_shots_and_policy"][0]],
                              ids=["calibrate", "detector_inversion"])
-    def test_exact_flag_where_no_shots_are_drawn(self, tmp_path, entries):
-        config = write_config(tmp_path / "c.json", **self.with_scan_file(tmp_path, entries))
+    def test_exact_shots_where_no_shots_are_drawn(self, tmp_path, entries):
+        entries = self.with_scan_file(tmp_path, entries)
+        config = write_config(tmp_path / "c.json", **entries)
         assert run_cli("--config", config, "--out", tmp_path / "ok.json") == 0
+        config = write_config(tmp_path / "e.json", **entries, shots="exact")
         out = tmp_path / "r.json"
-        assert run_cli("--config", config, "--out", out, "--exact") == 2
+        assert run_cli("--config", config, "--out", out) == 2
         assert not out.exists()
 
 
