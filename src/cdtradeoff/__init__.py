@@ -24,7 +24,6 @@ from .cd_measures import (
 )
 from .detector_model import (
     DetectorNoise,
-    FockState,
     estimate_noise,
     scenario_cd,
     scenario_distributions,
@@ -45,12 +44,10 @@ from .quantum_core import (
     psd_sqrt,
 )
 from .qubit_model import (
-    ConvexPovmSpec,
     EllipseCharacter,
     InstrumentPolicy,
     QubitMeasurement,
     cd_parametric,
-    convex_povm,
     ellipse_character,
     measurement_from_povm,
     optimal_state,

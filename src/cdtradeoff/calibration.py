@@ -170,7 +170,7 @@ def _reduced(reduce, n: int, n_bootstrap: int, seed: int):
     are yielded together, at most ``_INDEX_BLOCK`` numbers (or the rows of
     one matrix) at a time; a matrix on which ``reduce`` raises ``FitError``
     (it keeps no resample) adds no rows."""
-    rng = _stream(seed)
+    rng = np.random.Generator(_stream(seed))
     step = max(1, _INDEX_BLOCK // n)
     group, filled = np.empty((0, 0)), 0
     for start in range(0, n_bootstrap, step):

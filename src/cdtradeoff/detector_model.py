@@ -31,10 +31,9 @@ from .cd_measures import CdValue, cd_tables
 from .errors import (
     InvalidMeasurementError,
     InvalidNoiseError,
-    NotNormalizedError,
     OutOfDomainError,
 )
-from .quantum_core import ATOL, Instrument, _frozen, scenario_tables
+from .quantum_core import Instrument, _frozen, scenario_tables
 
 # Outcome labels: polarization H/V and detector off/on.  H pairs with off
 # (photon routed away from the watched mode should leave the detector
@@ -51,6 +50,10 @@ _HERALDS = {
     "sharp": (np.diag([1.0, 1.0, 0.0]), np.outer(np.eye(3)[0], np.eye(3)[2])),
     "fully_biased": (np.eye(3), np.zeros((3, 3))),
 }
+# The input: the diagonally polarized photon (|1H> + |1V>)/sqrt(2), which
+# maximizes the disturbance.
+_PHOTON = np.asarray(np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0), dtype=complex)
+_DIAGONAL_PHOTON = _frozen(np.outer(_PHOTON, _PHOTON.conj()))
 
 
 @dataclass(frozen=True)
@@ -76,29 +79,6 @@ class DetectorNoise:
         return math.exp(-self.nu)
 
 
-@dataclass(frozen=True, eq=False)
-class FockState:
-    """Pure state on the basis (vacuum, one H photon, one V photon)."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex).ravel()
-        if amp.shape != (3,):
-            raise NotNormalizedError("expected 3 amplitudes (vac, 1H, 1V)")
-        if abs(np.linalg.norm(amp) - 1.0) > ATOL:
-            raise NotNormalizedError("amplitudes are not normalized")
-        object.__setattr__(self, "amplitudes", _frozen(amp))
-
-    @classmethod
-    def diagonal_photon(cls) -> "FockState":
-        """(|1H> + |1V>)/sqrt(2): the disturbance-maximizing input."""
-        return cls(np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0))
-
-    def density(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
-
 def _herald(reference: str) -> Instrument:
     if reference not in _HERALDS:
         raise InvalidMeasurementError(
@@ -122,7 +102,7 @@ def scenario_distributions(
     # V is 0 on vacuum and on the H photon, 1 on the V photon.
     e_off = np.diag([silence, silence, silence * (1.0 - noise.eta)])
     target = np.stack([e_off, np.eye(3) - e_off])
-    return scenario_tables(FockState.diagonal_photon().density(), inst, target)
+    return scenario_tables(_DIAGONAL_PHOTON, inst, target)
 
 
 def scenario_cd(noise: DetectorNoise, reference: str) -> CdValue:

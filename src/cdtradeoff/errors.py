@@ -30,10 +30,6 @@ class InvalidMeasurementError(CdTradeoffError):
     or completeness."""
 
 
-class InvalidBiasError(InvalidMeasurementError):
-    """Convex measurement bias incompatible with the randomization degree."""
-
-
 class LabelMismatchError(CdTradeoffError):
     """Outcome label sets of the two measurements differ."""
 

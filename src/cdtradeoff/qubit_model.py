@@ -1,10 +1,14 @@
 """Closed-form qubit machinery: Bloch parametrization of two-outcome
 measurements, the sheared-ellipse law relating correlation and disturbance,
-the disturbance-maximizing input state, and the convex (projector + dummy)
-measurement decomposition used on hardware.
+and the disturbance-maximizing input state.
 
 A two-outcome qubit measurement is the four-vector (b0, b) with effects
 E_pm = ((1 pm b0) I pm b . sigma) / 2; positivity requires |b0| + |b| <= 1.
+On hardware the device projects along the x-z axis at angle theta with
+probability gamma (projectors P_pm(theta)), else reports a coin of bias beta:
+its effects gamma P_pm(theta) + (1 - gamma)(1 +- beta)/2 I are exactly
+``qubit_povms((1 - gamma) beta, gamma * plane_axis(theta))``, so b0 is
+(1 - gamma) beta, and positivity, |b0| + gamma <= 1, is |beta| <= 1.
 Scanning the angle theta between probe and target axes with the optimal
 input state traces a sheared, squeezed and shifted circle; ``ellipse_map``
 is that law, from the probe (a0, |a|) and target (b0, |b|) parameters to
@@ -30,7 +34,6 @@ import numpy as np
 
 from .cd_measures import CdValue, check_tradeoff
 from .errors import (
-    InvalidBiasError,
     InvalidMeasurementError,
     NonQubitError,
     NotFiniteError,
@@ -246,38 +249,6 @@ class InstrumentPolicy(enum.Enum):
         bloch = probe.axis if self is InstrumentPolicy.EIGENSTATE else probe.bloch
         states = qubit_states(np.array(povm.labels)[:, None] * bloch)
         return Instrument.measure_and_prepare(povm, states)
-
-
-@dataclass(frozen=True, eq=False)
-class ConvexPovmSpec:
-    """Hardware parametrization: with probability gamma project along the
-    x-z axis at angle theta, otherwise report a biased dummy outcome."""
-
-    theta: float
-    gamma: float
-    bias_b0: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise InvalidMeasurementError(f"gamma {self.gamma!r} outside [0, 1]")
-        if not abs(self.bias_b0) <= 1.0 - self.gamma + 1e-12:  # NaN fails too
-            raise InvalidBiasError(
-                f"|bias| {abs(self.bias_b0)!r} exceeds 1 - gamma = "
-                f"{1.0 - self.gamma!r}: dummy weights would leave [0, 1]"
-            )
-
-
-def convex_povm(spec: ConvexPovmSpec) -> Povm:
-    """Build the two effects gamma * P_pm(theta) + (1 - gamma) * N_pm(b0).
-
-    The result has Bloch vector gamma * (cos theta, 0, sin theta) and bias
-    b0, i.e. the convex weights realize exactly the (b0, b) four-vector.
-    """
-    axis = plane_axis(spec.theta)
-    projector_part = bloch_matrix(spec.gamma * axis)
-    e_plus = ((1.0 + spec.bias_b0) * ID2 + projector_part) / 2
-    e_minus = ((1.0 - spec.bias_b0) * ID2 - projector_part) / 2
-    return Povm([e_plus, e_minus])
 
 
 @dataclass(frozen=True)

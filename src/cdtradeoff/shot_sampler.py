@@ -103,13 +103,13 @@ _BLOCK = 1 << 16
 _STEPS = 2**53
 
 
-def _stream(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
-
-
-def _rekey(bitgen: np.random.Philox, key: int) -> None:
-    """Put ``bitgen`` at the start of the stream ``Philox(key=key)`` opens:
-    counter 0, empty buffer."""
+def _stream(key: int, bitgen: np.random.Philox | None = None) -> np.random.Philox:
+    """The Philox bit generator at the start of the stream of ``key``: a new
+    ``Philox(key=key)``, or ``bitgen`` re-keyed in place to the same state
+    (counter 0, empty buffer), a state assignment that costs about a tenth
+    of a new generator."""
+    if bitgen is None:
+        return np.random.Philox(key=key)
     bitgen.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, 0), "key": (key & (2**64 - 1), key >> 64)},
@@ -118,6 +118,7 @@ def _rekey(bitgen: np.random.Philox, key: int) -> None:
         "has_uint32": 0,
         "uinteger": 0,
     }
+    return bitgen
 
 
 def _thresholds(tables) -> list:
@@ -221,9 +222,9 @@ def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
         block = _BLOCK // workers  # the workers' blocks add up to one
 
         def count_span(points: range) -> None:
-            bitgen = np.random.Philox(key=seed)
+            bitgen = None
             for i in points:
-                _rekey(bitgen, seed ^ (first + i))
+                bitgen = _stream(seed ^ (first + i), bitgen)
                 joint_counts[i] = _count(bitgen, *(c[i] for c in cuts_joint), shots, block)
                 alone_counts[i] = _count(bitgen, *(c[i] for c in cuts_alone), shots_alone, block)
 
@@ -235,13 +236,13 @@ def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(count_span, spans))
     else:  # a chunk of records per block of words
-        bitgen = np.random.Philox(key=seed)
+        bitgen = None
         chunk = _BLOCK // record
         words = np.empty((min(chunk, len(joint)), record), dtype=np.uint64)
         for start in range(0, len(joint), chunk):
             n = min(chunk, len(joint) - start)
             for row in range(n):
-                _rekey(bitgen, seed ^ (first + start + row))
+                bitgen = _stream(seed ^ (first + start + row), bitgen)
                 words[row] = bitgen.random_raw(record)
             points = slice(start, start + n)
             _tally(words[:n, :shots], *(c[points] for c in cuts_joint), joint_counts[points])

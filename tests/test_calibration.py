@@ -24,9 +24,9 @@ from cdtradeoff.errors import (
     RankDeficientError,
 )
 from cdtradeoff.qubit_model import QubitMeasurement, ellipse_character, plane_axis
-from cdtradeoff.shot_sampler import _stream, estimate_cd, sample_distributions
+from cdtradeoff.shot_sampler import estimate_cd, sample_distributions
 
-from util import bootstrap_oracle, conic_row_oracle, forward_scan, random_rotation
+from util import bootstrap_oracle, conic_row_oracle, forward_scan, philox, random_rotation
 
 S_HALF_BIASED = 1.0 - np.sqrt(2.0) / 2
 DELTA_HALF_BIASED = np.sqrt(2.0) / 2
@@ -145,7 +145,7 @@ def kept_counts(monkeypatch):
 
 def resample_indices(n, n_bootstrap, seed):
     """The resample indices of the bootstrap oracle, one ``random(n)`` each."""
-    rng = _stream(seed)
+    rng = philox(seed)
     return [np.minimum((rng.random(n) * n).astype(np.int64), n - 1) for _ in range(n_bootstrap)]
 
 

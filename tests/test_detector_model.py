@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from cdtradeoff import detector_model
 from cdtradeoff.detector_model import (
     DetectorNoise,
-    FockState,
     estimate_noise,
     scenario_cd,
     scenario_distributions,
@@ -11,9 +11,9 @@ from cdtradeoff.detector_model import (
 from cdtradeoff.errors import (
     InvalidMeasurementError,
     InvalidNoiseError,
-    NotNormalizedError,
     OutOfDomainError,
 )
+from cdtradeoff.quantum_core import scenario_tables
 
 
 class TestDetectorNoise:
@@ -116,18 +116,23 @@ class TestEstimateNoise:
             estimate_noise(0.1, -1.2)
 
 
-class TestFockState:
-    def test_diagonal_photon(self):
-        state = FockState.diagonal_photon()
-        assert state.amplitudes[0] == 0.0
-        assert abs(state.amplitudes[1]) == pytest.approx(1 / np.sqrt(2))
-        rho = state.density()
-        assert np.trace(rho).real == pytest.approx(1.0)
+class TestInputState:
+    def test_diagonal_photon(self, monkeypatch):
+        # the state that scenario_distributions passes to scenario_tables
+        states = []
 
-    def test_three_amplitudes(self):
-        with pytest.raises(NotNormalizedError, match="3 amplitudes"):
-            FockState(np.array([1.0, 0.0]))
+        def spy(rho, *args):
+            states.append(rho)
+            return scenario_tables(rho, *args)
 
-    def test_normalization_enforced(self):
-        with pytest.raises(NotNormalizedError):
-            FockState(np.array([1.0, 1.0, 0.0]))
+        monkeypatch.setattr(detector_model, "scenario_tables", spy)
+        for reference in ("sharp", "fully_biased"):
+            scenario_distributions(DetectorNoise(0.7, 0.1), reference)
+        for rho in states:
+            assert not rho.flags.writeable  # one constant, shared by every call
+            assert np.allclose(rho @ rho, rho, atol=1e-15)  # pure
+            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
+            # no vacuum, equal H and V weight, real coherence between them
+            assert np.allclose(rho.diagonal(), [0.0, 0.5, 0.5], atol=1e-15)
+            assert rho[1, 2] == pytest.approx(0.5, abs=1e-15)
+        assert len(states) == 2

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from cdtradeoff.cd_measures import cd_from_scenario
 from cdtradeoff.errors import (
-    InvalidBiasError,
     InvalidMeasurementError,
     NotFiniteError,
     NotPsdError,
@@ -20,19 +19,18 @@ from cdtradeoff.qubit_model import (
     PAULI,
     SIGMA_X,
     SIGMA_Z,
-    ConvexPovmSpec,
     InstrumentPolicy,
     QubitMeasurement,
     _separate_probe,
     bloch_matrix,
     cd_parametric,
     check_qubit,
-    convex_povm,
     ellipse_character,
     ellipse_map,
     measurement_from_povm,
     optimal_state,
     plane_axis,
+    qubit_povms,
     qubit_states,
     state_from_bloch,
 )
@@ -48,43 +46,42 @@ def simulate(probe, target, rho=None):
     return cd_from_scenario(*scenario(rho, probe, target))
 
 
-class TestConvexPovm:
-    def test_sharp_x_projectors(self):
-        povm = convex_povm(ConvexPovmSpec(theta=0.0, gamma=1.0))
-        assert_allclose(povm.effects[0].matrix, (ID2 + SIGMA_X) / 2, atol=1e-15)
-        assert_allclose(povm.effects[1].matrix, (ID2 - SIGMA_X) / 2, atol=1e-15)
+def convex_mix(theta, gamma, coin_bias):
+    """Effects of the hardware device built by hand: with probability gamma
+    the projectors P_pm(theta) along (cos theta, 0, sin theta), otherwise a
+    coin reporting +-1 with probabilities (1 +- coin_bias)/2."""
+    axis = math.cos(theta) * SIGMA_X + math.sin(theta) * SIGMA_Z
+    return [gamma * (ID2 + sign * axis) / 2 + (1.0 - gamma) * (1.0 + sign * coin_bias) / 2 * ID2
+            for sign in (1.0, -1.0)]
 
-    def test_half_strength_z(self):
-        povm = convex_povm(ConvexPovmSpec(theta=np.pi / 2, gamma=0.5))
-        assert_allclose(povm.effects[0].matrix, (ID2 + 0.5 * SIGMA_Z) / 2, atol=1e-15)
-        assert_allclose(povm.effects[1].matrix, (ID2 - 0.5 * SIGMA_Z) / 2, atol=1e-15)
 
-    def test_biased_recovers_four_vector(self):
-        povm = convex_povm(ConvexPovmSpec(theta=0.3, gamma=0.5, bias_b0=0.35))
-        for effect in povm.effects:
-            assert np.linalg.eigvalsh(effect.matrix)[0] >= -1e-12
-        meas = measurement_from_povm(povm)
-        assert meas.strength == pytest.approx(0.5, abs=1e-12)
-        assert meas.bias == pytest.approx(0.35, abs=1e-12)
+class TestHardwareDevice:
+    """The projector-plus-coin device of the hardware is the measurement
+    (b0, gamma * plane_axis(theta)) with b0 = (1 - gamma) times the coin's
+    bias, through ``qubit_povms`` and ``QubitMeasurement`` alike."""
 
-    @pytest.mark.parametrize("gamma", [-0.1, 1.5])
-    def test_gamma_outside_unit_interval(self, gamma):
-        with pytest.raises(InvalidMeasurementError, match="gamma"):
-            ConvexPovmSpec(theta=0.0, gamma=gamma)
+    @pytest.mark.parametrize("theta, gamma, coin_bias, b0",
+                             [(0.0, 1.0, 0.0, 0.0), (np.pi / 2, 0.5, 0.0, 0.0),
+                              (0.3, 0.5, 0.7, 0.35)],
+                             ids=["sharp_x", "half_strength_z", "biased"])
+    def test_effects_equal_convex_mix(self, theta, gamma, coin_bias, b0):
+        expected = convex_mix(theta, gamma, coin_bias)
+        bloch = gamma * plane_axis(theta)
+        meas = QubitMeasurement(b0, bloch)
+        for effects in (qubit_povms(b0, bloch), meas.effects(), meas.to_povm().matrices):
+            assert_allclose(effects, expected, atol=1e-15)
+        for effect in expected:
+            assert np.linalg.eigvalsh(effect)[0] >= -1e-12
+        back = measurement_from_povm(Povm(expected))
+        assert back.strength == pytest.approx(gamma, abs=1e-12)
+        assert back.bias == pytest.approx(b0, abs=1e-12)
 
+
+class TestMeasurementFromPovm:
     def test_labels_must_be_plus_minus_one(self):
         povm = Povm(QubitMeasurement(0.0, plane_axis(0.3)).effects(), (0.0, 1.0))
         with pytest.raises(InvalidMeasurementError, match="labels"):
             measurement_from_povm(povm)
-
-    def test_bias_exceeding_dummy_weight(self):
-        with pytest.raises(InvalidBiasError):
-            ConvexPovmSpec(theta=0.0, gamma=0.8, bias_b0=0.35)
-
-    @pytest.mark.parametrize("bias", [np.nan, np.inf, -np.inf])
-    def test_non_finite_bias_rejected_at_construction(self, bias):
-        with pytest.raises(InvalidBiasError):
-            ConvexPovmSpec(theta=0.0, gamma=0.5, bias_b0=bias)
 
     def test_measurement_roundtrip(self):
         rng = np.random.default_rng(1)

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cdtradeoff import shot_sampler
+from cdtradeoff import calibration, shot_sampler
+from cdtradeoff.calibration import (
+    fit_circle_sharp_probe,
+    fit_ellipse_known_theta,
+    fit_ellipse_unknown_theta,
+)
 from cdtradeoff.cd_measures import cd_from_scenario
 from cdtradeoff.errors import (
     EmptyRecordError,
@@ -33,7 +38,6 @@ from cdtradeoff.qubit_model import (
 from cdtradeoff.shot_sampler import (
     _BLOCK,
     ShotRecord,
-    _rekey,
     _stream,
     _thresholds,
     estimate_cd,
@@ -49,6 +53,7 @@ from util import (
     dichotomic_estimate_oracle,
     forward_scan,
     forward_scan_oracle,
+    philox,
     random_rotation,
     scenario,
 )
@@ -264,7 +269,7 @@ class TestCategoricalOracle:
         for shots in ORACLE_SHOTS:
             for seed in range(50):
                 counts, after = sample_tables(probs, probs, shots, seed, shots_alone=1)
-                rng_oracle = _stream(seed)
+                rng_oracle = philox(seed)
                 expected = categorical_oracle(rng_oracle, probs, shots)
                 assert np.array_equal(counts[0], expected), (shots, seed)
                 assert counts.dtype == np.int64
@@ -275,7 +280,7 @@ class TestCategoricalOracle:
         alone = np.array([0.55, 0.45])
         for seed in range(5):
             rec = sample_distributions(joint, alone, _BLOCK + 1, 3 * _BLOCK + 5, seed)
-            rng = _stream(seed)
+            rng = philox(seed)
             jc = categorical_oracle(rng, joint, _BLOCK + 1).reshape(2, 2)
             ac = categorical_oracle(rng, alone, 3 * _BLOCK + 5)
             assert np.array_equal(rec.joint_counts, jc)
@@ -381,7 +386,7 @@ class TestSampleTablesOracle:
         assert jc.shape == STACK_JOINT.shape and ac.shape == STACK_ALONE.shape
         assert jc.dtype == ac.dtype == np.int64
         for i, (joint, alone) in enumerate(STACK_ROWS):
-            rng = _stream(seed ^ (first + i))
+            rng = philox(seed ^ (first + i))
             assert np.array_equal(jc[i].ravel(), categorical_oracle(rng, joint, shots)), i
             assert np.array_equal(ac[i], categorical_oracle(rng, alone, shots)), i
 
@@ -394,7 +399,7 @@ class TestSampleTablesOracle:
                                shots_alone)
         assert jc.shape == (points, 3, 3) and ac.shape == (points, 3)
         for i in range(points):
-            rng = _stream(seed ^ (first + i))
+            rng = philox(seed ^ (first + i))
             assert np.array_equal(jc[i].ravel(), categorical_oracle(rng, THREE_JOINT[i], shots)), i
             assert np.array_equal(ac[i], categorical_oracle(rng, THREE_ALONE[i], shots_alone)), i
 
@@ -497,7 +502,7 @@ def assert_oracle_counts(joint, alone, shots, shots_alone, seed, first=0):
     the fresh stream of the point, joint arm first; returns the counts."""
     jc, ac = sample_tables(joint, alone, shots, seed, first, shots_alone)
     for i in range(len(jc)):
-        rng = _stream(seed ^ (first + i))
+        rng = philox(seed ^ (first + i))
         assert np.array_equal(jc[i].ravel(), categorical_oracle(rng, joint[i], shots)), i
         assert np.array_equal(ac[i], categorical_oracle(rng, alone[i], shots_alone)), i
     return jc, ac
@@ -711,14 +716,62 @@ class TestForwardScanOracle:
         assert columns.tobytes() == forward_scan_oracle(*args).tobytes()
 
 
+@pytest.fixture
+def stream_keys(monkeypatch):
+    """Keys of the streams that the sampler and the calibration bootstrap
+    open or re-key through ``_stream``, in call order."""
+    keys = []
+
+    def spy(key, bitgen=None):
+        keys.append(key)
+        return _stream(key, bitgen)
+
+    monkeypatch.setattr(shot_sampler, "_stream", spy)
+    monkeypatch.setattr(calibration, "_stream", spy)
+    return keys
+
+
+class TestKeyLayout:
+    """The v1 key layout: point i of ``sample_tables(seed=s, first=f)``
+    reads the stream keyed s ^ (f + i), and a fit's bootstrap with seed s
+    the stream keyed s.  A new sampling contract changes this on purpose."""
+
+    SEEDS = (5, 2**63 + 7, 2**127 + 12345)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("first", [0, 3, 2**63 - 2])
+    def test_chunk_path_keys(self, stream_keys, seed, first):
+        sample_tables(STACK_JOINT, STACK_ALONE, 100, seed, first)
+        assert stream_keys == [seed ^ (first + i) for i in range(len(STACK_JOINT))]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_block_path_keys(self, stream_keys, seed):
+        # records of more than one block: the worker spans key their points
+        # in any interleaving, each point once
+        first = 3
+        sample_tables(STACK_JOINT[:5], STACK_ALONE[:5], 40000, seed, first)
+        assert sorted(stream_keys) == sorted(seed ^ (first + i) for i in range(5))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("fit", [fit_circle_sharp_probe, fit_ellipse_known_theta,
+                                     fit_ellipse_unknown_theta])
+    def test_bootstrap_key(self, stream_keys, seed, fit):
+        probe = sharp(0.0) if fit is fit_circle_sharp_probe else QubitMeasurement(
+            0.3, 0.55 * plane_axis(0.0))
+        scan = forward_scan(probe, 0.85, 0.1, np.linspace(0.2, 3.0, 9))
+        fit(scan, n_bootstrap=20, bootstrap_seed=seed)
+        assert stream_keys == [seed]
+
+
 class TestRawWordThresholds:
-    @pytest.mark.parametrize("key", [0, 7, 2**63 + 5, 2**64 - 1])
+    @pytest.mark.parametrize("key", [0, 7, 2**63 + 5, 2**64 - 1, 2**64, 2**128 - 1])
     def test_rekeyed_state_yields_fresh_philox_words(self, key):
         bitgen = np.random.Philox(key=12345)
         bitgen.random_raw(3)  # leave a partly used buffer behind
-        _rekey(bitgen, key)
+        assert _stream(key, bitgen) is bitgen
         fresh = np.random.Philox(key=key)
-        assert repr(bitgen.state) == repr(fresh.state)
+        for opened in (bitgen, _stream(key)):
+            assert repr(opened.state) == repr(fresh.state)
         assert np.array_equal(bitgen.random_raw(1001), fresh.random_raw(1001))
 
     @pytest.mark.parametrize(

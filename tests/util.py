@@ -23,7 +23,7 @@ from cdtradeoff.qubit_model import (
     qubit_states,
     unit_axes,
 )
-from cdtradeoff.shot_sampler import _stream, estimate_cd, estimate_columns, sample, sample_tables
+from cdtradeoff.shot_sampler import estimate_cd, estimate_columns, sample, sample_tables
 
 
 def random_unitary(rng, dim):
@@ -240,6 +240,13 @@ def forward_scan_oracle(probe, target_strength, target_bias, thetas, shots=None,
     return columns
 
 
+def philox(key):
+    """The README's stream of ``key`` as numpy opens it, a ``Generator`` on a
+    fresh ``Philox(key=key)``, so oracles do not read the sampler's own
+    stream helper."""
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def categorical_oracle(rng, probs, shots):
     """Multinomial counts by inverse-CDF lookup of one full-length array of
     uniforms (``searchsorted`` + ``bincount``), independent of the blocked
@@ -260,7 +267,7 @@ def bootstrap_oracle(fit, scan, names, n_bootstrap, seed, **kwargs):
     the ``OutOfDomainError`` of a conic scatter or pencil that overflows, is
     skipped.  Returns ({name: sample std}, resamples kept); the dict is
     empty below two kept resamples."""
-    rng = _stream(seed)
+    rng = philox(seed)
     n = len(scan)
     rows = []
     for _ in range(n_bootstrap):
