@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 
 import numpy as np
 
@@ -368,9 +369,26 @@ class Instrument:
 
     def posts(self, rho) -> np.ndarray:
         """Subnormalized post-measurement states sum_m K_am rho K_am^dagger
-        (trace p(a)), shape (..., k, d, d), of states (..., d, d)."""
+        (trace p(a)), shape (..., k, d, d), of states (..., d, d).
+
+        Real Kraus operators act on a whole stack of n states in 1 + k*m
+        matrix products: one (k*m*d, d) @ (d, n*d) product forms every
+        K rho, then one (n*d, d) @ (d, d) product per operator multiplies by
+        its K^dagger.  On the builds tested these give the bits of one
+        product per state and operator; operators with an imaginary part do
+        not, so they keep the per-state products."""
         k = self.matrices
-        return self._by_outcome(k @ rho[..., None, :, :] @ dagger(k))
+        if k.imag.any():
+            return self._by_outcome(k @ rho[..., None, :, :] @ dagger(k))
+        ops, d, batch = len(k), self.dim, rho.shape[:-2]
+        n = math.prod(batch)
+        # column (state, j) of the right factor is column j of that state
+        k_rho = k.reshape(ops * d, d) @ rho.reshape(n, d, d).transpose(1, 0, 2).reshape(d, n * d)
+        # row (state, i) of operator a's left factor is row i of K_a rho
+        k_rho = k_rho.reshape(ops, d, n, d).transpose(0, 2, 1, 3).reshape(ops, n * d, d)
+        terms = (k_rho @ dagger(k)).reshape(ops, n, d, d).transpose(1, 0, 2, 3)
+        # in the C order of the per-state products, so the tables' einsum sees their strides
+        return self._by_outcome(np.ascontiguousarray(terms).reshape(*batch, ops, d, d))
 
     def dual(self, op) -> np.ndarray:
         """Heisenberg-picture images sum_m K_am^dagger op K_am of an

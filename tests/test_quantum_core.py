@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cdtradeoff.detector_model import _herald
 from cdtradeoff.errors import (
     DimensionMismatchError,
     InvalidMeasurementError,
@@ -16,11 +17,22 @@ from cdtradeoff.quantum_core import (
     LuedersInstrument,
     Povm,
     check_povms,
+    dagger,
     dual_channel,
     psd_sqrt,
     scenario_tables,
 )
-from cdtradeoff.qubit_model import ID2, SIGMA_X, SIGMA_Z, QubitMeasurement
+from cdtradeoff.highdim_model import projectors, randomized_povms
+from cdtradeoff.qubit_model import (
+    ID2,
+    SIGMA_X,
+    SIGMA_Z,
+    InstrumentPolicy,
+    QubitMeasurement,
+    plane_axis,
+    qubit_povms,
+    qubit_states,
+)
 
 from util import (
     apply_instrument,
@@ -349,3 +361,79 @@ class TestInstrument:
         table, _ = scenario_tables(rho.matrix, inst, Povm(effects).matrices)
         assert_allclose(table, oracle_joint_table(HERALD, rho.matrix, effects), atol=1e-12)
         assert_allclose(table, [[0.45, 0.05], [0.45, 0.05]], atol=1e-12)
+
+
+def per_matrix_posts(inst, rho):
+    """sum_m K_am rho K_am^dagger with one product per state and operator."""
+    terms = inst.matrices @ rho[..., None, :, :] @ dagger(inst.matrices)
+    shape = terms.shape[:-3] + (inst.n_outcomes, inst.per_outcome, inst.dim, inst.dim)
+    return terms.reshape(shape).sum(axis=-3)
+
+
+class TestPostsBits:
+    """``Instrument.posts`` forms the states of a real Kraus stack in
+    batched products, and those carry the bits of one product per state
+    and operator at every stack size; a complex stack keeps the per-state
+    products, whose bits batching would change."""
+
+    SIZES = (1, 2, 3, 1024)
+
+    @staticmethod
+    def states(rng, dim, n):
+        """n random mixed states; a qubit's Bloch vectors have y components."""
+        if dim == 2:
+            bloch = rng.normal(size=(n, 3))
+            bloch *= rng.uniform(0.0, 1.0, (n, 1)) / np.linalg.norm(bloch, axis=1, keepdims=True)
+            return qubit_states(bloch)
+        x = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+        rho = x @ dagger(x)
+        return rho / np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+
+    def assert_per_matrix_bits(self, inst, rng):
+        """Stacks of each size (at most 2^16 entries: 16 states at d = 64)
+        and one unbatched state."""
+        for n in self.SIZES:
+            rho = self.states(rng, inst.dim, min(n, max(1, 2**16 // inst.dim**2)))
+            for states in (rho, rho[0]) if n == 1 else (rho,):
+                got, want = inst.posts(states), per_matrix_posts(inst, states)
+                assert got.shape == want.shape == states.shape[:-2] + (inst.n_outcomes,) + 2 * (inst.dim,)
+                assert got.flags.c_contiguous
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("policy", list(InstrumentPolicy))
+    def test_plane_axis_probes(self, policy):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            gamma = rng.uniform(0.0, 1.0)
+            bias = rng.uniform(gamma - 1.0, 1.0 - gamma)
+            bloch = gamma * plane_axis(rng.uniform(0.0, 2.0 * np.pi))
+            inst = policy.instrument(Povm(qubit_povms(bias, bloch)))
+            assert not inst.matrices.imag.any()
+            self.assert_per_matrix_bits(inst, rng)
+
+    @pytest.mark.parametrize("reference", ["sharp", "fully_biased"])
+    def test_detector_heralds(self, reference):
+        self.assert_per_matrix_bits(_herald(reference), np.random.default_rng(3))
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_highdim_probes(self, dim):
+        rng = np.random.default_rng(dim)
+        ket = np.zeros(dim)
+        ket[0] = 1.0
+        for gamma in (1.0, rng.uniform(0.0, 1.0)):
+            inst = Instrument.lueders(Povm(randomized_povms(gamma, projectors(ket))))
+            assert not inst.matrices.imag.any()
+            self.assert_per_matrix_bits(inst, rng)
+
+    def test_hand_built_two_operators_per_outcome(self):
+        rng = np.random.default_rng(11)
+        ops = rng.normal(size=(4, 3, 3))
+        w, v = np.linalg.eigh(np.einsum("kji,kjl->il", ops, ops))
+        inst = Instrument((ops @ (v / np.sqrt(w)) @ v.T).reshape(2, 2, 3, 3), (-1.0, 1.0))
+        assert inst.per_outcome == 2
+        self.assert_per_matrix_bits(inst, rng)
+
+    def test_complex_kraus_keep_per_state_products(self):
+        inst = Instrument.lueders(Povm(qubit_povms(0.1, np.array([0.0, 0.7, 0.0]))))
+        assert inst.matrices.imag.any()
+        self.assert_per_matrix_bits(inst, np.random.default_rng(5))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -686,10 +687,16 @@ class TestForwardScanOracle:
     its columns equal one library call per point, bit for bit, on the chunk
     path (1e3 shots), the block path (4e4 and 1e5 shots), with and without
     a common rotation (criterion 04's among them), on criterion 08's exact
-    grid, and on seeds whose ``seed ^ i`` differs from ``seed + i``."""
+    grid, on an exact grid one point longer than the CLI's 1024-point
+    qubit slice (a point's table does not depend on its stack's size or
+    its place in it), and on seeds whose ``seed ^ i`` differs from
+    ``seed + i``."""
 
     PROBE = QubitMeasurement(0.1, 0.7 * plane_axis(0.3))
     THETAS = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+    NAMES = ("plane", "rotated", "criterion04-0", "criterion04-1", "criterion04-2", "criterion08")
+    DRAWS = ((None, 0), (1000, 0), (1000, 2**40 + 3), (40_000, 0), (40_000, 2**40 + 3),
+             (100_000, 90_000 + (3 << 8)))
 
     def geometry(self, name):
         """The (rotation, thetas) of a named case: criterion 04's rotations
@@ -697,17 +704,18 @@ class TestForwardScanOracle:
         its exact scans' grid."""
         if name == "criterion08":
             return None, np.linspace(0.1, 2 * np.pi, 12, endpoint=False)
+        if name == "points1025":
+            return None, np.linspace(0.0, 2.0 * np.pi, 1025, endpoint=False)
         rng = np.random.default_rng(40_004)
         rotations = {"plane": None, "rotated": random_rotation(np.random.default_rng(11)),
                      "criterion04-0": random_rotation(rng), "criterion04-1": random_rotation(rng),
                      "criterion04-2": random_rotation(rng)}
         return rotations[name], self.THETAS
 
-    @pytest.mark.parametrize("name", ["plane", "rotated", "criterion04-0", "criterion04-1",
-                                      "criterion04-2", "criterion08"])
-    @pytest.mark.parametrize("shots, seed", [(None, 0), (1000, 0), (1000, 2**40 + 3),
-                                             (40_000, 0), (40_000, 2**40 + 3),
-                                             (100_000, 90_000 + (3 << 8))])
+    @pytest.mark.parametrize("shots, seed, name", [
+        *((*draw, name) for draw, name in itertools.product(DRAWS, NAMES)),
+        (None, 0, "points1025"),
+    ])
     def test_columns_equal_per_point_calls(self, shots, seed, name):
         rotation, thetas = self.geometry(name)
         args = (self.PROBE, 0.8, 0.15, thetas, shots, seed, rotation)
