@@ -55,7 +55,6 @@ from .qubit_model import (
 )
 from .shot_sampler import (
     CdEstimate,
-    ShotRecord,
     estimate_cd,
     sample,
 )

@@ -71,11 +71,11 @@ class OutOfDomainError(CdTradeoffError):
 
 
 class InvalidShotsError(CdTradeoffError):
-    """Shot counts must be positive."""
+    """Shot totals must be positive integers, and counts whole and non-negative."""
 
 
 class InvalidSeedError(CdTradeoffError):
-    """Sampler seed outside the 128-bit Philox key range."""
+    """Sampler seed not an integer in the 128-bit Philox key range."""
 
 
 class EmptyRecordError(CdTradeoffError):

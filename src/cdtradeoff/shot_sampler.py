@@ -2,6 +2,12 @@
 count records drawn from the tables of any probe ``Instrument``, and
 plug-in estimators for correlation and disturbance.
 
+A record is its two count arrays in effect order: joint counts (probe
+outcome, target outcome) with the probe registered, alone counts (target
+outcome) with it off.  Stacks (``sample_tables``, ``estimate_columns``) add
+a leading point axis; the one-record calls take and return row 0.
+Estimators match a probe outcome to the target outcome of equal index.
+
 Reproducibility contract: all randomness comes from the counter-based
 Philox 4x64 bit generator (``numpy.random.Philox``) keyed by the 64-bit
 seed.  Each uniform is the generator's native 53-bit conversion
@@ -35,6 +41,7 @@ part of the package contract and must not change silently.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -52,36 +59,11 @@ from .quantum_core import (
     DensityMatrix,
     Instrument,
     Povm,
-    _frozen,
     at_index,
     first_bad,
     index_base,
     scenario_tables,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class ShotRecord:
-    """Counts from one joint run and one probe-off run.
-
-    ``joint_counts[i, j]`` pairs probe outcome i with target outcome j in
-    effect order; estimators match outcomes by equal index, which
-    ``sample`` guarantees by requiring identical label sequences.
-    """
-
-    joint_counts: np.ndarray
-    alone_counts: np.ndarray
-    shots_joint: int
-    shots_alone: int
-    seed: int
-
-    def __post_init__(self):
-        jc = np.asarray(self.joint_counts, dtype=np.int64)
-        ac = np.asarray(self.alone_counts, dtype=np.int64)
-        if jc.sum() != self.shots_joint or ac.sum() != self.shots_alone:
-            raise InvalidShotsError("counts do not add up to the shot totals")
-        object.__setattr__(self, "joint_counts", _frozen(jc))
-        object.__setattr__(self, "alone_counts", _frozen(ac))
 
 
 @dataclass(frozen=True)
@@ -192,6 +174,15 @@ def _workers(points: int) -> int:
     return max(1, min(cpus or 1, points))
 
 
+def _integer(value) -> int | float:
+    """``value`` as an int if it is an integer (a numpy integer is; a bool or
+    a float is not), else NaN, which fails every range test."""
+    try:
+        return math.nan if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return math.nan
+
+
 def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
                   shots_alone: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Count stacks shaped like the table stacks ``joint`` (n, ka, kb) and
@@ -203,11 +194,12 @@ def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
     as point ``first + i``.  A generator is re-keyed for each point; records
     of more than one block are counted on a thread pool, a span of points each.
     """
-    shots_alone = shots if shots_alone is None else shots_alone
-    if shots <= 0 or shots_alone <= 0:
-        raise InvalidShotsError("shot counts must be positive")
+    shots, shots_alone, seed, first = map(
+        _integer, (shots, shots if shots_alone is None else shots_alone, seed, first))
+    if not (shots > 0 and shots_alone > 0):
+        raise InvalidShotsError("shot counts must be positive integers")
     if not (0 <= seed < 2**128 and 0 <= first < 2**64):
-        raise InvalidSeedError("seed must lie in [0, 2**128) and first in [0, 2**64)")
+        raise InvalidSeedError("seed and first must be integers in [0, 2**128) and [0, 2**64)")
     joint = np.asarray(joint, dtype=float)
     alone = np.asarray(alone, dtype=float)
     if joint.ndim < 2 or alone.ndim < 2 or len(joint) != len(alone):
@@ -252,13 +244,11 @@ def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
 
 def sample_distributions(
     joint, alone, shots_joint: int, shots_alone: int, seed: int
-) -> ShotRecord:
-    """Draw a shot record from explicit joint and alone distributions: the
-    one-point case of ``sample_tables``."""
-    jc, ac = sample_tables(np.asarray(joint, dtype=float)[None],
-                           np.asarray(alone, dtype=float)[None],
-                           shots_joint, seed, shots_alone=shots_alone)
-    return ShotRecord(jc[0], ac[0], shots_joint, shots_alone, seed)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Joint and alone counts drawn from explicit joint and alone
+    distributions: row 0 of ``sample_tables``."""
+    jc, ac = sample_tables([joint], [alone], shots_joint, seed, shots_alone=shots_alone)
+    return jc[0], ac[0]
 
 
 def sample(
@@ -268,9 +258,11 @@ def sample(
     shots_joint: int,
     shots_alone: int,
     seed: int,
-) -> ShotRecord:
+) -> tuple[np.ndarray, np.ndarray]:
     """Simulate the two-arm experiment: ``shots_joint`` runs with the probe
-    on and registered, ``shots_alone`` runs with the probe off."""
+    on and registered, ``shots_alone`` runs with the probe off.  Returns the
+    joint and alone counts, whose outcomes match by equal index because the
+    probe and target label sequences must be identical."""
     if list(inst_a.labels) != list(povm_b.labels):
         raise LabelMismatchError(
             "probe and target label sequences must be identical for matching"
@@ -287,11 +279,19 @@ def estimate_columns(joint_counts, alone_counts) -> np.ndarray:
     d = 2 |Ialone(+)/sum(Ialone) - (I(+,+) + I(-,+))/sum(I)|, with
     binomial one-sigma errors (the two arms of d are independent and add
     in quadrature).
+
+    Counts are whole numbers below 2**53 (whole floats estimate as their
+    integers do); the first record holding another raises InvalidShotsError.
     """
-    jc = np.asarray(joint_counts, dtype=np.int64)
-    ac = np.asarray(alone_counts, dtype=np.int64)
+    jc = np.asarray(joint_counts)
+    ac = np.asarray(alone_counts)
     if jc.shape[1:] != (2, 2) or ac.shape != (len(jc), 2):
         raise LabelMismatchError("dichotomic records need (n, 2, 2) and (n, 2) counts")
+    counts = np.concatenate([jc.reshape(len(jc), 4), ac], axis=1)
+    bad = first_bad((counts < 0) | (counts >= 2**53) | (np.floor(counts) != counts))
+    if bad is not None:
+        raise InvalidShotsError(f"counts must be whole numbers in [0, 2**53){at_index(bad[:1])}")
+    jc, ac = jc.astype(np.int64, copy=False), ac.astype(np.int64, copy=False)
     n_joint = jc.sum(axis=(1, 2))
     n_alone = ac.sum(axis=1)
     if not (n_joint.all() and n_alone.all()):
@@ -308,11 +308,10 @@ def estimate_columns(joint_counts, alone_counts) -> np.ndarray:
     ])
 
 
-def estimate_cd(rec: ShotRecord) -> CdEstimate:
-    """Plug-in estimates of one dichotomic record: the one-record case of
-    ``estimate_columns``.  Records of any other shape raise
-    NotDichotomicError."""
-    if rec.joint_counts.shape != (2, 2) or rec.alone_counts.shape != (2,):
+def estimate_cd(joint_counts, alone_counts) -> CdEstimate:
+    """Plug-in estimates of one dichotomic record, joint counts (2, 2) and
+    alone counts (2,) as ``sample`` returns them: column 0 of
+    ``estimate_columns``.  Counts of any other shape raise NotDichotomicError."""
+    if np.shape(joint_counts) != (2, 2) or np.shape(alone_counts) != (2,):
         raise NotDichotomicError("shot estimates need 2x2 joint and 2 alone counts")
-    columns = estimate_columns(rec.joint_counts[None], rec.alone_counts[None])
-    return CdEstimate(*columns[:, 0].tolist())
+    return CdEstimate(*estimate_columns([joint_counts], [alone_counts])[:, 0].tolist())

@@ -80,7 +80,7 @@ def test_criterion_02_sharp_probe_circle():
             target = QubitMeasurement(0.0, gamma * plane_axis(theta))
             args = scenario(optimal_state(probe, target), probe, target)
             exact = cd_from_scenario(*args)
-            est = estimate_cd(sample(*args, 100_000, 100_000, seed=20_000 + i))
+            est = estimate_cd(*sample(*args, 100_000, 100_000, seed=20_000 + i))
             total += 1
             if (
                 abs(est.c_hat - exact.correlation) <= 5 * est.c_err
@@ -214,8 +214,8 @@ def test_criterion_07_detector_round_trip():
     truth = DetectorNoise(0.8, 0.1)
     joint_s, alone_s = scenario_distributions(truth, "sharp")
     joint_b, alone_b = scenario_distributions(truth, "fully_biased")
-    est_s = estimate_cd(sample_distributions(joint_s, alone_s, 1_000_000, 1_000_000, 700))
-    est_b = estimate_cd(sample_distributions(joint_b, alone_b, 1_000_000, 1_000_000, 701))
+    est_s = estimate_cd(*sample_distributions(joint_s, alone_s, 1_000_000, 1_000_000, 700))
+    est_b = estimate_cd(*sample_distributions(joint_b, alone_b, 1_000_000, 1_000_000, 701))
     from cdtradeoff.calibration import estimate_detector
 
     est = estimate_detector(est_s.d_hat, est_b.c_hat, est_s.d_err, est_b.c_err)

@@ -174,9 +174,8 @@ def reference_qubit_csv(policy, grid, shots, seed):
     rows = []
     for index, theta in enumerate(angles(grid)):
         target = QubitMeasurement(*qubit(TARGET, theta))
-        rec = sample(optimal_state(probe, target), inst, target.to_povm(), shots, shots,
-                     seed ^ index)
-        est = estimate_cd(rec)
+        est = estimate_cd(*sample(optimal_state(probe, target), inst, target.to_povm(),
+                                  shots, shots, seed ^ index))
         rows.append((theta, est.c_hat, est.d_hat, est.c_err, est.d_err))
     return csv_text(rows)
 
@@ -189,8 +188,8 @@ def reference_highdim_csv(dim, gamma, grid, shots, seed):
         pa = RandomizedDichotomic.from_ket(np.eye(dim)[0], 1.0)
         pb = RandomizedDichotomic.from_ket(ket_b, gamma)
         rho = DensityMatrix.from_ket(overlap(pa, pb).psi_plus)
-        est = estimate_cd(sample(rho, LuedersInstrument(pa.to_povm()), pb.to_povm(),
-                                 shots, shots, seed ^ index))
+        est = estimate_cd(*sample(rho, LuedersInstrument(pa.to_povm()), pb.to_povm(),
+                                  shots, shots, seed ^ index))
         angle = math.acos(min(1.0, max(-1.0, 2.0 * c2 - 1.0)))
         rows.append((angle, est.c_hat, est.d_hat, est.c_err, est.d_err))
     return csv_text(rows)

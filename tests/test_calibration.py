@@ -841,8 +841,8 @@ class TestEstimateDetector:
         truth = DetectorNoise(0.8, 0.1)
         joint_s, alone_s = scenario_distributions(truth, "sharp")
         joint_b, alone_b = scenario_distributions(truth, "fully_biased")
-        est_s = estimate_cd(sample_distributions(joint_s, alone_s, 1_000_000, 1_000_000, 70))
-        est_b = estimate_cd(sample_distributions(joint_b, alone_b, 1_000_000, 1_000_000, 71))
+        est_s = estimate_cd(*sample_distributions(joint_s, alone_s, 1_000_000, 1_000_000, 70))
+        est_b = estimate_cd(*sample_distributions(joint_b, alone_b, 1_000_000, 1_000_000, 71))
         est = estimate_detector(est_s.d_hat, est_b.c_hat, est_s.d_err, est_b.c_err)
         assert est.eta_err > 0 and est.nu_err > 0
         assert abs(est.noise.eta - 0.8) <= 3 * est.eta_err

@@ -607,9 +607,8 @@ class TestDetectorMode:
                 value = scenario_cd(noise, ref)
                 expected |= {f"c{n}": value.correlation, f"d{n}": value.disturbance}
             else:
-                record = sample_distributions(*scenario_distributions(noise, ref),
-                                              shots, shots, seed ^ k)
-                est = estimate_cd(record)
+                est = estimate_cd(*sample_distributions(*scenario_distributions(noise, ref),
+                                                        shots, shots, seed ^ k))
                 expected |= {f"c{n}": est.c_hat, f"c{n}_err": est.c_err,
                              f"d{n}": est.d_hat, f"d{n}_err": est.d_err}
         assert json.loads(out.read_text())["readings"] == expected

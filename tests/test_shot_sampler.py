@@ -27,7 +27,7 @@ from cdtradeoff.errors import (
     NotDichotomicError,
     NotNormalizedError,
 )
-from cdtradeoff.quantum_core import DensityMatrix, LuedersInstrument, Povm
+from cdtradeoff.quantum_core import DensityMatrix, LuedersInstrument, Povm, index_base
 from cdtradeoff.qubit_model import (
     InstrumentPolicy,
     QubitMeasurement,
@@ -38,7 +38,6 @@ from cdtradeoff.qubit_model import (
 )
 from cdtradeoff.shot_sampler import (
     _BLOCK,
-    ShotRecord,
     _stream,
     _thresholds,
     estimate_cd,
@@ -73,30 +72,33 @@ def sharp_scenario(theta_a, theta_b, gamma_b=1.0):
 class TestSample:
     def test_deterministic_given_seed(self):
         args = sharp_scenario(0.0, np.pi / 3)
-        rec1 = sample(*args, 5000, 5000, seed=42)
-        rec2 = sample(*args, 5000, 5000, seed=42)
-        assert np.array_equal(rec1.joint_counts, rec2.joint_counts)
-        assert np.array_equal(rec1.alone_counts, rec2.alone_counts)
-        rec3 = sample(*args, 5000, 5000, seed=43)
-        assert not np.array_equal(rec1.joint_counts, rec3.joint_counts)
+        jc1, ac1 = sample(*args, 5000, 5000, seed=42)
+        jc2, ac2 = sample(*args, 5000, 5000, seed=42)
+        assert np.array_equal(jc1, jc2)
+        assert np.array_equal(ac1, ac2)
+        jc3, _ = sample(*args, 5000, 5000, seed=43)
+        assert not np.array_equal(jc1, jc3)
 
     def test_certain_outcome(self):
         z = QubitMeasurement(0.0, np.array([0.0, 0.0, 1.0]))
-        rec = sample(
+        jc, ac = sample(
             *scenario(DensityMatrix.from_ket([1.0, 0.0]), z, z), 1000, 1000, seed=0
         )
-        assert rec.joint_counts[0, 0] == 1000
-        assert rec.alone_counts[0] == 1000
+        assert jc[0, 0] == 1000
+        assert ac[0] == 1000
 
     def test_uniform_joint_within_multinomial_bounds(self):
         args = sharp_scenario(0.0, np.pi / 2)  # all four cells are 1/4
-        rec = sample(*args, 1_000_000, 1_000_000, seed=11)
+        jc, _ = sample(*args, 1_000_000, 1_000_000, seed=11)
         sigma = np.sqrt(1_000_000 * 0.25 * 0.75)
-        assert np.abs(rec.joint_counts - 250_000).max() <= 5 * sigma
+        assert np.abs(jc - 250_000).max() <= 5 * sigma
 
-    def test_invalid_shots(self):
+    @pytest.mark.parametrize("shots_joint, shots_alone", [
+        (0, 100), (1000.0, 100), (100, 2.0), (True, 100), (100, np.True_), (100, "100"),
+    ])
+    def test_invalid_shots(self, shots_joint, shots_alone):
         with pytest.raises(InvalidShotsError):
-            sample(*sharp_scenario(0.0, 1.0), 0, 100, seed=1)
+            sample(*sharp_scenario(0.0, 1.0), shots_joint, shots_alone, seed=1)
 
     def test_label_order_must_match(self):
         probe = sharp(0.0)
@@ -117,48 +119,39 @@ class TestSample:
 
 class TestEstimateCd:
     def test_perfect_correlation_counts(self):
-        rec = ShotRecord(
-            np.array([[500, 0], [0, 500]]), np.array([500, 500]), 1000, 1000, 0
-        )
-        est = estimate_cd(rec)
+        est = estimate_cd(np.array([[500, 0], [0, 500]]), np.array([500, 500]))
         assert est.c_hat == pytest.approx(1.0)
         assert est.d_hat == pytest.approx(0.0)
 
     def test_uniform_counts_maximal_disturbance(self):
-        rec = ShotRecord(
-            np.array([[250, 250], [250, 250]]), np.array([1000, 0]), 1000, 1000, 0
-        )
-        est = estimate_cd(rec)
+        est = estimate_cd(np.array([[250, 250], [250, 250]]), np.array([1000, 0]))
         assert est.c_hat == pytest.approx(0.0)
         assert est.d_hat == pytest.approx(1.0)
 
     def test_million_shot_sharp_pair(self):
         args = sharp_scenario(0.0, np.pi / 3)
         exact = cd_from_scenario(*args)
-        est = estimate_cd(sample(*args, 1_000_000, 1_000_000, seed=3))
+        est = estimate_cd(*sample(*args, 1_000_000, 1_000_000, seed=3))
         assert abs(est.c_hat - exact.correlation) <= 5 * est.c_err
         assert abs(est.d_hat - exact.disturbance) <= 5 * est.d_err
 
     def test_errors_shrink_like_root_n(self):
         args = sharp_scenario(0.0, np.pi / 3)
-        small = estimate_cd(sample(*args, 10_000, 10_000, seed=5))
-        large = estimate_cd(sample(*args, 1_000_000, 1_000_000, seed=5))
+        small = estimate_cd(*sample(*args, 10_000, 10_000, seed=5))
+        large = estimate_cd(*sample(*args, 1_000_000, 1_000_000, seed=5))
         assert small.c_err / large.c_err == pytest.approx(10.0, rel=0.2)
         assert small.d_err / large.d_err == pytest.approx(10.0, rel=0.2)
 
     def test_empty_record(self):
-        with pytest.raises(InvalidShotsError):
-            ShotRecord(np.zeros((2, 2), int), np.zeros(2, int), 100, 100, 0)
-        rec = ShotRecord(np.zeros((2, 2), int), np.zeros(2, int), 0, 0, 0)
         with pytest.raises(EmptyRecordError):
-            estimate_cd(rec)
+            estimate_cd(np.zeros((2, 2), int), np.zeros(2, int))
 
     def test_consistency_over_repetitions(self):
         args = sharp_scenario(0.0, 1.0, gamma_b=0.7)
         exact = cd_from_scenario(*args)
         hits = 0
         for rep in range(100):
-            est = estimate_cd(sample(*args, 1_000_000, 1_000_000, seed=1000 + rep))
+            est = estimate_cd(*sample(*args, 1_000_000, 1_000_000, seed=1000 + rep))
             if (
                 abs(est.c_hat - exact.correlation) <= 5 * est.c_err
                 and abs(est.d_hat - exact.disturbance) <= 5 * est.d_err
@@ -167,11 +160,11 @@ class TestEstimateCd:
         assert hits >= 99
 
     def test_sample_distributions_entry_point(self):
-        rec = sample_distributions(
+        jc, _ = sample_distributions(
             np.array([[0.5, 0.0], [0.0, 0.5]]), np.array([0.5, 0.5]), 10_000, 10_000, 7
         )
-        assert rec.joint_counts[0, 1] == 0
-        assert rec.joint_counts.sum() == 10_000
+        assert jc[0, 1] == 0
+        assert jc.sum() == 10_000
 
 
 def post_state(policy, probe, rho, outcome):
@@ -240,9 +233,9 @@ class TestPolicies:
         target = sharp(np.pi / 2)
         rho = optimal_state(probe, target)
         mixed = InstrumentPolicy.MIXED.instrument(probe.to_povm())
-        rec1 = sample(rho, mixed, target.to_povm(), 2000, 2000, seed=9)
-        rec2 = sample(rho, mixed, target.to_povm(), 2000, 2000, seed=9)
-        assert np.array_equal(rec1.joint_counts, rec2.joint_counts)
+        jc1, _ = sample(rho, mixed, target.to_povm(), 2000, 2000, seed=9)
+        jc2, _ = sample(rho, mixed, target.to_povm(), 2000, 2000, seed=9)
+        assert np.array_equal(jc1, jc2)
 
 
 ORACLE_TABLES = {
@@ -280,12 +273,10 @@ class TestCategoricalOracle:
         joint = np.array([[0.4, 0.1], [0.15, 0.35]])
         alone = np.array([0.55, 0.45])
         for seed in range(5):
-            rec = sample_distributions(joint, alone, _BLOCK + 1, 3 * _BLOCK + 5, seed)
+            jc, ac = sample_distributions(joint, alone, _BLOCK + 1, 3 * _BLOCK + 5, seed)
             rng = philox(seed)
-            jc = categorical_oracle(rng, joint, _BLOCK + 1).reshape(2, 2)
-            ac = categorical_oracle(rng, alone, 3 * _BLOCK + 5)
-            assert np.array_equal(rec.joint_counts, jc)
-            assert np.array_equal(rec.alone_counts, ac)
+            assert np.array_equal(jc, categorical_oracle(rng, joint, _BLOCK + 1).reshape(2, 2))
+            assert np.array_equal(ac, categorical_oracle(rng, alone, 3 * _BLOCK + 5))
 
     @pytest.mark.parametrize(
         "joint, alone",
@@ -307,11 +298,11 @@ class TestCategoricalOracle:
         alone = np.array([0.5, 0.5])
         tracemalloc.start()
         try:
-            rec = sample_distributions(joint, alone, 10**7, 10**7, seed=3)
+            _, ac = sample_distributions(joint, alone, 10**7, 10**7, seed=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rec.alone_counts.sum() == 10**7
+        assert ac.sum() == 10**7
         assert peak <= 4 * _BLOCK * np.dtype(float).itemsize
 
 
@@ -432,7 +423,7 @@ class TestSampleTablesOracle:
         assert columns.shape == (4, len(STACK_ROWS))
         for i in range(len(STACK_ROWS)):
             assert columns[:, i].tolist() == list(dichotomic_estimate_oracle(jc[i], ac[i])), i
-            est = estimate_cd(ShotRecord(jc[i], ac[i], 1000, 1000, seed))
+            est = estimate_cd(jc[i], ac[i])
             assert [est.c_hat, est.d_hat, est.c_err, est.d_err] == columns[:, i].tolist()
 
     def test_estimates_on_random_counts(self):
@@ -444,13 +435,16 @@ class TestSampleTablesOracle:
         columns = estimate_columns(jc, ac)
         for i in range(len(jc)):
             assert columns[:, i].tolist() == list(dichotomic_estimate_oracle(jc[i], ac[i])), i
+        # whole float counts estimate as their integers do
+        assert columns.tobytes() == estimate_columns(jc.astype(float), ac.astype(float)).tobytes()
 
     def test_one_point_case_is_sample_distributions(self):
         joint, alone = STACK_ROWS[0]
-        rec = sample_distributions(joint, alone, 300, 300, 9 ^ 3)
-        jc, ac = sample_tables(STACK_JOINT, STACK_ALONE, 300, 9, first=3)
-        assert np.array_equal(rec.joint_counts, jc[0])
-        assert np.array_equal(rec.alone_counts, ac[0])
+        one_jc, one_ac = sample_distributions(joint, alone, 300, 700, 9 ^ 3)
+        jc, ac = sample_tables(STACK_JOINT, STACK_ALONE, 300, 9, first=3, shots_alone=700)
+        assert one_jc.shape == (2, 2) and one_ac.shape == (2,)
+        assert np.array_equal(one_jc, jc[0])
+        assert np.array_equal(one_ac, ac[0])
 
     def test_empty_stack(self):
         jc, ac = sample_tables(np.zeros((0, 2, 2)), np.zeros((0, 2)), 10, 1)
@@ -471,7 +465,8 @@ class TestSampleTablesOracle:
         with pytest.raises(NotNormalizedError, match=f"at index {10 + row}$"):
             sample_tables(joint, alone, 100, 1, first=10)
 
-    @pytest.mark.parametrize("seed, first", [(-1, 0), (2**128, 0), (3, -1)])
+    @pytest.mark.parametrize("seed, first", [(-1, 0), (2**128, 0), (3, -1), (3, 2**64),
+                                             (1.5, 0), (7.0, 0), (3, 0.5), ("3", 0)])
     def test_seed_out_of_range(self, seed, first):
         with pytest.raises(InvalidSeedError):
             sample_tables(STACK_JOINT, STACK_ALONE, 10, seed, first)
@@ -484,9 +479,8 @@ class TestSampleTablesOracle:
             sample_tables(joint, alone, 10, 1)
 
     def test_record_estimate_needs_a_dichotomic_record(self):
-        rec = ShotRecord(np.full((3, 3), 10), np.full(3, 30), 90, 90, 0)
         with pytest.raises(NotDichotomicError):
-            estimate_cd(rec)
+            estimate_cd(np.full((3, 3), 10), np.full(3, 30))
 
     def test_estimator_rejects_empty_and_non_dichotomic_records(self):
         jc = np.full((3, 2, 2), 5)
@@ -496,6 +490,21 @@ class TestSampleTablesOracle:
             estimate_columns(jc, ac)
         with pytest.raises(LabelMismatchError):
             estimate_columns(np.ones((3, 3, 3)), np.ones((3, 3)))
+        # negative, fractional, non-finite and inexact counts: the first bad
+        # record is named, in a stack, in a CLI slice and on its own
+        for arm, value in [("joint", -1), ("alone", -1), ("joint", 2.7), ("alone", 0.5),
+                           ("joint", np.nan), ("alone", np.inf), ("joint", -np.inf),
+                           ("joint", 1e30), ("alone", 2.0**53)]:
+            jc = np.full((4, 2, 2), 5, dtype=type(value))
+            ac = np.full((4, 2), 5, dtype=type(value))
+            (jc[2, 1] if arm == "joint" else ac[2])[0] = value
+            jc[3, 0, 0] = ac[3, 1] = -2
+            with pytest.raises(InvalidShotsError, match="at index 2$"):
+                estimate_columns(jc, ac)
+            with index_base(10), pytest.raises(InvalidShotsError, match="at index 12$"):
+                estimate_columns(jc, ac)
+            with pytest.raises(InvalidShotsError, match="at index 0$"):
+                estimate_cd(jc[2], ac[2])
 
 
 def assert_oracle_counts(joint, alone, shots, shots_alone, seed, first=0):

@@ -227,7 +227,7 @@ def forward_scan_oracle(probe, target_strength, target_bias, thetas, shots=None,
                         rotation=None) -> np.ndarray:
     """The (4, points) columns c, d, c_err, d_err of ``forward_scan`` with
     one library call per point: ``cd_from_scenario`` (exact; zero errors)
-    or ``estimate_cd(sample(...))`` on the Philox stream ``seed ^ i``."""
+    or ``estimate_cd(*sample(...))`` on the Philox stream ``seed ^ i``."""
     columns = np.zeros((4, len(thetas)))
     points = scan_scenarios(probe, target_strength, target_bias, thetas, rotation)
     for i, args in enumerate(points):
@@ -235,7 +235,7 @@ def forward_scan_oracle(probe, target_strength, target_bias, thetas, shots=None,
             value = cd_from_scenario(*args)
             columns[:2, i] = value.correlation, value.disturbance
         else:
-            est = estimate_cd(sample(*args, shots, shots, seed ^ i))
+            est = estimate_cd(*sample(*args, shots, shots, seed ^ i))
             columns[:, i] = est.c_hat, est.d_hat, est.c_err, est.d_err
     return columns
 
