@@ -36,7 +36,6 @@ from .highdim_model import (
 )
 from .quantum_core import (
     DensityMatrix,
-    Effect,
     Instrument,
     LuedersInstrument,
     Povm,

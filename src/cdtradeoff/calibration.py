@@ -48,13 +48,15 @@ from .errors import (
     FitError,
     InsufficientPointsError,
     InvalidMeasurementError,
+    InvalidSeedError,
+    InvalidShotsError,
     NotAnEllipseError,
     OutOfDomainError,
     RankDeficientError,
 )
 from .quantum_core import _frozen
 from .qubit_model import _separate_probe
-from .shot_sampler import _stream
+from .shot_sampler import _integer, _stream
 
 DEFAULT_BOOTSTRAP = 200
 # DeviceCharacter fields of the four strength combinations and of the
@@ -152,6 +154,11 @@ def _bootstrap(reduce, fit, width: int, n: int, n_bootstrap: int, seed: int) -> 
     resamples of the ``n`` points, fitting the groups of statistics that
     ``_reduced`` yields for ``reduce``; a group on which ``fit`` raises
     ``FitError`` or ``OutOfDomainError`` (it keeps no resample) adds no rows."""
+    n_bootstrap, seed = _integer(n_bootstrap), _integer(seed)
+    if not n_bootstrap >= 0:
+        raise InvalidShotsError("bootstrap resample count must be an integer >= 0")
+    if not 0 <= seed < 2**128:
+        raise InvalidSeedError("bootstrap seed must be an integer in [0, 2**128)")
     rows = np.empty((n_bootstrap, width))
     kept = 0
     for group in _reduced(reduce, n, n_bootstrap, seed):

@@ -71,7 +71,8 @@ class OutOfDomainError(CdTradeoffError):
 
 
 class InvalidShotsError(CdTradeoffError):
-    """Shot totals must be positive integers, and counts whole and non-negative."""
+    """Shot totals must be positive integers, resample counts integers >= 0,
+    and counts whole and non-negative."""
 
 
 class InvalidSeedError(CdTradeoffError):

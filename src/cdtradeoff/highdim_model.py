@@ -27,10 +27,10 @@ from .errors import (
     DimensionMismatchError,
     InvalidDimError,
     InvalidMeasurementError,
-    InvalidStateError,
     ProbeNotSharpError,
 )
-from .quantum_core import Effect, Povm, _frozen, at_index, check_povms, dagger, first_bad
+from .quantum_core import (Povm, _frozen, at_index, check_effects, check_povms, dagger,
+                           first_bad, unit_kets)
 
 # Idempotency / rank-one tolerance for the projectors.
 PROJECTOR_TOL = 1e-9
@@ -38,17 +38,6 @@ PROJECTOR_TOL = 1e-9
 # Below this top eigenvalue the disturbance operator is treated as zero
 # (parallel or orthogonal projectors) and the probe ket is returned.
 DEGENERACY_TOL = 1e-12
-
-
-def unit_kets(kets) -> np.ndarray:
-    """Kets (..., d) divided by their norms; a zero ket raises
-    InvalidStateError naming its index."""
-    k = np.asarray(kets, dtype=complex)
-    norm = np.linalg.norm(k, axis=-1, keepdims=True)
-    index = first_bad(norm[..., 0] == 0)
-    if index is not None:
-        raise InvalidStateError(f"zero ket{at_index(index)}")
-    return k / norm
 
 
 def projectors(kets) -> np.ndarray:
@@ -91,32 +80,32 @@ def randomized_povms(gamma: float, proj) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RandomizedDichotomic:
-    """Projector-plus-noise two-outcome measurement in dimension ``dim``."""
+    """Projector-plus-noise two-outcome measurement in dimension ``dim``;
+    ``projector_plus`` is the read-only (dim, dim) rank-one projector P_+."""
 
     dim: int
     gamma: float
-    projector_plus: Effect
+    projector_plus: np.ndarray
 
     def __post_init__(self):
         if self.dim < 2:
             raise InvalidDimError(f"dimension {self.dim} below 2")
         _check_gamma(self.gamma)
-        p = self.projector_plus.matrix
-        if p.shape[0] != self.dim:
-            raise DimensionMismatchError(
-                f"projector dim {p.shape[0]} does not match {self.dim}"
-            )
+        p = check_effects(self.projector_plus)
+        if p.shape != (self.dim, self.dim):
+            raise DimensionMismatchError(f"projector shape {p.shape} does not match dim {self.dim}")
         check_projectors(p)
+        object.__setattr__(self, "projector_plus", _frozen(p))
 
     @classmethod
     def from_ket(cls, ket, gamma: float) -> "RandomizedDichotomic":
-        k = np.asarray(ket, dtype=complex).ravel()
-        return cls(k.size, gamma, Effect(projectors(k)))
+        k = np.ravel(ket)
+        return cls(k.size, gamma, projectors(k))
 
     def to_povm(self) -> Povm:
         """Effects gamma * P + (1 - gamma) I/2 and its complement, labels
         +1/-1 (see ``randomized_povms``)."""
-        return Povm(randomized_povms(self.gamma, self.projector_plus.matrix))
+        return Povm(randomized_povms(self.gamma, self.projector_plus))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,8 +169,8 @@ def overlap(pa: RandomizedDichotomic, pb: RandomizedDichotomic) -> OverlapGeomet
         raise DimensionMismatchError(f"dimension mismatch: {pa.dim} vs {pb.dim}")
     if abs(pa.gamma - 1.0) > 1e-12:
         raise ProbeNotSharpError(f"probe gamma {pa.gamma!r} is not 1")
-    proj_a = pa.projector_plus.matrix
-    proj_b = pb.projector_plus.matrix
+    proj_a = pa.projector_plus
+    proj_b = pb.projector_plus
     c2 = float(np.clip(np.trace(proj_a @ proj_b).real, 0.0, 1.0))
     return OverlapGeometry(c2, float(_radius(c2)), _frozen(optimal_kets(proj_a, proj_b)))
 

@@ -8,9 +8,9 @@ states has shape ``(n, d, d)``, a stack of POVMs ``(n, k, d, d)``, and a
 scan validates and evaluates a slice of its points in one call.  A failed
 check raises a typed error naming the index of the first bad matrix,
 counted from ``index_base`` when a caller checks a grid a slice at a time.
-The wrapper types (``DensityMatrix``, ``Effect``, ``Povm``) are the
-unbatched case of the same kernels: they validate once, at construction,
-and are immutable afterwards (matrices are stored as read-only copies).
+The wrapper types (``DensityMatrix``, ``Povm``) are the unbatched case of
+the same kernels: they validate once, at construction, and are immutable
+afterwards (matrices are stored as read-only copies).
 
 ``Instrument`` holds the Kraus operators of a probe: the square-root
 (minimal back-action) update, a measure-and-prepare update, or any
@@ -84,9 +84,13 @@ def at_index(index: tuple) -> str:
 
 
 def _as_stack(matrices, what: str = "matrix") -> np.ndarray:
-    m = np.asarray(matrices, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatchError(f"{what} must be square, got shape {m.shape}")
+    try:
+        m = np.asarray(matrices, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError(f"{what} is not a numeric array (non-numeric entries "
+                                     f"or mixed dimensions): {exc}") from None
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise DimensionMismatchError(f"{what} must be square and nonempty, got shape {m.shape}")
     if not np.isfinite(m).all():
         index = first_bad(~np.isfinite(m).all(axis=(-2, -1)))
         raise NotFiniteError(f"{what}{at_index(index)} has a non-finite entry")
@@ -130,10 +134,7 @@ def _require_spectrum(m: np.ndarray, what: str, at_most_one: bool = False) -> No
 def check_states(matrices) -> np.ndarray:
     """Validated stack (..., d, d) of density matrices: finite, Hermitian,
     positive semidefinite and of unit trace.  Returns the complex array."""
-    return _require_states(_as_stack(matrices, "density matrix"))
-
-
-def _require_states(m: np.ndarray) -> np.ndarray:
+    m = _as_stack(matrices, "density matrix")
     _require_hermitian(m, "density matrix")
     _require_spectrum(m, "density matrix")
     tr = np.trace(m, axis1=-2, axis2=-1).real
@@ -148,31 +149,23 @@ def _require_states(m: np.ndarray) -> np.ndarray:
 def check_effects(matrices) -> np.ndarray:
     """Validated stack (..., d, d) of effects: finite, Hermitian, spectrum
     inside [0, 1].  Returns the complex array."""
-    return _require_effects(_as_stack(matrices, "effect"))
-
-
-def _require_effects(m: np.ndarray) -> np.ndarray:
+    m = _as_stack(matrices, "effect")
     _require_hermitian(m, "effect")
     _require_spectrum(m, "effect", at_most_one=True)
     return m
-
-
-def _require_complete(effects: np.ndarray) -> None:
-    if effects.ndim < 3 or effects.shape[-3] < 2:
-        raise InvalidMeasurementError("a POVM needs at least two effects")
-    eye = np.eye(effects.shape[-1])
-    index = first_bad(np.abs(effects.sum(axis=-3) - eye).max(axis=(-2, -1)) > ATOL)
-    if index is not None:
-        raise InvalidMeasurementError(
-            f"effects{at_index(index)} do not sum to the identity within {ATOL:g}"
-        )
 
 
 def check_povms(effects) -> np.ndarray:
     """Validated stack (..., k, d, d) of k-outcome POVMs: every effect
     passes ``check_effects`` and each POVM sums to the identity."""
     m = check_effects(effects)
-    _require_complete(m)
+    if m.ndim < 3 or m.shape[-3] < 2:
+        raise InvalidMeasurementError("a POVM needs at least two effects")
+    index = first_bad(np.abs(m.sum(axis=-3) - np.eye(m.shape[-1])).max(axis=(-2, -1)) > ATOL)
+    if index is not None:
+        raise InvalidMeasurementError(
+            f"effects{at_index(index)} do not sum to the identity within {ATOL:g}"
+        )
     return m
 
 
@@ -202,13 +195,34 @@ def psd_sqrt(matrix) -> np.ndarray:
     return (r + dagger(r)) / 2
 
 
+def unit_kets(kets) -> np.ndarray:
+    """Kets (..., d) over their norms, each first scaled by the exact power of
+    two of its largest real or imaginary part, so that no finite nonzero ket
+    overflows or vanishes and one whose squares are normal doubles keeps the
+    bits of ``k / np.linalg.norm(k, axis=-1)``.  A non-finite ket raises
+    NotFiniteError and a zero ket InvalidStateError, naming its index."""
+    k = np.ascontiguousarray(kets, dtype=complex)
+    index = first_bad(~np.isfinite(k).all(axis=-1))
+    if index is not None:
+        raise NotFiniteError(f"ket{at_index(index)} has a non-finite entry")
+    parts = k.view(float)  # (..., 2d): real and imaginary parts interleaved
+    _, exponent = np.frexp(np.abs(parts).max(axis=-1, keepdims=True, initial=0.0))
+    scaled = np.ldexp(parts, -exponent).view(complex)
+    # the sum of np.linalg.norm's vector path
+    norm = np.sqrt(np.add.reduce((scaled.conj() * scaled).real, axis=-1, keepdims=True))
+    index = first_bad(norm[..., 0] == 0)
+    if index is not None:
+        raise InvalidStateError(f"zero ket{at_index(index)}")
+    return scaled / norm
+
+
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace operator."""
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        self.matrix = _frozen(_require_states(_as_square(matrix, "density matrix")))
+        self.matrix = _frozen(check_states(_as_square(matrix, "density matrix")))
 
     @property
     def dim(self) -> int:
@@ -216,12 +230,8 @@ class DensityMatrix:
 
     @classmethod
     def from_ket(cls, ket) -> "DensityMatrix":
-        """Pure state |k><k| from an (automatically normalized) ket."""
-        k = np.asarray(ket, dtype=complex).ravel()
-        norm = np.linalg.norm(k)
-        if norm == 0:
-            raise InvalidStateError("zero ket")
-        k = k / norm
+        """Pure state |k><k| of a ket, normalized by ``unit_kets``."""
+        k = unit_kets(np.ravel(ket))
         return cls(np.outer(k, k.conj()))
 
     @classmethod
@@ -229,60 +239,44 @@ class DensityMatrix:
         return cls(np.eye(dim, dtype=complex) / dim)
 
 
-class Effect:
-    """POVM element: Hermitian with spectrum inside [0, 1] (within ATOL)."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        self.matrix = _frozen(_require_effects(_as_square(matrix, "effect")))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 class Povm:
-    """Ordered collection of effects summing to the identity.
+    """Ordered collection of effects summing to the identity: a sequence of
+    (d, d) matrices or a (k, d, d) stack, checked by one ``check_povms``
+    call and held as ``matrices``, its read-only (k, d, d) stack.
 
     ``outcome_labels`` are the real values attached to the outcomes (the
     eigenvalue bookkeeping for the observable ``sum(label * effect)``).
     Two-outcome POVMs default to labels (+1, -1) in effect order.
-    ``matrices`` is the read-only (k, d, d) stack of the effects.
     """
 
-    __slots__ = ("effects", "labels", "matrices")
+    __slots__ = ("labels", "matrices")
 
     def __init__(self, effects, outcome_labels=None):
-        eff = tuple(e if isinstance(e, Effect) else Effect(e) for e in effects)
-        if len({e.dim for e in eff}) > 1:
-            raise DimensionMismatchError("effects have mixed dimensions")
-        matrices = np.array([e.matrix for e in eff])
-        _require_complete(matrices)
+        if not len(effects):  # an empty list is no stack of matrices
+            raise InvalidMeasurementError("a POVM needs at least two effects")
+        matrices = check_povms(effects)
+        if matrices.ndim != 3:
+            raise DimensionMismatchError(f"effects must be square, got shape {matrices.shape}")
         if outcome_labels is None:
-            if len(eff) != 2:
-                raise InvalidMeasurementError(
-                    "outcome labels are required for more than two outcomes"
-                )
+            if len(matrices) != 2:
+                raise InvalidMeasurementError("outcome labels are required beyond two outcomes")
             outcome_labels = (1.0, -1.0)
-        labels = tuple(float(x) for x in outcome_labels)
-        if len(labels) != len(eff):
+        self.labels = tuple(float(x) for x in outcome_labels)
+        if len(self.labels) != len(matrices):
             raise InvalidMeasurementError("one label per effect is required")
-        self.effects = eff
-        self.labels = labels
         self.matrices = _frozen(matrices)
 
     @property
     def dim(self) -> int:
-        return self.effects[0].dim
+        return self.matrices.shape[-1]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.effects)
+        return len(self.matrices)
 
     def observable(self) -> np.ndarray:
         """Hermitian observable sum_a label_a * E_a."""
-        return sum(l * e.matrix for l, e in zip(self.labels, self.effects))
+        return sum(l * e for l, e in zip(self.labels, self.matrices))
 
 
 class Instrument:
@@ -290,9 +284,8 @@ class Instrument:
     for each outcome a, with the state update rho -> sum_m K_am rho K_am^dagger.
 
     ``matrices`` is the read-only (k * m, d, d) stack of the Kraus operators
-    in outcome-major order and ``kraus`` the same operators as a tuple;
-    ``povm`` holds the effects sum_m K_am^dagger K_am with the outcome
-    labels.  There are three constructors:
+    in outcome-major order; ``povm`` holds the effects sum_m K_am^dagger K_am
+    with the outcome labels.  There are three constructors:
 
     * ``Instrument.lueders(povm)`` (also ``LuedersInstrument(povm)``): the
       square-root, minimal back-action update K_a = E_a^(1/2);
@@ -307,7 +300,7 @@ class Instrument:
     C^2 + D^2 <= 1 is a theorem for it alone, with two outcomes on each arm.
     """
 
-    __slots__ = ("povm", "matrices", "kraus", "per_outcome", "square_root")
+    __slots__ = ("povm", "matrices", "per_outcome", "square_root")
 
     def __init__(self, kraus, outcome_labels=None):
         ops = _as_stack(kraus, "Kraus operator")
@@ -323,7 +316,6 @@ class Instrument:
         self.povm = povm
         self.per_outcome = ops.shape[1]
         self.matrices = _frozen(ops.reshape(-1, povm.dim, povm.dim))
-        self.kraus = tuple(self.matrices)
         self.square_root = square_root
 
     @classmethod

@@ -205,9 +205,9 @@ class QubitMeasurement:
     def observable(self) -> np.ndarray:
         return self.bias * ID2 + bloch_matrix(self.bloch)
 
-    def effects(self) -> tuple[np.ndarray, np.ndarray]:
-        plus, minus = _effect_pairs(self.bias, self.bloch)
-        return plus, minus
+    def effects(self) -> np.ndarray:
+        """The (2, 2, 2) stack of the effects, labels (+1, -1)."""
+        return _effect_pairs(self.bias, self.bloch)
 
     def to_povm(self) -> Povm:
         return Povm(self.effects())
@@ -219,7 +219,7 @@ def measurement_from_povm(povm: Povm) -> QubitMeasurement:
         raise NonQubitError(f"expected a qubit POVM, got dim {povm.dim}")
     if sorted(povm.labels) != [-1.0, 1.0]:
         raise InvalidMeasurementError("POVM labels must be +1/-1")
-    plus = povm.effects[povm.labels.index(1.0)].matrix
+    plus = povm.matrices[povm.labels.index(1.0)]
     bias = np.trace(plus).real - 1.0
     bloch = np.array([np.trace(plus @ s).real for s in PAULI])
     return QubitMeasurement(bias, bloch)

@@ -170,7 +170,7 @@ def test_criterion_05_highdim_circle():
         assert abs(simulated.correlation**2 + simulated.disturbance**2 - gamma**2) <= 1e-9
         assert abs(simulated.correlation - value.correlation) <= 1e-9
         assert abs(simulated.disturbance - value.disturbance) <= 1e-9
-        amp = np.abs(geom.psi_plus.conj() @ pa.projector_plus.matrix @ geom.psi_plus)
+        amp = np.abs(geom.psi_plus.conj() @ pa.projector_plus @ geom.psi_plus)
         assert abs(np.sqrt(amp) - 1 / np.sqrt(2)) <= 1e-9
         mean_a = (geom.psi_plus.conj() @ pa.to_povm().observable() @ geom.psi_plus).real
         assert abs(mean_a) <= 1e-9
@@ -312,8 +312,8 @@ def test_criterion_09_operator_consistency():
         m = m + m.conj().T
         from cdtradeoff.cd_measures import dissipator
 
-        for k, e in zip(inst.kraus, povm_a.effects):
-            anti = 0.5 * (e.matrix @ m + m @ e.matrix)
+        for k, e in zip(inst.matrices, povm_a.matrices):
+            anti = 0.5 * (e @ m + m @ e)
             assert np.abs(k @ m @ k - (anti - dissipator(k, m))).max() <= 1e-10
     report(9, "operator expectations reproduce statistics and the channel "
               "decomposition holds on 10^3 scenarios")

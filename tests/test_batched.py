@@ -32,7 +32,6 @@ from cdtradeoff.highdim_model import (
 from cdtradeoff.quantum_core import (
     ATOL,
     DensityMatrix,
-    Effect,
     LuedersInstrument,
     Povm,
     check_effects,
@@ -322,9 +321,9 @@ class TestBadPointInBatch:
             (check_states, DensityMatrix, RHO, np.diag([0.6, 0.6]), InvalidStateError),
             (check_states, DensityMatrix, RHO, [[0.5, 0.3], [0.1, 0.5]], NotHermitianError),
             (check_states, DensityMatrix, RHO, np.diag([np.nan, 0.5]), NotFiniteError),
-            (check_effects, Effect, EFFECT, np.diag([1.3, 0.2]), InvalidMeasurementError),
-            (check_effects, Effect, EFFECT, np.diag([0.5, -0.1]), NotPsdError),
-            (check_effects, Effect, EFFECT, np.diag([np.inf, 0.2]), NotFiniteError),
+            (check_effects, check_effects, EFFECT, np.diag([1.3, 0.2]), InvalidMeasurementError),
+            (check_effects, check_effects, EFFECT, np.diag([0.5, -0.1]), NotPsdError),
+            (check_effects, check_effects, EFFECT, np.diag([np.inf, 0.2]), NotFiniteError),
             (psd_sqrt, psd_sqrt, EFFECT, np.diag([0.5, -0.1]), NotPsdError),
         ],
     )
@@ -370,7 +369,7 @@ class TestBadPointInBatch:
         proj = np.stack([np.diag([1.0, 0.0])] * 7).astype(complex)
         proj[4] = np.diag([1.0, 1.0])
         with pytest.raises(InvalidMeasurementError):
-            RandomizedDichotomic(2, 1.0, Effect(np.eye(2)))
+            RandomizedDichotomic(2, 1.0, np.eye(2))
         with pytest.raises(InvalidMeasurementError, match="index 4"):
             check_projectors(proj)
 
@@ -407,14 +406,14 @@ class TestEachSliceCheckedOnce:
 
     @pytest.mark.parametrize("points", [1024, 2048, 3072])
     def test_exact_scan_runs_one_eigvalsh_per_slice(self, monkeypatch, points):
-        # two for the probe's effects; the states are checked by Bloch length
+        # one for the probe's POVM; the states are checked by Bloch length
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
         config = {"schema": 1, "mode": "scan", "probe": PROBE,
                   "target": {**TARGET, "theta_grid": {"points": points}}}
         cli._scan_rows(config, cli._parse(config))
-        assert len(calls) == 2
+        assert calls == [(2, 2, 2)]
 
     @staticmethod
     def boundary_cases():

@@ -19,6 +19,8 @@ from cdtradeoff.errors import (
     FitError,
     InsufficientPointsError,
     InvalidMeasurementError,
+    InvalidSeedError,
+    InvalidShotsError,
     NotAnEllipseError,
     OutOfDomainError,
     RankDeficientError,
@@ -126,6 +128,20 @@ class TestBootstrapBits:
         assert kept < 200
         assert len(fit.errors) == 4
         assert fit.errors == expected
+
+
+@pytest.mark.parametrize("fit", [
+    fit_circle_sharp_probe, fit_ellipse_known_theta, fit_ellipse_unknown_theta,
+])
+@pytest.mark.parametrize("n_bootstrap, seed, error", [
+    (-1, 0, InvalidShotsError), (10.5, 0, InvalidShotsError), (True, 0, InvalidShotsError),
+    ("10", 0, InvalidShotsError), (10, -1, InvalidSeedError), (10, 2**128, InvalidSeedError),
+    (10, 1.0, InvalidSeedError), (10, None, InvalidSeedError),
+])
+def test_bootstrap_arguments_are_checked(fit, n_bootstrap, seed, error):
+    scan = forward_scan(QubitMeasurement(0.3, 0.55 * plane_axis(0.0)), 0.85, 0.1, THETAS_12)
+    with pytest.raises(error):
+        fit(scan, n_bootstrap=n_bootstrap, bootstrap_seed=seed)
 
 
 @pytest.fixture

@@ -124,7 +124,7 @@ class TestDisturbance:
         rho, inst, povm = scenario(0.0, np.pi / 3)
         joint, alone = scenario_tables(rho.matrix, inst, povm.matrices)
         after = unregistered_channel(inst, rho)
-        p_tilde = [np.trace(after.matrix @ e.matrix).real for e in povm.effects]
+        p_tilde = [np.trace(after.matrix @ e).real for e in povm.matrices]
         assert_allclose(joint.sum(axis=0), p_tilde, atol=1e-12)
         d = float(cd_tables(joint, alone, inst, PM)[1])
         assert d == pytest.approx(np.sin(np.pi / 3), abs=1e-12)
@@ -379,14 +379,14 @@ class TestDissipator:
             inst = LuedersInstrument(povm)
             m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             m = m + m.conj().T
-            for k, e in zip(inst.kraus, povm.effects):
+            for k, e in zip(inst.matrices, povm.matrices):
                 updated = k @ m @ k
-                anti = 0.5 * (e.matrix @ m + m @ e.matrix)
+                anti = 0.5 * (e @ m + m @ e)
                 assert np.abs(updated - (anti - dissipator(k, m))).max() <= 1e-10
 
     def test_sharp_x_outcome_parts_sum_to_disturbance_operator(self):
         inst = LuedersInstrument(sharp(0.0).to_povm())
-        parts = [dissipator(k, SIGMA_Z) for k in inst.kraus]
+        parts = [dissipator(k, SIGMA_Z) for k in inst.matrices]
         for part in parts:
             assert_allclose(part, SIGMA_Z / 2, atol=1e-12)
         assert_allclose(sum(parts), disturbance_operator(inst, SIGMA_Z), atol=1e-12)

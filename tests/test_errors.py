@@ -2,6 +2,7 @@ import ast
 import inspect
 from pathlib import Path
 
+import cdtradeoff
 from cdtradeoff import errors
 
 PACKAGE = Path(errors.__file__).parent
@@ -31,3 +32,57 @@ def test_every_error_type_is_raised_or_a_base():
     raised = raised_names()
     orphans = [cls.__name__ for cls in classes if cls.__name__ not in raised and cls not in bases]
     assert classes and not orphans
+
+
+def test_public_names():
+    """The package's public names, listed so that each one retired or added
+    shows as a one-line diff."""
+    assert cdtradeoff.__all__ == [
+        "CdEstimate",
+        "CdScan",
+        "CdValue",
+        "CircleFit",
+        "DensityMatrix",
+        "DetectorEstimate",
+        "DetectorNoise",
+        "DeviceCharacter",
+        "EllipseCharacter",
+        "Instrument",
+        "InstrumentPolicy",
+        "LuedersInstrument",
+        "OverlapGeometry",
+        "Povm",
+        "QubitMeasurement",
+        "RandomizedDichotomic",
+        "calibration",
+        "cd_from_scenario",
+        "cd_highdim",
+        "cd_measures",
+        "cd_parametric",
+        "correlation",
+        "correlation_operator",
+        "detector_model",
+        "dissipator",
+        "disturbance_operator",
+        "dual_channel",
+        "ellipse_character",
+        "errors",
+        "estimate_cd",
+        "estimate_detector",
+        "estimate_noise",
+        "fit_circle_sharp_probe",
+        "fit_ellipse_known_theta",
+        "fit_ellipse_unknown_theta",
+        "highdim_model",
+        "measurement_from_povm",
+        "optimal_state",
+        "overlap",
+        "psd_sqrt",
+        "quantum_core",
+        "qubit_model",
+        "sample",
+        "scenario_cd",
+        "scenario_distributions",
+        "shot_sampler",
+        "state_from_bloch",
+    ]

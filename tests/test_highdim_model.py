@@ -8,6 +8,7 @@ from cdtradeoff.errors import (
     InvalidDimError,
     InvalidMeasurementError,
     InvalidStateError,
+    NotFiniteError,
     ProbeNotSharpError,
 )
 from cdtradeoff.highdim_model import (
@@ -18,7 +19,7 @@ from cdtradeoff.highdim_model import (
     projectors,
     randomized_povms,
 )
-from cdtradeoff.quantum_core import DensityMatrix, Effect, LuedersInstrument
+from cdtradeoff.quantum_core import DensityMatrix, LuedersInstrument
 
 from util import random_unitary
 
@@ -53,29 +54,38 @@ class TestValidation:
     def test_rejects_rank_two_projector(self):
         proj = np.diag([1.0, 1.0, 0.0]).astype(complex)
         with pytest.raises(InvalidMeasurementError):
-            RandomizedDichotomic(3, 1.0, Effect(proj))
+            RandomizedDichotomic(3, 1.0, proj)
 
     def test_rejects_non_idempotent(self):
         with pytest.raises(InvalidMeasurementError):
-            RandomizedDichotomic(2, 1.0, Effect(np.diag([0.6, 0.4])))
+            RandomizedDichotomic(2, 1.0, np.diag([0.6, 0.4]))
 
     def test_rejects_projector_of_other_dim(self):
         with pytest.raises(DimensionMismatchError, match="does not match"):
-            RandomizedDichotomic(3, 1.0, Effect(np.diag([1.0, 0.0])))
+            RandomizedDichotomic(3, 1.0, np.diag([1.0, 0.0]))
 
     def test_rejects_zero_ket(self):
         with pytest.raises(InvalidStateError, match="zero ket at index 1"):
             projectors(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
+    def test_rejects_non_finite_ket(self):
+        with pytest.raises(NotFiniteError, match="ket has a non-finite entry"):
+            RandomizedDichotomic.from_ket([np.nan, 1.0], 1.0)
+
+    def test_projector_is_read_only(self):
+        meas = RandomizedDichotomic.from_ket(ket(3, 1.0), 1.0)
+        assert meas.projector_plus.shape == (3, 3)
+        assert not meas.projector_plus.flags.writeable
+
     def test_rejects_bad_dim(self):
         with pytest.raises(InvalidDimError):
-            RandomizedDichotomic(1, 1.0, Effect(np.eye(1)))
+            RandomizedDichotomic(1, 1.0, np.eye(1))
 
     def test_povm_effects(self):
         meas = RandomizedDichotomic.from_ket(ket(3, 1.0), 0.4)
         povm = meas.to_povm()
         expected = 0.4 * np.diag([1.0, 0.0, 0.0]) + 0.6 * np.eye(3) / 2
-        assert_allclose(povm.effects[0].matrix, expected, atol=1e-14)
+        assert_allclose(povm.matrices[0], expected, atol=1e-14)
 
 
 class TestOverlap:
@@ -112,7 +122,7 @@ class TestOverlap:
     def test_degenerate_geometry_returns_probe_ket(self):
         pa, pb = pair_with_overlap(4, 1.0, 1.0)
         geom = overlap(pa, pb)
-        proj = pa.projector_plus.matrix
+        proj = pa.projector_plus
         assert np.abs(proj @ geom.psi_plus - geom.psi_plus).max() <= 1e-9
 
     def test_optimal_state_facts(self):
@@ -123,7 +133,7 @@ class TestOverlap:
             c2 = rng.uniform(0.05, 0.95)
             pa, pb = pair_with_overlap(dim, c2, 1.0, rng)
             geom = overlap(pa, pb)
-            proj = pa.projector_plus.matrix
+            proj = pa.projector_plus
             amp = np.sqrt((geom.psi_plus.conj() @ proj @ geom.psi_plus).real)
             assert amp == pytest.approx(1 / np.sqrt(2), abs=1e-9)
             m_a = pa.to_povm().observable()

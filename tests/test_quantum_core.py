@@ -7,20 +7,23 @@ from cdtradeoff.errors import (
     DimensionMismatchError,
     InvalidMeasurementError,
     InvalidStateError,
+    NotFiniteError,
     NotHermitianError,
     NotPsdError,
 )
 from cdtradeoff.quantum_core import (
     DensityMatrix,
-    Effect,
     Instrument,
     LuedersInstrument,
     Povm,
+    check_effects,
     check_povms,
+    check_states,
     dagger,
     dual_channel,
     psd_sqrt,
     scenario_tables,
+    unit_kets,
 )
 from cdtradeoff.highdim_model import projectors, randomized_povms
 from cdtradeoff.qubit_model import (
@@ -113,7 +116,7 @@ class TestTypes:
 
     def test_effect_spectrum_bound(self):
         with pytest.raises(InvalidMeasurementError):
-            Effect(np.diag([1.2, 0.0]))
+            check_effects(np.diag([1.2, 0.0]))
 
     def test_povm_completeness(self):
         with pytest.raises(InvalidMeasurementError):
@@ -124,8 +127,8 @@ class TestTypes:
         assert povm.labels == (1.0, -1.0)
         assert_allclose(povm.observable(), SIGMA_X, atol=1e-15)
 
-    @pytest.mark.parametrize("make", [DensityMatrix, Effect, lambda m: Povm([m, m])],
-                             ids=["density_matrix", "effect", "povm"])
+    @pytest.mark.parametrize("make", [DensityMatrix, lambda m: Povm([m, m])],
+                             ids=["density_matrix", "povm"])
     def test_one_matrix_not_a_stack(self, make):
         with pytest.raises(DimensionMismatchError, match="square"):
             make(np.stack([np.eye(2) / 2] * 2))
@@ -133,6 +136,47 @@ class TestTypes:
     def test_zero_ket(self):
         with pytest.raises(InvalidStateError, match="zero ket"):
             DensityMatrix.from_ket([0.0, 0.0])
+
+    @pytest.mark.parametrize("ket", [[np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf * 1j]])
+    def test_non_finite_ket(self, ket):
+        with pytest.raises(NotFiniteError, match="ket has a non-finite entry"):
+            DensityMatrix.from_ket(ket)
+        with pytest.raises(NotFiniteError, match="ket at index 1"):
+            unit_kets([[1.0, 0.0], ket])
+
+    @pytest.mark.parametrize("scale", [2.0**-1074, 1e-200, 1e200, 1e308])
+    def test_ket_of_any_scale(self, scale):
+        rho = DensityMatrix.from_ket(scale * np.array([1.0, 1.0j]))
+        assert_allclose(rho.matrix, [[0.5, -0.5j], [0.5j, 0.5]], atol=1e-15)
+
+    def test_unit_kets_keep_the_bits_of_the_norm(self):
+        rng = np.random.default_rng(11)
+        kets = rng.normal(size=(500, 5)) + 1j * rng.normal(size=(500, 5))
+        kets *= 10.0 ** rng.uniform(-100, 100, size=(500, 1))
+        expected = kets / np.linalg.norm(kets, axis=-1, keepdims=True)
+        assert unit_kets(kets).tobytes() == expected.tobytes()
+
+    def test_povm_is_one_checked_stack(self):
+        stack = randomized_povms(0.7, projectors(np.array([1.0, 2.0, 0.5j])))
+        povm = Povm(list(stack))
+        assert povm.matrices.tobytes() == check_povms(stack).tobytes()
+        assert not povm.matrices.flags.writeable
+        assert Povm.__slots__ == ("labels", "matrices")
+
+    @pytest.mark.parametrize("make", [
+        lambda: Povm([np.eye(2) / 2, [[0.5, 0.0], [0.0]]]),
+        lambda: DensityMatrix("abc"),
+        lambda: Instrument([np.eye(2), [[0.0]]], (1.0, -1.0)),
+        lambda: check_states([np.eye(2) / 2, [[1.0]]]),
+        lambda: DensityMatrix.maximally_mixed(0),
+        lambda: psd_sqrt(np.zeros((0, 0))),
+        lambda: Povm(np.zeros((2, 0, 0)), (1.0, -1.0)),
+        lambda: Instrument(np.zeros((2, 0, 0)), (1.0, -1.0)),
+    ], ids=["ragged_povm", "text_state", "ragged_kraus", "ragged_states",
+            "mixed_of_dim_0", "sqrt_0x0", "povm_0x0", "kraus_0x0"])
+    def test_malformed_operator(self, make):
+        with pytest.raises(DimensionMismatchError):
+            make()
 
     @pytest.mark.parametrize("effects", [[], [np.eye(2)]], ids=["none", "one"])
     def test_povm_needs_two_effects(self, effects):
@@ -157,8 +201,8 @@ class TestTypes:
 
     def test_instrument_kraus_reproduce_effects(self):
         inst = LuedersInstrument(x_povm(0.7))
-        for k, e in zip(inst.kraus, inst.povm.effects):
-            assert np.abs(k.conj().T @ k - e.matrix).max() <= 1e-9
+        for k, e in zip(inst.matrices, inst.povm.matrices):
+            assert np.abs(k.conj().T @ k - e).max() <= 1e-9
             assert np.abs(k - k.conj().T).max() <= 1e-12  # Hermitian choice
 
 
@@ -253,7 +297,7 @@ class TestJointProbabilities:
         rho = DensityMatrix.from_ket(KET0)
         table, _ = scenario_tables(rho.matrix, inst, target.to_povm().matrices)
         oracle = oracle_joint_table(
-            inst.kraus, rho.matrix, [e.matrix for e in target.to_povm().effects]
+            inst.matrices, rho.matrix, target.to_povm().matrices
         )
         assert_allclose(table, oracle, atol=1e-12)
 
@@ -268,9 +312,9 @@ class TestJointProbabilities:
                 rho.matrix, LuedersInstrument(povm_a), povm_b.matrices)
             assert abs(table.sum() - 1.0) <= 1e-9
             marginal = table.sum(axis=1)
-            direct = [np.trace(rho.matrix @ e.matrix).real for e in povm_a.effects]
+            direct = [np.trace(rho.matrix @ e).real for e in povm_a.matrices]
             assert np.abs(marginal - direct).max() <= 1e-9
-            target = [np.trace(rho.matrix @ e.matrix).real for e in povm_b.effects]
+            target = [np.trace(rho.matrix @ e).real for e in povm_b.matrices]
             assert np.abs(alone - target).max() <= 1e-9
 
 
@@ -347,9 +391,9 @@ class TestInstrument:
         states = [random_pure(rng, 3).matrix for _ in range(3)]
         inst = Instrument.measure_and_prepare(povm, states)
         rho = random_pure(rng, 3)
-        for a, (effect, sigma) in enumerate(zip(povm.effects, states)):
+        for a, (effect, sigma) in enumerate(zip(povm.matrices, states)):
             out, prob = apply_instrument(inst, rho, a)
-            assert prob == pytest.approx(np.trace(rho.matrix @ effect.matrix).real, abs=1e-12)
+            assert prob == pytest.approx(np.trace(rho.matrix @ effect).real, abs=1e-12)
             assert_allclose(out, prob * sigma, atol=1e-12)
         with pytest.raises(DimensionMismatchError):
             Instrument.measure_and_prepare(povm, states[:2])

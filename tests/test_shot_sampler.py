@@ -104,7 +104,7 @@ class TestSample:
         probe = sharp(0.0)
         flipped = QubitMeasurement(0.0, plane_axis(1.0)).to_povm()
         flipped = type(flipped)(
-            [flipped.effects[1], flipped.effects[0]], (-1.0, 1.0)
+            flipped.matrices[::-1], (-1.0, 1.0)
         )
         with pytest.raises(LabelMismatchError):
             sample(

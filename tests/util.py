@@ -100,7 +100,7 @@ def apply_instrument(inst, rho: DensityMatrix, outcome: int):
     one outcome, summed over that outcome's Kraus operators one by one, and
     its trace (the outcome probability)."""
     m = inst.per_outcome
-    out = sum(k @ rho.matrix @ k.conj().T for k in inst.kraus[outcome * m:(outcome + 1) * m])
+    out = sum(k @ rho.matrix @ k.conj().T for k in inst.matrices[outcome * m:(outcome + 1) * m])
     return out, float(out.trace().real)
 
 
@@ -108,7 +108,7 @@ def unregistered_channel(inst, rho: DensityMatrix) -> DensityMatrix:
     """State after the probe with its outcome discarded, sum over every
     Kraus operator of K rho K^dagger; ``DensityMatrix`` checks that it is a
     state."""
-    return DensityMatrix(sum(k @ rho.matrix @ k.conj().T for k in inst.kraus))
+    return DensityMatrix(sum(k @ rho.matrix @ k.conj().T for k in inst.matrices))
 
 
 def oracle_joint_table(kraus, rho, effects):
