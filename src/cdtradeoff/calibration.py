@@ -54,7 +54,7 @@ from .errors import (
     OutOfDomainError,
     RankDeficientError,
 )
-from .quantum_core import _frozen
+from .quantum_core import _as_array, _frozen
 from .qubit_model import _separate_probe
 from .shot_sampler import _integer, _stream
 
@@ -90,14 +90,14 @@ class CdScan:
     d_err: np.ndarray | None = None
 
     def __post_init__(self):
-        shape = (np.size(self.c),)
+        shape = (_as_array(self.c, float, "scan column c").size,)
         for name in ("theta", "c", "d", "c_err", "d_err"):
             values = getattr(self, name)
             if values is None:
                 if name == "theta":
                     continue
                 values = np.zeros(shape)
-            column = _frozen(np.asarray(values, dtype=float))
+            column = _frozen(_as_array(values, float, f"scan column {name}"))
             if column.shape != shape:
                 raise InsufficientPointsError(
                     f"scan column {name} has shape {column.shape}, expected {shape}")

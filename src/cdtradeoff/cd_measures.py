@@ -37,6 +37,7 @@ from .quantum_core import (
     DensityMatrix,
     Instrument,
     Povm,
+    _as_array,
     _as_square,
     _check_dims,
     at_index,
@@ -109,7 +110,7 @@ def correlation(joint, labels_a, labels_b):
     labels are equal.  A stack of tables (..., i, j) gives an array of
     correlations; one table gives a float.
     """
-    table = np.asarray(joint, dtype=float)
+    table = _as_array(joint, float, "joint table")
     la = tuple(float(x) for x in labels_a)
     lb = tuple(float(x) for x in labels_b)
     if table.shape[-2:] != (len(la), len(lb)):
@@ -142,8 +143,8 @@ def cd_tables(joint, alone, inst_a: Instrument, labels_b) -> tuple[np.ndarray, n
     The bound C^2 + D^2 <= 1 is checked where it is a theorem: a probe the
     square-root constructor built, with two outcomes on each arm.
     """
-    table = np.asarray(joint, dtype=float)
-    alone = np.asarray(alone, dtype=float)
+    table = _as_array(joint, float, "joint tables")
+    alone = _as_array(alone, float, "probe-off distributions")
     corr = np.asarray(correlation(table, inst_a.labels, labels_b))
     tilde = table.sum(axis=-2)
     _check_distributions(alone, "probe-off distribution")

@@ -83,21 +83,19 @@ _CSV_ROW = ",".join(["%.9g"] * 6) + "\n"
 SCHEMA_VERSION = 1
 SEED_LIMIT = 2**64
 # Every grid is evaluated in slices of at most this many operator entries,
-# points times the entries of one point's operators (dim**2 for (dim, dim)
-# matrices, dim for the kets of an exact highdim scan), and at least one
-# point, so the operator stacks of a scan do not grow with the grid: 1024
-# qubit points, or 64 points at dim 8.
+# points times the 4 entries of one point's 2 x 2 matrices (a highdim scan's
+# too: it is evaluated in the two-dimensional span of its kets), and at
+# least one point, so the operator stacks of a scan do not grow with the
+# grid: 1024 points a slice.
 _BATCH_ENTRIES = 1 << 12
-# Memory model of a highdim scan (tracemalloc peaks, less a fixed overhead
-# under 1 MiB): an exact scan holds at most 64 bytes per entry of its
-# (points, dim) kets, and a shot-mode scan on top 320 bytes per entry of one
-# slice of (dim, dim) stacks, max(dim**2, _BATCH_ENTRIES) entries.  Exact
-# kets are built a slice at a time too, max(dim, _BATCH_ENTRIES) entries,
-# so the first term overstates the peak (67 MB at dim 2**20 and 16 points,
-# where it allows 1 GiB), but it keeps its value.  Configs whose model exceeds
-# _HIGHDIM_BYTES are refused before anything is allocated:
+# Caps of a highdim config, refused before anything is allocated:
 # points * dim <= HIGHDIM_ENTRIES (2**24) in every mode, and
-# dim <= HIGHDIM_SHOT_DIM (1831) in shot mode.
+# dim <= HIGHDIM_SHOT_DIM (1831) in shot mode.  They were derived for
+# d-dimensional evaluation (tracemalloc peaks of 64 bytes per entry of the
+# (points, dim) kets, and in shot mode 320 bytes per entry of a slice of
+# (dim, dim) stacks, within _HIGHDIM_BYTES).  A scan is evaluated in the
+# span of its kets, so its time and memory do not grow with dim; the caps
+# stay so that no config changes its exit code.
 _HIGHDIM_BYTES = 1 << 30
 HIGHDIM_ENTRIES = _HIGHDIM_BYTES // 64
 HIGHDIM_SHOT_DIM = math.isqrt(_HIGHDIM_BYTES // 320)
@@ -351,11 +349,10 @@ def _linspace(start: float, stop: float, points: int, shots: int | None) -> np.n
     return np.linspace(start, stop, points, endpoint=False) if points > 1 else np.array([start])
 
 
-def _slices(points: int, entries: int = 4):
-    """The slices of a grid of ``points`` points whose operators hold
-    ``entries`` entries each (default: a qubit's 2 x 2): ``_BATCH_ENTRIES``
-    entries a slice, and at least one point."""
-    step = max(1, _BATCH_ENTRIES // entries)
+def _slices(points: int):
+    """The slices of a grid of ``points`` points whose operators are 2 x 2
+    matrices: ``_BATCH_ENTRIES`` entries a slice, and at least one point."""
+    step = max(1, _BATCH_ENTRIES // 4)
     return (slice(start, min(start + step, points)) for start in range(0, points, step))
 
 
@@ -407,20 +404,19 @@ def _highdim_rows(config: dict, values: dict) -> tuple[np.ndarray, np.ndarray]:
     _require(points * dim <= HIGHDIM_ENTRIES, f"points * dim must be <= {HIGHDIM_ENTRIES}")
     grid = _linspace(start, stop, points, shots)
     _require(bool(np.all((grid >= 0) & (grid <= 1))), "c2 values must lie in [0, 1]")
-    # sharp probe along the first basis ket; target ket at overlap c2 with it
-    ket_a = np.zeros(dim)
-    ket_a[0] = 1.0
+    # sharp probe along the first basis ket e0, target ket (c, sqrt(1 - c^2))
+    # at overlap c^2 with it: both lie in the span of e0 and e1, where the
+    # scan is evaluated whatever dim, with the bits of dim-dimensional
+    # evaluation on the builds tested
+    ket_a = np.array([1.0, 0.0])
     if shots is not None:
         proj_a = projectors(ket_a)
         probe = Instrument.lueders(Povm(randomized_povms(1.0, proj_a)))
     columns = np.zeros((4, len(grid)))  # c, d, c_err, d_err (exact: no errors)
-    # an exact slice holds (points, dim) kets, a shot-mode slice (points, dim, dim) stacks
-    for points in _slices(len(grid), dim if shots is None else dim * dim):
+    for points in _slices(len(grid)):
         with index_base(points.start):
             c2 = grid[points]
-            kets_b = np.zeros((len(c2), dim))
-            kets_b[:, 0] = np.sqrt(c2)
-            kets_b[:, 1] = np.sqrt(1.0 - c2)
+            kets_b = np.stack([np.sqrt(c2), np.sqrt(1.0 - c2)], axis=-1)
             if shots is None:
                 columns[:2, points] = circle_law(values["gamma"], overlaps(ket_a, kets_b))
                 continue

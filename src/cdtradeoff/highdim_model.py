@@ -18,6 +18,7 @@ scalar types are the unbatched case.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ from .errors import (
     InvalidMeasurementError,
     ProbeNotSharpError,
 )
-from .quantum_core import (Povm, _frozen, at_index, check_effects, check_povms, dagger,
-                           first_bad, unit_kets)
+from .quantum_core import (Povm, _as_array, _frozen, at_index, check_effects, check_povms,
+                           dagger, first_bad, unit_kets)
 
 # Idempotency / rank-one tolerance for the projectors.
 PROJECTOR_TOL = 1e-9
@@ -59,8 +60,8 @@ def check_projectors(proj) -> None:
 
 
 def _check_gamma(gamma: float) -> None:
-    if not 0.0 <= gamma <= 1.0:
-        raise InvalidMeasurementError(f"gamma {gamma!r} outside [0, 1]")
+    if not (isinstance(gamma, numbers.Real) and 0.0 <= gamma <= 1.0):
+        raise InvalidMeasurementError(f"gamma {gamma!r} is not a number in [0, 1]")
 
 
 def randomized_povms(gamma: float, proj) -> np.ndarray:
@@ -181,7 +182,7 @@ def circle_law(gamma: float, c2) -> tuple[np.ndarray, np.ndarray]:
     optimal state, for one overlap or an array of them; an overlap outside
     [0, 1] (or NaN) raises InvalidMeasurementError naming the first one."""
     _check_gamma(gamma)
-    c2 = np.asarray(c2, dtype=float)
+    c2 = _as_array(c2, float, "overlaps")
     index = first_bad(~((0.0 <= c2) & (c2 <= 1.0)))
     if index is not None:
         raise InvalidMeasurementError(f"overlap c^2{at_index(index)} = {float(c2[index])!r} "

@@ -83,12 +83,18 @@ def at_index(index: tuple) -> str:
     return f" at index {index[0] if len(index) == 1 else index}"
 
 
-def _as_stack(matrices, what: str = "matrix") -> np.ndarray:
+def _as_array(values, dtype, what: str) -> np.ndarray:
+    """``np.asarray(values, dtype)``; input that is no array of that type
+    (non-numeric entries or mixed dimensions) raises DimensionMismatchError."""
     try:
-        m = np.asarray(matrices, dtype=complex)
+        return np.asarray(values, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatchError(f"{what} is not a numeric array (non-numeric entries "
                                      f"or mixed dimensions): {exc}") from None
+
+
+def _as_stack(matrices, what: str = "matrix") -> np.ndarray:
+    m = _as_array(matrices, complex, what)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise DimensionMismatchError(f"{what} must be square and nonempty, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -201,7 +207,7 @@ def unit_kets(kets) -> np.ndarray:
     overflows or vanishes and one whose squares are normal doubles keeps the
     bits of ``k / np.linalg.norm(k, axis=-1)``.  A non-finite ket raises
     NotFiniteError and a zero ket InvalidStateError, naming its index."""
-    k = np.ascontiguousarray(kets, dtype=complex)
+    k = np.ascontiguousarray(_as_array(kets, complex, "ket"))
     index = first_bad(~np.isfinite(k).all(axis=-1))
     if index is not None:
         raise NotFiniteError(f"ket{at_index(index)} has a non-finite entry")
@@ -252,7 +258,8 @@ class Povm:
     __slots__ = ("labels", "matrices")
 
     def __init__(self, effects, outcome_labels=None):
-        if not len(effects):  # an empty list is no stack of matrices
+        effects = _as_array(effects, complex, "effects")
+        if effects.ndim and not len(effects):  # an empty list is no stack of matrices
             raise InvalidMeasurementError("a POVM needs at least two effects")
         matrices = check_povms(effects)
         if matrices.ndim != 3:

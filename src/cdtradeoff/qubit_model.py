@@ -45,6 +45,7 @@ from .quantum_core import (
     DensityMatrix,
     Instrument,
     Povm,
+    _as_array,
     _frozen,
     at_index,
     first_bad,
@@ -63,7 +64,7 @@ def bloch_matrix(vec) -> np.ndarray:
     The entries are written directly, with the bits (signed zeros included)
     of the sum over the Pauli matrices: x + 0.0 and +-y + 0.0 off the
     diagonal, z + 0.0 and -z + 0.0 on it, and +0.0 imaginary diagonal parts."""
-    v = np.asarray(vec, dtype=float)
+    v = _as_array(vec, float, "Bloch vector")
     if v.ndim == 0 or v.shape[-1] != 3:
         raise InvalidMeasurementError(f"Bloch vector must have 3 components, got {v.shape}")
     x, y, z = np.moveaxis(v, -1, 0) + 0.0
@@ -93,7 +94,7 @@ def qubit_states(vecs) -> np.ndarray:
     with unit trace by construction and has eigenvalues (1 +- |r|)/2, so
     this accepts the stacks ``check_states`` accepts, without an
     eigendecomposition."""
-    v = np.asarray(vecs, dtype=float)
+    v = _as_array(vecs, float, "Bloch vectors")
     matrices = bloch_matrix(v)
     index = first_bad(~np.isfinite(v).all(axis=-1))
     if index is not None:
@@ -148,8 +149,8 @@ def check_qubit(bias, bloch) -> None:
     """Parameters of two-outcome qubit measurements, scalar or stacked
     ((...,) biases, (..., 3) Bloch vectors): finite, with
     |bias| + |bloch| <= 1 so that both effects are positive."""
-    b0 = np.asarray(bias, dtype=float)
-    v = np.asarray(bloch, dtype=float)
+    b0 = _as_array(bias, float, "measurement bias")
+    v = _as_array(bloch, float, "Bloch vector")
     if v.ndim == 0 or v.shape[-1] != 3:
         raise InvalidMeasurementError("Bloch vector must have 3 components")
     total = np.abs(b0) + _lengths(v)[..., 0]

@@ -59,6 +59,7 @@ from .quantum_core import (
     DensityMatrix,
     Instrument,
     Povm,
+    _as_array,
     at_index,
     first_bad,
     index_base,
@@ -200,8 +201,8 @@ def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,
         raise InvalidShotsError("shot counts must be positive integers")
     if not (0 <= seed < 2**128 and 0 <= first < 2**64):
         raise InvalidSeedError("seed and first must be integers in [0, 2**128) and [0, 2**64)")
-    joint = np.asarray(joint, dtype=float)
-    alone = np.asarray(alone, dtype=float)
+    joint = _as_array(joint, float, "joint tables")
+    alone = _as_array(alone, float, "probe-off distributions")
     if joint.ndim < 2 or alone.ndim < 2 or len(joint) != len(alone):
         raise LabelMismatchError("joint and alone must be table stacks of equal length")
     rows = [t.reshape(len(t), math.prod(t.shape[1:])) for t in (joint, alone)]
@@ -283,8 +284,8 @@ def estimate_columns(joint_counts, alone_counts) -> np.ndarray:
     Counts are whole numbers below 2**53 (whole floats estimate as their
     integers do); the first record holding another raises InvalidShotsError.
     """
-    jc = np.asarray(joint_counts)
-    ac = np.asarray(alone_counts)
+    jc = _as_array(joint_counts, None, "joint counts")
+    ac = _as_array(alone_counts, None, "probe-off counts")
     if jc.shape[1:] != (2, 2) or ac.shape != (len(jc), 2):
         raise LabelMismatchError("dichotomic records need (n, 2, 2) and (n, 2) counts")
     counts = np.concatenate([jc.reshape(len(jc), 4), ac], axis=1)

@@ -60,13 +60,16 @@ CASES = [
     # a 64-point, 1000-shot scan (records drawn a chunk of points at a time),
     # a 4-point, 40000-shot scan (records counted a block of words at a time),
     # exact scans of the lueders and mixed policies, an exact and a shot-mode
-    # highdim scan, and a search-optimal scan
+    # highdim scan, each again at a dim that the benchmark never runs (4096
+    # exact, 300 in shot mode), and a search-optimal scan
     ("chunk", scan(64, **SHOT), "csv", "positive errors"),
     ("block", scan(4, seed=2026, shots=40000), "csv", "same"),
     ("lueders", scan(64), "csv", "same"),
     ("mixed", scan(64, policy="mixed"), "csv", "same"),
     ("highdim", highdim(64), "csv", "same"),
     ("highdim-shot", highdim(64, **SHOT), "csv", "same"),
+    ("highdim-4096", highdim(64, dim=4096), "csv", "same"),
+    ("highdim-shot-300", highdim(8, dim=300, **SHOT), "csv", "same"),
     ("search", {"mode": "search-optimal", "phi_grid": {"points": 64}}, "csv", "same"),
     # configs that leave every other key to its default, and the benchmark's
     # eigenstate scan (state given as a Bloch vector)

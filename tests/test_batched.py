@@ -210,9 +210,10 @@ class TestShotBytesMatchPerPointReference:
                        shots=3000, seed=seed)
         assert out.read_text(encoding="utf-8") == reference_highdim_csv(3, 0.6, grid, 3000, seed)
 
-    def test_highdim_scan_across_batches(self, tmp_path):
+    def test_highdim_scan_across_batches(self, tmp_path, monkeypatch):
         dim, grid = 64, {"start": 0.0, "stop": 1.0, "points": 20}
-        assert cli._BATCH_ENTRIES // dim**2 < grid["points"]
+        monkeypatch.setattr(cli, "_BATCH_ENTRIES", 28)
+        assert cli._BATCH_ENTRIES // 4 < grid["points"]
         out = run_scan(tmp_path, mode="highdim", dim=dim, gamma=0.6, c2_grid=grid,
                        shots=500, seed=5)
         assert out.read_text(encoding="utf-8") == reference_highdim_csv(dim, 0.6, grid, 500, 5)
@@ -225,7 +226,7 @@ SLICED_C2 = {"start": 0.0, "stop": 1.0, "points": 23}
 class TestOutputDoesNotDependOnSlices:
     """A grid is evaluated and written a slice at a time; the bytes are
     those of one slice, for one point per slice (4 entries), slices with an
-    uneven tail (28 entries: 7 qubit points, 3 shot-mode points at dim 3)
+    uneven tail (28 entries: 7 points, a highdim scan's at dim 3 too)
     and one slice for the whole grid."""
 
     @pytest.mark.parametrize(
@@ -286,17 +287,19 @@ def highdim_peak(dim, points, shots=None):
 
 
 class TestHighdimMemory:
-    """Exact highdim scans hold (points, dim) kets, and shot scans batches of
-    at most ``_BATCH_ENTRIES`` matrix entries, never (points, dim, dim)."""
+    """An overlap scan is evaluated in the two-dimensional span of its kets,
+    so its peak does not grow with ``dim``: never (points, dim) kets or
+    (dim, dim) matrices."""
 
     def test_exact_mode_holds_kets_only(self):
         dim, points = 256, 64
         assert highdim_peak(dim, points) < points * dim * dim * 16 / 8
 
-    def test_shot_mode_peak_does_not_grow_with_points(self):
-        dim = 32
-        assert cli._BATCH_ENTRIES // dim**2 == 4
-        assert highdim_peak(dim, 32, shots=10) < 1.5 * highdim_peak(dim, 4, shots=10)
+    @pytest.mark.parametrize("dim, points, shots", [(1024, 4, 10), (4096, 64, None)],
+                             ids=["shots", "exact"])
+    def test_peak_does_not_grow_with_dim(self, dim, points, shots):
+        highdim_peak(2, points, shots)  # warm-up
+        assert highdim_peak(dim, points, shots) < 2 * highdim_peak(2, points, shots)
 
 
 def stack_with(bad, good, n=7, at=4):

@@ -1,9 +1,18 @@
 import ast
 import inspect
+import warnings
 from pathlib import Path
+
+import pytest
 
 import cdtradeoff
 from cdtradeoff import errors
+from cdtradeoff.calibration import CdScan
+from cdtradeoff.cd_measures import correlation
+from cdtradeoff.highdim_model import circle_law, overlaps
+from cdtradeoff.quantum_core import Povm, unit_kets
+from cdtradeoff.qubit_model import bloch_matrix, check_qubit, qubit_states
+from cdtradeoff.shot_sampler import estimate_columns, sample_tables
 
 PACKAGE = Path(errors.__file__).parent
 
@@ -86,3 +95,35 @@ def test_public_names():
         "shot_sampler",
         "state_from_bloch",
     ]
+
+
+RAGGED_TABLES = [[[0.5, 0.0], [0.0, 0.5]], [[1.0, 0.0]]]
+RAGGED_COUNTS = [[[5, 0], [0, 5]], [[10, 0]]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: unit_kets([[1, 0], [1]]),
+    lambda: unit_kets("abc"),
+    lambda: bloch_matrix("abc"),
+    lambda: check_qubit("a", [0, 0, 1]),
+    lambda: qubit_states([[0, 0, 1], [0, 1]]),
+    lambda: sample_tables(RAGGED_TABLES, [[0.5, 0.5], [1.0, 0.0]], 10, 0),
+    lambda: estimate_columns(RAGGED_COUNTS, [[5, 5], [10, 0]]),
+    lambda: correlation("ab", (1, -1), (1, -1)),
+    lambda: circle_law(0.9, "x"),
+    lambda: circle_law("x", 0.5),
+    lambda: overlaps([1, 0], [[1, 0], [1]]),
+    lambda: CdScan(None, ["a"], [0.1]),
+    lambda: CdScan(None, [[1, 2], [3]], [0.1, 0.2]),
+    lambda: Povm(5),
+], ids=["unit_kets_ragged", "unit_kets_text", "bloch_matrix_text", "check_qubit_text",
+        "qubit_states_ragged", "sample_tables_ragged", "estimate_columns_ragged",
+        "correlation_text", "circle_law_text_overlap", "circle_law_text_gamma",
+        "overlaps_ragged", "scan_text", "scan_ragged", "povm_number"])
+def test_malformed_arrays_raise_typed_errors(call):
+    """An entry point that takes arrays refuses non-numeric or ragged input
+    with a library error, and no numpy warning comes first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.CdTradeoffError):
+            call()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cdtradeoff import cli
 from cdtradeoff.cd_measures import cd_from_scenario
 from cdtradeoff.errors import (
     DimensionMismatchError,
@@ -15,11 +16,14 @@ from cdtradeoff.highdim_model import (
     RandomizedDichotomic,
     cd_highdim,
     circle_law,
+    optimal_kets,
     overlap,
+    overlaps,
     projectors,
     randomized_povms,
 )
-from cdtradeoff.quantum_core import DensityMatrix, LuedersInstrument
+from cdtradeoff.quantum_core import DensityMatrix, LuedersInstrument, Povm, scenario_tables
+from cdtradeoff.shot_sampler import estimate_columns, sample_tables
 
 from util import random_unitary
 
@@ -223,3 +227,79 @@ class TestBlochLength:
     def test_invalid_gamma(self):
         with pytest.raises(InvalidMeasurementError):
             bloch_length(1.5, 3)
+
+
+# Overlaps of the span test: the ends, subnormal and tiny ones, the double
+# below 1, and seeded random ones
+SPAN_C2 = np.concatenate([[0.0, 1.0, 5e-324, 1e-300, 1.0 - 2.0**-53],
+                          np.random.default_rng(35).random(50)])
+
+
+def span_columns(monkeypatch, dim, gamma, shots, seed):
+    """Columns of the CLI's overlap scan of the overlaps SPAN_C2 and, in
+    shot mode, the joint and probe-off tables it draws from."""
+    config = {"schema": 1, "mode": "highdim", "dim": dim, "gamma": gamma, "seed": seed,
+              "c2_grid": {"stop": 1.0, "points": len(SPAN_C2)}}
+    if shots:
+        config["shots"] = shots
+    tables = []
+
+    def recorded(joint, alone, *args):
+        tables.append((joint, alone))
+        return sample_tables(joint, alone, *args)
+
+    monkeypatch.setattr(cli, "_linspace", lambda *args: SPAN_C2.copy())
+    monkeypatch.setattr(cli, "sample_tables", recorded)
+    return cli._highdim_rows(config, cli._parse(config))[1], tables
+
+
+def full_dim_columns(dim, gamma, shots, seed, step):
+    """The same columns and tables evaluated in all ``dim`` dimensions with
+    the library kernels, from kets of ``dim`` entries, ``step`` points a
+    slice."""
+    ket_a = np.eye(dim)[0]
+    kets_b = np.zeros((len(SPAN_C2), dim))
+    kets_b[:, 0], kets_b[:, 1] = np.sqrt(SPAN_C2), np.sqrt(1.0 - SPAN_C2)
+    firsts = range(0, len(kets_b), step)
+    if shots is None:
+        return np.concatenate([circle_law(gamma, overlaps(ket_a, kets_b[first:first + step]))
+                               for first in firsts], axis=1), []
+    proj_a = projectors(ket_a)
+    probe = LuedersInstrument(Povm(randomized_povms(1.0, proj_a)))
+    columns, tables = [], []
+    for first in firsts:
+        proj_b = projectors(kets_b[first:first + step])
+        joint, alone = scenario_tables(projectors(optimal_kets(proj_a, proj_b)), probe,
+                                       randomized_povms(gamma, proj_b))
+        tables.append((joint, alone))
+        columns.append(estimate_columns(*sample_tables(joint, alone, shots, seed, first)))
+    return np.concatenate(columns, axis=1), tables
+
+
+class TestScanInTheSpanOfItsKets:
+    """The CLI evaluates an overlap scan in the two-dimensional span of its
+    kets, all SPAN_C2 in one slice.  Its columns carry the bits of
+    evaluation in all ``dim`` dimensions in slices of ``cli._BATCH_ENTRIES``
+    entries of (points, dim) kets or (points, dim, dim) stacks, and its
+    tables those of the same slice evaluated in all ``dim`` dimensions."""
+
+    @pytest.mark.parametrize("shots", [None, 200], ids=["exact", "shots"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("dim", [3, 5, 8, 16, 33, 64])
+    def test_columns_equal_full_dimension(self, monkeypatch, dim, gamma, shots):
+        got, tables = span_columns(monkeypatch, dim, gamma, shots, seed=7)
+        step = max(1, cli._BATCH_ENTRIES // (dim if shots is None else dim**2))
+        want, _ = full_dim_columns(dim, gamma, shots, 7, step)
+        assert got.shape == (4, len(SPAN_C2))
+        assert np.array_equal(got[:len(want)], want)
+        assert not got[len(want):].any()
+        _, want_tables = full_dim_columns(dim, gamma, shots, 7, len(SPAN_C2))
+        assert len(tables) == len(want_tables) == (shots is not None)
+        for got_pair, want_pair in zip(tables, want_tables):
+            assert all(map(np.array_equal, got_pair, want_pair))
+
+    def test_exact_columns_of_one_point_slices(self, monkeypatch):
+        """Above dim 2048 an exact slice of (points, dim) kets held one point."""
+        got, _ = span_columns(monkeypatch, 4097, 0.9, None, seed=0)
+        want, _ = full_dim_columns(4097, 0.9, None, 0, 1)
+        assert np.array_equal(got[:2], want)
