@@ -43,7 +43,7 @@ from functools import partial
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .detector_model import DetectorNoise, estimate_noise
+from .detector_model import estimate_noise
 from .errors import (
     FitError,
     InsufficientPointsError,
@@ -109,10 +109,11 @@ class CdScan:
 
 @dataclass(frozen=True)
 class CircleFit:
-    """Sharp-probe circle fit: target strength with error and residual."""
+    """Sharp-probe circle fit, as the calibrate report's ``result`` keys: target
+    strength |b|, its bootstrap one-sigma error, rms residual of C^2 + D^2."""
 
-    strength: float
-    strength_err: float
+    target_strength: float
+    target_strength_err: float
     residual: float
 
 
@@ -142,9 +143,10 @@ class DeviceCharacter:
 
 @dataclass(frozen=True)
 class DetectorEstimate:
-    """Detector noise with propagated one-sigma errors."""
+    """The detector report's ``estimate``: ``estimate_noise``'s eta and nu with their errors."""
 
-    noise: DetectorNoise
+    eta: float
+    nu: float
     eta_err: float
     nu_err: float
 
@@ -259,8 +261,7 @@ def fit_circle_sharp_probe(
     residual = float(np.sqrt(np.mean((r2 - mean_r2) ** 2)))
     rows = _bootstrap(block_mean, strengths, 1, n, n_bootstrap, bootstrap_seed)
     errors = _errors(("strength",), rows)
-    strength = math.sqrt(max(mean_r2, 0.0))
-    return _finite(CircleFit(strength, errors.get("strength", 0.0), residual), errors)
+    return _finite(CircleFit(float(strengths(mean_r2)), errors.get("strength", 0.0), residual), {})
 
 
 def _unconverged(err, flag):
@@ -483,4 +484,4 @@ def estimate_detector(
     dnu = 1.0 / total
     eta_err = math.hypot(deta_dd1 * d1_err, deta_dc2 * c2_err)
     nu_err = math.hypot(dnu * d1_err, dnu * c2_err)
-    return _finite(DetectorEstimate(noise, eta_err, nu_err), {})
+    return _finite(DetectorEstimate(noise.eta, noise.nu, eta_err, nu_err), {})

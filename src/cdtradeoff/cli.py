@@ -514,14 +514,12 @@ def _calibrate_fields(config: dict, values: dict) -> dict:
              "target_strength applies to the ellipse-known-theta fit only")
     scan = read_scan_csv(values["scan_file"])
     if fit == "circle":
-        circle = fit_circle_sharp_probe(scan, n_boot, seed)
-        result = {"target_strength": circle.strength, "target_strength_err": circle.strength_err,
-                  "residual": circle.residual}
+        result = fit_circle_sharp_probe(scan, n_boot, seed)
     elif fit == "ellipse-known-theta":
-        result = dataclasses.asdict(fit_ellipse_known_theta(scan, strength, n_boot, seed))
+        result = fit_ellipse_known_theta(scan, strength, n_boot, seed)
     else:
-        result = dataclasses.asdict(fit_ellipse_unknown_theta(scan, n_boot, seed))
-    return {"fit": fit, "points": len(scan), "result": result}
+        result = fit_ellipse_unknown_theta(scan, n_boot, seed)
+    return {"fit": fit, "points": len(scan), "result": dataclasses.asdict(result)}
 
 
 def _detector_fields(config: dict, values: dict) -> dict:
@@ -541,14 +539,12 @@ def _detector_fields(config: dict, values: dict) -> dict:
         readings = {name % setting: value
                     for name, row in zip(("c%d", "d%d", "c%d_err", "d%d_err"), columns.tolist())
                     for setting, value in enumerate(row, start=1)}
-        fields = {"readings": readings, "truth": {"eta": noise.eta, "nu": noise.nu}}
+        fields = {"readings": readings, "truth": dataclasses.asdict(noise)}
         # the simulated readings are inverted as measured ones are
         spec = {key: readings.get(key, 0.0) for key in ("d1", "c2", "d1_err", "c2_err")}
     else:
         _require("shots" not in config, "a detector inversion draws no shots")
-    estimate = estimate_detector(**spec)
-    fields["estimate"] = {"eta": estimate.noise.eta, "nu": estimate.noise.nu,
-                          "eta_err": estimate.eta_err, "nu_err": estimate.nu_err}
+    fields["estimate"] = dataclasses.asdict(estimate_detector(**spec))
     return fields
 
 

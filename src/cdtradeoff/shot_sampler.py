@@ -281,13 +281,15 @@ def estimate_columns(joint_counts, alone_counts) -> np.ndarray:
     binomial one-sigma errors (the two arms of d are independent and add
     in quadrature).
 
-    Counts are whole numbers below 2**53 (whole floats estimate as their
-    integers do); the first record holding another raises InvalidShotsError.
+    Counts are whole numbers below 2**53 in bool, integer or float arrays
+    (text is not parsed); any other count raises InvalidShotsError.
     """
     jc = _as_array(joint_counts, None, "joint counts")
     ac = _as_array(alone_counts, None, "probe-off counts")
     if jc.shape[1:] != (2, 2) or ac.shape != (len(jc), 2):
         raise LabelMismatchError("dichotomic records need (n, 2, 2) and (n, 2) counts")
+    if jc.dtype.kind not in "biuf" or ac.dtype.kind not in "biuf":
+        raise InvalidShotsError(f"counts must be numbers, not {jc.dtype} and {ac.dtype} arrays")
     counts = np.concatenate([jc.reshape(len(jc), 4), ac], axis=1)
     bad = first_bad((counts < 0) | (counts >= 2**53) | (np.floor(counts) != counts))
     if bad is not None:

@@ -219,8 +219,8 @@ def test_criterion_07_detector_round_trip():
     from cdtradeoff.calibration import estimate_detector
 
     est = estimate_detector(est_s.d_hat, est_b.c_hat, est_s.d_err, est_b.c_err)
-    assert abs(est.noise.eta - 0.8) <= 3 * est.eta_err
-    assert abs(est.noise.nu - 0.1) <= 3 * est.nu_err
+    assert abs(est.eta - 0.8) <= 3 * est.eta_err
+    assert abs(est.nu - 0.1) <= 3 * est.nu_err
     report(7, f"20x20 grid inverts exactly (worst {worst:.2e}); "
               f"10^6-shot recovery within 3 sigma")
 

@@ -97,9 +97,10 @@ class TestBootstrapBits:
         # 1100 and 5000 points: the indices span several draw blocks
         scan = noisy(circle_scan(0.6, n), np.random.default_rng(1))
         fit = fit_circle_sharp_probe(scan, bootstrap_seed=seed)
-        expected, kept = bootstrap_oracle(fit_circle_sharp_probe, scan, ("strength",), 200, seed)
+        expected, kept = bootstrap_oracle(fit_circle_sharp_probe, scan, ("target_strength",), 200,
+                                          seed)
         assert kept == 200
-        assert fit.strength_err == expected["strength"]
+        assert fit.target_strength_err == expected["target_strength"]
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("target_strength", [None, 0.85])
@@ -583,25 +584,25 @@ class TestConicRows:
 class TestCircleFit:
     def test_exact_radius(self):
         fit = fit_circle_sharp_probe(circle_scan(0.731))
-        assert fit.strength == pytest.approx(0.731, abs=1e-12)
-        assert fit.strength_err == pytest.approx(0.0, abs=1e-12)
+        assert fit.target_strength == pytest.approx(0.731, abs=1e-12)
+        assert fit.target_strength_err == pytest.approx(0.0, abs=1e-12)
         assert fit.residual <= 1e-12
 
     def test_unit_radius(self):
-        assert fit_circle_sharp_probe(circle_scan(1.0)).strength == pytest.approx(
+        assert fit_circle_sharp_probe(circle_scan(1.0)).target_strength == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_full_pipeline_exact(self):
         scan = forward_scan(sharp_probe(), 0.485, 0.0, THETAS_16)
         fit = fit_circle_sharp_probe(scan)
-        assert fit.strength == pytest.approx(0.485, abs=1e-9)
+        assert fit.target_strength == pytest.approx(0.485, abs=1e-9)
 
     def test_noisy_scan_within_three_sigma(self):
         scan = forward_scan(sharp_probe(), 0.485, 0.0, THETAS_16, shots=100_000, seed=21)
         fit = fit_circle_sharp_probe(scan)
-        assert fit.strength_err > 0
-        assert abs(fit.strength - 0.485) <= 3 * fit.strength_err
+        assert fit.target_strength_err > 0
+        assert abs(fit.target_strength - 0.485) <= 3 * fit.target_strength_err
 
     def test_insufficient_points(self):
         with pytest.raises(InsufficientPointsError):
@@ -842,15 +843,15 @@ class TestEstimateDetector:
         d1 = scenario_cd(truth, "sharp").disturbance
         c2 = scenario_cd(truth, "fully_biased").correlation
         est = estimate_detector(d1, c2)
-        assert est.noise.eta == pytest.approx(0.9, abs=1e-10)
-        assert est.noise.nu == pytest.approx(0.05, abs=1e-10)
+        assert est.eta == pytest.approx(0.9, abs=1e-10)
+        assert est.nu == pytest.approx(0.05, abs=1e-10)
         assert est.eta_err == 0.0
         assert est.nu_err == 0.0
 
     def test_ideal_zero_errors(self):
         est = estimate_detector(1.0, 0.0)
-        assert est.noise.eta == pytest.approx(1.0)
-        assert est.noise.nu == pytest.approx(0.0)
+        assert est.eta == pytest.approx(1.0)
+        assert est.nu == pytest.approx(0.0)
         assert est.eta_err == 0.0 and est.nu_err == 0.0
 
     def test_shot_sampled_recovery_within_three_sigma(self):
@@ -861,5 +862,5 @@ class TestEstimateDetector:
         est_b = estimate_cd(*sample_distributions(joint_b, alone_b, 1_000_000, 1_000_000, 71))
         est = estimate_detector(est_s.d_hat, est_b.c_hat, est_s.d_err, est_b.c_err)
         assert est.eta_err > 0 and est.nu_err > 0
-        assert abs(est.noise.eta - 0.8) <= 3 * est.eta_err
-        assert abs(est.noise.nu - 0.1) <= 3 * est.nu_err
+        assert abs(est.eta - 0.8) <= 3 * est.eta_err
+        assert abs(est.nu - 0.1) <= 3 * est.nu_err

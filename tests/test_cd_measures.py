@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cdtradeoff.cd_measures import (
+    INEQ_TOL,
     CdValue,
     cd_from_scenario,
     cd_tables,
@@ -62,6 +63,29 @@ def scenario(theta_a, theta_b, gamma_b=1.0, bias_b=0.0):
     target = QubitMeasurement(bias_b, gamma_b * plane_axis(theta_b))
     rho = optimal_state(probe, target)
     return rho, LuedersInstrument(probe.to_povm()), target.to_povm()
+
+
+def covariant_radius2(phases, gamma_probe, gamma_target, kets):
+    """C^2 + D^2 of a covariant square-root pair at n = d = len(phases), for
+    each of the pure states ``kets`` (..., n) (normalized here): target
+    effects F_b = gamma_t |b><b| + (1 - gamma_t) I/n, probe effects
+    E_a = gamma_p U|a><a|U^dagger + (1 - gamma_p) I/n with U = F^dagger
+    diag(exp(i phases)) F for the Fourier matrix F, the probe's Lueders
+    instrument, and labels 0 ... n-1 on both arms."""
+    n = len(phases)
+    labels = tuple(range(n))
+    fourier = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
+    u = fourier.conj().T @ (np.exp(1j * np.asarray(phases))[:, None] * fourier)
+    noise = np.eye(n) / n
+    probe = Instrument.lueders(Povm(gamma_probe * np.einsum("ia,ja->aij", u, u.conj())
+                                    + (1.0 - gamma_probe) * noise, labels))
+    target = Povm(gamma_target * np.einsum("ai,aj->aij", np.eye(n), np.eye(n))
+                  + (1.0 - gamma_target) * noise, labels)
+    kets = np.asarray(kets, dtype=complex)
+    kets = kets / np.linalg.norm(kets, axis=-1, keepdims=True)
+    rho = np.einsum("...i,...j->...ij", kets, kets.conj())
+    corr, dist = cd_tables(*scenario_tables(rho, probe, target.matrices), probe, labels)
+    return corr * corr + dist * dist
 
 
 class TestCorrelation:
@@ -237,6 +261,39 @@ class TestCdFromScenario:
         assert (value.correlation, value.disturbance) == pytest.approx((0.53125, 0.91672),
                                                                        abs=1e-5)
         assert value.correlation**2 + value.disturbance**2 == pytest.approx(1.1226, abs=1e-4)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_covariant_square_root_pairs_stay_in_the_disc(self, n):
+        """The paper's relation C^2 + D^2 <= 1 holds for covariant square-root
+        pairs (``covariant_radius2``) with n outcomes, where the pair above
+        leaves the disc: over seeded random phases, strengths and pure
+        states, along a hill-climb on C^2 + D^2 from 8 starts, and at the
+        boundary point U = I, gamma = 1, where it equals 1."""
+        rng = np.random.default_rng(36 + n)
+
+        def kets(*shape):
+            return rng.normal(size=(*shape, n)) + 1j * rng.normal(size=(*shape, n))
+
+        radii = [covariant_radius2(rng.uniform(0, 2 * np.pi, n), *rng.uniform(0, 1, 2),
+                                   kets(64)) for _ in range(20)]
+        assert np.max(radii) <= 1.0 + INEQ_TOL
+
+        def radius2(x):  # x: phases (n), strengths (2), real and imaginary ket parts (2n)
+            return float(covariant_radius2(x[:n], *x[n:n + 2], x[n + 2:2 * n + 2]
+                                           + 1j * x[2 * n + 2:]))
+
+        for _ in range(8):
+            x = np.concatenate([rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, 2),
+                                rng.normal(size=2 * n)])
+            value = radius2(x)
+            for _ in range(150):
+                step = x + 0.1 * rng.normal(size=x.shape)
+                step[n:n + 2] = np.clip(step[n:n + 2], 0.0, 1.0)
+                if (stepped := radius2(step)) > value:
+                    x, value = step, stepped
+                assert value <= 1.0 + INEQ_TOL
+        boundary = covariant_radius2(np.zeros(n), 1.0, 1.0, kets(16))
+        assert np.abs(boundary - 1.0).max() <= INEQ_TOL
 
 
 class TestNanTables:

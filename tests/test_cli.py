@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from cdtradeoff import cli, shot_sampler
+from cdtradeoff.calibration import CircleFit, DetectorEstimate, DeviceCharacter
 from cdtradeoff.cd_measures import CdValue
 from cdtradeoff.cli import CSV_HEADER, main, read_scan_csv
 from cdtradeoff.detector_model import DetectorNoise, scenario_cd, scenario_distributions
@@ -652,6 +654,52 @@ class TestDetectorMode:
         out = tmp_path / "x.json"
         assert run_cli("--config", config, "--out", out) == 4
         assert not out.exists()
+
+
+def field_names(result_type):
+    return {f.name for f in dataclasses.fields(result_type)}
+
+
+class TestReportBlocksAreTheirTypes:
+    """Each result block of a report holds exactly the fields of its
+    library type, so a report key is spelled in one place."""
+
+    @pytest.fixture(scope="class")
+    def scan_file(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("scan")
+        config = scan_config(tmp_path, probe={"bias": 0.5, "gamma": 0.5, "theta": 0.0},
+                             target={"bias": 0.0, "gamma": 1.0,
+                                     "theta_grid": {"start": 0.05, "points": 12}})
+        assert run_cli("--config", config, "--out", tmp_path / "scan.csv") == 0
+        return str(tmp_path / "scan.csv")
+
+    @pytest.mark.parametrize("entries, result_type", [
+        ({"fit": "circle"}, CircleFit),
+        ({"fit": "ellipse-known-theta"}, DeviceCharacter),
+        ({"fit": "ellipse-known-theta", "target_strength": 1.0}, DeviceCharacter),
+        ({"fit": "ellipse-unknown-theta"}, DeviceCharacter),
+    ], ids=["circle", "known-theta", "known-theta-strength", "unknown-theta"])
+    def test_calibrate_result(self, tmp_path, scan_file, entries, result_type):
+        config = write_config(tmp_path / "cal.json", mode="calibrate", scan_file=scan_file,
+                              bootstrap=20, **entries)
+        assert run_cli("--config", config, "--out", tmp_path / "report.json") == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert set(report["result"]) == field_names(result_type)
+
+    @pytest.mark.parametrize("entries", [
+        {"detector": {"eta": 0.8, "nu": 0.1}},
+        {"detector": {"eta": 0.8, "nu": 0.1}, "shots": 1000},
+        {"detector": {"d1": 0.5, "c2": -0.1}},
+    ], ids=["exact", "shots", "inversion"])
+    def test_detector_estimate_and_truth(self, tmp_path, entries):
+        config = write_config(tmp_path / "det.json", mode="detector", **entries)
+        assert run_cli("--config", config, "--out", tmp_path / "report.json") == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert set(report["estimate"]) == field_names(DetectorEstimate)
+        if "eta" in entries["detector"]:
+            assert set(report["truth"]) == field_names(DetectorNoise)
+        else:
+            assert "truth" not in report
 
 
 class TestHighdimMode:

@@ -122,7 +122,7 @@ class TestFitCoverage:
         hits = 0
         for trial in range(trials):
             fit = fit_circle_sharp_probe(scan(points, SHARP_PROBE, trial), 200, trial)
-            hits += covered(fit.strength, fit.strength_err, TARGET_STRENGTH)
+            hits += covered(fit.target_strength, fit.target_strength_err, TARGET_STRENGTH)
         assert abs(hits / trials - pinned) <= coverage_band(pinned, trials)
 
     def test_known_theta_fit_covers_at_64_points(self):
@@ -224,6 +224,6 @@ class TestDetectorCoverage:
         hits = np.zeros(2)
         for k in range(0, 2 * trials, 2):  # point k is sharp, k + 1 fully biased
             estimate = estimate_detector(d[k], c[k + 1], d_err[k], c_err[k + 1])
-            hits += (covered(estimate.noise.eta, estimate.eta_err, noise.eta),
-                     covered(estimate.noise.nu, estimate.nu_err, noise.nu))
+            hits += (covered(estimate.eta, estimate.eta_err, noise.eta),
+                     covered(estimate.nu, estimate.nu_err, noise.nu))
         assert np.all(np.abs(hits / trials - ONE_SIGMA) <= coverage_band(ONE_SIGMA, trials))

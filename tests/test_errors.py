@@ -109,6 +109,10 @@ RAGGED_COUNTS = [[[5, 0], [0, 5]], [[10, 0]]]
     lambda: qubit_states([[0, 0, 1], [0, 1]]),
     lambda: sample_tables(RAGGED_TABLES, [[0.5, 0.5], [1.0, 0.0]], 10, 0),
     lambda: estimate_columns(RAGGED_COUNTS, [[5, 5], [10, 0]]),
+    lambda: estimate_columns([[["a", "b"], ["c", "d"]]], [["a", "b"]]),
+    lambda: estimate_columns([[[5, 0], [0, 5]]], [[None, 2]]),
+    lambda: estimate_columns([[[5, 0], [0, 5]]], [[5 + 0j, 5]]),
+    lambda: estimate_columns([[["5", "0"], ["0", "5"]]], [["5", "5"]]),
     lambda: correlation("ab", (1, -1), (1, -1)),
     lambda: circle_law(0.9, "x"),
     lambda: circle_law("x", 0.5),
@@ -118,6 +122,8 @@ RAGGED_COUNTS = [[[5, 0], [0, 5]], [[10, 0]]]
     lambda: Povm(5),
 ], ids=["unit_kets_ragged", "unit_kets_text", "bloch_matrix_text", "check_qubit_text",
         "qubit_states_ragged", "sample_tables_ragged", "estimate_columns_ragged",
+        "estimate_columns_text", "estimate_columns_none", "estimate_columns_complex",
+        "estimate_columns_numeric_text",
         "correlation_text", "circle_law_text_overlap", "circle_law_text_gamma",
         "overlaps_ragged", "scan_text", "scan_ragged", "povm_number"])
 def test_malformed_arrays_raise_typed_errors(call):
