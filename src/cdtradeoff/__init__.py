@@ -24,7 +24,6 @@ from .cd_measures import (
 )
 from .detector_model import (
     DetectorNoise,
-    estimate_noise,
     scenario_cd,
     scenario_distributions,
 )

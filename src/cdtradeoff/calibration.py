@@ -43,7 +43,6 @@ from functools import partial
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .detector_model import estimate_noise
 from .errors import (
     FitError,
     InsufficientPointsError,
@@ -143,7 +142,8 @@ class DeviceCharacter:
 
 @dataclass(frozen=True)
 class DetectorEstimate:
-    """The detector report's ``estimate``: ``estimate_noise``'s eta and nu with their errors."""
+    """The detector report's ``estimate``: efficiency eta and dark-count
+    exponent nu inverted by ``estimate_detector``, with their errors."""
 
     eta: float
     nu: float
@@ -476,12 +476,24 @@ def estimate_detector(
     d1: float, c2: float, d1_err: float = 0.0, c2_err: float = 0.0
 ) -> DetectorEstimate:
     """Detector noise from the two reference readings, with first-order
-    error propagation through the closed-form inversion."""
-    noise = estimate_noise(d1, c2)
+    error propagation through the closed-form inversion.
+
+    From d1 = exp(-nu) eta and c2 = exp(-nu)(2 - eta) - 1 the sum gives
+    exp(-nu) = (c2 + d1 + 1)/2 and eta = 2 d1 / (c2 + d1 + 1); both are
+    validated to lie in their physical ranges (else OutOfDomainError).
+    The errors propagate through the derivatives of these two forms."""
     total = c2 + d1 + 1.0
+    if total <= 0.0:
+        raise OutOfDomainError(f"c2 + d1 + 1 = {total!r} is not positive")
+    silence = total / 2.0
+    if silence > 1.0 + 1e-12:
+        raise OutOfDomainError(f"implied exp(-nu) = {silence!r} exceeds 1")
+    eta = 2.0 * d1 / total
+    if not 0.0 < eta <= 1.0 + 1e-12:
+        raise OutOfDomainError(f"implied eta = {eta!r} outside (0, 1]")
     deta_dd1 = 2.0 * (c2 + 1.0) / total**2
     deta_dc2 = -2.0 * d1 / total**2
     dnu = 1.0 / total
-    eta_err = math.hypot(deta_dd1 * d1_err, deta_dc2 * c2_err)
-    nu_err = math.hypot(dnu * d1_err, dnu * c2_err)
-    return _finite(DetectorEstimate(noise.eta, noise.nu, eta_err, nu_err), {})
+    return _finite(DetectorEstimate(min(eta, 1.0), -math.log(min(silence, 1.0)),
+                                    math.hypot(deta_dd1 * d1_err, deta_dc2 * c2_err),
+                                    math.hypot(dnu * d1_err, dnu * c2_err)), {})

@@ -1,6 +1,6 @@
-"""Binary (on-off) single-photon detector noise model and the
-correlation/disturbance protocol that estimates its efficiency and dark
-counts without tomography.
+"""Binary (on-off) single-photon detector noise model and the tables of the
+two reference settings of the correlation/disturbance protocol that
+estimates its efficiency and dark counts without tomography.
 
 The detector stays silent on an n-photon input with probability
 exp(-nu) * (1 - eta)^n, so its no-click effect is diagonal in photon
@@ -14,7 +14,8 @@ fully biased (every photon passed as H) - yield
     D_sharp  = exp(-nu) * eta        (correlation zero)
     C_biased = exp(-nu) * (2 - eta) - 1   (disturbance zero)
 
-from which (eta, nu) invert in closed form.  The reference is a heralding
+from which ``calibration.estimate_detector`` inverts (eta, nu) in closed
+form; this module is the forward model alone.  The reference is a heralding
 ``Instrument`` with a non-Hermitian Kraus operator; its tables and its
 correlation and disturbance come from the same functions as every other
 probe's (``scenario_tables``, ``cd_tables``).
@@ -28,11 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cd_measures import CdValue, cd_tables
-from .errors import (
-    InvalidMeasurementError,
-    InvalidNoiseError,
-    OutOfDomainError,
-)
+from .errors import InvalidMeasurementError, InvalidNoiseError
 from .quantum_core import Instrument, _frozen, scenario_tables
 
 # Outcome labels: polarization H/V and detector off/on.  H pairs with off
@@ -61,7 +58,7 @@ class DetectorNoise:
     """Detection efficiency eta in [0, 1] and dark-count exponent nu >= 0.
 
     A zero-efficiency (never-clicking) detector is representable, although
-    its parameters cannot be recovered by ``estimate_noise``.
+    its parameters cannot be recovered by ``calibration.estimate_detector``.
     """
 
     eta: float
@@ -111,22 +108,3 @@ def scenario_cd(noise: DetectorNoise, reference: str) -> CdValue:
     joint, alone = scenario_distributions(noise, reference)
     corr, dist = cd_tables(joint, alone, _herald(reference), LABELS_CLICK)
     return CdValue(float(corr), float(dist))
-
-
-def estimate_noise(d1: float, c2: float) -> DetectorNoise:
-    """Invert the two reference readings into detector parameters.
-
-    From d1 = exp(-nu) eta and c2 = exp(-nu)(2 - eta) - 1 the sum gives
-    exp(-nu) = (c2 + d1 + 1)/2 and eta = 2 d1 / (c2 + d1 + 1); both are
-    validated to lie in their physical ranges.
-    """
-    total = c2 + d1 + 1.0
-    if total <= 0.0:
-        raise OutOfDomainError(f"c2 + d1 + 1 = {total!r} is not positive")
-    silence = total / 2.0
-    if silence > 1.0 + 1e-12:
-        raise OutOfDomainError(f"implied exp(-nu) = {silence!r} exceeds 1")
-    eta = 2.0 * d1 / total
-    if not 0.0 < eta <= 1.0 + 1e-12:
-        raise OutOfDomainError(f"implied eta = {eta!r} outside (0, 1]")
-    return DetectorNoise(min(eta, 1.0), -math.log(min(silence, 1.0)))

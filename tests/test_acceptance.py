@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from cdtradeoff.calibration import fit_ellipse_known_theta
+from cdtradeoff.calibration import estimate_detector, fit_ellipse_known_theta
 from cdtradeoff.cd_measures import (
     cd_from_scenario,
     correlation_operator,
@@ -18,7 +18,6 @@ from cdtradeoff.cd_measures import (
 from cdtradeoff.cli import main
 from cdtradeoff.detector_model import (
     DetectorNoise,
-    estimate_noise,
     scenario_cd,
     scenario_distributions,
 )
@@ -207,7 +206,7 @@ def test_criterion_07_detector_round_trip():
             truth = DetectorNoise(eta, nu)
             d1 = scenario_cd(truth, "sharp").disturbance
             c2 = scenario_cd(truth, "fully_biased").correlation
-            recovered = estimate_noise(d1, c2)
+            recovered = estimate_detector(d1, c2)
             worst = max(worst, abs(recovered.eta - eta), abs(recovered.nu - nu))
             assert abs(recovered.eta - eta) <= 1e-10
             assert abs(recovered.nu - nu) <= 1e-10
@@ -216,8 +215,6 @@ def test_criterion_07_detector_round_trip():
     joint_b, alone_b = scenario_distributions(truth, "fully_biased")
     est_s = estimate_cd(*sample_distributions(joint_s, alone_s, 1_000_000, 1_000_000, 700))
     est_b = estimate_cd(*sample_distributions(joint_b, alone_b, 1_000_000, 1_000_000, 701))
-    from cdtradeoff.calibration import estimate_detector
-
     est = estimate_detector(est_s.d_hat, est_b.c_hat, est_s.d_err, est_b.c_err)
     assert abs(est.eta - 0.8) <= 3 * est.eta_err
     assert abs(est.nu - 0.1) <= 3 * est.nu_err

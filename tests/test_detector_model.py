@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cdtradeoff import detector_model
+from cdtradeoff.calibration import estimate_detector
 from cdtradeoff.detector_model import (
     DetectorNoise,
-    estimate_noise,
     scenario_cd,
     scenario_distributions,
 )
@@ -76,7 +76,7 @@ class TestScenarioCd:
 
 class TestEstimateNoise:
     def test_ideal(self):
-        noise = estimate_noise(1.0, 0.0)
+        noise = estimate_detector(1.0, 0.0)
         assert noise.eta == pytest.approx(1.0, abs=1e-15)
         assert noise.nu == pytest.approx(0.0, abs=1e-15)
 
@@ -84,12 +84,12 @@ class TestEstimateNoise:
         truth = DetectorNoise(0.9, 0.05)
         d1 = scenario_cd(truth, "sharp").disturbance
         c2 = scenario_cd(truth, "fully_biased").correlation
-        noise = estimate_noise(d1, c2)
+        noise = estimate_detector(d1, c2)
         assert noise.eta == pytest.approx(0.9, abs=1e-10)
         assert noise.nu == pytest.approx(0.05, abs=1e-10)
 
     def test_half_disturbance_negative_correlation(self):
-        noise = estimate_noise(0.5, -0.1)
+        noise = estimate_detector(0.5, -0.1)
         assert noise.eta == pytest.approx(1.0 / 1.4, abs=1e-12)
         assert noise.nu == pytest.approx(-np.log(0.7), abs=1e-12)
 
@@ -99,21 +99,21 @@ class TestEstimateNoise:
                 truth = DetectorNoise(eta, nu)
                 d1 = scenario_cd(truth, "sharp").disturbance
                 c2 = scenario_cd(truth, "fully_biased").correlation
-                noise = estimate_noise(d1, c2)
+                noise = estimate_detector(d1, c2)
                 assert abs(noise.eta - eta) <= 1e-10
                 assert abs(noise.nu - nu) <= 1e-10
 
     def test_out_of_domain_silence(self):
         with pytest.raises(OutOfDomainError):
-            estimate_noise(0.5, 0.9)  # implied exp(-nu) = 1.2
+            estimate_detector(0.5, 0.9)  # implied exp(-nu) = 1.2
 
     def test_out_of_domain_eta(self):
         with pytest.raises(OutOfDomainError):
-            estimate_noise(0.9, -0.3)  # implied eta > 1
+            estimate_detector(0.9, -0.3)  # implied eta > 1
 
     def test_out_of_domain_total(self):
         with pytest.raises(OutOfDomainError):
-            estimate_noise(0.1, -1.2)
+            estimate_detector(0.1, -1.2)
 
 
 class TestInputState:

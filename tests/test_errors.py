@@ -78,7 +78,6 @@ def test_public_names():
         "errors",
         "estimate_cd",
         "estimate_detector",
-        "estimate_noise",
         "fit_circle_sharp_probe",
         "fit_ellipse_known_theta",
         "fit_ellipse_unknown_theta",
