@@ -50,10 +50,11 @@ from .errors import (
     InvalidSeedError,
     InvalidShotsError,
     NotAnEllipseError,
+    NotFiniteError,
     OutOfDomainError,
     RankDeficientError,
 )
-from .quantum_core import _as_array, _frozen
+from .quantum_core import _as_array, _frozen, _real, at_index, first_bad
 from .qubit_model import _separate_probe
 from .shot_sampler import _integer, _stream
 
@@ -79,8 +80,10 @@ _INDEX_BLOCK = 1 << 13
 class CdScan:
     """Scan data as columns, one entry per point: the settings ``theta``
     (None when unknown), ``c``, ``d`` and their one-sigma errors ``c_err``
-    and ``d_err`` (zeros by default).  Each column is stored as a read-only
-    float64 array; all have the length of ``c``."""
+    and ``d_err`` (zeros by default, for an unweighted fit).  Each column is
+    stored as a read-only float64 array; all have the length of ``c``.  An
+    error that is not finite raises NotFiniteError, a negative one
+    OutOfDomainError, each naming its column and first bad index."""
 
     theta: np.ndarray | None
     c: np.ndarray
@@ -100,6 +103,13 @@ class CdScan:
             if column.shape != shape:
                 raise InsufficientPointsError(
                     f"scan column {name} has shape {column.shape}, expected {shape}")
+            if name.endswith("_err"):
+                index = first_bad(~np.isfinite(column))
+                if index is not None:
+                    raise NotFiniteError(f"scan column {name}{at_index(index)} is not finite")
+                index = first_bad(column < 0.0)
+                if index is not None:
+                    raise OutOfDomainError(f"scan column {name}{at_index(index)} is negative")
             object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
@@ -481,7 +491,14 @@ def estimate_detector(
     From d1 = exp(-nu) eta and c2 = exp(-nu)(2 - eta) - 1 the sum gives
     exp(-nu) = (c2 + d1 + 1)/2 and eta = 2 d1 / (c2 + d1 + 1); both are
     validated to lie in their physical ranges (else OutOfDomainError).
-    The errors propagate through the derivatives of these two forms."""
+    The errors propagate through the derivatives of these two forms.  The
+    readings must be real numbers (a numpy float is; a bool or text is not)
+    and their errors finite and non-negative ones, else OutOfDomainError."""
+    d1, c2, d1_err, c2_err = (_real(value, OutOfDomainError, name) for name, value in
+                              {"d1": d1, "c2": c2, "d1_err": d1_err, "c2_err": c2_err}.items())
+    if not (0.0 <= d1_err < math.inf and 0.0 <= c2_err < math.inf):
+        raise OutOfDomainError(
+            f"reading errors {d1_err!r} and {c2_err!r} must be finite and non-negative")
     total = c2 + d1 + 1.0
     if total <= 0.0:
         raise OutOfDomainError(f"c2 + d1 + 1 = {total!r} is not positive")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .cd_measures import CdValue, cd_tables
 from .errors import InvalidMeasurementError, InvalidNoiseError
-from .quantum_core import Instrument, _frozen, scenario_tables
+from .quantum_core import Instrument, _frozen, _real, scenario_tables
 
 # Outcome labels: polarization H/V and detector off/on.  H pairs with off
 # (photon routed away from the watched mode should leave the detector
@@ -55,7 +55,9 @@ _DIAGONAL_PHOTON = _frozen(np.outer(_PHOTON, _PHOTON.conj()))
 
 @dataclass(frozen=True)
 class DetectorNoise:
-    """Detection efficiency eta in [0, 1] and dark-count exponent nu >= 0.
+    """Detection efficiency eta in [0, 1] and finite dark-count exponent
+    nu >= 0, each a real number (a numpy float is; a bool or text is not),
+    else InvalidNoiseError.
 
     A zero-efficiency (never-clicking) detector is representable, although
     its parameters cannot be recovered by ``calibration.estimate_detector``.
@@ -65,10 +67,11 @@ class DetectorNoise:
     nu: float
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
+        eta, nu = (_real(getattr(self, name), InvalidNoiseError, name) for name in ("eta", "nu"))
+        if not 0.0 <= eta <= 1.0:
             raise InvalidNoiseError(f"eta {self.eta!r} outside [0, 1]")
-        if not self.nu >= 0.0:  # NaN fails the comparison too
-            raise InvalidNoiseError(f"nu {self.nu!r} negative or NaN")
+        if not 0.0 <= nu < math.inf:  # NaN fails the comparison too
+            raise InvalidNoiseError(f"nu {self.nu!r} negative, infinite or NaN")
 
     @property
     def silence(self) -> float:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+import numbers
 
 import numpy as np
 
@@ -91,6 +92,16 @@ def _as_array(values, dtype, what: str) -> np.ndarray:
     except (TypeError, ValueError) as exc:
         raise DimensionMismatchError(f"{what} is not a numeric array (non-numeric entries "
                                      f"or mixed dimensions): {exc}") from None
+
+
+def _real(value, error, what: str) -> float:
+    """``value`` as a float if it is a real number that fits a double (a
+    numpy float or integer is; a bool, text, a complex number or an array
+    is not), else ``error`` naming ``what``."""
+    with contextlib.suppress(OverflowError):
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            return float(value)
+    raise error(f"{what} {value!r} is not a real number in double precision")
 
 
 def _as_stack(matrices, what: str = "matrix") -> np.ndarray:
@@ -251,8 +262,10 @@ class Povm:
     call and held as ``matrices``, its read-only (k, d, d) stack.
 
     ``outcome_labels`` are the real values attached to the outcomes (the
-    eigenvalue bookkeeping for the observable ``sum(label * effect)``).
-    Two-outcome POVMs default to labels (+1, -1) in effect order.
+    eigenvalue bookkeeping for the observable ``sum(label * effect)``), one
+    finite number per effect; labels that are no sequence, not real numbers
+    or not finite raise InvalidMeasurementError.  Two-outcome POVMs default
+    to labels (+1, -1) in effect order.
     """
 
     __slots__ = ("labels", "matrices")
@@ -268,7 +281,14 @@ class Povm:
             if len(matrices) != 2:
                 raise InvalidMeasurementError("outcome labels are required beyond two outcomes")
             outcome_labels = (1.0, -1.0)
-        self.labels = tuple(float(x) for x in outcome_labels)
+        try:
+            labels = list(outcome_labels)
+        except TypeError:
+            raise InvalidMeasurementError(
+                f"outcome labels {outcome_labels!r} are not a sequence") from None
+        self.labels = tuple(_real(x, InvalidMeasurementError, "outcome label") for x in labels)
+        if not all(map(math.isfinite, self.labels)):
+            raise InvalidMeasurementError(f"outcome labels {self.labels} are not all finite")
         if len(self.labels) != len(matrices):
             raise InvalidMeasurementError("one label per effect is required")
         self.matrices = _frozen(matrices)

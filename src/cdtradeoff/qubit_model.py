@@ -47,6 +47,7 @@ from .quantum_core import (
     Povm,
     _as_array,
     _frozen,
+    _real,
     at_index,
     first_bad,
 )
@@ -331,11 +332,13 @@ def cd_parametric(
     Must agree with the full density-matrix pipeline on the optimal state.
     ``theta`` is folded onto [0, pi] (the disturbance is a norm).  A target
     that is not a valid measurement of strength >= 0 raises
-    InvalidMeasurementError, a non-finite target or ``theta`` NotFiniteError.
+    InvalidMeasurementError, a non-finite target or a ``theta`` that is not
+    a finite real number NotFiniteError.
     """
     check_qubit(target_bias, (target_gamma, 0.0, 0.0))
     if target_gamma < 0.0:
         raise InvalidMeasurementError(f"target strength {target_gamma!r} is negative")
+    theta = _real(theta, NotFiniteError, "theta")
     if not math.isfinite(theta):
         raise NotFiniteError(f"theta {theta!r} is not finite")
     *_, c0, p, q, s_strength = ellipse_map(probe.bias, probe.strength, target_bias, target_gamma)

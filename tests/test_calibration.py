@@ -22,6 +22,7 @@ from cdtradeoff.errors import (
     InvalidSeedError,
     InvalidShotsError,
     NotAnEllipseError,
+    NotFiniteError,
     OutOfDomainError,
     RankDeficientError,
 )
@@ -83,6 +84,29 @@ class TestCdScan:
     def test_columns_of_other_lengths_rejected(self, columns):
         with pytest.raises(InsufficientPointsError):
             CdScan(*columns)
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (-0.01, OutOfDomainError, "scan column c_err at index 5 is negative"),
+            (np.nan, NotFiniteError, "scan column c_err at index 5 is not finite"),
+            (np.inf, NotFiniteError, "scan column c_err at index 5 is not finite"),
+        ],
+        ids=["negative", "nan", "inf"],
+    )
+    def test_bad_error_column_rejected(self, bad, error, message):
+        # a 16-point circle whose sixth C error is bad: the fits took such
+        # errors silently or failed with messages that named no column
+        scan = circle_scan(0.9)
+        c_err = np.full(16, 0.01)
+        c_err[5] = bad
+        with pytest.raises(error, match=message):
+            CdScan(scan.theta, scan.c, scan.d, c_err, np.full(16, 0.01))
+
+    def test_zero_errors_stay_legal(self):
+        # zeros (of either sign) mean "no errors", for an unweighted fit
+        scan = CdScan(None, [0.1, 0.2], [0.3, 0.4], [0.0, -0.0], [0.0, 0.0])
+        assert scan.c_err.tolist() == [0.0, 0.0]
 
 
 class TestBootstrapBits:
@@ -864,3 +888,24 @@ class TestEstimateDetector:
         assert est.eta_err > 0 and est.nu_err > 0
         assert abs(est.eta - 0.8) <= 3 * est.eta_err
         assert abs(est.nu - 0.1) <= 3 * est.nu_err
+
+    @pytest.mark.parametrize("d1_err, c2_err", [(1e-3, 2e-3), (0.03, 0.01)])
+    def test_errors_match_a_central_difference_jacobian(self, d1_err, c2_err):
+        # oracle: the Jacobian of the inversion is the inverse of the
+        # forward map's (eta, nu) -> (d1, c2), taken by central differences
+        # of the closed forms that the forward model obeys to 1e-12
+        def readings(eta, nu):
+            return np.array([np.exp(-nu) * eta, np.exp(-nu) * (2.0 - eta) - 1.0])
+
+        h = 1e-5
+        for eta in np.linspace(0.05, 1.0, 20):
+            for nu in np.linspace(0.0, 0.5, 20):
+                forward = np.column_stack([
+                    (readings(eta + h, nu) - readings(eta - h, nu)) / (2 * h),
+                    (readings(eta, nu + h) - readings(eta, nu - h)) / (2 * h),
+                ])
+                jacobian = np.linalg.inv(forward)  # rows eta, nu; columns d1, c2
+                want = np.hypot(jacobian[:, 0] * d1_err, jacobian[:, 1] * c2_err)
+                est = estimate_detector(*readings(eta, nu), d1_err, c2_err)
+                assert est.eta_err == pytest.approx(want[0], rel=1e-6)
+                assert est.nu_err == pytest.approx(want[1], rel=1e-6)

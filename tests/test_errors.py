@@ -5,13 +5,23 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 import cdtradeoff
 from cdtradeoff import errors
-from cdtradeoff.calibration import CdScan
+from cdtradeoff.calibration import CdScan, estimate_detector
 from cdtradeoff.cd_measures import correlation
+from cdtradeoff.detector_model import DetectorNoise
 from cdtradeoff.highdim_model import circle_law, overlaps
-from cdtradeoff.quantum_core import Povm, unit_kets
-from cdtradeoff.qubit_model import bloch_matrix, check_qubit, qubit_states
+from cdtradeoff.quantum_core import Instrument, Povm, unit_kets
+from cdtradeoff.qubit_model import (
+    QubitMeasurement,
+    bloch_matrix,
+    cd_parametric,
+    check_qubit,
+    plane_axis,
+    qubit_states,
+)
 from cdtradeoff.shot_sampler import estimate_columns, sample_tables
 
 PACKAGE = Path(errors.__file__).parent
@@ -98,6 +108,7 @@ def test_public_names():
 
 RAGGED_TABLES = [[[0.5, 0.0], [0.0, 0.5]], [[1.0, 0.0]]]
 RAGGED_COUNTS = [[[5, 0], [0, 5]], [[10, 0]]]
+PROJECTORS = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
 
 
 @pytest.mark.parametrize("call", [
@@ -119,15 +130,36 @@ RAGGED_COUNTS = [[[5, 0], [0, 5]], [[10, 0]]]
     lambda: CdScan(None, ["a"], [0.1]),
     lambda: CdScan(None, [[1, 2], [3]], [0.1, 0.2]),
     lambda: Povm(5),
+    lambda: DetectorNoise("0.5", 0.1),
+    lambda: DetectorNoise(True, 0.1),
+    lambda: DetectorNoise(np.bool_(True), 0.1),
+    lambda: DetectorNoise(0.5, np.inf),
+    lambda: estimate_detector("0.5", 0.5),
+    lambda: estimate_detector(0.6, 0.2, "x", 0),
+    lambda: estimate_detector(0.6, 0.2, -0.01, 0.01),
+    lambda: estimate_detector(0.6, 0.2, 0.01, np.inf),
+    lambda: estimate_detector(0.6, 0.2, np.nan, 0.01),
+    lambda: Povm(PROJECTORS, ("a", "b")),
+    lambda: Instrument(PROJECTORS, ("a", "b")),
+    lambda: Povm(PROJECTORS, 5),
+    lambda: Povm(PROJECTORS, (np.nan, 1.0)),
+    lambda: cd_parametric(QubitMeasurement(0.0, plane_axis(0.0)), 0.9, 0.0, "x"),
 ], ids=["unit_kets_ragged", "unit_kets_text", "bloch_matrix_text", "check_qubit_text",
         "qubit_states_ragged", "sample_tables_ragged", "estimate_columns_ragged",
         "estimate_columns_text", "estimate_columns_none", "estimate_columns_complex",
         "estimate_columns_numeric_text",
         "correlation_text", "circle_law_text_overlap", "circle_law_text_gamma",
-        "overlaps_ragged", "scan_text", "scan_ragged", "povm_number"])
+        "overlaps_ragged", "scan_text", "scan_ragged", "povm_number",
+        "detector_noise_text", "detector_noise_bool", "detector_noise_numpy_bool",
+        "detector_noise_infinite_nu", "estimate_detector_text_reading",
+        "estimate_detector_text_error", "estimate_detector_negative_error",
+        "estimate_detector_infinite_error", "estimate_detector_nan_error",
+        "povm_text_labels", "instrument_text_labels", "povm_number_labels",
+        "povm_nan_label", "cd_parametric_text_theta"])
 def test_malformed_arrays_raise_typed_errors(call):
-    """An entry point that takes arrays refuses non-numeric or ragged input
-    with a library error, and no numpy warning comes first."""
+    """An entry point that takes arrays or numbers refuses non-numeric,
+    ragged or non-finite input with a library error, and no numpy warning
+    comes first."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(errors.CdTradeoffError):
