@@ -54,7 +54,7 @@ from .errors import (
     OutOfDomainError,
     RankDeficientError,
 )
-from .quantum_core import _as_array, _frozen, _real, at_index, first_bad
+from .quantum_core import _as_array, _finite_real, _frozen, at_index, first_bad
 from .qubit_model import _separate_probe
 from .shot_sampler import _integer, _stream
 
@@ -492,13 +492,13 @@ def estimate_detector(
     exp(-nu) = (c2 + d1 + 1)/2 and eta = 2 d1 / (c2 + d1 + 1); both are
     validated to lie in their physical ranges (else OutOfDomainError).
     The errors propagate through the derivatives of these two forms.  The
-    readings must be real numbers (a numpy float is; a bool or text is not)
-    and their errors finite and non-negative ones, else OutOfDomainError."""
-    d1, c2, d1_err, c2_err = (_real(value, OutOfDomainError, name) for name, value in
-                              {"d1": d1, "c2": c2, "d1_err": d1_err, "c2_err": c2_err}.items())
-    if not (0.0 <= d1_err < math.inf and 0.0 <= c2_err < math.inf):
-        raise OutOfDomainError(
-            f"reading errors {d1_err!r} and {c2_err!r} must be finite and non-negative")
+    readings and their errors must be finite real numbers (a numpy float
+    is; a bool or text is not) and the errors non-negative, else
+    OutOfDomainError."""
+    d1, c2, d1_err, c2_err = (_finite_real(value, OutOfDomainError, name) for name, value in
+                              (("d1", d1), ("c2", c2), ("d1_err", d1_err), ("c2_err", c2_err)))
+    if d1_err < 0.0 or c2_err < 0.0:
+        raise OutOfDomainError(f"reading errors {d1_err!r} and {c2_err!r} must be non-negative")
     total = c2 + d1 + 1.0
     if total <= 0.0:
         raise OutOfDomainError(f"c2 + d1 + 1 = {total!r} is not positive")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .cd_measures import CdValue, cd_tables
 from .errors import InvalidMeasurementError, InvalidNoiseError
-from .quantum_core import Instrument, _frozen, _real, scenario_tables
+from .quantum_core import Instrument, _finite_real, _frozen, scenario_tables
 
 # Outcome labels: polarization H/V and detector off/on.  H pairs with off
 # (photon routed away from the watched mode should leave the detector
@@ -55,8 +55,8 @@ _DIAGONAL_PHOTON = _frozen(np.outer(_PHOTON, _PHOTON.conj()))
 
 @dataclass(frozen=True)
 class DetectorNoise:
-    """Detection efficiency eta in [0, 1] and finite dark-count exponent
-    nu >= 0, each a real number (a numpy float is; a bool or text is not),
+    """Detection efficiency eta in [0, 1] and dark-count exponent nu >= 0,
+    each a finite real number (a numpy float is; a bool or text is not),
     else InvalidNoiseError.
 
     A zero-efficiency (never-clicking) detector is representable, although
@@ -67,11 +67,12 @@ class DetectorNoise:
     nu: float
 
     def __post_init__(self):
-        eta, nu = (_real(getattr(self, name), InvalidNoiseError, name) for name in ("eta", "nu"))
+        eta, nu = (_finite_real(getattr(self, name), InvalidNoiseError, name)
+                   for name in ("eta", "nu"))
         if not 0.0 <= eta <= 1.0:
             raise InvalidNoiseError(f"eta {self.eta!r} outside [0, 1]")
-        if not 0.0 <= nu < math.inf:  # NaN fails the comparison too
-            raise InvalidNoiseError(f"nu {self.nu!r} negative, infinite or NaN")
+        if nu < 0.0:
+            raise InvalidNoiseError(f"nu {self.nu!r} negative")
 
     @property
     def silence(self) -> float:

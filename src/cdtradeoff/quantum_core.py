@@ -94,14 +94,16 @@ def _as_array(values, dtype, what: str) -> np.ndarray:
                                      f"or mixed dimensions): {exc}") from None
 
 
-def _real(value, error, what: str) -> float:
-    """``value`` as a float if it is a real number that fits a double (a
-    numpy float or integer is; a bool, text, a complex number or an array
-    is not), else ``error`` naming ``what``."""
+def _finite_real(value, error, what: str) -> float:
+    """``value`` as a float if it is a finite real number in double
+    precision (a numpy float or integer is; a bool, text, a complex number,
+    an array, NaN or an infinity is not), else ``error`` naming ``what``."""
     with contextlib.suppress(OverflowError):
         if isinstance(value, numbers.Real) and not isinstance(value, bool):
-            return float(value)
-    raise error(f"{what} {value!r} is not a real number in double precision")
+            number = float(value)
+            if math.isfinite(number):
+                return number
+    raise error(f"{what} {value!r} is not a finite real number")
 
 
 def _as_stack(matrices, what: str = "matrix") -> np.ndarray:
@@ -286,9 +288,8 @@ class Povm:
         except TypeError:
             raise InvalidMeasurementError(
                 f"outcome labels {outcome_labels!r} are not a sequence") from None
-        self.labels = tuple(_real(x, InvalidMeasurementError, "outcome label") for x in labels)
-        if not all(map(math.isfinite, self.labels)):
-            raise InvalidMeasurementError(f"outcome labels {self.labels} are not all finite")
+        self.labels = tuple(_finite_real(x, InvalidMeasurementError, "outcome label")
+                            for x in labels)
         if len(self.labels) != len(matrices):
             raise InvalidMeasurementError("one label per effect is required")
         self.matrices = _frozen(matrices)

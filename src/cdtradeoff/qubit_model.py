@@ -47,7 +47,7 @@ from .quantum_core import (
     Povm,
     _as_array,
     _frozen,
-    _real,
+    _finite_real,
     at_index,
     first_bad,
 )
@@ -338,9 +338,7 @@ def cd_parametric(
     check_qubit(target_bias, (target_gamma, 0.0, 0.0))
     if target_gamma < 0.0:
         raise InvalidMeasurementError(f"target strength {target_gamma!r} is negative")
-    theta = _real(theta, NotFiniteError, "theta")
-    if not math.isfinite(theta):
-        raise NotFiniteError(f"theta {theta!r} is not finite")
+    theta = _finite_real(theta, NotFiniteError, "theta")
     *_, c0, p, q, s_strength = ellipse_map(probe.bias, probe.strength, target_bias, target_gamma)
     sin_t = abs(math.sin(theta))
     corr, dist = float(c0 + p * math.cos(theta) + q * sin_t), float(s_strength * sin_t)
