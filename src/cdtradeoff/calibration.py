@@ -54,9 +54,9 @@ from .errors import (
     OutOfDomainError,
     RankDeficientError,
 )
-from .quantum_core import _as_array, _finite_real, _frozen, at_index, first_bad
+from .quantum_core import _as_array, _finite_real, _frozen, _integer, at_index, first_bad
 from .qubit_model import _separate_probe
-from .shot_sampler import _integer, _stream
+from .shot_sampler import _stream
 
 DEFAULT_BOOTSTRAP = 200
 # DeviceCharacter fields of the four strength combinations and of the
@@ -342,9 +342,9 @@ def fit_ellipse_known_theta(
     their errors overflow raises OutOfDomainError, as does a weighted
     system that overflows.
     """
-    if target_strength is not None and not 0.0 < target_strength <= 1.0:
-        raise InvalidMeasurementError(
-            f"target strength {target_strength!r} must lie in (0, 1]")
+    if target_strength is not None and not 0.0 < _finite_real(
+            target_strength, InvalidMeasurementError, "target strength") <= 1.0:
+        raise InvalidMeasurementError(f"target strength {target_strength!r} must lie in (0, 1]")
     n = len(scan)
     if n < 4:
         raise InsufficientPointsError(f"need at least 4 points, got {n}")

@@ -40,6 +40,7 @@ from .quantum_core import (
     _as_array,
     _as_square,
     _check_dims,
+    _finite_real,
     at_index,
     dual_channel,
     first_bad,
@@ -73,7 +74,7 @@ def check_tradeoff(corr, dist) -> None:
     """Require C^2 + D^2 <= 1 (within INEQ_TOL), the theorem for square-root
     instruments with two outcomes on each arm; raises TradeoffViolationError
     naming the first point outside the disc (NaN included)."""
-    c, d = np.asarray(corr), np.asarray(dist)
+    c, d = _as_array(corr, float, "correlations"), _as_array(dist, float, "disturbances")
     index = first_bad(~(c * c + d * d <= 1.0 + INEQ_TOL))  # NaN fails the comparison too
     if index is not None:
         raise TradeoffViolationError(
@@ -111,8 +112,8 @@ def correlation(joint, labels_a, labels_b):
     correlations; one table gives a float.
     """
     table = _as_array(joint, float, "joint table")
-    la = tuple(float(x) for x in labels_a)
-    lb = tuple(float(x) for x in labels_b)
+    la, lb = (tuple(_finite_real(x, LabelMismatchError, "outcome label") for x in labels)
+              for labels in (labels_a, labels_b))
     if table.shape[-2:] != (len(la), len(lb)):
         raise LabelMismatchError(
             f"table shape {table.shape} does not match label counts"

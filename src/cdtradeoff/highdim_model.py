@@ -18,7 +18,6 @@ scalar types are the unbatched case.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +29,8 @@ from .errors import (
     InvalidMeasurementError,
     ProbeNotSharpError,
 )
-from .quantum_core import (Povm, _as_array, _frozen, at_index, check_effects, check_povms,
-                           dagger, first_bad, unit_kets)
+from .quantum_core import (Povm, _as_array, _finite_real, _frozen, _integer, at_index,
+                           check_effects, check_povms, dagger, first_bad, unit_kets)
 
 # Idempotency / rank-one tolerance for the projectors.
 PROJECTOR_TOL = 1e-9
@@ -50,7 +49,7 @@ def projectors(kets) -> np.ndarray:
 
 def check_projectors(proj) -> None:
     """Each matrix of a stack (..., d, d) is an idempotent of unit trace."""
-    p = np.asarray(proj)
+    p = _as_array(proj, None, "projectors")
     index = first_bad(np.abs(p @ p - p).max(axis=(-2, -1)) > PROJECTOR_TOL)
     if index is not None:
         raise InvalidMeasurementError(f"projector{at_index(index)} is not idempotent")
@@ -60,7 +59,7 @@ def check_projectors(proj) -> None:
 
 
 def _check_gamma(gamma: float) -> None:
-    if not (isinstance(gamma, numbers.Real) and 0.0 <= gamma <= 1.0):
+    if not 0.0 <= _finite_real(gamma, InvalidMeasurementError, "gamma") <= 1.0:
         raise InvalidMeasurementError(f"gamma {gamma!r} is not a number in [0, 1]")
 
 
@@ -73,7 +72,7 @@ def randomized_povms(gamma: float, proj) -> np.ndarray:
     keeps simulations reproducible.
     """
     _check_gamma(gamma)
-    p = np.asarray(proj, dtype=complex)
+    p = _as_array(proj, complex, "projectors")
     eye = np.eye(p.shape[-1], dtype=complex)
     e_plus = gamma * p + (1 - gamma) * eye / 2
     return check_povms(np.stack([e_plus, eye - e_plus], axis=-3))
@@ -89,8 +88,8 @@ class RandomizedDichotomic:
     projector_plus: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise InvalidDimError(f"dimension {self.dim} below 2")
+        if not _integer(self.dim) >= 2:
+            raise InvalidDimError(f"dimension {self.dim!r} is not an integer >= 2")
         _check_gamma(self.gamma)
         p = check_effects(self.projector_plus)
         if p.shape != (self.dim, self.dim):
@@ -139,7 +138,7 @@ def optimal_kets(proj_a, proj_b) -> np.ndarray:
     projector pairs (..., d, d), from one batched ``eigh``.  Where the
     geometry is degenerate (c^2 of 0 or 1) the disturbance vanishes for
     every state and the probe ket is returned."""
-    pa, pb = np.broadcast_arrays(np.asarray(proj_a), np.asarray(proj_b))
+    pa, pb = np.broadcast_arrays(*(_as_array(p, None, "projectors") for p in (proj_a, proj_b)))
     # Disturbance operator of the sharp probe acting on the target
     # projector direction, up to the overall strength factor.
     ab = pa @ pb

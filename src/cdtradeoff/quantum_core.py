@@ -25,6 +25,7 @@ import contextlib
 import contextvars
 import math
 import numbers
+import operator
 
 import numpy as np
 
@@ -84,11 +85,19 @@ def at_index(index: tuple) -> str:
     return f" at index {index[0] if len(index) == 1 else index}"
 
 
+# The three gates of a caller's numbers: every library entry point admits
+# its arrays through ``_as_array``, its real scalars through
+# ``_finite_real`` and its integers through ``_integer``.
+
+
 def _as_array(values, dtype, what: str) -> np.ndarray:
     """``np.asarray(values, dtype)``; input that is no array of that type
     (non-numeric entries or mixed dimensions) raises DimensionMismatchError."""
     try:
-        return np.asarray(values, dtype=dtype)
+        array = np.asarray(values)
+        if array.dtype.kind not in ("biuf" if dtype is float else "biufc"):
+            raise TypeError(f"{array.dtype} entries")
+        return np.asarray(array, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatchError(f"{what} is not a numeric array (non-numeric entries "
                                      f"or mixed dimensions): {exc}") from None
@@ -104,6 +113,15 @@ def _finite_real(value, error, what: str) -> float:
             if math.isfinite(number):
                 return number
     raise error(f"{what} {value!r} is not a finite real number")
+
+
+def _integer(value) -> int | float:
+    """``value`` as an int if it is an integer (a numpy integer is; a bool or
+    a float is not), else NaN, which fails every range test."""
+    try:
+        return math.nan if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return math.nan
 
 
 def _as_stack(matrices, what: str = "matrix") -> np.ndarray:
@@ -252,10 +270,6 @@ class DensityMatrix:
         """Pure state |k><k| of a ket, normalized by ``unit_kets``."""
         k = unit_kets(np.ravel(ket))
         return cls(np.outer(k, k.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim, dtype=complex) / dim)
 
 
 class Povm:

@@ -113,7 +113,7 @@ def qubit_states(vecs) -> np.ndarray:
 def plane_axis(theta) -> np.ndarray:
     """Unit vector (cos theta, 0, sin theta) in the x-z measurement plane;
     an array of angles gives a (..., 3) stack."""
-    t = np.asarray(theta, dtype=float)
+    t = _as_array(theta, float, "angle")
     out = np.zeros(t.shape + (3,))
     out[..., 0] = np.cos(t)
     out[..., 2] = np.sin(t)
@@ -136,7 +136,7 @@ def _lengths(v: np.ndarray) -> np.ndarray:
 def unit_axes(bloch) -> np.ndarray:
     """Directions of nonzero Bloch vectors (..., 3); ZeroBlochError names
     the first zero vector."""
-    v = np.asarray(bloch, dtype=float)
+    v = _as_array(bloch, float, "Bloch vector")
     norm = _lengths(v)
     index = first_bad(norm[..., 0] == 0)
     if index is not None:
@@ -188,11 +188,11 @@ class QubitMeasurement:
     bloch: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.bloch, dtype=float)
+        v = _as_array(self.bloch, float, "Bloch vector")
         if v.shape != (3,):
             raise InvalidMeasurementError("Bloch vector must have 3 components")
         check_qubit(self.bias, v)
-        object.__setattr__(self, "bias", float(self.bias))
+        object.__setattr__(self, "bias", _finite_real(self.bias, NotFiniteError, "bias"))
         object.__setattr__(self, "bloch", _frozen(v))
 
     @property
@@ -335,9 +335,9 @@ def cd_parametric(
     InvalidMeasurementError, a non-finite target or a ``theta`` that is not
     a finite real number NotFiniteError.
     """
-    check_qubit(target_bias, (target_gamma, 0.0, 0.0))
-    if target_gamma < 0.0:
+    if _finite_real(target_gamma, NotFiniteError, "target strength") < 0.0:
         raise InvalidMeasurementError(f"target strength {target_gamma!r} is negative")
+    check_qubit(target_bias, (target_gamma, 0.0, 0.0))
     theta = _finite_real(theta, NotFiniteError, "theta")
     *_, c0, p, q, s_strength = ellipse_map(probe.bias, probe.strength, target_bias, target_gamma)
     sin_t = abs(math.sin(theta))
@@ -355,8 +355,8 @@ def optimal_bloch(probe_axis, target_axis) -> np.ndarray:
     perpendicular direction (probe axis crossed with the first
     non-parallel basis vector) is returned for reproducibility.
     """
-    a = np.asarray(probe_axis, dtype=float)
-    b = np.asarray(target_axis, dtype=float)
+    a = _as_array(probe_axis, float, "probe axis")
+    b = _as_array(target_axis, float, "target axis")
     r = b - np.einsum("...i,...i->...", a, b)[..., None] * a
     norm = _lengths(r)
     parallel = norm < 1e-12

@@ -41,7 +41,6 @@ part of the package contract and must not change silently.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass
 
@@ -60,6 +59,7 @@ from .quantum_core import (
     Instrument,
     Povm,
     _as_array,
+    _integer,
     at_index,
     first_bad,
     index_base,
@@ -173,15 +173,6 @@ def _workers(points: int) -> int:
     affinity mask, capped by the points (at least one)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(cpus or 1, points))
-
-
-def _integer(value) -> int | float:
-    """``value`` as an int if it is an integer (a numpy integer is; a bool or
-    a float is not), else NaN, which fails every range test."""
-    try:
-        return math.nan if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        return math.nan
 
 
 def sample_tables(joint, alone, shots: int, seed: int, first: int = 0,

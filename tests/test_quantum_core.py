@@ -110,7 +110,7 @@ class TestTypes:
             DensityMatrix(m)
 
     def test_density_matrix_frozen(self):
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
 
@@ -168,12 +168,11 @@ class TestTypes:
         lambda: DensityMatrix("abc"),
         lambda: Instrument([np.eye(2), [[0.0]]], (1.0, -1.0)),
         lambda: check_states([np.eye(2) / 2, [[1.0]]]),
-        lambda: DensityMatrix.maximally_mixed(0),
         lambda: psd_sqrt(np.zeros((0, 0))),
         lambda: Povm(np.zeros((2, 0, 0)), (1.0, -1.0)),
         lambda: Instrument(np.zeros((2, 0, 0)), (1.0, -1.0)),
     ], ids=["ragged_povm", "text_state", "ragged_kraus", "ragged_states",
-            "mixed_of_dim_0", "sqrt_0x0", "povm_0x0", "kraus_0x0"])
+            "sqrt_0x0", "povm_0x0", "kraus_0x0"])
     def test_malformed_operator(self, make):
         with pytest.raises(DimensionMismatchError):
             make()
@@ -236,9 +235,9 @@ class TestApplyInstrument:
     def test_dimension_mismatch(self):
         inst = LuedersInstrument(x_povm(1.0))
         with pytest.raises(DimensionMismatchError):
-            scenario_tables(DensityMatrix.maximally_mixed(3).matrix, inst, x_povm(1.0).matrices)
+            scenario_tables(DensityMatrix(np.eye(3) / 3).matrix, inst, x_povm(1.0).matrices)
         with pytest.raises(DimensionMismatchError):
-            scenario_tables(DensityMatrix.maximally_mixed(2).matrix, inst, np.eye(3)[None])
+            scenario_tables(DensityMatrix(np.eye(2) / 2).matrix, inst, np.eye(3)[None])
 
 
 class TestUnregisteredChannel:
@@ -246,7 +245,7 @@ class TestUnregisteredChannel:
         inst = LuedersInstrument(
             QubitMeasurement(0.0, np.array([0.0, 0.0, 1.0])).to_povm()
         )
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = DensityMatrix(np.eye(2) / 2)
         assert_allclose(unregistered_channel(inst, rho).matrix, rho.matrix, atol=1e-12)
 
     def test_sharp_x_dephases_zero_ket(self):
