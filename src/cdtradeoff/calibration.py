@@ -82,7 +82,7 @@ class CdScan:
     (None when unknown), ``c``, ``d`` and their one-sigma errors ``c_err``
     and ``d_err`` (zeros by default, for an unweighted fit).  Each column is
     stored as a read-only float64 array; all have the length of ``c``.  An
-    error that is not finite raises NotFiniteError, a negative one
+    entry that is not finite raises NotFiniteError, a negative error
     OutOfDomainError, each naming its column and first bad index."""
 
     theta: np.ndarray | None
@@ -103,13 +103,12 @@ class CdScan:
             if column.shape != shape:
                 raise InsufficientPointsError(
                     f"scan column {name} has shape {column.shape}, expected {shape}")
-            if name.endswith("_err"):
-                index = first_bad(~np.isfinite(column))
-                if index is not None:
-                    raise NotFiniteError(f"scan column {name}{at_index(index)} is not finite")
-                index = first_bad(column < 0.0)
-                if index is not None:
-                    raise OutOfDomainError(f"scan column {name}{at_index(index)} is negative")
+            index = first_bad(~np.isfinite(column))
+            if index is not None:
+                raise NotFiniteError(f"scan column {name}{at_index(index)} is not finite")
+            index = first_bad(column < 0.0) if name.endswith("_err") else None
+            if index is not None:
+                raise OutOfDomainError(f"scan column {name}{at_index(index)} is negative")
             object.__setattr__(self, name, column)
 
     def __len__(self) -> int:

@@ -29,6 +29,7 @@ from .errors import (
     LabelMismatchError,
     NegativeDisturbanceError,
     NotDichotomicError,
+    NotFiniteError,
     NotNormalizedError,
     TradeoffViolationError,
 )
@@ -59,13 +60,16 @@ class CdValue:
     The tradeoff C^2 + D^2 <= 1 is a theorem, checked by ``check_tradeoff``,
     for square-root instruments with two outcomes on each arm only; other
     updates and more outcomes can leave the disc.  Finite-shot estimates
-    live in CdEstimate.
+    live in CdEstimate.  Each value is a finite real number (else
+    NotFiniteError), and the disturbance is not negative.
     """
 
     correlation: float
     disturbance: float
 
     def __post_init__(self):
+        for name in ("correlation", "disturbance"):
+            _finite_real(getattr(self, name), NotFiniteError, name)
         if self.disturbance < 0:
             raise NegativeDisturbanceError(f"disturbance {self.disturbance!r} is negative")
 

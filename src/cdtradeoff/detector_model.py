@@ -81,7 +81,7 @@ class DetectorNoise:
 
 
 def _herald(reference: str) -> Instrument:
-    if reference not in _HERALDS:
+    if not isinstance(reference, str) or reference not in _HERALDS:
         raise InvalidMeasurementError(
             f"reference must be one of {tuple(_HERALDS)}, got {reference!r}"
         )

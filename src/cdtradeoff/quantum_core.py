@@ -91,8 +91,11 @@ def at_index(index: tuple) -> str:
 
 
 def _as_array(values, dtype, what: str) -> np.ndarray:
-    """``np.asarray(values, dtype)``; input that is no array of that type
-    (non-numeric entries or mixed dimensions) raises DimensionMismatchError."""
+    """``values`` as an array of ``dtype`` (None keeps its own), with the
+    bits of ``np.asarray(values, dtype)``, if it holds numbers: bools,
+    integers, floats, and complex numbers unless ``dtype`` is ``float``.
+    Text (numeric text too), None, other objects, complex numbers where
+    reals are asked for and mixed dimensions raise DimensionMismatchError."""
     try:
         array = np.asarray(values)
         if array.dtype.kind not in ("biuf" if dtype is float else "biufc"):
@@ -106,7 +109,8 @@ def _as_array(values, dtype, what: str) -> np.ndarray:
 def _finite_real(value, error, what: str) -> float:
     """``value`` as a float if it is a finite real number in double
     precision (a numpy float or integer is; a bool, text, a complex number,
-    an array, NaN or an infinity is not), else ``error`` naming ``what``."""
+    an array, NaN or an infinity is not), else ``error`` naming ``what``:
+    the one test of a caller's real scalar."""
     with contextlib.suppress(OverflowError):
         if isinstance(value, numbers.Real) and not isinstance(value, bool):
             number = float(value)
@@ -116,8 +120,9 @@ def _finite_real(value, error, what: str) -> float:
 
 
 def _integer(value) -> int | float:
-    """``value`` as an int if it is an integer (a numpy integer is; a bool or
-    a float is not), else NaN, which fails every range test."""
+    """``value`` as an int if ``operator.index`` takes it (a numpy integer
+    does; a bool, a float or text does not), else NaN, which fails every
+    range test, so that each caller raises its own error."""
     try:
         return math.nan if isinstance(value, bool) else operator.index(value)
     except TypeError:

@@ -272,8 +272,9 @@ def estimate_columns(joint_counts, alone_counts) -> np.ndarray:
     binomial one-sigma errors (the two arms of d are independent and add
     in quadrature).
 
-    Counts are whole numbers below 2**53 in bool, integer or float arrays
-    (text is not parsed); any other count raises InvalidShotsError.
+    Counts are whole numbers below 2**53 in bool, integer or float arrays;
+    text and None raise DimensionMismatchError (``_as_array``), any other
+    count InvalidShotsError.
     """
     jc = _as_array(joint_counts, None, "joint counts")
     ac = _as_array(alone_counts, None, "probe-off counts")

@@ -86,22 +86,28 @@ class TestCdScan:
             CdScan(*columns)
 
     @pytest.mark.parametrize(
-        "bad, error, message",
+        "name, bad, error, message",
         [
-            (-0.01, OutOfDomainError, "scan column c_err at index 5 is negative"),
-            (np.nan, NotFiniteError, "scan column c_err at index 5 is not finite"),
-            (np.inf, NotFiniteError, "scan column c_err at index 5 is not finite"),
+            ("c_err", -0.01, OutOfDomainError, "scan column c_err at index 5 is negative"),
+            ("c_err", np.nan, NotFiniteError, "scan column c_err at index 5 is not finite"),
+            ("c_err", np.inf, NotFiniteError, "scan column c_err at index 5 is not finite"),
+            ("theta", np.nan, NotFiniteError, "scan column theta at index 5 is not finite"),
+            ("theta", -np.inf, NotFiniteError, "scan column theta at index 5 is not finite"),
+            ("c", np.nan, NotFiniteError, "scan column c at index 5 is not finite"),
+            ("d", np.inf, NotFiniteError, "scan column d at index 5 is not finite"),
         ],
-        ids=["negative", "nan", "inf"],
+        ids=["negative", "nan", "inf", "theta_nan", "theta_inf", "c_nan", "d_inf"],
     )
-    def test_bad_error_column_rejected(self, bad, error, message):
-        # a 16-point circle whose sixth C error is bad: the fits took such
-        # errors silently or failed with messages that named no column
+    def test_bad_error_column_rejected(self, name, bad, error, message):
+        # a 16-point circle whose sixth entry of one column is bad: the fits
+        # took such entries silently or failed with messages that named no
+        # column (a NaN theta as an overflow of the weighted scan points)
         scan = circle_scan(0.9)
-        c_err = np.full(16, 0.01)
-        c_err[5] = bad
+        columns = {"theta": scan.theta.copy(), "c": scan.c.copy(), "d": scan.d.copy(),
+                   "c_err": np.full(16, 0.01), "d_err": np.full(16, 0.01)}
+        columns[name][5] = bad
         with pytest.raises(error, match=message):
-            CdScan(scan.theta, scan.c, scan.d, c_err, np.full(16, 0.01))
+            CdScan(**columns)
 
     def test_zero_errors_stay_legal(self):
         # zeros (of either sign) mean "no errors", for an unweighted fit

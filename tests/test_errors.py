@@ -9,18 +9,28 @@ import numpy as np
 
 import cdtradeoff
 from cdtradeoff import errors
-from cdtradeoff.calibration import CdScan, estimate_detector
-from cdtradeoff.cd_measures import correlation
-from cdtradeoff.detector_model import DetectorNoise
-from cdtradeoff.highdim_model import circle_law, overlaps
-from cdtradeoff.quantum_core import Instrument, Povm, unit_kets
+from cdtradeoff.calibration import CdScan, estimate_detector, fit_ellipse_known_theta
+from cdtradeoff.cd_measures import CdValue, check_tradeoff, correlation
+from cdtradeoff.detector_model import DetectorNoise, scenario_cd, scenario_distributions
+from cdtradeoff.highdim_model import (
+    RandomizedDichotomic,
+    check_projectors,
+    circle_law,
+    optimal_kets,
+    overlaps,
+    randomized_povms,
+)
+from cdtradeoff.quantum_core import DensityMatrix, Instrument, Povm, unit_kets
 from cdtradeoff.qubit_model import (
     QubitMeasurement,
     bloch_matrix,
     cd_parametric,
     check_qubit,
+    optimal_bloch,
     plane_axis,
+    qubit_povms,
     qubit_states,
+    unit_axes,
 )
 from cdtradeoff.shot_sampler import estimate_columns, sample_tables
 
@@ -109,6 +119,20 @@ def test_public_names():
 RAGGED_TABLES = [[[0.5, 0.0], [0.0, 0.5]], [[1.0, 0.0]]]
 RAGGED_COUNTS = [[[5, 0], [0, 5]], [[10, 0]]]
 PROJECTORS = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+PROBE = QubitMeasurement(0.1, [0.8, 0, 0])
+NOISE = DetectorNoise(0.8, 0.1)
+THETAS = np.linspace(0.0, np.pi, 16)
+
+
+def scan_with(column=None, index=0, value=0.0):
+    """A valid 16-point theta scan, or a call that builds it with
+    ``column[index]`` set to ``value``."""
+    columns = {"theta": THETAS.copy(), "c": 0.1 + 0.7 * np.cos(THETAS),
+               "d": 0.5 * np.abs(np.sin(THETAS))}
+    if column is None:
+        return CdScan(**columns)
+    columns[column][index] = value
+    return lambda: CdScan(**columns)
 
 
 @pytest.mark.parametrize("call", [
@@ -144,6 +168,33 @@ PROJECTORS = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     lambda: Povm(PROJECTORS, 5),
     lambda: Povm(PROJECTORS, (np.nan, 1.0)),
     lambda: cd_parametric(QubitMeasurement(0.0, plane_axis(0.0)), 0.9, 0.0, "x"),
+    lambda: plane_axis("x"),
+    lambda: unit_axes("x"),
+    lambda: optimal_bloch("x", [1, 0, 0]),
+    lambda: QubitMeasurement(0.0, "abc"),
+    lambda: randomized_povms(0.5, "abc"),
+    lambda: correlation(np.eye(2) / 2, "ab", "ab"),
+    lambda: cd_parametric(PROBE, "0.9", 0.0, 0.1),
+    lambda: RandomizedDichotomic("2", 0.5, np.diag([1, 0])),
+    lambda: fit_ellipse_known_theta(scan_with(), "0.9"),
+    lambda: optimal_kets("ab", np.eye(2)),
+    lambda: check_projectors("ab"),
+    lambda: check_tradeoff("x", 0.1),
+    lambda: randomized_povms(True, np.diag([1, 0])),
+    lambda: qubit_povms("0.1", ["0.5", 0, 0]),
+    lambda: QubitMeasurement("0.1", [0.5, 0, 0]),
+    lambda: DensityMatrix([["0.5", "0"], ["0", "0.5"]]),
+    lambda: QubitMeasurement([0.1], [0.5, 0, 0]),
+    lambda: bloch_matrix(np.array([0.5j, 0, 0])),
+    lambda: CdScan(None, [0.5j, 0.5], [0.1, 0.2]),
+    scan_with("theta", 3, np.nan),
+    scan_with("theta", 3, np.inf),
+    scan_with("c", 5, np.nan),
+    scan_with("d", 2, -np.inf),
+    lambda: CdValue(np.nan, np.nan),
+    lambda: CdValue(0.1, "x"),
+    lambda: scenario_cd(NOISE, ["sharp"]),
+    lambda: scenario_distributions(NOISE, ["sharp"]),
 ], ids=["unit_kets_ragged", "unit_kets_text", "bloch_matrix_text", "check_qubit_text",
         "qubit_states_ragged", "sample_tables_ragged", "estimate_columns_ragged",
         "estimate_columns_text", "estimate_columns_none", "estimate_columns_complex",
@@ -155,7 +206,16 @@ PROJECTORS = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
         "estimate_detector_text_error", "estimate_detector_negative_error",
         "estimate_detector_infinite_error", "estimate_detector_nan_error",
         "povm_text_labels", "instrument_text_labels", "povm_number_labels",
-        "povm_nan_label", "cd_parametric_text_theta"])
+        "povm_nan_label", "cd_parametric_text_theta", "plane_axis_text", "unit_axes_text",
+        "optimal_bloch_text", "qubit_measurement_text_bloch", "randomized_povms_text",
+        "correlation_text_labels", "cd_parametric_text_strength",
+        "randomized_dichotomic_text_dim", "known_theta_text_strength", "optimal_kets_text",
+        "check_projectors_text", "check_tradeoff_text", "randomized_povms_bool_gamma",
+        "qubit_povms_numeric_text", "qubit_measurement_numeric_text",
+        "density_matrix_numeric_text", "qubit_measurement_array_bias", "bloch_matrix_complex",
+        "scan_complex", "scan_nan_theta", "scan_inf_theta", "scan_nan_c", "scan_inf_d",
+        "cd_value_nan", "cd_value_text", "scenario_cd_list_reference",
+        "scenario_distributions_list_reference"])
 def test_malformed_arrays_raise_typed_errors(call):
     """An entry point that takes arrays or numbers refuses non-numeric,
     ragged or non-finite input with a library error, and no numpy warning
@@ -164,3 +224,35 @@ def test_malformed_arrays_raise_typed_errors(call):
         warnings.simplefilter("error")
         with pytest.raises(errors.CdTradeoffError):
             call()
+
+
+def bits(values) -> list:
+    return np.asarray(values).view(np.uint64).tolist()
+
+
+def columns(*hexes: str) -> np.ndarray:
+    """Estimate columns (c, d, c_err, d_err) of two records, written exactly."""
+    return np.array([float.fromhex(h) for h in hexes]).reshape(4, 2)
+
+
+def test_numbers_of_every_kind_keep_their_bits():
+    """What the gates admit keeps its bits: bool and integer counts estimate
+    to fixed columns (an integer count as its float does), Python integers
+    make the effects of their floats, and real effects the POVM of their
+    complex values."""
+    estimates = estimate_columns(
+        np.array([[[True, False], [False, True]], [[True, True], [False, True]]]),
+        np.array([[True, True], [True, False]]))
+    assert bits(estimates) == bits(columns(
+        "0x1.0000000000000p+0", "0x1.5555555555554p-2", "0x0.0p+0", "0x1.5555555555556p+0",
+        "0x0.0p+0", "0x1.16b28f55d72d4p-1", "0x1.0000000000000p+0", "0x1.16b28f55d72d4p-1"))
+    counts = [[[3, 1], [2, 4]], [[7, 0], [1, 2]]], [[5, 5], [6, 3]]
+    estimates = estimate_columns(*counts)
+    assert bits(estimates) == bits(columns(
+        "0x1.9999999999998p-2", "0x1.9999999999998p-1", "0x0.0p+0", "0x1.1111111111110p-2",
+        "0x1.28c88c9fe9712p-2", "0x1.8494a75f057aep-3", "0x1.c9f25c5bfedd9p-2",
+        "0x1.9d1fe50a4f498p-2"))
+    assert bits(estimates) == bits(estimate_columns(*(np.array(c, float) for c in counts)))
+    assert bits(qubit_povms(0, [1, 0, 0])) == bits(qubit_povms(0.0, np.array([1.0, 0.0, 0.0])))
+    real = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    assert bits(Povm(real).matrices) == bits(Povm(np.array(real, complex)).matrices)
