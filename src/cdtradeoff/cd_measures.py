@@ -116,8 +116,8 @@ def correlation(joint, labels_a, labels_b):
     correlations; one table gives a float.
     """
     table = _as_array(joint, float, "joint table")
-    la, lb = (tuple(_finite_real(x, LabelMismatchError, "outcome label") for x in labels)
-              for labels in (labels_a, labels_b))
+    la = tuple(_finite_real(x, LabelMismatchError, "outcome label") for x in labels_a)
+    lb = tuple(_finite_real(x, LabelMismatchError, "outcome label") for x in labels_b)
     if table.shape[-2:] != (len(la), len(lb)):
         raise LabelMismatchError(
             f"table shape {table.shape} does not match label counts"

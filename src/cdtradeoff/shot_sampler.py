@@ -281,7 +281,7 @@ def estimate_columns(joint_counts, alone_counts) -> np.ndarray:
     if jc.shape[1:] != (2, 2) or ac.shape != (len(jc), 2):
         raise LabelMismatchError("dichotomic records need (n, 2, 2) and (n, 2) counts")
     if jc.dtype.kind not in "biuf" or ac.dtype.kind not in "biuf":
-        raise InvalidShotsError(f"counts must be numbers, not {jc.dtype} and {ac.dtype} arrays")
+        raise InvalidShotsError(f"counts must be real, not {jc.dtype} and {ac.dtype} arrays")
     counts = np.concatenate([jc.reshape(len(jc), 4), ac], axis=1)
     bad = first_bad((counts < 0) | (counts >= 2**53) | (np.floor(counts) != counts))
     if bad is not None:
