@@ -122,15 +122,13 @@ PROJECTORS = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
 PROBE = QubitMeasurement(0.1, [0.8, 0, 0])
 NOISE = DetectorNoise(0.8, 0.1)
 THETAS = np.linspace(0.0, np.pi, 16)
+SCAN = {"theta": THETAS, "c": 0.1 + 0.7 * np.cos(THETAS), "d": 0.5 * np.abs(np.sin(THETAS))}
 
 
-def scan_with(column=None, index=0, value=0.0):
-    """A valid 16-point theta scan, or a call that builds it with
+def scan_with(column, index, value):
+    """A call that builds the 16-point theta scan ``SCAN`` with
     ``column[index]`` set to ``value``."""
-    columns = {"theta": THETAS.copy(), "c": 0.1 + 0.7 * np.cos(THETAS),
-               "d": 0.5 * np.abs(np.sin(THETAS))}
-    if column is None:
-        return CdScan(**columns)
+    columns = {name: values.copy() for name, values in SCAN.items()}
     columns[column][index] = value
     return lambda: CdScan(**columns)
 
@@ -176,7 +174,7 @@ def scan_with(column=None, index=0, value=0.0):
     lambda: correlation(np.eye(2) / 2, "ab", "ab"),
     lambda: cd_parametric(PROBE, "0.9", 0.0, 0.1),
     lambda: RandomizedDichotomic("2", 0.5, np.diag([1, 0])),
-    lambda: fit_ellipse_known_theta(scan_with(), "0.9"),
+    lambda: fit_ellipse_known_theta(CdScan(**SCAN), "0.9"),
     lambda: optimal_kets("ab", np.eye(2)),
     lambda: check_projectors("ab"),
     lambda: check_tradeoff("x", 0.1),
