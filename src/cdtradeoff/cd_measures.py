@@ -42,6 +42,7 @@ from .quantum_core import (
     _as_square,
     _check_dims,
     _finite_real,
+    _labels,
     at_index,
     dual_channel,
     first_bad,
@@ -99,8 +100,7 @@ def _check_distributions(probs: np.ndarray, what: str) -> None:
         raise NotNormalizedError(f"{what}{at_index(index)} sums to {float(total[index])!r}, not 1")
 
 
-def _matched_label_sets(labels_a, labels_b) -> None:
-    la, lb = tuple(labels_a), tuple(labels_b)
+def _matched_label_sets(la: tuple, lb: tuple) -> None:
     if len(set(la)) != len(la) or len(set(lb)) != len(lb):
         raise LabelMismatchError("outcome labels must be distinct")
     if set(la) != set(lb):
@@ -113,11 +113,11 @@ def correlation(joint, labels_a, labels_b):
     ``joint[i, j]`` is the probability of probe outcome ``labels_a[i]``
     followed by target outcome ``labels_b[j]``; outcomes match when their
     labels are equal.  A stack of tables (..., i, j) gives an array of
-    correlations; one table gives a float.
+    correlations; one table gives a float.  Labels that are no sequence of
+    finite real numbers raise LabelMismatchError.
     """
     table = _as_array(joint, float, "joint table")
-    la = tuple(_finite_real(x, LabelMismatchError, "outcome label") for x in labels_a)
-    lb = tuple(_finite_real(x, LabelMismatchError, "outcome label") for x in labels_b)
+    la, lb = _labels(labels_a, LabelMismatchError), _labels(labels_b, LabelMismatchError)
     if table.shape[-2:] != (len(la), len(lb)):
         raise LabelMismatchError(
             f"table shape {table.shape} does not match label counts"

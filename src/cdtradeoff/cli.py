@@ -41,7 +41,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, quantum_core
 from .calibration import (
     DEFAULT_BOOTSTRAP,
     CdScan,
@@ -66,7 +66,7 @@ from .highdim_model import (
     randomized_povms,
 )
 from .cd_measures import cd_tables
-from .quantum_core import Instrument, Povm, index_base, scenario_tables
+from .quantum_core import Instrument, Povm, _finite_real, index_base, scenario_tables
 from .qubit_model import (InstrumentPolicy, optimal_bloch, plane_axis, qubit_povms,
                           qubit_states, unit_axes)
 from .shot_sampler import estimate_columns, sample_tables
@@ -147,22 +147,17 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _number(value, what: str, low: float = -math.inf, high: float = math.inf) -> float:
-    """A config number as a finite double in (low, high]; ``true``/``false``,
-    strings, ``null`` and integers too large for a double are schema errors."""
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"{what} must be a number")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    _require(math.isfinite(number), f"{what} must be finite in double precision")
+    """A config number in (low, high] that ``_finite_real`` admits: ``true``,
+    ``false``, strings, ``null`` and integers beyond a double are not."""
+    number = _finite_real(value, SchemaError, what)
     _require(low < number <= high, f"{what} must lie in ({low}, {high}]")
     return number
 
 
 def _integer(value, what: str, low: int, high: int) -> int:
-    """A JSON integer in [low, high]; ``true``/``false`` load as ``bool``."""
-    _require(isinstance(value, int) and not isinstance(value, bool) and low <= value <= high,
+    """A JSON integer in [low, high], admitted by ``quantum_core._integer``
+    (``true``/``false`` load as ``bool``, which is no integer)."""
+    _require(low <= quantum_core._integer(value) <= high,
              f"{what} must be an integer in [{low}, {high}]")
     return value
 

@@ -85,9 +85,10 @@ def at_index(index: tuple) -> str:
     return f" at index {index[0] if len(index) == 1 else index}"
 
 
-# The three gates of a caller's numbers: every library entry point admits
+# The four gates of a caller's numbers: every library entry point admits
 # its arrays through ``_as_array``, its real scalars through
-# ``_finite_real`` and its integers through ``_integer``.
+# ``_finite_real``, its integers through ``_integer`` and its outcome
+# labels through ``_labels``.
 
 
 def _as_array(values, dtype, what: str) -> np.ndarray:
@@ -127,6 +128,15 @@ def _integer(value) -> int | float:
         return math.nan if isinstance(value, bool) else operator.index(value)
     except TypeError:
         return math.nan
+
+
+def _labels(values, error) -> tuple[float, ...]:
+    """Outcome labels as a tuple of floats if ``values`` is a sequence of
+    numbers that each pass ``_finite_real``, else ``error``: the one test
+    of a caller's labels."""
+    with contextlib.suppress(TypeError):
+        return tuple(_finite_real(x, error, "outcome label") for x in values)
+    raise error(f"outcome labels {values!r} are not a sequence")
 
 
 def _as_stack(matrices, what: str = "matrix") -> np.ndarray:
@@ -302,13 +312,7 @@ class Povm:
             if len(matrices) != 2:
                 raise InvalidMeasurementError("outcome labels are required beyond two outcomes")
             outcome_labels = (1.0, -1.0)
-        try:
-            labels = list(outcome_labels)
-        except TypeError:
-            raise InvalidMeasurementError(
-                f"outcome labels {outcome_labels!r} are not a sequence") from None
-        self.labels = tuple(_finite_real(x, InvalidMeasurementError, "outcome label")
-                            for x in labels)
+        self.labels = _labels(outcome_labels, InvalidMeasurementError)
         if len(self.labels) != len(matrices):
             raise InvalidMeasurementError("one label per effect is required")
         self.matrices = _frozen(matrices)

@@ -278,16 +278,21 @@ def ellipse_map(a0, na, b0=0.0, nb=1.0) -> tuple:
 
     with u_pm = sqrt((1 pm a0)^2 - |a|^2), squeeze s = 1 - (u_+ + u_-)/2,
     shear delta = (u_+ - u_-)/2, and c0 = a0 b0, P = |a||b|, Q = delta |b|,
-    S = s |b|.  Returns (u_+, u_-, s, delta, c0, P, Q, S); a probe that
-    violates positivity raises InvalidMeasurementError.  Only P, Q, S and c0
-    are identifiable from a scan; ``_separate_probe`` inverts the map given
-    |b|.
+    S = s |b|.  Returns (u_+, u_-, s, delta, c0, P, Q, S).  Arrays, lists and
+    tuples enter as float arrays, other arguments as Python floats; a number
+    that is not finite or not real raises NotFiniteError, a probe violating
+    positivity InvalidMeasurementError.  Only P, Q, S and c0 are identifiable
+    from a scan; ``_separate_probe`` inverts the map given |b|.
     """
-    # Python floats are not converted: their squares stay libm pow, whose
-    # last bit can differ from the x * x of an array, so the scalar
-    # functions keep their floats
-    up_sq = (1.0 + a0) ** 2 - na**2
-    um_sq = (1.0 - a0) ** 2 - na**2
+    # numbers are admitted as Python floats, not as arrays: their squares
+    # stay libm pow, whose last bit can differ from the x * x of an array,
+    # so the scalar functions keep their bits
+    a0, na, b0, nb = (_as_array(x, float, what) if isinstance(x, (np.ndarray, list, tuple))
+                      else _finite_real(x, NotFiniteError, what)
+                      for x, what in zip((a0, na, b0, nb), ("a0", "na", "b0", "nb")))
+    if not all(np.isfinite(x).all() for x in (a0, na, b0, nb)):
+        raise NotFiniteError("ellipse_map takes finite numbers only")
+    up_sq, um_sq = (1.0 + a0) ** 2 - na**2, (1.0 - a0) ** 2 - na**2
     if (np.minimum(up_sq, um_sq) < -ATOL).any():
         raise InvalidMeasurementError("probe violates positivity")
     u_plus, u_minus = np.sqrt(np.maximum(up_sq, 0.0)), np.sqrt(np.maximum(um_sq, 0.0))

@@ -978,27 +978,34 @@ class TestConfigNumbers:
     other value is a config error (exit 2), never a traceback."""
 
     @pytest.mark.parametrize(
-        "entries",
+        "entries, key",
         [
-            {"probe": {"bias": "x"}},
-            {"probe": {"bias": None}},
-            {"probe": {"bias": 10**400}},
-            {"probe": {"gamma": True}},
-            {"probe": {"theta": "0.5"}},
-            {"probe": {"bloch": [1, "a", 0]}},
-            {"probe": {"bloch": [1, 0]}},
-            {"target": "abc"},
-            {"target": {"gamma": 1.0, "theta": "abc"}},
-            {"target": {"gamma": 1.0, "theta_grid": {"start": "0", "points": 4}}},
-            {"target": {"gamma": 1.0, "theta_grid": {"stop": None, "points": 4}}},
-            {"target": SHARP, "state": {"bloch": [0, 0, "q"]}},
-            {"mode": "search-optimal", "target": {"bias": False}},
-            {"mode": "highdim", "dim": 3, "gamma": "x"},
-            {"mode": "highdim", "dim": 3, "c2": [0.5]},
-            {"mode": "detector", "detector": {"eta": "x", "nu": 0.0}},
-            {"mode": "detector", "detector": {"eta": 0.9, "nu": 10**400}},
-            {"mode": "detector", "detector": {"d1": 0.5, "c2": "0.1"}},
-            {"mode": "detector", "detector": {"d1": 0.5, "c2": 0.1, "d1_err": True}},
+            ({"probe": {"bias": "x"}}, "probe.bias"),
+            ({"probe": {"bias": None}}, "probe.bias"),
+            ({"probe": {"bias": 10**400}}, "probe.bias"),
+            ({"probe": {"gamma": True}}, "probe.gamma"),
+            ({"probe": {"theta": "0.5"}}, "probe.theta"),
+            ({"probe": {"bloch": [1, "a", 0]}}, "probe.bloch[1]"),
+            ({"probe": {"bloch": [1, 0]}}, "probe.bloch"),
+            ({"target": "abc"}, "target"),
+            ({"target": {"gamma": 1.0, "theta": "abc"}}, "target.theta"),
+            ({"target": {"gamma": 1.0, "theta_grid": {"start": "0", "points": 4}}},
+             "target.theta_grid.start"),
+            ({"target": {"gamma": 1.0, "theta_grid": {"stop": None, "points": 4}}},
+             "target.theta_grid.stop"),
+            ({"target": SHARP, "state": {"bloch": [0, 0, "q"]}}, "state.bloch[2]"),
+            ({"mode": "search-optimal", "target": {"bias": False}}, "target.bias"),
+            ({"mode": "highdim", "dim": 3, "gamma": "x"}, "gamma"),
+            ({"mode": "highdim", "dim": 3, "c2": [0.5]}, "c2"),
+            ({"mode": "detector", "detector": {"eta": "x", "nu": 0.0}}, "detector.eta"),
+            ({"mode": "detector", "detector": {"eta": 0.9, "nu": 10**400}}, "detector.nu"),
+            ({"mode": "detector", "detector": {"d1": 0.5, "c2": "0.1"}}, "detector.c2"),
+            ({"mode": "detector", "detector": {"d1": 0.5, "c2": 0.1, "d1_err": True}},
+             "detector.d1_err"),
+            ({"mode": "detector", "detector": {"d1": True, "c2": 0.1}}, "detector.d1"),
+            ({"mode": "detector", "detector": {"d1": "0.5", "c2": 0.1}}, "detector.d1"),
+            ({"mode": "detector", "detector": {"d1": 10**400, "c2": 0.1}}, "detector.d1"),
+            ({"shots": 100, "seed": 1.0}, "seed"),
         ],
         ids=[
             "bias_string", "bias_null", "bias_400_digits", "gamma_true", "theta_string",
@@ -1006,9 +1013,10 @@ class TestConfigNumbers:
             "grid_start_string", "grid_stop_null", "state_bloch_string",
             "search_bias_false", "highdim_gamma", "highdim_c2_list", "detector_eta",
             "detector_nu_400_digits", "detector_c2_string", "detector_d1_err_true",
+            "detector_d1_true", "detector_d1_string", "detector_d1_400_digits", "seed_float",
         ],
     )
-    def test_non_numbers_are_config_errors(self, tmp_path, entries):
+    def test_non_numbers_are_config_errors(self, tmp_path, capsys, entries, key):
         if entries.get("mode", "scan") == "scan":
             config = scan_config(tmp_path, **entries)
         else:
@@ -1016,6 +1024,7 @@ class TestConfigNumbers:
         out = tmp_path / "o.csv"
         assert run_cli("--config", config, "--out", out) == 2
         assert not out.exists()
+        assert f"config error: {key} " in capsys.readouterr().err
 
     @pytest.mark.parametrize("scan_file", [["a"], 5, None], ids=["list", "integer", "null"])
     def test_scan_file_must_be_a_string(self, tmp_path, scan_file):

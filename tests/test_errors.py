@@ -26,6 +26,8 @@ from cdtradeoff.qubit_model import (
     bloch_matrix,
     cd_parametric,
     check_qubit,
+    ellipse_character,
+    ellipse_map,
     optimal_bloch,
     plane_axis,
     qubit_povms,
@@ -193,6 +195,17 @@ def scan_with(column, index, value):
     lambda: CdValue(0.1, "x"),
     lambda: scenario_cd(NOISE, ["sharp"]),
     lambda: scenario_distributions(NOISE, ["sharp"]),
+    lambda: correlation(np.eye(2) / 2, 5, 5),
+    lambda: correlation(np.eye(2) / 2, None, None),
+    lambda: ellipse_map("0.1", 0.5),
+    lambda: ellipse_map(None, 0.5),
+    lambda: ellipse_map(0.1, [0.5, "x"]),
+    lambda: ellipse_map(np.nan, 0.5),
+    lambda: ellipse_map(np.array([0.1, np.nan]), 0.5),
+    lambda: ellipse_map(0.1, np.inf),
+    lambda: ellipse_map(True, 0.5),
+    lambda: ellipse_map(True, 0.0),
+    lambda: ellipse_map(0.1, 0.5, np.inf),
 ], ids=["unit_kets_ragged", "unit_kets_text", "bloch_matrix_text", "check_qubit_text",
         "qubit_states_ragged", "sample_tables_ragged", "estimate_columns_ragged",
         "estimate_columns_text", "estimate_columns_none", "estimate_columns_complex",
@@ -213,7 +226,11 @@ def scan_with(column, index, value):
         "density_matrix_numeric_text", "qubit_measurement_array_bias", "bloch_matrix_complex",
         "scan_complex", "scan_nan_theta", "scan_inf_theta", "scan_nan_c", "scan_inf_d",
         "cd_value_nan", "cd_value_text", "scenario_cd_list_reference",
-        "scenario_distributions_list_reference"])
+        "scenario_distributions_list_reference", "correlation_number_labels",
+        "correlation_none_labels", "ellipse_map_text", "ellipse_map_none",
+        "ellipse_map_text_in_list", "ellipse_map_nan", "ellipse_map_nan_in_array",
+        "ellipse_map_infinite", "ellipse_map_bool", "ellipse_map_bool_sharp",
+        "ellipse_map_infinite_target"])
 def test_malformed_arrays_raise_typed_errors(call):
     """An entry point that takes arrays or numbers refuses non-numeric,
     ragged or non-finite input with a library error, and no numpy warning
@@ -254,3 +271,56 @@ def test_numbers_of_every_kind_keep_their_bits():
     assert bits(qubit_povms(0, [1, 0, 0])) == bits(qubit_povms(0.0, np.array([1.0, 0.0, 0.0])))
     real = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     assert bits(Povm(real).matrices) == bits(Povm(np.array(real, complex)).matrices)
+
+
+ELLIPSE = ["0x1.b27247aff1490p-1", "0x1.21a1851ff630bp-1", "0x1.2bec333018864p-2",
+           "0x1.21a1851ff630ap-3", "0x1.47ae147ae147cp-8", "0x1.428f5c28f5c29p-1",
+           "0x1.04aaf7cff72bcp-3", "0x1.0dee2e11afac1p-2"]
+
+
+def hex_bits(*hexes: str) -> list:
+    return bits([float.fromhex(h) for h in hexes])
+
+
+def flat_bits(values) -> list:
+    return bits(np.concatenate([np.ravel(np.asarray(v, float)) for v in values]))
+
+
+def test_ellipse_map_and_labels_keep_their_bits():
+    """The gates of ``ellipse_map`` and of outcome labels move no bit: the
+    sheared-ellipse law on a Python float, a numpy float, an integer, a 0-d
+    and a 1-D array, the closed forms built on it, and labels given as a
+    tuple, a list, an array or a generator."""
+    numbers = (0.1, 0.7, 0.05, 0.9)
+    for args in (numbers, tuple(map(np.float64, numbers)), tuple(map(np.array, numbers))):
+        assert flat_bits(ellipse_map(*args)) == hex_bits(*ELLIPSE)
+    assert flat_bits(ellipse_map(0, 0.7, 0, 1)) == hex_bits(
+        "0x1.6da4217576971p-1", "0x1.6da4217576971p-1", "0x1.24b7bd1512d1ep-2", "0x0.0p+0",
+        "0x0.0p+0", "0x1.6666666666666p-1", "0x0.0p+0", "0x1.24b7bd1512d1ep-2")
+    assert flat_bits(ellipse_map(0, 1, 0, 1)) == hex_bits(
+        "0x0.0p+0", "0x0.0p+0", "0x1p+0", "0x0.0p+0", "0x0.0p+0", "0x1p+0", "0x0.0p+0", "0x1p+0")
+    arrays = np.array([0.1, -0.2]), np.array([0.7, 0.6])
+    assert flat_bits(ellipse_map(*arrays, 0.05, 0.9)) == hex_bits(
+        "0x1.b27247aff1490p-1", "0x1.0eecc87dbfa56p-1", "0x1.21a1851ff630bp-1",
+        "0x1.0a0b02501c79ap+0", "0x1.2bec333018864p-2", "0x1.b9fa65c40ececp-3",
+        "0x1.21a1851ff630ap-3", "-0x1.05293c22794dep-2", "0x1.47ae147ae147cp-8",
+        "-0x1.47ae147ae147cp-7", "0x1.428f5c28f5c29p-1", "0x1.147ae147ae148p-1",
+        "0x1.04aaf7cff72bcp-3", "-0x1.d61705d7a725dp-3", "0x1.0dee2e11afac1p-2",
+        "0x1.8dc7c1fd4086ep-3")
+    probe = QubitMeasurement(0.1, 0.7 * plane_axis(0.3))
+    for target in ((0.9, 0.05, 1.1), tuple(map(np.float64, (0.9, 0.05, 1.1)))):
+        value = cd_parametric(probe, *target)
+        assert flat_bits([value.correlation, value.disturbance]) == hex_bits(
+            "0x1.9de602ce797d9p-2", "0x1.e120be24c5a2cp-3")
+    character = ellipse_character(probe, QubitMeasurement(0.05, 0.9 * plane_axis(0.0)))
+    assert flat_bits(vars(character).values()) == hex_bits(
+        "0x1.47ae147ae147cp-8", "0x1.428f5c28f5c28p-1", "0x1.0dee2e11afac1p-2",
+        "0x1.21a1851ff630ap-3", "0x1.2bec333018864p-2", "0x1.b27247aff1491p-1",
+        "0x1.21a1851ff630cp-1", "0x1.6666666666665p-1", "0x1.999999999999ap-4")
+    joint = [[0.3, 0.1], [0.2, 0.4]]
+    for labels in (lambda: (2.0, 0.5), lambda: [2.0, 0.5], lambda: np.array([2.0, 0.5]),
+                   lambda: (x for x in (2.0, 0.5))):
+        assert flat_bits(Povm(PROJECTORS, labels()).labels) == hex_bits("0x1p+1", "0x1p-1")
+        assert flat_bits([correlation(joint, labels(), labels()),
+                          correlation(joint, labels(), (0.5, 2.0))]) == hex_bits(
+            "0x1.9999999999998p-2", "-0x1.9999999999998p-2")
