@@ -113,8 +113,8 @@ def correlation(joint, labels_a, labels_b):
     ``joint[i, j]`` is the probability of probe outcome ``labels_a[i]``
     followed by target outcome ``labels_b[j]``; outcomes match when their
     labels are equal.  A stack of tables (..., i, j) gives an array of
-    correlations; one table gives a float.  Labels that are no sequence of
-    finite real numbers raise LabelMismatchError.
+    correlations; one table gives a float.  Labels that are no ordered
+    sequence of finite real numbers raise LabelMismatchError.
     """
     table = _as_array(joint, float, "joint table")
     la, lb = _labels(labels_a, LabelMismatchError), _labels(labels_b, LabelMismatchError)

@@ -26,6 +26,7 @@ import contextvars
 import math
 import numbers
 import operator
+from collections.abc import Mapping, Set
 
 import numpy as np
 
@@ -131,12 +132,14 @@ def _integer(value) -> int | float:
 
 
 def _labels(values, error) -> tuple[float, ...]:
-    """Outcome labels as a tuple of floats if ``values`` is a sequence of
-    numbers that each pass ``_finite_real``, else ``error``: the one test
-    of a caller's labels."""
-    with contextlib.suppress(TypeError):
-        return tuple(_finite_real(x, error, "outcome label") for x in values)
-    raise error(f"outcome labels {values!r} are not a sequence")
+    """Outcome labels as a tuple of floats if ``values`` is an ordered
+    sequence (a list, tuple, array or generator; no set or mapping, whose
+    order need not follow the effects) of numbers that each pass
+    ``_finite_real``, else ``error``: the one test of a caller's labels."""
+    if not isinstance(values, (Set, Mapping)):
+        with contextlib.suppress(TypeError):
+            return tuple(_finite_real(x, error, "outcome label") for x in values)
+    raise error(f"outcome labels {values!r} are not an ordered sequence")
 
 
 def _as_stack(matrices, what: str = "matrix") -> np.ndarray:
@@ -294,9 +297,9 @@ class Povm:
 
     ``outcome_labels`` are the real values attached to the outcomes (the
     eigenvalue bookkeeping for the observable ``sum(label * effect)``), one
-    finite number per effect; labels that are no sequence, not real numbers
-    or not finite raise InvalidMeasurementError.  Two-outcome POVMs default
-    to labels (+1, -1) in effect order.
+    finite number per effect; labels that are no ordered sequence (a set is
+    none), not real numbers or not finite raise InvalidMeasurementError.
+    Two-outcome POVMs default to labels (+1, -1) in effect order.
     """
 
     __slots__ = ("labels", "matrices")

@@ -206,6 +206,12 @@ def scan_with(column, index, value):
     lambda: ellipse_map(True, 0.5),
     lambda: ellipse_map(True, 0.0),
     lambda: ellipse_map(0.1, 0.5, np.inf),
+    lambda: Povm(PROJECTORS, {2.0, 0.5}),
+    lambda: Povm(PROJECTORS, {2.0: 0, 0.5: 1}),
+    lambda: Instrument(PROJECTORS, {2.0, 0.5}),
+    lambda: Instrument(PROJECTORS, {2.0: 0, 0.5: 1}),
+    lambda: correlation(np.diag([0.3, 0.7]), [2.0, 0.5], {2.0, 0.5}),
+    lambda: correlation(np.diag([0.3, 0.7]), {2.0: 0, 0.5: 1}, [2.0, 0.5]),
 ], ids=["unit_kets_ragged", "unit_kets_text", "bloch_matrix_text", "check_qubit_text",
         "qubit_states_ragged", "sample_tables_ragged", "estimate_columns_ragged",
         "estimate_columns_text", "estimate_columns_none", "estimate_columns_complex",
@@ -230,7 +236,9 @@ def scan_with(column, index, value):
         "correlation_none_labels", "ellipse_map_text", "ellipse_map_none",
         "ellipse_map_text_in_list", "ellipse_map_nan", "ellipse_map_nan_in_array",
         "ellipse_map_infinite", "ellipse_map_bool", "ellipse_map_bool_sharp",
-        "ellipse_map_infinite_target"])
+        "ellipse_map_infinite_target", "povm_set_labels", "povm_dict_labels",
+        "instrument_set_labels", "instrument_dict_labels", "correlation_set_labels",
+        "correlation_dict_labels"])
 def test_malformed_arrays_raise_typed_errors(call):
     """An entry point that takes arrays or numbers refuses non-numeric,
     ragged or non-finite input with a library error, and no numpy warning
